@@ -56,6 +56,10 @@ impl CompiledMain {
             if let Some(w) = options.warm_main.as_ref() {
                 if w.source_digest() == subgemini_netlist::structural_digest(current) {
                     let compiled = Arc::clone(w.compiled());
+                    // A private trace even on a warm hit: it is dropped
+                    // at the first replacement pass, where the handle's
+                    // shared steps would stay alive beside every later
+                    // round's trace (DESIGN.md §3b).
                     let trace = GTrace::new(Arc::clone(&compiled));
                     return CompiledMain {
                         stripped: None,

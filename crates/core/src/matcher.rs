@@ -183,6 +183,28 @@ pub(crate) fn prepare_main<'a>(main: &'a Netlist, options: &MatchOptions) -> Pre
     }
 }
 
+/// The Phase I label trace of a prepared main circuit. A warm hit
+/// adopts the handle's shared steps, so only the first search on a
+/// handle builds them; a cold main gets a private trace.
+fn main_trace(prepared: &PreparedMain<'_>, options: &MatchOptions) -> phase1::GTrace {
+    let mut trace = match options.warm_main.as_ref().filter(|_| prepared.warm) {
+        Some(warm) => phase1::GTrace::shared(warm),
+        None => phase1::GTrace::new(Arc::clone(&prepared.compiled)),
+    };
+    // Shard-tier graphs get chunk-parallel Jacobi relabeling: each
+    // output element is a pure function of the previous step, so
+    // chunking is bit-identical to the serial pass. Gated on sharding
+    // so unsharded runs keep the serial path.
+    if options
+        .shards
+        .resolve(prepared.compiled.device_count())
+        .is_some()
+    {
+        trace.set_relabel_workers(options.resolved_threads());
+    }
+    trace
+}
+
 pub(crate) fn assert_no_isolated_nets(pattern: &Netlist) {
     for n in pattern.net_ids() {
         assert!(
@@ -206,18 +228,7 @@ pub fn find_all(pattern: &Netlist, main: &Netlist, options: &MatchOptions) -> Ma
         MatchOutcome::default()
     } else {
         let prepared = prepare_main(main, options);
-        let mut trace = phase1::GTrace::new(Arc::clone(&prepared.compiled));
-        // Shard-tier graphs get chunk-parallel Jacobi relabeling: each
-        // output element is a pure function of the previous snapshot,
-        // so chunking is bit-identical to the serial pass. Gated on
-        // sharding so unsharded runs keep the untouched serial path.
-        if options
-            .shards
-            .resolve(prepared.compiled.device_count())
-            .is_some()
-        {
-            trace.set_relabel_workers(options.resolved_threads());
-        }
+        let mut trace = main_trace(&prepared, options);
         find_all_compiled(
             pattern,
             &prepared,
@@ -264,14 +275,7 @@ pub fn find_all_many(
         assert_no_isolated_nets(p);
     }
     let prepared = prepare_main(main, options);
-    let mut trace = phase1::GTrace::new(Arc::clone(&prepared.compiled));
-    if options
-        .shards
-        .resolve(prepared.compiled.device_count())
-        .is_some()
-    {
-        trace.set_relabel_workers(options.resolved_threads());
-    }
+    let mut trace = main_trace(&prepared, options);
     patterns
         .iter()
         .enumerate()

@@ -590,15 +590,21 @@ pub mod json {
         out.push('"');
     }
 
+    /// Deepest array/object nesting [`parse`] accepts. The parser
+    /// recurses once per level, so without a bound a body of a few KB
+    /// of `[` overflows a thread's stack and aborts the process.
+    pub(crate) const MAX_DEPTH: usize = 128;
+
     /// Parses a JSON document.
     ///
     /// # Errors
     ///
-    /// Returns a message with a byte offset on malformed input.
+    /// Returns a message with a byte offset on malformed input,
+    /// including arrays and objects nested more than 128 deep.
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -621,8 +627,13 @@ pub mod json {
         }
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    /// Parses the value at `pos`, which sits inside `depth` open
+    /// arrays/objects.
+    fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(b, pos);
+        if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+        }
         match b.get(*pos) {
             Some(b'{') => {
                 *pos += 1;
@@ -637,7 +648,7 @@ pub mod json {
                     let key = parse_string(b, pos)?;
                     skip_ws(b, pos);
                     expect(b, pos, b':')?;
-                    let v = parse_value(b, pos)?;
+                    let v = parse_value(b, pos, depth + 1)?;
                     members.push((key, v));
                     skip_ws(b, pos);
                     match b.get(*pos) {
@@ -659,7 +670,7 @@ pub mod json {
                     return Ok(Value::Arr(items));
                 }
                 loop {
-                    items.push(parse_value(b, pos)?);
+                    items.push(parse_value(b, pos, depth + 1)?);
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -1110,6 +1121,20 @@ mod tests {
         assert!(json::parse("\"open").is_err());
         assert!(json::parse("123 junk").is_err());
         assert!(json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn json_parse_bounds_nesting_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(json::parse(&nested(json::MAX_DEPTH, "[", "]")).is_ok());
+        assert!(json::parse(&nested(json::MAX_DEPTH, "{\"k\":", "}")).is_ok());
+        let err = json::parse(&nested(json::MAX_DEPTH + 1, "[", "]")).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(json::parse(&nested(json::MAX_DEPTH + 1, "{\"k\":", "}")).is_err());
+        // Far past the bound: an error, not a stack overflow.
+        assert!(json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

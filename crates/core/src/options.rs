@@ -6,6 +6,7 @@ use subgemini_netlist::{Artifact, CompiledCircuit, FingerprintIndex};
 
 use crate::budget::{CancelToken, WorkBudget};
 use crate::metrics::ProgressHook;
+use crate::phase1::SharedSteps;
 use crate::shard::ShardPolicy;
 
 /// What to do when two instances want the same main-circuit device.
@@ -83,6 +84,12 @@ pub enum PrunePolicy {
 /// main netlist and globals are respected; otherwise they fall back to
 /// a fresh compile (counted as `artifact.warm_misses`).
 ///
+/// The handle also carries the first steps of the main circuit's
+/// Phase I label trace, which depend on the circuit alone: each is
+/// built by the first search that needs it and adopted by every later
+/// search through any clone of the handle (DESIGN.md §3b). Searches
+/// stay byte-identical to cold runs.
+///
 /// Compared by identity (same shared allocation), like [`ProgressHook`].
 #[derive(Clone)]
 pub struct WarmMain(Arc<WarmMainInner>);
@@ -92,6 +99,7 @@ struct WarmMainInner {
     index: Arc<FingerprintIndex>,
     source_digest: u64,
     load_ns: u64,
+    steps: SharedSteps,
 }
 
 impl WarmMain {
@@ -108,6 +116,7 @@ impl WarmMain {
             index,
             source_digest,
             load_ns,
+            steps: SharedSteps::default(),
         }))
     }
 
@@ -135,6 +144,11 @@ impl WarmMain {
     /// Nanoseconds spent loading/decoding the artifact.
     pub fn load_ns(&self) -> u64 {
         self.0.load_ns
+    }
+
+    /// The shared prefix of the compiled circuit's Phase I trace.
+    pub(crate) fn shared_steps(&self) -> &SharedSteps {
+        &self.0.steps
     }
 }
 

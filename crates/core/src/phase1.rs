@@ -19,18 +19,23 @@
 //! Consistency checks run after every phase: a valid `S` label that is
 //! missing (or undersupplied) in `G` proves no instance exists.
 //!
-//! All loops run over the flat arrays of a [`CompiledCircuit`]:
-//! relabeling is double-buffered through a reusable scratch vector (no
-//! per-iteration allocation), and partitions are indexed by
-//! sorted-by-label runs ([`PartitionIndex`]) instead of hash maps.
+//! All loops run over the flat arrays of a [`CompiledCircuit`]: the
+//! pattern side relabels through a reusable double buffer (no
+//! per-iteration allocation), and `G`'s partitions are indexed by
+//! vertex ids sorted by label ([`Side`]) instead of hash maps.
+//!
+//! `G`'s labels do not depend on the pattern, so its trace of steps can
+//! be built once per main graph and shared: a warm-start handle
+//! ([`WarmMain`]) holds the first [`SHARED_STEPS`] steps, written once
+//! each by whichever request first needs them (DESIGN.md §3b).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use subgemini_netlist::{hashing, CompiledCircuit, DeviceId, NetId, Vertex};
 
 use crate::events::{EventBuffer, EventKind};
 use crate::instance::Phase1Stats;
-use crate::options::KeyPolicy;
+use crate::options::{KeyPolicy, WarmMain};
 
 /// Output of Phase I.
 #[derive(Clone, Debug)]
@@ -49,7 +54,6 @@ pub struct Phase1Output {
     pub interrupted: Option<crate::budget::TruncationReason>,
 }
 
-#[derive(Clone)]
 struct Labels {
     dev: Vec<u64>,
     net: Vec<u64>,
@@ -66,124 +70,82 @@ fn initial_labels(g: &CompiledCircuit) -> Labels {
     }
 }
 
-/// Relabels every non-global net of `g` from device labels (Jacobi),
-/// double-buffering through `scratch` so no allocation happens after
-/// the first pass.
-fn relabel_nets(g: &CompiledCircuit, l: &mut Labels, scratch: &mut Vec<u64>) {
-    scratch.clear();
-    scratch.reserve(l.net.len());
-    for i in 0..l.net.len() {
-        let n = NetId::new(i as u32);
-        let v = if g.is_global(n) {
-            l.net[i]
-        } else {
-            let c = g.net_contribs(n, |d| Some(l.dev[d.index()]));
-            hashing::relabel(l.net[i], c.sum)
-        };
-        scratch.push(v);
-    }
-    std::mem::swap(&mut l.net, scratch);
-}
-
-/// Relabels every device of `g` from net labels (Jacobi); see
-/// [`relabel_nets`] for the buffering scheme.
-fn relabel_devices(g: &CompiledCircuit, l: &mut Labels, scratch: &mut Vec<u64>) {
-    scratch.clear();
-    scratch.reserve(l.dev.len());
-    for i in 0..l.dev.len() {
-        let d = DeviceId::new(i as u32);
-        let c = g.device_contribs(d, |n| Some(l.net[n.index()]));
-        scratch.push(hashing::relabel(l.dev[i], c.sum));
-    }
-    std::mem::swap(&mut l.dev, scratch);
-}
-
-/// Chunk-parallel [`relabel_nets`]: each Jacobi output element is a
-/// pure function of the *previous* label vector, so splitting the
-/// output range over scoped threads is bit-identical to the serial
-/// pass — the parallelism changes wall-clock, never labels. Used for
-/// shard-tier main graphs (see DESIGN.md §3i); each chunk's read set
-/// is its devices' neighborhoods, the halo-exchange picture of a
-/// stencil step.
-fn relabel_nets_par(g: &CompiledCircuit, l: &mut Labels, scratch: &mut Vec<u64>, workers: usize) {
-    let len = l.net.len();
-    scratch.clear();
-    scratch.resize(len, 0);
-    let chunk = len.div_ceil(workers).max(1);
-    let (net, dev) = (&l.net, &l.dev);
-    std::thread::scope(|scope| {
-        for (ci, out) in scratch.chunks_mut(chunk).enumerate() {
-            let base = ci * chunk;
-            scope.spawn(move || {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let i = base + k;
-                    let n = NetId::new(i as u32);
-                    *slot = if g.is_global(n) {
-                        net[i]
-                    } else {
-                        let c = g.net_contribs(n, |d| Some(dev[d.index()]));
-                        hashing::relabel(net[i], c.sum)
-                    };
-                }
-            });
-        }
-    });
-    std::mem::swap(&mut l.net, scratch);
-}
-
-/// Chunk-parallel [`relabel_devices`]; see [`relabel_nets_par`].
-fn relabel_devices_par(
-    g: &CompiledCircuit,
-    l: &mut Labels,
-    scratch: &mut Vec<u64>,
+/// One Jacobi half-phase over `c`: writes the next label of every net
+/// (`nets`) or of every device into `out`, each a pure function of the
+/// previous `dev`/`net` labels. Global nets keep their fixed labels.
+///
+/// With `workers > 1` the output range is split into chunks over
+/// scoped threads. No element reads another's new value, so every
+/// worker count gives bit-identical labels — the parallelism changes
+/// wall-clock, never labels. Each chunk's read set is its vertices'
+/// neighborhoods, the halo-exchange picture of a stencil step.
+fn relabel(
+    c: &CompiledCircuit,
+    dev: &[u64],
+    net: &[u64],
+    nets: bool,
     workers: usize,
+    out: &mut Vec<u64>,
 ) {
-    let len = l.dev.len();
-    scratch.clear();
-    scratch.resize(len, 0);
+    let next = |i: usize| {
+        if nets {
+            let n = NetId::new(i as u32);
+            if c.is_global(n) {
+                net[i]
+            } else {
+                hashing::relabel(net[i], c.net_contribs(n, |d| Some(dev[d.index()])).sum)
+            }
+        } else {
+            let d = DeviceId::new(i as u32);
+            hashing::relabel(dev[i], c.device_contribs(d, |n| Some(net[n.index()])).sum)
+        }
+    };
+    let len = if nets { net.len() } else { dev.len() };
+    out.clear();
+    if workers <= 1 {
+        out.extend((0..len).map(next));
+        return;
+    }
+    out.resize(len, 0);
     let chunk = len.div_ceil(workers).max(1);
-    let (net, dev) = (&l.net, &l.dev);
+    let next = &next;
     std::thread::scope(|scope| {
-        for (ci, out) in scratch.chunks_mut(chunk).enumerate() {
-            let base = ci * chunk;
+        for (ci, slots) in out.chunks_mut(chunk).enumerate() {
             scope.spawn(move || {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let i = base + k;
-                    let d = DeviceId::new(i as u32);
-                    let c = g.device_contribs(d, |n| Some(net[n.index()]));
-                    *slot = hashing::relabel(dev[i], c.sum);
+                for (k, slot) in slots.iter_mut().enumerate() {
+                    *slot = next(ci * chunk + k);
                 }
             });
         }
     });
-    std::mem::swap(&mut l.dev, scratch);
 }
 
-/// Label→members partition map stored as runs of a `(label, index)`
-/// array sorted by label (ties by index, so members come out in
-/// ascending vertex order). Lookup is two binary searches; building is
-/// one sort — cheaper and cache-friendlier than a `HashMap<u64, Vec>`
-/// for the snapshot-heavy trace.
-struct PartitionIndex {
-    entries: Vec<(u64, u32)>,
+/// One side (devices or nets) of a `G` trace step: its labels plus the
+/// label→members partition index, stored as the vertex ids sorted by
+/// `(label, id)` and looked up through `labels`. Lookup is two binary
+/// searches; building is one sort — cheaper and cache-friendlier than a
+/// `HashMap<u64, Vec>` for the snapshot-heavy trace.
+struct Side {
+    labels: Vec<u64>,
+    order: Vec<u32>,
 }
 
-impl PartitionIndex {
-    fn build(labels: &[u64]) -> Self {
-        let mut entries: Vec<(u64, u32)> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, i as u32))
-            .collect();
-        entries.sort_unstable();
-        Self { entries }
+impl Side {
+    fn new(labels: Vec<u64>) -> Self {
+        // A stable sort of ascending ids by label alone leaves ties in
+        // id order; it beats sorting `(label, id)` keys, most of all on
+        // the few distinct labels of early steps.
+        let mut order: Vec<u32> = (0..labels.len() as u32).collect();
+        order.sort_by_key(|&i| labels[i as usize]);
+        Self { labels, order }
     }
 
     /// The members of `label`'s partition, ascending by vertex index.
-    fn members(&self, label: u64) -> &[(u64, u32)] {
-        let lo = self.entries.partition_point(|&(l, _)| l < label);
-        let hi = self.entries.partition_point(|&(l, _)| l <= label);
-        &self.entries[lo..hi]
+    fn members(&self, label: u64) -> &[u32] {
+        let of = |i: &u32| self.labels[*i as usize];
+        let lo = self.order.partition_point(|i| of(i) < label);
+        let len = self.order[lo..].partition_point(|i| of(i) == label);
+        &self.order[lo..lo + len]
     }
 
     fn count(&self, label: u64) -> usize {
@@ -191,95 +153,148 @@ impl PartitionIndex {
     }
 }
 
-/// A lazily extended sequence of `G` label snapshots. Main-graph
-/// relabeling in Phase I is *pattern-independent* (no valid/corrupt
-/// logic applies to `G`), so one trace can serve many patterns — the
-/// basis of [`run_many`] and the matcher's multi-pattern path.
-///
-/// The trace owns an [`Arc`] of the compiled main graph, so it can
-/// outlive the borrow that produced it (the extractor keeps one alive
-/// across replacement passes).
-///
-/// `step 0` is the initial labeling; odd steps follow a net phase, even
-/// steps a device phase.
-pub struct GTrace {
-    g: Arc<CompiledCircuit>,
-    snaps: Vec<StepData>,
-    scratch: Vec<u64>,
-    /// Scoped threads used per relabeling pass (1 = the serial path,
-    /// byte-for-byte the pre-shard code path).
-    relabel_workers: usize,
+/// One step of a `G` trace, cached so that per-pattern consistency
+/// checks cost `O(|S| log |G|)` rather than `O(|G|)`. Step 0 is the
+/// initial labeling; odd steps follow a net half-phase, even steps a
+/// device half-phase. A half-phase changes one side only, so a step
+/// owns the side it changed and shares the other with the step before.
+struct Step {
+    dev: Arc<Side>,
+    net: Arc<Side>,
 }
 
-/// One trace step: the labels plus label→members partition indices,
-/// cached so that per-pattern consistency checks cost `O(|S| log |G|)`
-/// rather than `O(|G|)`.
-struct StepData {
-    labels: Labels,
-    dev_parts: PartitionIndex,
-    net_parts: PartitionIndex,
-}
-
-impl StepData {
-    fn from_labels(labels: Labels) -> Self {
-        let dev_parts = PartitionIndex::build(&labels.dev);
-        let net_parts = PartitionIndex::build(&labels.net);
+impl Step {
+    fn initial(g: &CompiledCircuit) -> Self {
+        let Labels { dev, net } = initial_labels(g);
         Self {
-            labels,
-            dev_parts,
-            net_parts,
+            dev: Arc::new(Side::new(dev)),
+            net: Arc::new(Side::new(net)),
+        }
+    }
+
+    /// The step after `self`, whose index is `index`.
+    fn next(&self, g: &CompiledCircuit, index: usize, workers: usize) -> Self {
+        let nets = index % 2 == 1;
+        let mut out = Vec::new();
+        relabel(
+            g,
+            &self.dev.labels,
+            &self.net.labels,
+            nets,
+            workers,
+            &mut out,
+        );
+        let changed = Arc::new(Side::new(out));
+        if nets {
+            Self {
+                dev: Arc::clone(&self.dev),
+                net: changed,
+            }
+        } else {
+            Self {
+                dev: changed,
+                net: Arc::clone(&self.net),
+            }
         }
     }
 }
 
+/// How many leading `G` trace steps a warm-start handle shares across
+/// requests. Refinement stops once one side of the pattern is fully
+/// corrupt, which takes few half-phases for library-sized cells: every
+/// `cells::library()` cell stops by step 4 on the 10^5-device tiled
+/// chip (`dff`), so six slots leave a cycle to spare. Deeper steps
+/// (large or closed patterns) stay private to the request that needs
+/// them, so the shared part has a fixed size per handle whatever
+/// patterns arrive.
+pub(crate) const SHARED_STEPS: usize = 6;
+
+/// The shared prefix of one main graph's trace: each slot is written
+/// once, by the first request that needs that step, and read lock-free
+/// afterwards. Lives in the [`WarmMain`] handle it belongs to.
+#[derive(Default)]
+pub(crate) struct SharedSteps {
+    slots: [OnceLock<Arc<Step>>; SHARED_STEPS],
+}
+
+impl SharedSteps {
+    /// Steps built so far.
+    #[cfg(test)]
+    fn built(&self) -> usize {
+        self.slots.iter().filter(|s| s.get().is_some()).count()
+    }
+}
+
+/// A lazily extended sequence of `G` label steps. Main-graph
+/// relabeling in Phase I is *pattern-independent* (no valid/corrupt
+/// logic applies to `G`), so one trace can serve many patterns — the
+/// basis of [`run_many`] and the matcher's multi-pattern path — and,
+/// through a [`WarmMain`]'s [`SharedSteps`], many requests.
+///
+/// The trace owns an [`Arc`] of the compiled main graph, so it can
+/// outlive the borrow that produced it (the extractor keeps one alive
+/// across replacement passes).
+pub struct GTrace {
+    g: Arc<CompiledCircuit>,
+    /// Steps built or adopted so far, in order.
+    steps: Vec<Arc<Step>>,
+    /// Where the first [`SHARED_STEPS`] steps come from, if shared.
+    shared: Option<WarmMain>,
+    /// Scoped threads used per relabeling pass (1 = serial).
+    relabel_workers: usize,
+}
+
 impl GTrace {
-    /// Starts a trace for the compiled main graph `g`.
+    /// Starts a private trace for the compiled main graph `g`. Nothing
+    /// is built until Phase I asks for a step.
     pub fn new(g: Arc<CompiledCircuit>) -> Self {
-        let first = StepData::from_labels(initial_labels(&g));
         Self {
             g,
-            snaps: vec![first],
-            scratch: Vec::new(),
+            steps: Vec::new(),
+            shared: None,
             relabel_workers: 1,
+        }
+    }
+
+    /// Starts a trace over a warm handle's compiled main graph that
+    /// adopts the handle's shared steps, building each one first if no
+    /// request has yet.
+    pub(crate) fn shared(warm: &WarmMain) -> Self {
+        Self {
+            shared: Some(warm.clone()),
+            ..Self::new(Arc::clone(warm.compiled()))
         }
     }
 
     /// Enables chunk-parallel Jacobi relabeling with up to `workers`
     /// scoped threads per pass. Labels are bit-identical to the serial
-    /// trace for any worker count — each output element is a pure
-    /// function of the previous snapshot — so this only changes
-    /// wall-clock. Clamped to at least 1.
+    /// trace for any worker count, so this only changes wall-clock
+    /// (and a shared step may be built by either). Clamped to at
+    /// least 1.
     pub fn set_relabel_workers(&mut self, workers: usize) {
         self.relabel_workers = workers.max(1);
     }
 
-    /// Step data after `step` relabeling half-phases (extending the
-    /// trace as needed).
-    fn step(&mut self, step: usize) -> &StepData {
-        while self.snaps.len() <= step {
-            let mut next = self
-                .snaps
-                .last()
-                .expect("trace starts non-empty")
-                .labels
-                .clone();
-            let par = self.relabel_workers > 1;
-            if self.snaps.len() % 2 == 1 {
-                // The snapshot being created has an odd index => it
-                // follows a net phase.
-                if par {
-                    relabel_nets_par(&self.g, &mut next, &mut self.scratch, self.relabel_workers);
-                } else {
-                    relabel_nets(&self.g, &mut next, &mut self.scratch);
-                }
-            } else if par {
-                relabel_devices_par(&self.g, &mut next, &mut self.scratch, self.relabel_workers);
-            } else {
-                relabel_devices(&self.g, &mut next, &mut self.scratch);
-            }
-            self.snaps.push(StepData::from_labels(next));
+    /// The step after `index` relabeling half-phases, extending the
+    /// trace as needed.
+    fn step(&mut self, index: usize) -> Arc<Step> {
+        while self.steps.len() <= index {
+            let i = self.steps.len();
+            let build = || match self.steps.last() {
+                None => Step::initial(&self.g),
+                Some(prev) => prev.next(&self.g, i, self.relabel_workers),
+            };
+            let step = match self
+                .shared
+                .as_ref()
+                .and_then(|w| w.shared_steps().slots.get(i))
+            {
+                Some(slot) => Arc::clone(slot.get_or_init(|| Arc::new(build()))),
+                None => Arc::new(build()),
+            };
+            self.steps.push(step);
         }
-        &self.snaps[step]
+        Arc::clone(&self.steps[index])
     }
 }
 
@@ -354,11 +369,11 @@ impl Validity {
 /// the first violated `(label, s_count, g_count)` — the pattern
 /// provably has no instance. The valid `S` labels are gathered into
 /// `scratch` and sorted; each equal-label run is checked against the
-/// trace's cached partition index.
+/// trace step's cached partition index.
 fn consistent(
     s_labels: &[u64],
     s_valid: &[bool],
-    g_parts: &PartitionIndex,
+    g_side: &Side,
     scratch: &mut Vec<u64>,
 ) -> Result<(), (u64, usize, usize)> {
     scratch.clear();
@@ -377,7 +392,7 @@ fn consistent(
         while j < scratch.len() && scratch[j] == l {
             j += 1;
         }
-        let gc = g_parts.count(l);
+        let gc = g_side.count(l);
         if gc < j - i {
             return Err((l, j - i, gc));
         }
@@ -398,17 +413,8 @@ pub struct Phase1Timing {
 
 /// Runs Phase I with the paper's smallest-partition key policy.
 pub fn run(s: &CompiledCircuit, g: &Arc<CompiledCircuit>) -> Phase1Output {
-    run_with_policy(s, g, KeyPolicy::SmallestPartition)
-}
-
-/// Runs Phase I.
-pub fn run_with_policy(
-    s: &CompiledCircuit,
-    g: &Arc<CompiledCircuit>,
-    policy: KeyPolicy,
-) -> Phase1Output {
     let mut trace = GTrace::new(Arc::clone(g));
-    run_with_trace(s, &mut trace, policy)
+    run_with_trace(s, &mut trace, KeyPolicy::SmallestPartition)
 }
 
 /// Runs Phase I for many patterns against one main circuit, relabeling
@@ -435,42 +441,22 @@ pub fn run_many(
 /// semantics they are pre-matched by name, so anchoring Phase II on them
 /// would be useless.
 pub fn run_with_trace(s: &CompiledCircuit, trace: &mut GTrace, policy: KeyPolicy) -> Phase1Output {
-    run_with_trace_timed(s, trace, policy, false).0
+    run_governed(s, trace, policy, false, None, None).0
 }
 
-/// Timed form of [`run_with_trace`]: refinement and selection are
-/// measured separately when `collect` is set, and skipped entirely (no
-/// clock reads) when it is not.
-pub fn run_with_trace_timed(
-    s: &CompiledCircuit,
-    trace: &mut GTrace,
-    policy: KeyPolicy,
-    collect: bool,
-) -> (Phase1Output, Phase1Timing) {
-    run_with_trace_instrumented(s, trace, policy, collect, None)
-}
-
-/// Fully instrumented form of [`run_with_trace`]: optional phase timing
-/// (`collect`) and an optional structured event buffer receiving
-/// [`RefineIter`](EventKind::RefineIter) /
-/// [`RefineFail`](EventKind::RefineFail) /
-/// [`CvSelected`](EventKind::CvSelected) events. With `events` `None`
-/// no event is constructed (the hot loop stays event-free).
-pub fn run_with_trace_instrumented(
-    s: &CompiledCircuit,
-    trace: &mut GTrace,
-    policy: KeyPolicy,
-    collect: bool,
-    events: Option<&mut EventBuffer>,
-) -> (Phase1Output, Phase1Timing) {
-    run_governed(s, trace, policy, collect, events, None)
-}
-
-/// [`run_with_trace_instrumented`] plus an optional search governor:
-/// cancellation and wall-clock deadlines are checked once per
-/// refinement cycle (effort accounting stays with the caller, which
-/// charges the returned iteration count). Internal: the governor type
-/// is crate-private by design.
+/// Fully instrumented form of [`run_with_trace`]:
+///
+/// * `collect` times refinement and selection separately (no clock
+///   reads when unset). Refinement includes building any `G` step the
+///   trace does not hold yet, step 0 included.
+/// * `events` receives [`RefineIter`](EventKind::RefineIter) /
+///   [`RefineFail`](EventKind::RefineFail) /
+///   [`CvSelected`](EventKind::CvSelected) events; with `None` no event
+///   is constructed (the hot loop stays event-free).
+/// * `governor` checks cancellation and wall-clock deadlines once per
+///   refinement cycle (effort accounting stays with the caller, which
+///   charges the returned iteration count). The governor type is
+///   crate-private by design.
 pub(crate) fn run_governed(
     s: &CompiledCircuit,
     trace: &mut GTrace,
@@ -569,9 +555,9 @@ fn refine(
     // Consistency on the initial (invariant) labels — the check that
     // removes the "-" vertices in paper Fig. 4.
     {
-        let sd = trace.step(0);
-        if let Err(v) = consistent(&sl.dev, &valid.dev, &sd.dev_parts, &mut sort_buf)
-            .and_then(|()| consistent(&sl.net, &valid.net, &sd.net_parts, &mut sort_buf))
+        let g0 = trace.step(0);
+        if let Err(v) = consistent(&sl.dev, &valid.dev, &g0.dev, &mut sort_buf)
+            .and_then(|()| consistent(&sl.net, &valid.net, &g0.net, &mut sort_buf))
         {
             fail_event(&mut events, 0, v);
             return Err((empty(stats), None));
@@ -590,7 +576,8 @@ fn refine(
             return Err((stats, Some(reason)));
         }
         // --- net phase ---
-        relabel_nets(s, &mut sl, &mut relabel_buf);
+        relabel(s, &sl.dev, &sl.net, true, 1, &mut relabel_buf);
+        std::mem::swap(&mut sl.net, &mut relabel_buf);
         step += 1;
         let inv_n = valid.propagate_to_nets(s);
         stats.iterations += 1;
@@ -601,12 +588,7 @@ fn refine(
                 corrupted: inv_n as u32,
             });
         }
-        if let Err(v) = consistent(
-            &sl.net,
-            &valid.net,
-            &trace.step(step).net_parts,
-            &mut sort_buf,
-        ) {
+        if let Err(v) = consistent(&sl.net, &valid.net, &trace.step(step).net, &mut sort_buf) {
             fail_event(&mut events, stats.iterations, v);
             return Err((empty(stats), None));
         }
@@ -614,7 +596,8 @@ fn refine(
             break;
         }
         // --- device phase ---
-        relabel_devices(s, &mut sl, &mut relabel_buf);
+        relabel(s, &sl.dev, &sl.net, false, 1, &mut relabel_buf);
+        std::mem::swap(&mut sl.dev, &mut relabel_buf);
         step += 1;
         let inv_d = valid.propagate_to_devices(s);
         stats.iterations += 1;
@@ -625,12 +608,7 @@ fn refine(
                 corrupted: inv_d as u32,
             });
         }
-        if let Err(v) = consistent(
-            &sl.dev,
-            &valid.dev,
-            &trace.step(step).dev_parts,
-            &mut sort_buf,
-        ) {
+        if let Err(v) = consistent(&sl.dev, &valid.dev, &trace.step(step).dev, &mut sort_buf) {
             fail_event(&mut events, stats.iterations, v);
             return Err((empty(stats), None));
         }
@@ -698,11 +676,11 @@ fn select(
         },
         interrupted: None,
     };
-    let g = Arc::clone(&trace.g);
     // Use the cached G partitions at the step we stopped on. Global
     // nets are filtered out of the (at most |S|) partitions we actually
     // inspect, keeping per-pattern cost near-independent of |G|.
     let data = trace.step(step);
+    let g = &trace.g;
 
     // Valid S vertices per label as sorted runs, so we can report the
     // key's partition size and verify |P_g| >= |P_s| one last time.
@@ -717,10 +695,10 @@ fn select(
         .iter()
         .map(|&(l, _, _)| {
             let members: Vec<u32> = data
-                .net_parts
+                .net
                 .members(l)
                 .iter()
-                .map(|&(_, gi)| gi)
+                .copied()
                 .filter(|&gi| !g.is_global(NetId::new(gi)))
                 .collect();
             (l, members)
@@ -732,7 +710,7 @@ fn select(
     // policy. Tie-breaking is deterministic by (size, side, label).
     let mut viable: Vec<(usize, u8, u64, u32)> = Vec::new();
     for &(l, sc, first) in &s_dev_runs {
-        let gp = data.dev_parts.count(l);
+        let gp = data.dev.count(l);
         if gp < sc as usize {
             if let Some(ev) = events.as_deref_mut() {
                 ev.push(EventKind::RefineFail {
@@ -788,10 +766,10 @@ fn select(
     let (key, candidates): (Vertex, Vec<Vertex>) = if side == 0 {
         (
             Vertex::Device(DeviceId::new(first)),
-            data.dev_parts
+            data.dev
                 .members(label)
                 .iter()
-                .map(|&(_, i)| Vertex::Device(DeviceId::new(i)))
+                .map(|&i| Vertex::Device(DeviceId::new(i)))
                 .collect(),
         )
     } else {
@@ -978,6 +956,15 @@ mod tests {
         assert!(out.stats.iterations <= pat.device_count() + pat.net_count() + 4);
     }
 
+    /// Asserts two steps carry the same labels and partition order on
+    /// both sides.
+    fn assert_same_step(a: &Step, b: &Step, what: &str) {
+        assert_eq!(a.dev.labels, b.dev.labels, "{what}: device labels");
+        assert_eq!(a.dev.order, b.dev.order, "{what}: device order");
+        assert_eq!(a.net.labels, b.net.labels, "{what}: net labels");
+        assert_eq!(a.net.order, b.net.order, "{what}: net order");
+    }
+
     #[test]
     fn parallel_relabel_is_bit_identical() {
         let pat = inverter_cell();
@@ -991,10 +978,59 @@ mod tests {
         let b = run_with_trace(&sp, &mut par, KeyPolicy::SmallestPartition);
         assert_eq!(a.key, b.key);
         assert_eq!(a.candidates, b.candidates);
-        assert_eq!(serial.snaps.len(), par.snaps.len());
-        for (s, p) in serial.snaps.iter().zip(&par.snaps) {
-            assert_eq!(s.labels.dev, p.labels.dev);
-            assert_eq!(s.labels.net, p.labels.net);
+        assert_eq!(serial.steps.len(), par.steps.len());
+        for (i, (s, p)) in serial.steps.iter().zip(&par.steps).enumerate() {
+            assert_same_step(s, p, &format!("step {i}"));
+        }
+    }
+
+    #[test]
+    fn half_phase_steps_share_the_side_they_did_not_change() {
+        let mut trace = GTrace::new(compile(&inverter_chain(5)));
+        let steps: Vec<Arc<Step>> = (0..5).map(|i| trace.step(i)).collect();
+        for i in 1..steps.len() {
+            let (prev, step) = (&steps[i - 1], &steps[i]);
+            let nets = i % 2 == 1;
+            assert_eq!(Arc::ptr_eq(&prev.dev, &step.dev), nets, "step {i} devices");
+            assert_eq!(Arc::ptr_eq(&prev.net, &step.net), !nets, "step {i} nets");
+        }
+    }
+
+    #[test]
+    fn shared_prefix_is_built_once_and_matches_a_private_trace() {
+        let chip = inverter_chain(9);
+        let depth = SHARED_STEPS + 3;
+        let mut private = GTrace::new(compile(&chip));
+        let reference: Vec<Arc<Step>> = (0..=depth).map(|i| private.step(i)).collect();
+        for workers in [1, 4] {
+            let warm = WarmMain::from_artifact(subgemini_netlist::Artifact::build(&chip), 0);
+            let mut a = GTrace::shared(&warm);
+            let mut b = GTrace::shared(&warm);
+            a.set_relabel_workers(workers);
+            b.set_relabel_workers(workers);
+            // Interleaved, to different depths: `a` builds the first
+            // steps, `b` adopts them and builds the rest of the prefix
+            // and past it, `a` adopts those and goes past the cap too.
+            for (first, upto) in [(true, 2), (false, depth), (true, depth - 1)] {
+                let trace = if first { &mut a } else { &mut b };
+                let step = trace.step(upto);
+                assert_same_step(&step, &reference[upto], &format!("step {upto}"));
+                assert!(warm.shared_steps().built() <= SHARED_STEPS);
+            }
+            assert_eq!(warm.shared_steps().built(), SHARED_STEPS);
+            for (i, want) in reference.iter().enumerate() {
+                let what = format!("workers {workers}, step {i}");
+                assert_same_step(&b.steps[i], want, &what);
+                if i < a.steps.len() {
+                    assert_same_step(&a.steps[i], want, &what);
+                    let adopted = Arc::ptr_eq(&a.steps[i], &b.steps[i]);
+                    assert_eq!(
+                        adopted,
+                        i < SHARED_STEPS,
+                        "{what}: shared iff below the cap"
+                    );
+                }
+            }
         }
     }
 

@@ -25,13 +25,16 @@
 //!   subcommand.
 //!
 //! The sharing contract (see DESIGN.md §3g): registry entries are
-//! immutable snapshots behind `Arc`. A request resolves its entry once
-//! and keeps the `Arc` for its whole run; re-registering a name swaps
-//! the map pointer and never mutates the old entry, so in-flight
-//! requests finish against the snapshot they started with. Because the
-//! matching core is deterministic (serial candidate-vector-ordered
-//! merge), N concurrent requests over one shared entry return results
-//! byte-identical to N serial CLI runs.
+//! immutable snapshots behind `Arc`, except that each entry's first
+//! Phase I trace steps are written once, by the first request that
+//! needs them, and adopted by every later one. A request resolves its
+//! entry once and keeps the `Arc` for its whole run; re-registering a
+//! name swaps the map pointer and never mutates the old entry, so
+//! in-flight requests finish against the snapshot they started with.
+//! Because the matching core is deterministic (serial
+//! candidate-vector-ordered merge) and a trace step is a pure function
+//! of the snapshot, N concurrent requests over one shared entry return
+//! results byte-identical to N serial CLI runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -444,7 +447,8 @@ pub fn compile_netlist(main: &Netlist) -> EncodedArtifact {
 }
 
 /// A registered circuit: the source netlist plus its shared compiled
-/// snapshot and fingerprint index, all immutable behind `Arc`.
+/// snapshot and fingerprint index, all immutable behind `Arc`, and the
+/// write-once shared trace steps inside `warm`.
 struct CircuitEntry {
     netlist: Arc<Netlist>,
     warm: WarmMain,
@@ -666,7 +670,7 @@ impl Engine {
         self.counters.compile.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let artifact = Artifact::build(&netlist);
-        let artifact_bytes = artifact.encode().len();
+        let artifact_bytes = artifact.encoded_len();
         let devices = artifact.circuit.device_count();
         let nets = artifact.circuit.net_count();
         let digest = artifact.source_digest;

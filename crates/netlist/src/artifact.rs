@@ -151,7 +151,27 @@ impl Artifact {
     /// Serializes to the `.sgc` byte format.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
-        let w = &mut payload;
+        self.write_payload(&mut payload);
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&checksum(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    /// The length of [`encode`](Artifact::encode)'s output, counted
+    /// without building it.
+    pub fn encoded_len(&self) -> usize {
+        let mut len = ByteCount(0);
+        self.write_payload(&mut len);
+        HEADER_LEN + len.0
+    }
+
+    /// Writes the payload sections, in layout order.
+    fn write_payload(&self, w: &mut impl Sink) {
         put_u64(w, self.source_digest);
         let p = self.circuit.raw_parts();
         put_u32_slice(w, p.dev_pin_start);
@@ -177,15 +197,6 @@ impl Artifact {
         put_u32_slice_iter(w, p.ports.iter().map(|n| n.raw()));
         put_u32(w, self.index.hop2_cap());
         put_u64_slice(w, self.index.fingerprints());
-
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
     }
 
     /// Decodes and fully revalidates a `.sgc` byte stream.
@@ -398,41 +409,62 @@ fn checksum(bytes: &[u8]) -> u64 {
     hashing::mix(h)
 }
 
-fn put_u32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
+/// Where the payload writers put bytes: the encoder's buffer, or a
+/// [`ByteCount`] that only measures.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn put_u64(w: &mut Vec<u8>, v: u64) {
-    w.extend_from_slice(&v.to_le_bytes());
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-fn put_str(w: &mut Vec<u8>, s: &str) {
+/// Counts the bytes written to it.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+fn put_u32(w: &mut impl Sink, v: u32) {
+    w.put(&v.to_le_bytes());
+}
+
+fn put_u64(w: &mut impl Sink, v: u64) {
+    w.put(&v.to_le_bytes());
+}
+
+fn put_str(w: &mut impl Sink, s: &str) {
     put_u32(w, s.len() as u32);
-    w.extend_from_slice(s.as_bytes());
+    w.put(s.as_bytes());
 }
 
-fn put_u32_slice(w: &mut Vec<u8>, s: &[u32]) {
+fn put_u32_slice(w: &mut impl Sink, s: &[u32]) {
     put_u32_slice_iter(w, s.iter().copied());
 }
 
-fn put_u32_slice_iter(w: &mut Vec<u8>, s: impl ExactSizeIterator<Item = u32>) {
+fn put_u32_slice_iter(w: &mut impl Sink, s: impl ExactSizeIterator<Item = u32>) {
     put_u64(w, s.len() as u64);
     for v in s {
         put_u32(w, v);
     }
 }
 
-fn put_u64_slice(w: &mut Vec<u8>, s: &[u64]) {
+fn put_u64_slice(w: &mut impl Sink, s: &[u64]) {
     put_u64(w, s.len() as u64);
     for &v in s {
         put_u64(w, v);
     }
 }
 
-fn put_bool_slice(w: &mut Vec<u8>, s: &[bool]) {
+fn put_bool_slice(w: &mut impl Sink, s: &[bool]) {
     put_u64(w, s.len() as u64);
     for &v in s {
-        w.push(u8::from(v));
+        w.put(&[u8::from(v)]);
     }
 }
 

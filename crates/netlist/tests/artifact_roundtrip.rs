@@ -107,6 +107,7 @@ fn encode_decode_reproduces_the_snapshot_on_a_seeded_corpus() {
         let nl = random_netlist(&mut rng);
         let artifact = Artifact::build(&nl);
         let bytes = artifact.encode();
+        assert_eq!(artifact.encoded_len(), bytes.len(), "case {case}");
         let decoded = Artifact::decode(&bytes)
             .unwrap_or_else(|e| panic!("case {case}: fresh artifact failed to decode: {e}"));
 

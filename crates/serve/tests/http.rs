@@ -338,6 +338,21 @@ fn unknown_names_and_bad_bodies_map_to_http_errors() {
 }
 
 #[test]
+fn deeply_nested_json_gets_400_and_the_server_stays_up() {
+    // Regression: the JSON parser recursed once per nesting level with
+    // no bound, so 200 KB of `[` overflowed a worker's stack and
+    // aborted the whole daemon. Now it is an ordinary parse error.
+    let (addr, join, shutdown) = start_server(Arc::new(Engine::new()), 2);
+    let (status, body) = call(addr, "POST", "/v1/find", &"[".repeat(200_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(parse_json(&body).get("error").is_some(), "{body}");
+    let (status, _) = call(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn shutdown_drains_in_flight_searches_via_cancel() {
     use subgemini_workloads::{cells, gen};
     let engine = Arc::new(Engine::new());

@@ -5,10 +5,12 @@
 //! story is that N threads on one `Arc<CompiledCircuit>` + index
 //! answer exactly what N serial CLI invocations would.
 
+use std::sync::Barrier;
 use std::thread;
 
 use subgemini::{find_all, MatchOutcome, PrunePolicy, WorkBudget};
 use subgemini_engine::{CircuitSource, Engine, FindRequest, PatternSource, RequestOptions};
+use subgemini_netlist::Netlist;
 use subgemini_workloads::{analog, cells, gen};
 
 /// The metrics counters in the `reject.*` namespace, sorted by name.
@@ -198,4 +200,86 @@ fn mixed_qos_requests_coexist_on_one_entry() {
             assert_outcomes_identical(&handle.join().unwrap().outcome, &serial_tiny);
         }
     });
+}
+
+/// Runs `cells[i % cells.len()]` on 8 threads, released together,
+/// against the registered `chip` and checks every answer against a cold
+/// `Inline` run over `main`. Returns the cold outcomes, in `cells`
+/// order.
+fn race_cells_against_cold_runs(
+    engine: &Engine,
+    main: &Netlist,
+    cells: &[Netlist],
+) -> Vec<MatchOutcome> {
+    let cold: Vec<MatchOutcome> = cells
+        .iter()
+        .map(|cell| {
+            engine
+                .find(&FindRequest {
+                    circuit: CircuitSource::Inline(main),
+                    pattern: PatternSource::Inline(cell),
+                    options: comparison_options(),
+                })
+                .unwrap()
+                .outcome
+        })
+        .collect();
+    let start = Barrier::new(8);
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..8)
+            .map(|i| {
+                let (cell, start) = (&cells[i % cells.len()], &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let resp = engine
+                        .find(&FindRequest {
+                            circuit: CircuitSource::Registered("chip"),
+                            pattern: PatternSource::Inline(cell),
+                            options: comparison_options(),
+                        })
+                        .unwrap();
+                    (i % cells.len(), resp.outcome)
+                })
+            })
+            .collect();
+        for handle in handles {
+            let (c, outcome) = handle.join().unwrap();
+            assert_outcomes_identical(&outcome, &cold[c]);
+        }
+    });
+    cold
+}
+
+#[test]
+fn shared_trace_races_and_re_registration_match_cold_runs() {
+    // Cells whose Phase I stops at different depths race on a freshly
+    // registered entry, so they build and adopt its shared trace steps
+    // in whatever order the threads run.
+    let cells = [
+        cells::inv(),
+        cells::nand2(),
+        cells::full_adder(),
+        cells::dff(),
+    ];
+    let engine = Engine::new();
+    let first = gen::tiled_chip(3, 3_000).netlist;
+    engine.register_circuit("chip", first.clone());
+    let before = race_cells_against_cold_runs(&engine, &first, &cells);
+    let depths: Vec<usize> = before.iter().map(|o| o.phase1.iterations).collect();
+    assert_eq!(depths, [1, 2, 3, 4], "inv .. dff stop at increasing depths");
+    assert!(
+        before.iter().all(|o| o.count() > 0),
+        "every cell is planted"
+    );
+
+    // Re-registering the name must serve the new circuit, not the old
+    // circuit's shared steps.
+    let second = gen::tiled_chip(4, 2_000).netlist;
+    engine.register_circuit("chip", second.clone());
+    let after = race_cells_against_cold_runs(&engine, &second, &cells);
+    assert_ne!(
+        before.iter().map(MatchOutcome::count).collect::<Vec<_>>(),
+        after.iter().map(MatchOutcome::count).collect::<Vec<_>>(),
+        "the two circuits differ in their answers"
+    );
 }
