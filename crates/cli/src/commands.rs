@@ -12,7 +12,7 @@
 use std::fs;
 
 use subgemini::{MatchOptions, Matcher};
-use subgemini_engine::source::{load_cell, load_doc, load_main};
+use subgemini_engine::source::{load_cell, load_cells, load_doc, load_main, CellMode};
 use subgemini_engine::{
     CircuitSource, Engine, ExplainRequest, FindRequest, HierarchizeRequest, LibrarySource,
     PatternSource, RequestOptions, SurveyRequest,
@@ -38,11 +38,7 @@ fn library_from(args: &Args) -> Result<Vec<Netlist>, String> {
         .option("--lib")
         .or_else(|| args.option("--library"))
         .ok_or("pass --lib <cells.sp> (or --library <cells.sp>) or --builtin-lib")?;
-    let doc = load_doc(path)?;
-    let mut cells = Vec::new();
-    for name in doc.cell_names() {
-        cells.push(load_cell(&doc, &name, path)?);
-    }
+    let cells = load_cells(&load_doc(path)?, CellMode::Flat, path)?;
     if cells.is_empty() {
         return Err(format!("{path}: no cell definitions"));
     }
@@ -442,8 +438,8 @@ pub fn check(args: &Args) -> Result<u8, String> {
     let rules_path = args.option("--rules").ok_or("missing --rules <file>")?;
     let doc = load_doc(rules_path)?;
     let mut checker = subgemini::RuleChecker::new();
-    for name in doc.cell_names() {
-        let pattern = load_cell(&doc, &name, rules_path)?;
+    let patterns = load_cells(&doc, CellMode::Flat, rules_path)?;
+    for (name, pattern) in doc.cell_names().into_iter().zip(patterns) {
         checker.add_rule(name.clone(), format!("pattern `{name}`"), pattern);
     }
     let violations = checker.check(&main);
@@ -568,15 +564,11 @@ fn hierarchize_library(args: &Args) -> Result<Vec<Netlist>, String> {
         .option("--library")
         .or_else(|| args.option("--lib"))
         .ok_or("pass --library <cells.sp> or --builtin-lib")?;
-    let doc = load_doc(path)?;
-    let names = doc.cell_names();
-    if names.is_empty() {
+    let cells = load_cells(&load_doc(path)?, CellMode::Hierarchical, path)?;
+    if cells.is_empty() {
         return Err(format!("{path}: no cell definitions"));
     }
-    names
-        .iter()
-        .map(|name| subgemini_engine::source::load_cell_hierarchical(&doc, name, path))
-        .collect()
+    Ok(cells)
 }
 
 /// `subg hierarchize`: iterative bottom-up hierarchy reconstruction —
@@ -676,10 +668,7 @@ pub fn fingerprint(args: &Args) -> Result<u8, String> {
     if names.is_empty() {
         return Err(format!("{path}: no cell definitions to fingerprint"));
     }
-    let cells: Vec<Netlist> = names
-        .iter()
-        .map(|n| load_cell(&doc, n, path))
-        .collect::<Result<_, _>>()?;
+    let cells = load_cells(&doc, CellMode::Flat, path)?;
     for cell in &cells {
         println!(
             "{:016x}  {}",

@@ -106,7 +106,7 @@ pub fn main_from_doc(doc: &Doc, top_name: &str, label: &str) -> Result<Netlist, 
     match doc {
         Doc::Spice(doc) => {
             let opts = ElaborateOptions::default();
-            if !doc.top.is_empty() {
+            if doc.top_card_count() > 0 {
                 return doc
                     .elaborate_top(top_name, &opts)
                     .map_err(|e| format!("{label}: {e}"));
@@ -136,6 +136,44 @@ pub fn load_main(path: &str) -> Result<Netlist, String> {
     main_from_doc(&load_doc(path)?, main_name(path), path)
 }
 
+/// How a deck's cells elaborate their `X` instances of other cells.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CellMode {
+    /// Inlined down to primitive devices: patterns and rules.
+    Flat,
+    /// Kept as composite devices, one level deep. Hierarchy
+    /// reconstruction needs this — a flat elaboration erases the
+    /// reference depth the level grouping is built from.
+    Hierarchical,
+}
+
+impl CellMode {
+    fn spice(self) -> ElaborateOptions {
+        match self {
+            CellMode::Flat => ElaborateOptions::default(),
+            CellMode::Hierarchical => ElaborateOptions::hierarchical(),
+        }
+    }
+
+    fn verilog(self) -> VerilogOptions {
+        match self {
+            CellMode::Flat => VerilogOptions::default(),
+            CellMode::Hierarchical => VerilogOptions::hierarchical(),
+        }
+    }
+}
+
+fn load_cell_as(doc: &Doc, name: &str, mode: CellMode, label: &str) -> Result<Netlist, String> {
+    match doc {
+        Doc::Spice(d) => d
+            .elaborate_cell(name, &mode.spice())
+            .map_err(|e| format!("{label}: {e}")),
+        Doc::Verilog(s) => s
+            .elaborate(Some(name), &mode.verilog())
+            .map_err(|e| format!("{label}: {e}")),
+    }
+}
+
 /// Elaborates a named cell from a deck (for patterns and rules).
 /// `label` names the source in error messages.
 ///
@@ -143,32 +181,39 @@ pub fn load_main(path: &str) -> Result<Netlist, String> {
 ///
 /// Propagates unknown-cell and elaboration problems.
 pub fn load_cell(doc: &Doc, name: &str, label: &str) -> Result<Netlist, String> {
-    match doc {
-        Doc::Spice(d) => d
-            .elaborate_cell(name, &ElaborateOptions::default())
-            .map_err(|e| format!("{label}: {e}")),
-        Doc::Verilog(s) => s
-            .elaborate(Some(name), &VerilogOptions::default())
-            .map_err(|e| format!("{label}: {e}")),
-    }
+    load_cell_as(doc, name, CellMode::Flat, label)
 }
 
-/// Elaborates a named cell keeping one level of structure: `X`
-/// instances of other cells stay composite devices instead of being
-/// inlined. Hierarchy reconstruction needs this — a flat elaboration
-/// erases the reference depth the level grouping is built from.
+/// Elaborates a named cell keeping one level of structure (see
+/// [`CellMode::Hierarchical`]).
 ///
 /// # Errors
 ///
 /// Propagates unknown-cell and elaboration problems.
 pub fn load_cell_hierarchical(doc: &Doc, name: &str, label: &str) -> Result<Netlist, String> {
+    load_cell_as(doc, name, CellMode::Hierarchical, label)
+}
+
+/// Elaborates every cell a deck defines, in [`Doc::cell_names`] order —
+/// the same netlists and the same first error as [`load_cell`] (or
+/// [`load_cell_hierarchical`]) per name, but a SPICE deck shares one
+/// memo across its cells, so a cell other cells instantiate is
+/// elaborated once, not once per cell that reaches it. An empty deck
+/// yields no cells.
+///
+/// # Errors
+///
+/// The first cell's elaboration problem, prefixed with `label`.
+pub fn load_cells(doc: &Doc, mode: CellMode, label: &str) -> Result<Vec<Netlist>, String> {
     match doc {
         Doc::Spice(d) => d
-            .elaborate_cell(name, &ElaborateOptions::hierarchical())
+            .elaborate_cells(&mode.spice())
             .map_err(|e| format!("{label}: {e}")),
-        Doc::Verilog(s) => s
-            .elaborate(Some(name), &VerilogOptions::hierarchical())
-            .map_err(|e| format!("{label}: {e}")),
+        Doc::Verilog(_) => doc
+            .cell_names()
+            .iter()
+            .map(|name| load_cell_as(doc, name, mode, label))
+            .collect(),
     }
 }
 
@@ -227,6 +272,53 @@ mod tests {
     fn parse_text_labels_errors() {
         let err = parse_text(".subckt broken", SourceKind::Spice, "upload").unwrap_err();
         assert!(err.contains("upload"), "{err}");
+    }
+
+    #[test]
+    fn load_cells_matches_load_cell_per_name() {
+        let deck = ".subckt inv a y\nmp y a vdd vdd pmos\nmn y a gnd gnd nmos\n.ends\n\
+                    .subckt buf a y\nx1 a m inv\nx2 m y inv\n.ends\n";
+        let doc = parse_text(deck, SourceKind::Spice, "body").unwrap();
+        for (mode, one) in [
+            (CellMode::Flat, load_cell as fn(&Doc, &str, &str) -> _),
+            (CellMode::Hierarchical, load_cell_hierarchical),
+        ] {
+            let all = load_cells(&doc, mode, "body").unwrap();
+            for (cell, name) in all.iter().zip(doc.cell_names()) {
+                let single = one(&doc, &name, "body").unwrap();
+                assert_eq!(cell.device_count(), single.device_count(), "{name}");
+                assert_eq!(cell.net_count(), single.net_count(), "{name}");
+            }
+        }
+        let empty = parse_text("* nothing\n", SourceKind::Spice, "body").unwrap();
+        assert!(load_cells(&empty, CellMode::Flat, "body")
+            .unwrap()
+            .is_empty());
+        let bad = parse_text(
+            ".subckt a x\nxq x nosuch\n.ends\n",
+            SourceKind::Spice,
+            "body",
+        )
+        .unwrap();
+        assert_eq!(
+            load_cells(&bad, CellMode::Flat, "body").unwrap_err(),
+            load_cell(&bad, "a", "body").unwrap_err()
+        );
+    }
+
+    #[test]
+    fn a_long_chained_library_loads_through_one_memo() {
+        // Cell-by-cell loading rebuilt every cell below each one, with
+        // a list-scan cycle check: time cubic in the chain's length.
+        let mut deck = String::from(".subckt c0 a y\nmn y a gnd gnd nmos\n.ends\n");
+        for k in 1..=2_000 {
+            deck.push_str(&format!(".subckt c{k} a y\nx1 a y c{}\n.ends\n", k - 1));
+        }
+        let doc = parse_text(&deck, SourceKind::Spice, "lib").unwrap();
+        let cells = load_cells(&doc, CellMode::Flat, "lib").unwrap();
+        assert_eq!(cells.len(), 2_001);
+        assert!(cells.iter().all(|c| c.device_count() == 1));
+        assert_eq!(cells[2_000].name(), "c2000");
     }
 
     #[test]

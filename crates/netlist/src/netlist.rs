@@ -1,5 +1,6 @@
 //! The [`Netlist`]: a flat circuit as interconnected devices and nets.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -314,6 +315,14 @@ impl Netlist {
         (0..self.nets.len() as u32).map(NetId::new)
     }
 
+    /// Reserves room for at least `additional` more devices, so a
+    /// builder that knows its device count up front grows the device
+    /// tables once.
+    pub fn reserve_devices(&mut self, additional: usize) {
+        self.devices.reserve(additional);
+        self.device_ids.reserve(additional);
+    }
+
     // ------------------------------------------------------------------
     // Devices
     // ------------------------------------------------------------------
@@ -333,10 +342,14 @@ impl Netlist {
         ty: DeviceTypeId,
         pins: &[NetId],
     ) -> Result<DeviceId, NetlistError> {
-        let name = name.into();
-        if self.device_ids.contains_key(&name) {
-            return Err(NetlistError::DuplicateDevice { name });
-        }
+        let slot = match self.device_ids.entry(name.into()) {
+            Entry::Occupied(taken) => {
+                return Err(NetlistError::DuplicateDevice {
+                    name: taken.key().clone(),
+                })
+            }
+            Entry::Vacant(slot) => slot,
+        };
         let Some(tyref) = self.types.get(ty.index()) else {
             return Err(NetlistError::UnknownType {
                 name: format!("{ty}"),
@@ -344,7 +357,7 @@ impl Netlist {
         };
         if pins.len() != tyref.terminal_count() {
             return Err(NetlistError::PinCountMismatch {
-                device: name,
+                device: slot.into_key(),
                 expected: tyref.terminal_count(),
                 got: pins.len(),
             });
@@ -363,7 +376,8 @@ impl Netlist {
                 terminal: i as u16,
             });
         }
-        self.device_ids.insert(name.clone(), id);
+        let name = slot.key().clone();
+        slot.insert(id);
         self.devices.push(Device {
             name,
             ty,

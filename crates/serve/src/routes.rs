@@ -38,7 +38,7 @@ use subgemini::metrics::json::{self, Value};
 use subgemini::metrics::{outcome_to_json, REPORT_SCHEMA_VERSION};
 use subgemini::telemetry::prometheus::TextWriter;
 use subgemini_engine::source::{
-    load_cell, load_cell_hierarchical, main_from_doc, parse_text, SourceKind,
+    load_cell, load_cells, main_from_doc, parse_text, CellMode, SourceKind,
 };
 use subgemini_engine::{
     CircuitSource, Engine, EngineError, ExplainRequest, FindRequest, FindResponse,
@@ -434,33 +434,17 @@ fn register_circuit(engine: &Engine, req: &Request, name: &str) -> Response {
     }
 }
 
-fn cells_from_deck(text: &str, kind: SourceKind, label: &str) -> Result<Vec<Netlist>, String> {
-    cells_from_deck_with(text, kind, label, load_cell)
-}
-
-/// One-level elaboration variant: `X` instances of other cells stay
-/// composite devices, preserving the reference depth the hierarchize
-/// route's level grouping needs.
-fn cells_from_deck_hierarchical(
+fn cells_from_deck(
     text: &str,
     kind: SourceKind,
     label: &str,
+    mode: CellMode,
 ) -> Result<Vec<Netlist>, String> {
-    cells_from_deck_with(text, kind, label, load_cell_hierarchical)
-}
-
-fn cells_from_deck_with(
-    text: &str,
-    kind: SourceKind,
-    label: &str,
-    load: fn(&subgemini_engine::source::Doc, &str, &str) -> Result<Netlist, String>,
-) -> Result<Vec<Netlist>, String> {
-    let doc = parse_text(text, kind, label)?;
-    let names = doc.cell_names();
-    if names.is_empty() {
+    let cells = load_cells(&parse_text(text, kind, label)?, mode, label)?;
+    if cells.is_empty() {
         return Err(format!("{label}: no cell definitions"));
     }
-    names.iter().map(|name| load(&doc, name, label)).collect()
+    Ok(cells)
 }
 
 fn register_library(engine: &Engine, req: &Request, name: &str) -> Response {
@@ -472,7 +456,7 @@ fn register_library(engine: &Engine, req: &Request, name: &str) -> Response {
     }
     let parsed = body_text(req)
         .and_then(|text| body_format(req).map(|kind| (text, kind)))
-        .and_then(|(text, kind)| cells_from_deck(text, kind, name));
+        .and_then(|(text, kind)| cells_from_deck(text, kind, name, CellMode::Flat));
     match parsed {
         Ok(cells) => {
             let info = engine.register_library(name, cells);
@@ -945,20 +929,9 @@ impl BodyLibrary {
     }
 }
 
-fn library_from(body: &Value) -> Result<BodyLibrary, String> {
-    library_from_with(body, cells_from_deck)
-}
-
-/// [`library_from`] with one-level elaboration of inline decks — see
-/// [`cells_from_deck_hierarchical`].
-fn hierarchical_library_from(body: &Value) -> Result<BodyLibrary, String> {
-    library_from_with(body, cells_from_deck_hierarchical)
-}
-
-fn library_from_with(
-    body: &Value,
-    load: fn(&str, SourceKind, &str) -> Result<Vec<Netlist>, String>,
-) -> Result<BodyLibrary, String> {
+/// The library named or embedded in a JSON request body; an inline
+/// deck elaborates its cells in `mode`.
+fn library_from(body: &Value, mode: CellMode) -> Result<BodyLibrary, String> {
     let spec = body
         .get("library")
         .ok_or("body needs a `library` (name or object)")?;
@@ -976,7 +949,7 @@ fn library_from_with(
                 })?
             }
         };
-        return load(text, kind, "library").map(BodyLibrary::Inline);
+        return cells_from_deck(text, kind, "library", mode).map(BodyLibrary::Inline);
     }
     Err("library needs a registered name or a `source` deck".into())
 }
@@ -990,7 +963,7 @@ fn survey(
 ) -> Response {
     let prepared = parse_body(req).and_then(|body| {
         let circuit = circuit_from(&body)?;
-        let library = library_from(&body)?;
+        let library = library_from(&body, CellMode::Flat)?;
         let options = options_from(&body)?;
         Ok((circuit, library, options))
     });
@@ -1070,12 +1043,12 @@ fn hierarchize(
     let prepared = parse_body(req).and_then(|body| {
         let circuit = circuit_from(&body)?;
         // Inline decks keep one level of `X`-instance structure: flat
-        // elaboration (what `library_from` does for find/survey
-        // patterns) would erase the reference depth the level grouping
-        // reconstructs. Registered libraries pass through as stored —
+        // elaboration (what find/survey use for patterns) would erase
+        // the reference depth the level grouping reconstructs.
+        // Registered libraries pass through as stored —
         // libraries uploaded over HTTP are flattened at registration,
         // so a full tree needs the library inline in the request.
-        let library = hierarchical_library_from(&body)?;
+        let library = library_from(&body, CellMode::Hierarchical)?;
         let options = options_from(&body)?;
         Ok((circuit, library, options))
     });

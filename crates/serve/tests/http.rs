@@ -352,6 +352,58 @@ fn deeply_nested_json_gets_400_and_the_server_stays_up() {
     join.join().unwrap();
 }
 
+/// `depth` chained subcircuits over an inverter, each instantiating the
+/// one below once (`fanout` 1) or twice (`fanout` 2).
+fn chained_deck(depth: usize, fanout: usize) -> String {
+    let mut deck =
+        String::from(".subckt c0 a y\nmp y a vdd vdd pmos\nmn y a gnd gnd nmos\n.ends\n");
+    for k in 1..=depth {
+        let p = k - 1;
+        match fanout {
+            1 => deck.push_str(&format!(".subckt c{k} a y\nx1 a y c{p}\n.ends\n")),
+            _ => deck.push_str(&format!(
+                ".subckt c{k} a y\nx1 a m c{p}\nx2 m y c{p}\n.ends\n"
+            )),
+        }
+    }
+    deck
+}
+
+#[test]
+fn hostile_decks_get_answers_and_the_server_stays_up() {
+    // Regressions: a 2,000-deep chain overflowed a worker's stack and
+    // aborted the daemon; a deck doubling at each of 40 levels never
+    // finished flattening; a 2,000-cell chained library took time
+    // cubic in its length to load.
+    let (addr, join, shutdown) = start_server(Arc::new(Engine::new()), 2);
+    let deep = chained_deck(2_000, 1) + "x1 in out c2000\n";
+    let (status, body) = call(addr, "POST", "/v1/circuits/deep", &deep);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(parse_json(&body).get("devices").unwrap().as_u64(), Some(2));
+
+    let bomb = chained_deck(40, 2) + "x1 in out c40\n";
+    let (status, body) = call(addr, "POST", "/v1/circuits/bomb", &bomb);
+    assert_eq!(status, 400, "{body}");
+    let error = parse_json(&body)
+        .get("error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    assert!(error.contains("subcircuit `c"), "{error}");
+    assert!(error.contains("past the cap"), "{error}");
+
+    let (status, body) = call(addr, "POST", "/v1/libraries/chain", &chained_deck(2_000, 1));
+    assert_eq!(status, 200, "{body}");
+    let cells = parse_json(&body);
+    assert_eq!(cells.get("cells").unwrap().as_arr().unwrap().len(), 2_001);
+
+    let (status, _) = call(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn shutdown_drains_in_flight_searches_via_cancel() {
     use subgemini_workloads::{cells, gen};

@@ -1,75 +1,95 @@
 //! Parsed card (statement) model for the supported SPICE subset.
+//!
+//! A card holds no strings: every name and net is a [`Span`] into the
+//! lowercased deck text its [`SpiceDoc`](crate::SpiceDoc) owns.
+
+use std::ops::Range;
+
+/// One token: a byte range of the owning document's lowercased text.
+/// Decks are capped at 4 GiB so both ends fit in a `u32`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+impl Span {
+    pub(crate) fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
 
 /// One parsed element card.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Card {
+pub(crate) enum Card {
     /// `Mname d g s [b] model ...` — MOS transistor. The optional bulk
     /// node is parsed and discarded (the circuit model uses 3-terminal
     /// MOS devices; see DESIGN.md).
     Mos {
         /// Instance name (including the `M` prefix).
-        name: String,
+        name: Span,
         /// Drain net.
-        drain: String,
+        drain: Span,
         /// Gate net.
-        gate: String,
+        gate: Span,
         /// Source net.
-        source: String,
+        source: Span,
         /// Model name; decides `nmos` vs `pmos`.
-        model: String,
+        model: Span,
     },
     /// `Rname a b ...` / `Cname a b ...` / `Lname a b ...` — symmetric
     /// two-terminal element.
     TwoTerminal {
         /// Instance name.
-        name: String,
+        name: Span,
         /// Device type name (`res`, `cap`, `ind`).
         kind: &'static str,
         /// First net.
-        a: String,
+        a: Span,
         /// Second net.
-        b: String,
+        b: Span,
     },
     /// `Dname p n ...` — diode (polarized two-terminal).
     Diode {
         /// Instance name.
-        name: String,
+        name: Span,
         /// Anode net.
-        p: String,
+        p: Span,
         /// Cathode net.
-        n: String,
+        n: Span,
         /// Model name (becomes part of the device type: `diode:<model>`;
-        /// empty model yields plain `diode`).
-        model: String,
+        /// an empty span yields plain `diode`).
+        model: Span,
     },
     /// `Qname c b e [s] model` — bipolar transistor.
     Bjt {
         /// Instance name.
-        name: String,
+        name: Span,
         /// Collector net.
-        c: String,
+        c: Span,
         /// Base net.
-        b: String,
+        b: Span,
         /// Emitter net.
-        e: String,
+        e: Span,
         /// Model name; decides the type (`npn`/`pnp` by leading letter).
-        model: String,
+        model: Span,
     },
     /// `Xname n1 n2 ... subckt` — subcircuit instance.
     Instance {
         /// Instance name (including the `X` prefix).
-        name: String,
-        /// Connection nets, in the subcircuit's port order.
-        nets: Vec<String>,
+        name: Span,
+        /// Connection nets, in the subcircuit's port order: a range of
+        /// the document's instance-net table.
+        nets: (u32, u32),
         /// Referenced subcircuit name.
-        subckt: String,
+        subckt: Span,
     },
 }
 
 impl Card {
     /// The instance name of the card.
-    pub fn name(&self) -> &str {
-        match self {
+    pub(crate) fn name(&self) -> Span {
+        match *self {
             Card::Mos { name, .. }
             | Card::TwoTerminal { name, .. }
             | Card::Diode { name, .. }
@@ -87,49 +107,27 @@ pub struct SubcktDef {
     /// Port nets in declaration order.
     pub ports: Vec<String>,
     /// Body cards.
-    pub cards: Vec<Card>,
+    pub(crate) cards: Vec<Card>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse::parse;
 
     #[test]
     fn card_name_accessor_covers_all_variants() {
-        let cards = [
-            Card::Mos {
-                name: "m1".into(),
-                drain: "d".into(),
-                gate: "g".into(),
-                source: "s".into(),
-                model: "nch".into(),
-            },
-            Card::TwoTerminal {
-                name: "r1".into(),
-                kind: "res",
-                a: "a".into(),
-                b: "b".into(),
-            },
-            Card::Diode {
-                name: "d1".into(),
-                p: "p".into(),
-                n: "n".into(),
-                model: String::new(),
-            },
-            Card::Bjt {
-                name: "q1".into(),
-                c: "c".into(),
-                b: "b".into(),
-                e: "e".into(),
-                model: "npn".into(),
-            },
-            Card::Instance {
-                name: "x1".into(),
-                nets: vec!["a".into()],
-                subckt: "inv".into(),
-            },
-        ];
-        let names: Vec<&str> = cards.iter().map(Card::name).collect();
+        let doc = parse("* t\nm1 d g s nch\nr1 a b 1\nd1 p n\nq1 c b e npn\nx1 a inv\n").unwrap();
+        let names: Vec<&str> = doc.top.iter().map(|c| doc.str(c.name())).collect();
         assert_eq!(names, vec!["m1", "r1", "d1", "q1", "x1"]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn cards_hold_no_heap_data() {
+        // Five spans and a tag: a MOS card is 44 bytes, padded to the
+        // `&'static str` alignment of the two-terminal variant.
+        assert_eq!(std::mem::size_of::<Span>(), 8);
+        assert_eq!(std::mem::size_of::<Card>(), 48);
     }
 }

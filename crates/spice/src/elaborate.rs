@@ -1,12 +1,26 @@
 //! Elaboration: turning a parsed [`SpiceDoc`] into [`Netlist`]s.
+//!
+//! Cells elaborate from an explicit worklist rather than by recursion,
+//! so nesting depth costs heap, not stack. The visiting order is the
+//! depth-first order a recursive walk would take, and only cells
+//! reachable from what is being elaborated are visited.
 
 use std::collections::{HashMap, HashSet};
 
-use subgemini_netlist::{instantiate, DeviceType, Netlist, TerminalSpec};
+use subgemini_netlist::{instantiate, DeviceType, DeviceTypeId, NetId, Netlist, TerminalSpec};
 
-use crate::card::{Card, SubcktDef};
+use crate::card::{Card, Span};
 use crate::error::SpiceError;
 use crate::parse::SpiceDoc;
+
+/// The most devices [`instantiate`] may create during one elaboration,
+/// devices copied out of memoized cells included. Flattening multiplies
+/// (a deck of 40 subcircuits, each instantiating the previous one twice,
+/// flattens to 2^40 devices), so this bounds the work and memory a deck
+/// of any size can demand. It is a constant, not an option: it sits
+/// far above every deck in this repository and no caller needs another
+/// value.
+pub(crate) const MAX_INSTANTIATED_DEVICES: u64 = 1 << 18;
 
 /// Elaboration options.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,114 +57,268 @@ impl ElaborateOptions {
     }
 }
 
-struct Elaborator<'a> {
-    subckts: HashMap<&'a str, &'a SubcktDef>,
-    opts: &'a ElaborateOptions,
-    globals: HashSet<String>,
-    /// Memoized fully-elaborated cell netlists (flatten mode).
-    cells: HashMap<String, Netlist>,
-    /// Cycle-detection stack.
-    visiting: Vec<String>,
+/// What decides a card's device type: equal keys mean equal types.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum TypeKey<'d> {
+    Mos(&'static str),
+    TwoTerminal(&'static str),
+    /// The diode model (empty for a plain diode).
+    Diode(&'d str),
+    Bjt(&'static str),
+    /// A composite device: the subcircuit's index.
+    Subckt(usize),
 }
 
-impl<'a> Elaborator<'a> {
-    fn new(doc: &'a SpiceDoc, opts: &'a ElaborateOptions) -> Self {
+/// A netlist under construction, with what this elaborator has already
+/// established about it.
+struct Builder<'d> {
+    nl: Netlist,
+    /// Types registered so far. Only the first card of a type goes
+    /// through `Netlist::add_type` (so its errors are unchanged); later
+    /// ones reuse the id.
+    types: Vec<(TypeKey<'d>, DeviceTypeId)>,
+    /// Per net id: already checked against the global set.
+    checked: Vec<bool>,
+}
+
+impl<'d> Builder<'d> {
+    fn new(nl: Netlist) -> Self {
+        Self {
+            nl,
+            types: Vec::new(),
+            checked: Vec::new(),
+        }
+    }
+
+    fn ty(
+        &mut self,
+        key: TypeKey<'d>,
+        make: impl FnOnce() -> Result<DeviceType, SpiceError>,
+    ) -> Result<DeviceTypeId, SpiceError> {
+        if let Some(&(_, id)) = self.types.iter().find(|(k, _)| *k == key) {
+            return Ok(id);
+        }
+        let id = self.nl.add_type(make()?)?;
+        self.types.push((key, id));
+        Ok(id)
+    }
+
+    /// The net named `name`, created if new, marked global the first
+    /// time this elaborator sees it if the name is global.
+    fn net(&mut self, name: &str, globals: &HashSet<String>) -> NetId {
+        let id = self.nl.net(name);
+        let i = id.index();
+        if i >= self.checked.len() {
+            self.checked.resize(i + 1, false);
+        }
+        if !self.checked[i] {
+            self.checked[i] = true;
+            if globals.contains(name) {
+                self.nl.mark_global(id);
+            }
+        }
+        id
+    }
+}
+
+/// One netlist on the worklist: its cards and how far it has got.
+struct Frame<'d> {
+    /// The subcircuit being elaborated; `None` for the top level.
+    cell: Option<usize>,
+    cards: &'d [Card],
+    next: usize,
+    out: Builder<'d>,
+}
+
+struct Elaborator<'d> {
+    doc: &'d SpiceDoc,
+    /// `ElaborateOptions::flatten`.
+    flatten: bool,
+    /// Subcircuit name → index in `doc.subckts`; of two definitions of
+    /// one name, the later wins.
+    index: HashMap<&'d str, usize>,
+    globals: HashSet<String>,
+    /// Flatten mode, per subcircuit: its netlist once elaborated, until
+    /// the last `X` card that can instantiate it has.
+    cells: Vec<Option<Netlist>>,
+    /// Flatten mode, per subcircuit: `X` cards in the deck that name it
+    /// and have not been elaborated yet.
+    uses: Vec<u32>,
+    /// Per subcircuit: on the worklist now, so meeting it again is a
+    /// cycle.
+    open: Vec<bool>,
+    /// Devices `instantiate` has created so far.
+    instantiated: u64,
+}
+
+fn mos_type_name(model: &str) -> &'static str {
+    if model.starts_with('p') {
+        "pmos"
+    } else {
+        "nmos"
+    }
+}
+
+fn bjt_type_name(model: &str) -> &'static str {
+    if model.starts_with('p') {
+        "pnp"
+    } else {
+        "npn"
+    }
+}
+
+impl<'d> Elaborator<'d> {
+    fn new(doc: &'d SpiceDoc, opts: &ElaborateOptions) -> Self {
         let mut globals: HashSet<String> =
             doc.globals.iter().map(|s| s.to_ascii_lowercase()).collect();
         globals.extend(opts.implicit_globals.iter().map(|s| s.to_ascii_lowercase()));
+        let index: HashMap<&str, usize> = doc
+            .subckts
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.name.as_str(), i))
+            .collect();
+        let n = doc.subckts.len();
+        let mut uses = vec![0u32; n];
+        if opts.flatten {
+            let bodies = doc.subckts.iter().flat_map(|d| &d.cards);
+            for card in doc.top.iter().chain(bodies) {
+                if let Card::Instance { subckt, .. } = *card {
+                    if let Some(&i) = index.get(doc.str(subckt)) {
+                        uses[i] += 1;
+                    }
+                }
+            }
+        }
         Self {
-            subckts: doc.subckt_index(),
-            opts,
+            doc,
+            flatten: opts.flatten,
+            index,
             globals,
-            cells: HashMap::new(),
-            visiting: Vec::new(),
+            cells: vec![None; n],
+            uses,
+            open: vec![false; n],
+            instantiated: 0,
         }
     }
 
-    fn is_global(&self, net: &str) -> bool {
-        self.globals.contains(net)
-    }
-
-    fn mos_type_name(model: &str) -> &'static str {
-        if model.starts_with('p') {
-            "pmos"
-        } else {
-            "nmos"
+    /// Starts subcircuit `i`: a fresh netlist with its ports marked.
+    fn open_cell(&mut self, i: usize) -> Frame<'d> {
+        let def = &self.doc.subckts[i];
+        self.open[i] = true;
+        let mut out = Builder::new(Netlist::new(def.name.clone()));
+        for p in &def.ports {
+            let id = out.net(p, &self.globals);
+            out.nl.mark_port(id);
+        }
+        Frame {
+            cell: Some(i),
+            cards: &def.cards,
+            next: 0,
+            out,
         }
     }
 
-    fn bjt_type_name(model: &str) -> &'static str {
-        if model.starts_with('p') {
-            "pnp"
-        } else {
-            "npn"
+    /// Elaborates `root`, first elaborating each cell it reaches the
+    /// first time one of its `X` cards needs it.
+    fn run(&mut self, root: Frame<'d>) -> Result<Netlist, SpiceError> {
+        let mut stack = vec![root];
+        loop {
+            let frame = stack.last_mut().expect("the root stays until it returns");
+            if let Some(card) = frame.cards.get(frame.next) {
+                match self.add_card(&mut frame.out, card)? {
+                    None => frame.next += 1,
+                    Some(sub) => {
+                        let child = self.open_cell(sub);
+                        stack.push(child);
+                    }
+                }
+                continue;
+            }
+            let done = stack.pop().expect("checked above");
+            if let Some(i) = done.cell {
+                self.open[i] = false;
+            }
+            match (stack.is_empty(), done.cell) {
+                (false, Some(i)) => self.cells[i] = Some(done.out.nl),
+                _ => return Ok(done.out.nl),
+            }
         }
     }
 
-    fn add_card(&mut self, nl: &mut Netlist, card: &Card) -> Result<(), SpiceError> {
-        match card {
+    /// Adds one card to `out`, or returns the subcircuit an `X` card
+    /// needs elaborated first (the card is then retried).
+    fn add_card(
+        &mut self,
+        out: &mut Builder<'d>,
+        card: &Card,
+    ) -> Result<Option<usize>, SpiceError> {
+        let doc = self.doc;
+        let s = |t: Span| doc.str(t);
+        let g = &self.globals;
+        let name = s(card.name());
+        match *card {
             Card::Mos {
-                name,
                 drain,
                 gate,
                 source,
                 model,
-            } => {
-                let ty = nl.add_type(DeviceType::mos(Self::mos_type_name(model)))?;
-                let pins = [
-                    self.net(nl, gate),
-                    self.net(nl, source),
-                    self.net(nl, drain),
-                ];
-                nl.add_device(name.clone(), ty, &pins)?;
-            }
-            Card::TwoTerminal { name, kind, a, b } => {
-                let ty = nl.add_type(DeviceType::two_terminal(*kind))?;
-                let pins = [self.net(nl, a), self.net(nl, b)];
-                nl.add_device(name.clone(), ty, &pins)?;
-            }
-            Card::Diode { name, p, n, model } => {
-                let tyname = if model.is_empty() {
-                    "diode".to_string()
-                } else {
-                    format!("diode:{model}")
-                };
-                let ty = nl.add_type(DeviceType::polarized(tyname))?;
-                let pins = [self.net(nl, p), self.net(nl, n)];
-                nl.add_device(name.clone(), ty, &pins)?;
-            }
-            Card::Bjt {
-                name,
-                c,
-                b,
-                e,
-                model,
                 ..
             } => {
-                let ty = nl.add_type(DeviceType::bjt(Self::bjt_type_name(model)))?;
-                let pins = [self.net(nl, c), self.net(nl, b), self.net(nl, e)];
-                nl.add_device(name.clone(), ty, &pins)?;
+                let tyname = mos_type_name(s(model));
+                let ty = out.ty(TypeKey::Mos(tyname), || Ok(DeviceType::mos(tyname)))?;
+                let pins = [
+                    out.net(s(gate), g),
+                    out.net(s(source), g),
+                    out.net(s(drain), g),
+                ];
+                out.nl.add_device(name, ty, &pins)?;
             }
-            Card::Instance { name, nets, subckt } => {
-                if self.opts.flatten {
-                    let cell = self.cell(subckt)?.clone();
-                    let bindings: Vec<_> = nets.iter().map(|n| self.net(nl, n)).collect();
-                    instantiate(nl, &cell, name, &bindings)?;
-                } else {
-                    let def = *self.subckts.get(subckt.as_str()).ok_or_else(|| {
-                        SpiceError::UnknownSubckt {
-                            name: subckt.clone(),
-                        }
+            Card::TwoTerminal { kind, a, b, .. } => {
+                let ty = out.ty(TypeKey::TwoTerminal(kind), || {
+                    Ok(DeviceType::two_terminal(kind))
+                })?;
+                let pins = [out.net(s(a), g), out.net(s(b), g)];
+                out.nl.add_device(name, ty, &pins)?;
+            }
+            Card::Diode { p, n, model, .. } => {
+                let model = s(model);
+                let ty = out.ty(TypeKey::Diode(model), || {
+                    Ok(DeviceType::polarized(if model.is_empty() {
+                        "diode".to_string()
+                    } else {
+                        format!("diode:{model}")
+                    }))
+                })?;
+                let pins = [out.net(s(p), g), out.net(s(n), g)];
+                out.nl.add_device(name, ty, &pins)?;
+            }
+            Card::Bjt { c, b, e, model, .. } => {
+                let tyname = bjt_type_name(s(model));
+                let ty = out.ty(TypeKey::Bjt(tyname), || Ok(DeviceType::bjt(tyname)))?;
+                let pins = [out.net(s(c), g), out.net(s(b), g), out.net(s(e), g)];
+                out.nl.add_device(name, ty, &pins)?;
+            }
+            Card::Instance { nets, subckt, .. } => {
+                let nets = doc.instance_nets(nets);
+                let subckt = s(subckt);
+                let &i = self
+                    .index
+                    .get(subckt)
+                    .ok_or_else(|| SpiceError::UnknownSubckt {
+                        name: subckt.to_string(),
                     })?;
-                    let terms = def
-                        .ports
-                        .iter()
-                        .map(|p| TerminalSpec::new(p.clone(), p.clone()))
-                        .collect();
-                    let ty = nl.add_type(
+                if !self.flatten {
+                    let def = &doc.subckts[i];
+                    let ty = out.ty(TypeKey::Subckt(i), || {
+                        let terms = def
+                            .ports
+                            .iter()
+                            .map(|p| TerminalSpec::new(p.clone(), p.clone()))
+                            .collect();
                         DeviceType::try_new(def.name.clone(), terms)
-                            .map_err(|detail| SpiceError::Parse { line: 0, detail })?,
-                    )?;
+                            .map_err(|detail| SpiceError::Parse { line: 0, detail })
+                    })?;
                     if nets.len() != def.ports.len() {
                         return Err(SpiceError::Parse {
                             line: 0,
@@ -162,48 +330,35 @@ impl<'a> Elaborator<'a> {
                             ),
                         });
                     }
-                    let pins: Vec<_> = nets.iter().map(|n| self.net(nl, n)).collect();
-                    nl.add_device(name.clone(), ty, &pins)?;
+                    let pins: Vec<_> = nets.iter().map(|&n| out.net(s(n), g)).collect();
+                    out.nl.add_device(name, ty, &pins)?;
+                    return Ok(None);
+                }
+                let Some(cell) = &self.cells[i] else {
+                    if self.open[i] {
+                        return Err(SpiceError::RecursiveSubckt {
+                            name: subckt.to_string(),
+                        });
+                    }
+                    return Ok(Some(i));
+                };
+                let bindings: Vec<_> = nets.iter().map(|&n| out.net(s(n), g)).collect();
+                let devices = self.instantiated + cell.device_count() as u64;
+                if devices > MAX_INSTANTIATED_DEVICES {
+                    return Err(SpiceError::ExpansionLimit {
+                        name: subckt.to_string(),
+                        devices,
+                    });
+                }
+                instantiate(&mut out.nl, cell, name, &bindings)?;
+                self.instantiated = devices;
+                self.uses[i] -= 1;
+                if self.uses[i] == 0 {
+                    self.cells[i] = None;
                 }
             }
         }
-        Ok(())
-    }
-
-    fn net(&self, nl: &mut Netlist, name: &str) -> subgemini_netlist::NetId {
-        let id = nl.net(name);
-        if self.is_global(name) {
-            nl.mark_global(id);
-        }
-        id
-    }
-
-    /// Fully elaborates a subcircuit into a cell netlist (ports marked,
-    /// memoized).
-    fn cell(&mut self, name: &str) -> Result<&Netlist, SpiceError> {
-        let name = name.to_ascii_lowercase();
-        if self.cells.contains_key(&name) {
-            return Ok(&self.cells[&name]);
-        }
-        if self.visiting.contains(&name) {
-            return Err(SpiceError::RecursiveSubckt { name });
-        }
-        let def = *self
-            .subckts
-            .get(name.as_str())
-            .ok_or_else(|| SpiceError::UnknownSubckt { name: name.clone() })?;
-        self.visiting.push(name.clone());
-        let mut nl = Netlist::new(def.name.clone());
-        for p in &def.ports {
-            let id = self.net(&mut nl, p);
-            nl.mark_port(id);
-        }
-        for card in &def.cards {
-            self.add_card(&mut nl, card)?;
-        }
-        self.visiting.pop();
-        self.cells.insert(name.clone(), nl);
-        Ok(&self.cells[&name])
+        Ok(None)
     }
 }
 
@@ -212,7 +367,8 @@ impl SpiceDoc {
     ///
     /// # Errors
     ///
-    /// Fails on unknown/recursive subcircuits or netlist construction
+    /// Fails on unknown/recursive subcircuits, on flattening past
+    /// [`SpiceError::ExpansionLimit`]'s cap, or on netlist construction
     /// problems.
     ///
     /// # Examples
@@ -233,10 +389,16 @@ impl SpiceDoc {
     ) -> Result<Netlist, SpiceError> {
         let mut el = Elaborator::new(self, opts);
         let mut nl = Netlist::new(name);
-        for card in &self.top {
-            el.add_card(&mut nl, card)?;
-        }
-        Ok(nl)
+        // Exact for a flat deck. Nets are not reserved: they number
+        // about half the cards, and an oversized name map would be
+        // copied into every clone of the netlist.
+        nl.reserve_devices(self.top.len());
+        el.run(Frame {
+            cell: None,
+            cards: &self.top,
+            next: 0,
+            out: Builder::new(nl),
+        })
     }
 
     /// Elaborates the subcircuit `name` into a standalone cell netlist
@@ -258,7 +420,67 @@ impl SpiceDoc {
             });
         }
         let mut el = Elaborator::new(self, opts);
-        el.cell(name).cloned()
+        let i = el.index[name.to_ascii_lowercase().as_str()];
+        let root = el.open_cell(i);
+        el.run(root)
+    }
+
+    /// Elaborates every subcircuit, in definition order, through one
+    /// memo: a cell other cells instantiate is elaborated once for the
+    /// whole deck, not once per cell that reaches it. Equivalent to
+    /// calling [`SpiceDoc::elaborate_cell`] on each name in turn,
+    /// including which error comes first.
+    ///
+    /// # Errors
+    ///
+    /// As [`SpiceDoc::elaborate_top`]; the device cap counts the whole
+    /// library.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let doc = subgemini_spice::parse(
+    ///     ".subckt inv a y\nMp y a vdd vdd p\nMn y a gnd gnd n\n.ends\n\
+    ///      .subckt buf a y\nXi1 a m inv\nXi2 m y inv\n.ends\n",
+    /// )?;
+    /// let cells = doc.elaborate_cells(&Default::default())?;
+    /// let sizes: Vec<usize> = cells.iter().map(|c| c.device_count()).collect();
+    /// assert_eq!(sizes, [2, 4]);
+    /// # Ok::<(), subgemini_spice::SpiceError>(())
+    /// ```
+    pub fn elaborate_cells(&self, opts: &ElaborateOptions) -> Result<Vec<Netlist>, SpiceError> {
+        let mut el = Elaborator::new(self, opts);
+        // Every cell is also an output: keep them all.
+        el.uses.fill(u32::MAX);
+        let order: Vec<usize> = self
+            .subckts
+            .iter()
+            .map(|d| el.index[d.name.as_str()])
+            .collect();
+        for &i in &order {
+            if el.cells[i].is_none() {
+                let root = el.open_cell(i);
+                el.cells[i] = Some(el.run(root)?);
+            }
+        }
+        // A name defined twice resolves to its last definition both
+        // times: clone for all but the last position that wants it.
+        let mut wanted = vec![0usize; self.subckts.len()];
+        for &i in &order {
+            wanted[i] += 1;
+        }
+        Ok(order
+            .iter()
+            .map(|&i| {
+                wanted[i] -= 1;
+                let cell = &mut el.cells[i];
+                if wanted[i] == 0 {
+                    cell.take().expect("elaborated above")
+                } else {
+                    cell.clone().expect("elaborated above")
+                }
+            })
+            .collect())
     }
 }
 
@@ -356,5 +578,184 @@ R1 out 0 10k
             .unwrap();
         let zero = nl.find_net("0").unwrap();
         assert!(nl.net_ref(zero).is_global());
+    }
+
+    /// Devices (name, type, pins), nets (name, flags) and ports, in order.
+    fn canonical(nl: &Netlist) -> String {
+        let mut out = format!("{} {:?}\n", nl.name(), nl.device_types());
+        for d in nl.device_ids() {
+            let dev = nl.device(d);
+            out.push_str(&format!(
+                "{} {} {:?}\n",
+                dev.name(),
+                dev.type_id(),
+                dev.pins()
+            ));
+        }
+        for n in nl.net_ids() {
+            let net = nl.net_ref(n);
+            out.push_str(&format!(
+                "{} {} {}\n",
+                net.name(),
+                net.is_global(),
+                net.is_port()
+            ));
+        }
+        out + &format!("{:?}", nl.ports())
+    }
+
+    /// `depth` chained subcircuits, each instantiating the previous one
+    /// once, over an inverter: 2 devices at any depth.
+    fn chain(depth: usize) -> String {
+        let mut deck =
+            String::from(".subckt c0 a y\nmp y a vdd vdd pmos\nmn y a gnd gnd nmos\n.ends\n");
+        for k in 1..=depth {
+            deck.push_str(&format!(".subckt c{k} a y\nx1 a y c{}\n.ends\n", k - 1));
+        }
+        deck
+    }
+
+    #[test]
+    fn deep_nesting_elaborates_without_deep_stack() {
+        let mut deck = String::from(".subckt c0 a y\nm1 y a gnd gnd nmos\n.ends\n");
+        for k in 1..=20_000 {
+            deck.push_str(&format!(".subckt c{k} a y\nx1 a y c{}\n.ends\n", k - 1));
+        }
+        deck.push_str("x1 in out c20000\n");
+        // A recursive walk needs a stack frame per level; 256 KiB would
+        // not hold 20,000 of them.
+        let worker = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                parse(&deck)
+                    .unwrap()
+                    .elaborate_top("chip", &ElaborateOptions::default())
+            })
+            .unwrap();
+        let top = worker.join().unwrap().unwrap();
+        assert_eq!(top.device_count(), 1);
+        let name = top.device(top.device_ids().next().unwrap()).name();
+        assert_eq!(name.len(), "x1.".len() * 20_001 + "m1".len());
+    }
+
+    #[test]
+    fn doubling_deck_hits_the_expansion_cap() {
+        // c_k instantiates c_{k-1} twice: c40 would flatten to 2^40.
+        let mut deck = String::from(".subckt c0 a y\nm1 y a gnd gnd nmos\n.ends\n");
+        for k in 1..=40 {
+            deck.push_str(&format!(
+                ".subckt c{k} a y\nx1 a m c{p}\nx2 m y c{p}\n.ends\n",
+                p = k - 1
+            ));
+        }
+        deck.push_str("x1 in out c40\n");
+        let doc = parse(&deck).unwrap();
+        let err = doc
+            .elaborate_top("chip", &ElaborateOptions::default())
+            .unwrap_err();
+        // With the cap at 2^b, c1..c(b-1) instantiate 2^b - 2 devices;
+        // cb's first copy of c(b-1) (2^(b-1) devices) crosses the cap.
+        let cap = MAX_INSTANTIATED_DEVICES;
+        let want = SpiceError::ExpansionLimit {
+            name: format!("c{}", cap.trailing_zeros() - 1),
+            devices: cap - 2 + cap / 2,
+        };
+        assert_eq!(err, want);
+        assert!(err.to_string().contains(&cap.to_string()), "{err}");
+        // The library path counts the same way.
+        let lib = doc.elaborate_cells(&ElaborateOptions::default());
+        assert_eq!(lib.unwrap_err(), err);
+        // Hierarchical elaboration never flattens, so it is unaffected.
+        let hier = doc
+            .elaborate_top("chip", &ElaborateOptions::hierarchical())
+            .unwrap();
+        assert_eq!(hier.device_count(), 1);
+    }
+
+    #[test]
+    fn elaborate_cells_matches_cell_by_cell() {
+        let deck = format!(
+            "{}{DECK}.subckt inv a y\nMp y a vdd vdd pch\nR9 a y 1\n.ends\n\
+             .subckt pair a b\nXp1 a b buf\nXp2 b a c3\n.ends\n",
+            chain(3)
+        );
+        let doc = parse(&deck).unwrap();
+        for opts in [
+            ElaborateOptions::default(),
+            ElaborateOptions::hierarchical(),
+        ] {
+            let all = doc.elaborate_cells(&opts).unwrap();
+            let names: Vec<&str> = doc.subckts.iter().map(|d| d.name.as_str()).collect();
+            assert_eq!(all.len(), names.len());
+            for (cell, name) in all.iter().zip(&names) {
+                let one = doc.elaborate_cell(name, &opts).unwrap();
+                assert_eq!(canonical(cell), canonical(&one), "{name}");
+            }
+        }
+        // `inv` is defined twice: both positions get the later body.
+        let all = doc.elaborate_cells(&ElaborateOptions::default()).unwrap();
+        assert_eq!(all[4].device_count(), 2);
+        assert!(all[4].find_device("r9").is_some());
+        assert_eq!(canonical(&all[4]), canonical(&all[6]));
+    }
+
+    #[test]
+    fn elaborate_cells_reports_the_first_failing_cell() {
+        let doc = parse(
+            ".subckt ok a\nR1 a b 1\n.ends\n.subckt bad a\nXq a nosuch\n.ends\n\
+             .subckt worse a\nXr a worse\n.ends\n",
+        )
+        .unwrap();
+        let err = doc
+            .elaborate_cells(&ElaborateOptions::default())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            doc.elaborate_cell("bad", &Default::default()).unwrap_err()
+        );
+        assert!(matches!(err, SpiceError::UnknownSubckt { name } if name == "nosuch"));
+    }
+
+    #[test]
+    fn unused_broken_subckt_is_harmless() {
+        let doc = parse(
+            ".subckt broken x\nXq x nosuch\n.ends\n.subckt loop x\nXl x loop\n.ends\nR1 a b 1\n",
+        )
+        .unwrap();
+        let nl = doc
+            .elaborate_top("t", &ElaborateOptions::default())
+            .unwrap();
+        assert_eq!(nl.device_count(), 1);
+    }
+
+    #[test]
+    fn nets_made_by_instantiate_still_pick_up_global_flags() {
+        // `xu1.m` is an internal net `instantiate` creates; a later card
+        // naming it must still find it declared global.
+        let doc = parse(&format!(".global xu1.m\n{DECK}R2 xu1.m 0 1\n")).unwrap();
+        let nl = doc
+            .elaborate_top("chip", &ElaborateOptions::default())
+            .unwrap();
+        let m = nl.find_net("xu1.m").unwrap();
+        assert!(nl.net_ref(m).is_global());
+    }
+
+    #[test]
+    fn type_memo_keeps_first_registration_errors() {
+        // A subcircuit named `nmos` and a MOS card both want type `nmos`;
+        // whichever comes second fails, as without the memo.
+        for deck in [
+            ".subckt nmos a\nR1 a b 1\n.ends\nX1 n nmos\nM1 a b c nch\n",
+            ".subckt nmos a\nR1 a b 1\n.ends\nM1 a b c nch\nM2 a b c nch\nX1 n nmos\n",
+        ] {
+            let doc = parse(deck).unwrap();
+            let err = doc
+                .elaborate_top("t", &ElaborateOptions::hierarchical())
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("duplicate device type `nmos`"),
+                "{err}"
+            );
+        }
     }
 }

@@ -5,6 +5,8 @@ use std::fmt;
 
 use subgemini_netlist::NetlistError;
 
+use crate::elaborate::MAX_INSTANTIATED_DEVICES;
+
 /// Errors produced while parsing or elaborating a SPICE deck.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -41,6 +43,14 @@ pub enum SpiceError {
         /// The requested name.
         name: String,
     },
+    /// Flattening would make `instantiate` create more devices in one
+    /// elaboration than the fixed cap allows (an expansion bomb).
+    ExpansionLimit {
+        /// The subcircuit whose instance would cross the cap.
+        name: String,
+        /// Devices the elaboration would have instantiated with it.
+        devices: u64,
+    },
     /// An underlying netlist construction error.
     Netlist(NetlistError),
 }
@@ -69,6 +79,11 @@ impl fmt::Display for SpiceError {
             SpiceError::UnknownCell { name } => {
                 write!(f, "no subcircuit named `{name}` in this deck")
             }
+            SpiceError::ExpansionLimit { name, devices } => write!(
+                f,
+                "instantiating subcircuit `{name}` would flatten to {devices} devices, \
+                 past the cap of {MAX_INSTANTIATED_DEVICES}"
+            ),
             SpiceError::Netlist(e) => write!(f, "netlist error: {e}"),
         }
     }

@@ -41,7 +41,7 @@ mod include;
 mod parse;
 mod write;
 
-pub use card::{Card, SubcktDef};
+pub use card::SubcktDef;
 pub use elaborate::ElaborateOptions;
 pub use error::SpiceError;
 pub use include::parse_file;

@@ -8,23 +8,29 @@
 //! * `*` comment lines, `;`/`$` trailing comments, `+` continuations,
 //! * `k=v` parameter tokens and trailing numeric values are skipped.
 
-use std::collections::HashMap;
-
-use crate::card::{Card, SubcktDef};
+use crate::card::{Card, Span, SubcktDef};
 use crate::error::SpiceError;
 
 /// A parsed SPICE deck: top-level cards, subcircuit definitions, and
 /// global net declarations.
+///
+/// The document owns one lowercased copy of the deck text; every card
+/// token is a `u32` byte span into it, so cards hold no strings.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpiceDoc {
     /// Title line, if the deck began with a non-card line.
     pub title: Option<String>,
-    /// Cards outside any `.subckt`.
-    pub top: Vec<Card>,
     /// Subcircuit definitions in file order.
     pub subckts: Vec<SubcktDef>,
     /// Nets declared `.global`.
     pub globals: Vec<String>,
+    /// Cards outside any `.subckt`.
+    pub(crate) top: Vec<Card>,
+    /// The deck, lowercased.
+    text: String,
+    /// Instance net lists, back to back; each `Card::Instance` holds a
+    /// range of this table.
+    nets: Vec<Span>,
 }
 
 impl SpiceDoc {
@@ -34,36 +40,43 @@ impl SpiceDoc {
         self.subckts.iter().find(|s| s.name == name)
     }
 
-    /// Map from subcircuit name to definition.
-    pub(crate) fn subckt_index(&self) -> HashMap<&str, &SubcktDef> {
-        self.subckts.iter().map(|s| (s.name.as_str(), s)).collect()
+    /// Number of element cards outside any `.subckt`.
+    pub fn top_card_count(&self) -> usize {
+        self.top.len()
+    }
+
+    /// The (lowercased) text of a token.
+    pub(crate) fn str(&self, span: Span) -> &str {
+        &self.text[span.range()]
+    }
+
+    /// The nets of an instance card.
+    pub(crate) fn instance_nets(&self, (start, end): (u32, u32)) -> &[Span] {
+        &self.nets[start as usize..end as usize]
     }
 }
 
-/// Splits physical lines into logical lines, honoring `*` comments and
-/// `+` continuations; yields `(first_line_number, joined_text)`.
-fn logical_lines(text: &str) -> Vec<(usize, String)> {
-    let mut out: Vec<(usize, String)> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let line = match raw.find([';', '$']) {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('*') {
-            continue;
-        }
-        if let Some(rest) = trimmed.strip_prefix('+') {
-            if let Some(last) = out.last_mut() {
-                last.1.push(' ');
-                last.1.push_str(rest.trim());
-                continue;
-            }
-        }
-        out.push((lineno, trimmed.to_string()));
+/// The part of a physical line that carries tokens — `;`/`$` comments
+/// cut, whitespace trimmed — or `None` for blank and `*` comment lines.
+fn content(raw: &str) -> Option<&str> {
+    let line = match raw.bytes().position(|b| b == b';' || b == b'$') {
+        Some(pos) => &raw[..pos],
+        None => raw,
+    };
+    let trimmed = line.trim();
+    (!trimmed.is_empty() && !trimmed.starts_with('*')).then_some(trimmed)
+}
+
+/// The title: the deck's first logical line with its `+` continuations
+/// joined by single spaces, in the original case.
+fn title(text: &str) -> String {
+    let mut lines = text.lines().filter_map(content);
+    let mut title = lines.next().unwrap_or_default().to_string();
+    for rest in lines.map_while(|l| l.strip_prefix('+')) {
+        title.push(' ');
+        title.push_str(rest.trim());
     }
-    out
+    title
 }
 
 /// True for tokens we ignore: `k=v` parameters and bare numeric values
@@ -84,98 +97,223 @@ fn parse_err(line: usize, detail: impl Into<String>) -> SpiceError {
     }
 }
 
-fn parse_card(line: usize, toks: &[String]) -> Result<Card, SpiceError> {
-    let name = toks[0].clone();
-    let kind = name.chars().next().expect("token is non-empty");
-    // Nets/model tokens: everything after the name that is not a
-    // parameter or trailing value.
-    let args: Vec<&String> = toks[1..].iter().take_while(|t| !t.contains('=')).collect();
-    match kind {
-        'm' => {
-            // M d g s [b] model — bulk present when ≥5 structural args.
-            let need = |i: usize| -> Result<String, SpiceError> {
-                args.get(i)
-                    .map(|s| (*s).clone())
-                    .ok_or_else(|| parse_err(line, format!("MOS card `{name}` is too short")))
-            };
-            let (drain, gate, source) = (need(0)?, need(1)?, need(2)?);
-            let model = match args.len() {
-                0..=3 => return Err(parse_err(line, format!("MOS card `{name}` lacks a model"))),
-                4 => need(3)?,
-                _ => need(4)?, // 4-terminal form: skip the bulk node
-            };
-            Ok(Card::Mos {
-                name,
-                drain,
-                gate,
-                source,
-                model,
-            })
+/// What the line loop does after a logical line.
+enum Flow {
+    Continue,
+    /// `.end`: ignore the rest of the deck.
+    Stop,
+}
+
+/// Parser state: the document under construction and the tokens of the
+/// logical line being collected.
+struct Parser<'t> {
+    /// The deck as given (for the title, which keeps its case).
+    original: &'t str,
+    /// The deck, lowercased; spans index it. Moves into `doc.text` at
+    /// the end.
+    text: &'t str,
+    doc: SpiceDoc,
+    current: Option<SubcktDef>,
+    /// Tokens of the pending logical line, continuations appended.
+    toks: Vec<Span>,
+    /// Physical line the pending logical line started on (1-based).
+    line: usize,
+    /// No logical line has been finished yet.
+    first: bool,
+}
+
+impl<'t> Parser<'t> {
+    fn str(&self, span: Span) -> &'t str {
+        &self.text[span.range()]
+    }
+
+    /// Appends the whitespace-separated tokens of `s` (a slice of
+    /// `self.text`) to the pending logical line.
+    fn push_tokens(&mut self, s: &str) {
+        let base = self.text.as_ptr() as usize;
+        for tok in s.split_whitespace() {
+            let start = tok.as_ptr() as usize - base;
+            self.toks.push(Span {
+                start: start as u32,
+                end: (start + tok.len()) as u32,
+            });
         }
-        'r' | 'c' | 'l' => {
-            if args.len() < 2 {
-                return Err(parse_err(line, format!("card `{name}` needs two nets")));
+    }
+
+    /// Interprets the pending logical line.
+    fn finish(&mut self) -> Result<Flow, SpiceError> {
+        let line = self.line;
+        let first = std::mem::replace(&mut self.first, false);
+        let head = self.str(self.toks[0]);
+        if head.starts_with('.') {
+            return self.dot_command(head, line);
+        }
+        // A first logical line that does not parse as a card is the
+        // traditional SPICE title line.
+        let card = match self.card(line) {
+            Ok(card) => card,
+            Err(_) if first && line == 1 => {
+                self.doc.title = Some(title(self.original));
+                return Ok(Flow::Continue);
             }
-            let kind = match kind {
-                'r' => "res",
-                'c' => "cap",
-                _ => "ind",
-            };
-            Ok(Card::TwoTerminal {
-                name,
-                kind,
-                a: args[0].clone(),
-                b: args[1].clone(),
-            })
+            Err(e) => return Err(e),
+        };
+        match &mut self.current {
+            Some(def) => def.cards.push(card),
+            None => self.doc.top.push(card),
         }
-        'd' => {
-            if args.len() < 2 {
-                return Err(parse_err(line, format!("diode `{name}` needs two nets")));
+        Ok(Flow::Continue)
+    }
+
+    fn dot_command(&mut self, head: &str, line: usize) -> Result<Flow, SpiceError> {
+        let toks = &self.toks;
+        let text = self.text;
+        let owned = |t: &Span| text[t.range()].to_string();
+        match head {
+            ".subckt" => {
+                if self.current.is_some() {
+                    return Err(parse_err(line, "nested .subckt is not supported"));
+                }
+                if toks.len() < 2 {
+                    return Err(parse_err(line, ".subckt needs a name"));
+                }
+                self.current = Some(SubcktDef {
+                    name: owned(&toks[1]),
+                    ports: toks[2..]
+                        .iter()
+                        .filter(|t| !text[t.range()].contains('='))
+                        .map(owned)
+                        .collect(),
+                    cards: Vec::new(),
+                });
             }
-            let model = args
-                .get(2)
-                .filter(|t| !is_param_or_value(t))
-                .map(|s| (*s).clone())
-                .unwrap_or_default();
-            Ok(Card::Diode {
-                name,
-                p: args[0].clone(),
-                n: args[1].clone(),
-                model,
-            })
-        }
-        'q' => {
-            if args.len() < 4 {
+            ".ends" => match self.current.take() {
+                Some(def) => self.doc.subckts.push(def),
+                None => return Err(SpiceError::UnmatchedEnds { line }),
+            },
+            ".global" => self.doc.globals.extend(toks[1..].iter().map(owned)),
+            ".end" => return Ok(Flow::Stop),
+            ".include" | ".inc" | ".lib" => {
                 return Err(parse_err(
                     line,
-                    format!("BJT `{name}` needs c b e and a model"),
+                    "includes must be resolved first; use parse_file for on-disk decks",
                 ));
             }
-            // Optional substrate node: model is the last non-value token.
-            let model = args[args.len() - 1].clone();
-            Ok(Card::Bjt {
-                name,
-                c: args[0].clone(),
-                b: args[1].clone(),
-                e: args[2].clone(),
-                model,
-            })
+            _ => {} // .model, .param, .option, analyses: ignored
         }
-        'x' => {
-            if args.len() < 2 {
-                return Err(parse_err(
-                    line,
-                    format!("instance `{name}` needs nets and a subcircuit name"),
-                ));
+        Ok(Flow::Continue)
+    }
+
+    fn card(&mut self, line: usize) -> Result<Card, SpiceError> {
+        let text = self.text;
+        let s = |t: Span| &text[t.range()];
+        let name = self.toks[0];
+        let kind = s(name).chars().next().expect("token is non-empty");
+        // Nets/model tokens: everything after the name that is not a
+        // parameter or trailing value.
+        let argc = self.toks[1..]
+            .iter()
+            .take_while(|&&t| !s(t).contains('='))
+            .count();
+        let args = &self.toks[1..=argc];
+        let name_str = s(name);
+        match kind {
+            'm' => {
+                // M d g s [b] model — bulk present when ≥5 structural args.
+                let model = match args.len() {
+                    0..=2 => {
+                        return Err(parse_err(
+                            line,
+                            format!("MOS card `{name_str}` is too short"),
+                        ))
+                    }
+                    3 => {
+                        return Err(parse_err(
+                            line,
+                            format!("MOS card `{name_str}` lacks a model"),
+                        ))
+                    }
+                    4 => args[3],
+                    _ => args[4], // 4-terminal form: skip the bulk node
+                };
+                Ok(Card::Mos {
+                    name,
+                    drain: args[0],
+                    gate: args[1],
+                    source: args[2],
+                    model,
+                })
             }
-            let subckt = args[args.len() - 1].clone();
-            let nets = args[..args.len() - 1]
-                .iter()
-                .map(|s| (*s).clone())
-                .collect();
-            Ok(Card::Instance { name, nets, subckt })
+            'r' | 'c' | 'l' => {
+                if args.len() < 2 {
+                    return Err(parse_err(line, format!("card `{name_str}` needs two nets")));
+                }
+                let kind = match kind {
+                    'r' => "res",
+                    'c' => "cap",
+                    _ => "ind",
+                };
+                Ok(Card::TwoTerminal {
+                    name,
+                    kind,
+                    a: args[0],
+                    b: args[1],
+                })
+            }
+            'd' => {
+                if args.len() < 2 {
+                    return Err(parse_err(
+                        line,
+                        format!("diode `{name_str}` needs two nets"),
+                    ));
+                }
+                let model = args
+                    .get(2)
+                    .copied()
+                    .filter(|&t| !is_param_or_value(s(t)))
+                    .unwrap_or_default();
+                Ok(Card::Diode {
+                    name,
+                    p: args[0],
+                    n: args[1],
+                    model,
+                })
+            }
+            'q' => {
+                if args.len() < 4 {
+                    return Err(parse_err(
+                        line,
+                        format!("BJT `{name_str}` needs c b e and a model"),
+                    ));
+                }
+                // Optional substrate node: model is the last non-value token.
+                Ok(Card::Bjt {
+                    name,
+                    c: args[0],
+                    b: args[1],
+                    e: args[2],
+                    model: args[args.len() - 1],
+                })
+            }
+            'x' => {
+                if args.len() < 2 {
+                    return Err(parse_err(
+                        line,
+                        format!("instance `{name_str}` needs nets and a subcircuit name"),
+                    ));
+                }
+                let (nets, subckt) = args.split_at(args.len() - 1);
+                let table = &mut self.doc.nets;
+                let start = table.len() as u32;
+                table.extend_from_slice(nets);
+                Ok(Card::Instance {
+                    name,
+                    nets: (start, table.len() as u32),
+                    subckt: subckt[0],
+                })
+            }
+            other => Err(parse_err(line, format!("unsupported element `{other}`"))),
         }
-        other => Err(parse_err(line, format!("unsupported element `{other}`"))),
     }
 }
 
@@ -184,7 +322,7 @@ fn parse_card(line: usize, toks: &[String]) -> Result<Card, SpiceError> {
 /// # Errors
 ///
 /// Returns a [`SpiceError`] describing the first syntactic problem, with
-/// its source line.
+/// its source line. Decks over 4 GiB are rejected (line 0).
 ///
 /// # Examples
 ///
@@ -199,79 +337,94 @@ fn parse_card(line: usize, toks: &[String]) -> Result<Card, SpiceError> {
 ///      Xu1 in out inv\n",
 /// )?;
 /// assert_eq!(doc.subckts.len(), 1);
-/// assert_eq!(doc.top.len(), 1);
+/// assert_eq!(doc.top_card_count(), 1);
 /// assert_eq!(doc.globals, vec!["vdd", "gnd"]);
 /// # Ok::<(), subgemini_spice::SpiceError>(())
 /// ```
 pub fn parse(text: &str) -> Result<SpiceDoc, SpiceError> {
-    let mut doc = SpiceDoc::default();
-    let mut current: Option<SubcktDef> = None;
-    let lines = logical_lines(text);
-    for (idx, (lineno, line)) in lines.iter().enumerate() {
-        let toks: Vec<String> = line
-            .split_whitespace()
-            .map(|t| t.to_ascii_lowercase())
-            .collect();
-        let head = toks[0].as_str();
-        if head.starts_with('.') {
-            match head {
-                ".subckt" => {
-                    if current.is_some() {
-                        return Err(parse_err(*lineno, "nested .subckt is not supported"));
-                    }
-                    if toks.len() < 2 {
-                        return Err(parse_err(*lineno, ".subckt needs a name"));
-                    }
-                    current = Some(SubcktDef {
-                        name: toks[1].clone(),
-                        ports: toks[2..]
-                            .iter()
-                            .filter(|t| !t.contains('='))
-                            .cloned()
-                            .collect(),
-                        cards: Vec::new(),
-                    });
-                }
-                ".ends" => match current.take() {
-                    Some(def) => doc.subckts.push(def),
-                    None => return Err(SpiceError::UnmatchedEnds { line: *lineno }),
-                },
-                ".global" => doc.globals.extend(toks[1..].iter().cloned()),
-                ".end" => break,
-                ".include" | ".inc" | ".lib" => {
-                    return Err(parse_err(
-                        *lineno,
-                        "includes must be resolved first; use parse_file for on-disk decks",
-                    ));
-                }
-                _ => {} // .model, .param, .option, analyses: ignored
-            }
-            continue;
-        }
-        // A first logical line that does not parse as a card is the
-        // traditional SPICE title line.
-        let card = match parse_card(*lineno, &toks) {
-            Ok(card) => card,
-            Err(_) if idx == 0 && *lineno == 1 => {
-                doc.title = Some(line.clone());
+    check_len(text.len())?;
+    let lower = text.to_ascii_lowercase();
+    let mut p = Parser {
+        original: text,
+        text: &lower,
+        doc: SpiceDoc::default(),
+        current: None,
+        toks: Vec::new(),
+        line: 0,
+        first: true,
+    };
+    let mut pending = false;
+    for (i, raw) in lower.lines().enumerate() {
+        let Some(line) = content(raw) else { continue };
+        if pending {
+            if let Some(rest) = line.strip_prefix('+') {
+                p.push_tokens(rest);
                 continue;
             }
-            Err(e) => return Err(e),
-        };
-        match &mut current {
-            Some(def) => def.cards.push(card),
-            None => doc.top.push(card),
+            if let Flow::Stop = p.finish()? {
+                pending = false;
+                break;
+            }
         }
+        p.toks.clear();
+        p.line = i + 1;
+        p.push_tokens(line);
+        pending = true;
     }
-    if let Some(def) = current {
+    if pending {
+        p.finish()?;
+    }
+    if let Some(def) = p.current {
         return Err(SpiceError::UnclosedSubckt { name: def.name });
     }
+    let mut doc = p.doc;
+    doc.text = lower;
     Ok(doc)
+}
+
+/// Spans are `u32` byte offsets, so a deck may be at most 4 GiB.
+fn check_len(len: usize) -> Result<(), SpiceError> {
+    if u32::try_from(len).is_err() {
+        return Err(parse_err(
+            0,
+            format!("deck is {len} bytes; decks over 4 GiB are not supported"),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The token texts of a card, name first, in field order.
+    fn fields(doc: &SpiceDoc, card: &Card) -> Vec<String> {
+        let spans = match *card {
+            Card::Mos {
+                name,
+                drain,
+                gate,
+                source,
+                model,
+            } => vec![name, drain, gate, source, model],
+            Card::TwoTerminal { name, a, b, .. } => vec![name, a, b],
+            Card::Diode { name, p, n, model } => vec![name, p, n, model],
+            Card::Bjt {
+                name,
+                c,
+                b,
+                e,
+                model,
+            } => vec![name, c, b, e, model],
+            Card::Instance { name, nets, subckt } => {
+                let mut v = vec![name];
+                v.extend_from_slice(doc.instance_nets(nets));
+                v.push(subckt);
+                v
+            }
+        };
+        spans.into_iter().map(|t| doc.str(t).to_string()).collect()
+    }
 
     #[test]
     fn comments_continuations_and_title() {
@@ -284,33 +437,24 @@ mod tests {
         .unwrap();
         assert_eq!(doc.title.as_deref(), Some("my amazing chip"));
         assert_eq!(doc.top.len(), 1);
-        match &doc.top[0] {
-            Card::Mos {
-                drain,
-                gate,
-                source,
-                model,
-                ..
-            } => {
-                assert_eq!(drain, "out");
-                assert_eq!(gate, "in");
-                assert_eq!(source, "gnd");
-                assert_eq!(model, "nch");
-            }
-            other => panic!("unexpected card {other:?}"),
-        }
+        assert!(matches!(doc.top[0], Card::Mos { .. }));
+        assert_eq!(
+            fields(&doc, &doc.top[0]),
+            ["mn1", "out", "in", "gnd", "nch"]
+        );
+    }
+
+    #[test]
+    fn title_keeps_case_and_joins_continuations() {
+        let doc = parse("Your Chip\n\n+ Second  Part\n+\nR1 a b 1\n").unwrap();
+        assert_eq!(doc.title.as_deref(), Some("Your Chip Second  Part "));
+        assert_eq!(doc.top.len(), 1);
     }
 
     #[test]
     fn mos_with_bulk_node() {
         let doc = parse("Mp1 y a vdd vdd pch\n").unwrap();
-        match &doc.top[0] {
-            Card::Mos { model, source, .. } => {
-                assert_eq!(model, "pch");
-                assert_eq!(source, "vdd");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(fields(&doc, &doc.top[0]), ["mp1", "y", "a", "vdd", "pch"]);
     }
 
     #[test]
@@ -319,6 +463,7 @@ mod tests {
         assert_eq!(doc.top.len(), 2);
         assert!(matches!(&doc.top[0], Card::TwoTerminal { kind: "res", .. }));
         assert!(matches!(&doc.top[1], Card::TwoTerminal { kind: "cap", .. }));
+        assert_eq!(fields(&doc, &doc.top[1]), ["c2", "b", "0"]);
     }
 
     #[test]
@@ -330,20 +475,26 @@ mod tests {
         let inv = doc.subckt("INV").unwrap();
         assert_eq!(inv.ports, vec!["a", "y"]);
         assert_eq!(inv.cards.len(), 2);
-        match &doc.top[0] {
-            Card::Instance { nets, subckt, .. } => {
-                assert_eq!(nets, &["x", "z"]);
-                assert_eq!(subckt, "inv");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(doc.top[0], Card::Instance { .. }));
+        assert_eq!(fields(&doc, &doc.top[0]), ["xi1", "x", "z", "inv"]);
+    }
+
+    #[test]
+    fn continuations_append_instance_nets() {
+        let doc = parse("* t\nXi1 a\n* gap\n+ b ; c\n+ c inv m=2\nXi2 d inv\n").unwrap();
+        assert_eq!(fields(&doc, &doc.top[0]), ["xi1", "a", "b", "c", "inv"]);
+        assert_eq!(fields(&doc, &doc.top[1]), ["xi2", "d", "inv"]);
     }
 
     #[test]
     fn diode_and_bjt() {
-        let doc = parse("D1 anode cathode dfast\nQ3 c b e npn\n").unwrap();
-        assert!(matches!(&doc.top[0], Card::Diode { model, .. } if model == "dfast"));
-        assert!(matches!(&doc.top[1], Card::Bjt { model, .. } if model == "npn"));
+        let doc = parse("D1 anode cathode dfast\nQ3 c b e npn\nD2 a k 1e-9\n").unwrap();
+        assert_eq!(
+            fields(&doc, &doc.top[0]),
+            ["d1", "anode", "cathode", "dfast"]
+        );
+        assert_eq!(fields(&doc, &doc.top[1]), ["q3", "c", "b", "e", "npn"]);
+        assert_eq!(fields(&doc, &doc.top[2]), ["d2", "a", "k", ""]);
     }
 
     #[test]
@@ -381,5 +532,14 @@ mod tests {
         assert!(err.is_ok());
         let err = parse("R1 a b\nZap a b c\n").unwrap_err();
         assert!(matches!(err, SpiceError::Parse { line: 2, .. }));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn decks_over_4_gib_are_a_parse_error() {
+        assert!(check_len(u32::MAX as usize).is_ok());
+        let err = check_len(u32::MAX as usize + 1).unwrap_err();
+        assert!(matches!(err, SpiceError::Parse { line: 0, .. }), "{err}");
+        assert!(err.to_string().contains("4 GiB"), "{err}");
     }
 }
