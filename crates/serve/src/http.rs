@@ -117,7 +117,9 @@ impl Response {
         Response::json(status, doc.pretty())
     }
 
-    /// Serializes the status line, headers, and body.
+    /// Serializes the status line, headers, and body, in one
+    /// `write_all` (an unbuffered socket would otherwise see a `write`
+    /// per formatted piece of the head).
     ///
     /// # Errors
     ///
@@ -132,15 +134,16 @@ impl Response {
             431 => "Request Header Fields Too Large",
             _ => "Internal Server Error",
         };
-        write!(
-            w,
+        let mut out = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
             self.status,
             reason,
             self.content_type,
             self.body.len()
-        )?;
-        w.write_all(&self.body)?;
+        )
+        .into_bytes();
+        out.extend_from_slice(&self.body);
+        w.write_all(&out)?;
         w.flush()
     }
 }

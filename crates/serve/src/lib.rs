@@ -4,11 +4,12 @@
 //! The paper's algorithm is built to be run repeatedly — a pattern
 //! library swept over one big main circuit — and the engine registry
 //! makes the compile-once/query-many split explicit. This crate is the
-//! long-lived front end: a std-`TcpListener` accept loop feeding a
-//! small worker thread pool, one HTTP request per connection
-//! (`Connection: close`), JSON bodies built on the existing v1 report
-//! schema. No external dependencies; the HTTP layer is ~200 lines of
-//! plain std.
+//! long-lived front end: a small pool of worker threads, each blocked
+//! in `accept` on its own clone of one std `TcpListener`, so the
+//! kernel hands every connection to an idle worker the moment it
+//! arrives. One HTTP request per connection (`Connection: close`),
+//! JSON bodies built on the existing v1 report schema. No external
+//! dependencies; the HTTP layer is ~200 lines of plain std.
 //!
 //! Lifecycle:
 //!
@@ -16,19 +17,23 @@
 //!    ephemeral port — read it back via [`Server::local_addr`]).
 //! 2. [`Server::run`] serves until shutdown is requested — by SIGINT /
 //!    SIGTERM (see [`signal::install`]) or a `POST /v1/shutdown`.
-//! 3. Shutdown drains: the accept loop stops, every in-flight search's
-//!    [`CancelToken`] is tripped (searches finish promptly with
-//!    `completeness: truncated (cancelled)` — a valid, reported
-//!    prefix), workers finish writing their responses, and
-//!    [`Server::run`] returns a [`DrainReport`] whose `drained` count
-//!    says how many searches were interrupted (0 on an idle shutdown).
+//!    Its own thread only watches the shutdown flag, every 5 ms.
+//! 3. Shutdown drains: every in-flight search's [`CancelToken`] is
+//!    tripped (searches finish promptly with `completeness: truncated
+//!    (cancelled)` — a valid, reported prefix; a search that begins
+//!    after this point starts cancelled), workers finish writing their
+//!    responses, and loopback connections wake the workers still
+//!    blocked in `accept`, which drop them unanswered and exit.
+//!    [`Server::run`] then returns a [`DrainReport`] whose `drained`
+//!    count says how many searches were interrupted (0 on an idle
+//!    shutdown).
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -170,6 +175,9 @@ pub(crate) struct ServerState {
     responses: [AtomicU64; 3],
     next_search: AtomicU64,
     in_flight: Mutex<HashMap<u64, CancelToken>>,
+    /// Searches cancelled by shutdown: those in flight when it began
+    /// plus those that began after it.
+    drained: AtomicUsize,
     started: Instant,
     access_log: Option<AccessLog>,
     capture: Option<CaptureRing>,
@@ -188,6 +196,7 @@ impl ServerState {
             responses: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             next_search: AtomicU64::new(0),
             in_flight: Mutex::new(HashMap::new()),
+            drained: AtomicUsize::new(0),
             started: Instant::now(),
             access_log,
             capture: config
@@ -205,32 +214,33 @@ impl ServerState {
     }
 
     /// Registers a search about to run; its token is tripped on
-    /// shutdown. The id must be passed back to
-    /// [`ServerState::finish_search`] when the search returns.
-    pub(crate) fn begin_search(&self) -> (u64, CancelToken) {
+    /// shutdown, and dropping the returned guard deregisters it — also
+    /// when the search panics. A search that begins once shutdown has
+    /// been requested gets an already-cancelled token and counts as
+    /// drained, so it cannot hold the drain open.
+    pub(crate) fn begin_search(&self) -> (InFlight<'_>, CancelToken) {
         let id = self.next_search.fetch_add(1, Ordering::Relaxed);
         let token = CancelToken::new();
-        self.in_flight
-            .lock()
-            .expect("in-flight registry poisoned")
-            .insert(id, token.clone());
-        (id, token)
+        // The flag is read under the registry lock, which
+        // `cancel_in_flight` also holds: a search is either registered
+        // before the drain trips it, or sees the flag here.
+        let mut map = self.in_flight.lock().expect("in-flight registry poisoned");
+        if self.is_shutting_down() {
+            token.cancel();
+            self.drained.fetch_add(1, Ordering::Relaxed);
+        } else {
+            map.insert(id, token.clone());
+        }
+        (InFlight { state: self, id }, token)
     }
 
-    pub(crate) fn finish_search(&self, id: u64) {
-        self.in_flight
-            .lock()
-            .expect("in-flight registry poisoned")
-            .remove(&id);
-    }
-
-    /// Cancels every in-flight search; returns how many were running.
-    fn cancel_in_flight(&self) -> usize {
+    /// Cancels every in-flight search and counts them as drained.
+    fn cancel_in_flight(&self) {
         let map = self.in_flight.lock().expect("in-flight registry poisoned");
         for token in map.values() {
             token.cancel();
         }
-        map.len()
+        self.drained.fetch_add(map.len(), Ordering::Relaxed);
     }
 
     pub(crate) fn served(&self) -> u64 {
@@ -278,6 +288,22 @@ impl ServerState {
     }
 }
 
+/// One search's in-flight registration; deregisters on drop.
+pub(crate) struct InFlight<'a> {
+    state: &'a ServerState,
+    id: u64,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        // Runs while a panicking search unwinds, so it must not panic
+        // itself; a poisoned registry already fails every other use.
+        if let Ok(mut map) = self.state.in_flight.lock() {
+            map.remove(&self.id);
+        }
+    }
+}
+
 /// Builds the one-line access-log record for a finished request.
 fn access_line(
     meta: &RequestMeta,
@@ -310,7 +336,8 @@ pub struct ShutdownHandle {
 }
 
 impl ShutdownHandle {
-    /// Requests shutdown; the accept loop notices within one poll tick.
+    /// Requests shutdown. [`Server::run`]'s thread notices within one
+    /// 5 ms tick and wakes the workers blocked in `accept`.
     pub fn shutdown(&self) {
         self.state.request_shutdown();
     }
@@ -325,17 +352,19 @@ impl ShutdownHandle {
 pub struct DrainReport {
     /// Connections served to completion.
     pub served: u64,
-    /// In-flight searches cancelled (drained) at shutdown — 0 for a
-    /// clean idle shutdown.
+    /// Searches cancelled (drained) by shutdown: those in flight when
+    /// it began, plus any that began during it — 0 for a clean idle
+    /// shutdown.
     pub drained: usize,
 }
 
 /// A bound, not-yet-running daemon.
 pub struct Server {
     engine: Arc<Engine>,
-    listener: TcpListener,
+    /// The bound listener, cloned once per worker: every worker blocks
+    /// in `accept` on its own handle to the one socket.
+    listeners: Vec<TcpListener>,
     state: Arc<ServerState>,
-    workers: usize,
     max_body_bytes: usize,
 }
 
@@ -344,16 +373,17 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures, and failures to clone the listener
+    /// for each worker.
     pub fn bind(engine: Arc<Engine>, config: &ServeConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        // Nonblocking accept so the loop can poll the shutdown flag.
-        listener.set_nonblocking(true)?;
+        let mut listeners = vec![TcpListener::bind(&config.addr)?];
+        for _ in 1..config.workers.max(1) {
+            listeners.push(listeners[0].try_clone()?);
+        }
         Ok(Server {
             engine,
-            listener,
+            listeners,
             state: Arc::new(ServerState::new(config)?),
-            workers: config.workers.max(1),
             max_body_bytes: config.max_body_bytes,
         })
     }
@@ -365,7 +395,9 @@ impl Server {
     /// Panics if the socket has no local address (cannot happen for a
     /// freshly bound listener).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("bound listener has addr")
+        self.listeners[0]
+            .local_addr()
+            .expect("bound listener has addr")
     }
 
     /// A handle that requests shutdown from another thread or a signal
@@ -378,48 +410,79 @@ impl Server {
 
     /// Serves until shutdown is requested, then drains and returns.
     pub fn run(self) -> DrainReport {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut handles = Vec::with_capacity(self.workers);
-        for _ in 0..self.workers {
-            let rx = Arc::clone(&rx);
-            let engine = Arc::clone(&self.engine);
-            let state = Arc::clone(&self.state);
-            let max_body = self.max_body_bytes;
-            handles.push(thread::spawn(move || loop {
-                // Holding the lock only for recv() keeps hand-off fair
-                // enough for a small pool.
-                let stream = rx.lock().expect("worker queue poisoned").recv();
-                match stream {
-                    Ok(stream) => handle_connection(stream, &engine, &state, max_body),
-                    Err(_) => break, // sender dropped: shutdown
-                }
-            }));
-        }
+        let wake = wake_addr(self.local_addr());
+        let handles: Vec<_> = self
+            .listeners
+            .into_iter()
+            .map(|listener| {
+                let engine = Arc::clone(&self.engine);
+                let state = Arc::clone(&self.state);
+                let max_body = self.max_body_bytes;
+                thread::spawn(move || accept_loop(&listener, &engine, &state, max_body))
+            })
+            .collect();
         while !self.state.is_shutting_down() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => thread::sleep(Duration::from_millis(5)),
-            }
+            thread::sleep(TICK);
         }
         // Drain: trip every in-flight search's token (they complete as
-        // truncated-with-reason-cancelled), stop feeding workers, and
-        // let them finish writing responses.
-        let drained = self.state.cancel_in_flight();
-        drop(tx);
+        // truncated-with-reason-cancelled) and let busy workers finish
+        // writing responses. Workers blocked in `accept` are woken by
+        // loopback connections, which they drop unanswered. A real
+        // client may take a wake-up's place, so rather than counting,
+        // wake the unfinished workers once per tick until all exit.
+        // Exits are looked for every 100 µs, so an idle shutdown is not
+        // held for a whole tick after its wake-ups.
+        self.state.cancel_in_flight();
+        let running = || handles.iter().any(|h| !h.is_finished());
+        while running() {
+            for _ in handles.iter().filter(|h| !h.is_finished()) {
+                let _ = TcpStream::connect_timeout(&wake, TICK);
+            }
+            let woken = Instant::now();
+            while woken.elapsed() < TICK && running() {
+                thread::sleep(Duration::from_micros(100));
+            }
+        }
         for h in handles {
             let _ = h.join();
         }
         DrainReport {
             served: self.state.served(),
-            drained,
+            drained: self.state.drained.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// How long `run` sleeps between looks at the shutdown flag, and how
+/// long a worker backs off after a failed `accept` (e.g. `EMFILE`).
+const TICK: Duration = Duration::from_millis(5);
+
+/// The address `run` connects to when waking workers: the bound one,
+/// with an unspecified IP (`0.0.0.0`, `[::]`) replaced by the loopback
+/// address of the same family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// One worker: blocks in `accept` and serves each connection itself,
+/// so the kernel hands a connection to an idle worker the moment it
+/// arrives. A connection accepted once shutdown has been requested (a
+/// wake-up from [`Server::run`], or a late client) is dropped
+/// unanswered: it is not served, counted or logged.
+fn accept_loop(listener: &TcpListener, engine: &Engine, state: &Arc<ServerState>, max_body: usize) {
+    while !state.is_shutting_down() {
+        match listener.accept() {
+            Ok((stream, _peer)) if !state.is_shutting_down() => {
+                handle_connection(stream, engine, state, max_body);
+            }
+            Ok(_) => break,
+            Err(_) => thread::sleep(TICK),
         }
     }
 }
@@ -432,7 +495,6 @@ fn handle_connection(
 ) {
     // Workers block on their own sockets; generous timeouts keep a
     // stalled client from wedging a worker forever.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let mut reader = io::BufReader::new(stream);
@@ -490,13 +552,37 @@ mod tests {
         let state = ServerState::new(&ServeConfig::default()).unwrap();
         let (a, _ta) = state.begin_search();
         let (b, tb) = state.begin_search();
-        assert_ne!(a, b);
+        assert_ne!(a.id, b.id);
         assert_eq!(state.in_flight_count(), 2);
-        state.finish_search(a);
-        assert_eq!(state.cancel_in_flight(), 1);
+        drop(a);
+        state.cancel_in_flight();
+        assert_eq!(state.drained.load(Ordering::Relaxed), 1);
         assert!(tb.is_cancelled());
-        state.finish_search(b);
+        drop(b);
         assert_eq!(state.in_flight_count(), 0);
+    }
+
+    #[test]
+    fn search_begun_after_shutdown_starts_cancelled_and_counts_as_drained() {
+        let state = ServerState::new(&ServeConfig::default()).unwrap();
+        state.request_shutdown();
+        let (registration, token) = state.begin_search();
+        assert!(token.is_cancelled());
+        assert_eq!(state.drained.load(Ordering::Relaxed), 1);
+        // Never registered, so the drain's own sweep cannot count it twice.
+        assert_eq!(state.in_flight_count(), 0);
+        state.cancel_in_flight();
+        assert_eq!(state.drained.load(Ordering::Relaxed), 1);
+        drop(registration);
+        assert_eq!(state.in_flight_count(), 0);
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_binds_to_loopback() {
+        let wake = |s: &str| wake_addr(s.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("[::]:7878"), "[::1]:7878");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
     }
 
     #[test]

@@ -132,10 +132,8 @@ fn searching(
     state: &Arc<ServerState>,
     f: impl FnOnce(subgemini::CancelToken) -> Response,
 ) -> Response {
-    let (id, token) = state.begin_search();
-    let response = f(token);
-    state.finish_search(id);
-    response
+    let (_registration, token) = state.begin_search();
+    f(token)
 }
 
 fn engine_failure(e: &EngineError) -> Response {

@@ -2,10 +2,11 @@
 //!
 //! The handler does the only async-signal-safe thing possible: it
 //! flips the server's shutdown `AtomicBool` through a process-global
-//! `OnceLock`. The accept loop polls that flag every few milliseconds,
-//! so `kill -INT <pid>` behaves exactly like `POST /v1/shutdown`:
-//! accept stops, in-flight searches are cancelled, workers drain, and
-//! the process exits through the normal `DrainReport` path.
+//! `OnceLock`. [`crate::Server::run`]'s thread checks that flag every
+//! 5 ms, so `kill -INT <pid>` behaves exactly like `POST
+//! /v1/shutdown`: in-flight searches are cancelled, workers finish
+//! their responses, the ones blocked in `accept` are woken, and the
+//! process exits through the normal `DrainReport` path.
 
 use std::sync::Arc;
 use std::sync::OnceLock;

@@ -257,8 +257,13 @@ fn status_classes_count_and_panicking_route_answers_500() {
     assert!(class("4xx").unwrap() >= 1, "{resp}");
     assert_eq!(class("5xx"), Some(1), "{resp}");
     assert_eq!(server.get("http_errors").unwrap().as_u64(), Some(1));
+    // The panicking search deregistered itself: nothing is left in
+    // flight, and the idle shutdown drains nothing.
+    assert_eq!(server.get("in_flight").unwrap().as_u64(), Some(0), "{resp}");
+    let (_, text) = call(addr, "GET", "/metrics?format=prometheus", "");
+    assert_eq!(samples(&text)["subg_in_flight_searches"], 0.0, "{text}");
     shutdown();
-    join.join().unwrap();
+    assert_eq!(join.join().unwrap().drained, 0);
 }
 
 #[test]
