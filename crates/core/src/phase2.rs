@@ -26,10 +26,23 @@
 //! **undo log** instead of per-branch cloning: every mutation during
 //! search records its inverse, a [`Mark`] captures the log position
 //! before a guess, and backtracking truncates the log — `O(touched)`
-//! per branch, with zero allocation on the hot path after the one-time
-//! [`Phase2Runner::make_state`].
+//! per branch.
+//!
+//! Label partitions are one flat table of [`Row`]s — `(kind, label,
+//! side, index)` for every unmatched touched vertex — sorted and scanned
+//! as runs of equal `(kind, label)`. The derived order puts each run's
+//! pattern rows before its main rows, each side by index, so runs come
+//! out in sorted-key order with sorted members: the order fresh labels,
+//! journal events and guesses depend on.
+//!
+//! Every buffer a pass, a guess or the final structural check needs
+//! lives in a per-worker [`Scratch`] owned by the [`SearchState`] and is
+//! cleared, never freed, between uses. Once warm (with trace, events
+//! and metrics off), a rejected candidate makes no heap allocation and a
+//! found one makes exactly the two of its [`SubMatch`];
+//! `tests/phase2_alloc.rs` pins this with a counting allocator.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use subgemini_netlist::{hashing, CompiledCircuit, DeviceId, NetId, Netlist, Vertex};
 
@@ -38,7 +51,7 @@ use crate::instance::{Phase2Stats, SubMatch};
 use crate::metrics::Histogram;
 use crate::options::MatchOptions;
 use crate::trace::{Phase2Trace, TraceCell, TraceSnapshot};
-use crate::verify::verify_instance;
+use crate::verify::{verify_with, VerifyScratch};
 
 /// One inverse operation on the search state. Rolling the log back in
 /// LIFO order restores the exact prior state (list pushes pair with
@@ -304,6 +317,68 @@ impl State {
     }
 }
 
+/// Vertex kinds in a [`Row`]: devices sort before nets.
+const DEVICE: u8 = 0;
+const NET: u8 = 1;
+
+/// One row of the partition table: an unmatched, touched vertex. Field
+/// order is sort order, so the sorted table is a sequence of runs of
+/// equal `(kind, label)` in ascending key order, and inside a run the
+/// pattern rows (`main == false`) come before the main rows, each side
+/// by index.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Row {
+    kind: u8,
+    label: u64,
+    main: bool,
+    index: u32,
+}
+
+/// Splits a sorted partition table into its runs: one `(kind, label,
+/// pattern rows, main rows)` per label.
+fn runs(table: &[Row]) -> impl Iterator<Item = (u8, u64, &[Row], &[Row])> {
+    table
+        .chunk_by(|a, b| (a.kind, a.label) == (b.kind, b.label))
+        .map(|run| {
+            let (sv, gv) = run.split_at(run.partition_point(|r| !r.main));
+            (run[0].kind, run[0].label, sv, gv)
+        })
+}
+
+fn vertex(kind: u8, index: u32) -> Vertex {
+    if kind == DEVICE {
+        Vertex::Device(DeviceId::new(index))
+    } else {
+        Vertex::Net(NetId::new(index))
+    }
+}
+
+/// Per-worker buffers for everything a candidate needs besides the
+/// search state itself, reused across passes, guesses and candidates.
+#[derive(Default)]
+struct Scratch {
+    /// The partition table (see [`Row`]).
+    table: Vec<Row>,
+    /// Singleton partitions `analyze` matches after its scan.
+    to_match: Vec<(u8, u32, u32)>,
+    /// A pass's main-side frontiers and new labels per side and kind.
+    g_dev_frontier: Vec<u32>,
+    g_net_frontier: Vec<u32>,
+    s_dev_new: Vec<(u32, u64)>,
+    s_net_new: Vec<(u32, u64)>,
+    g_dev_new: Vec<(u32, u64)>,
+    g_net_new: Vec<(u32, u64)>,
+    /// Candidate images of every open guess, innermost on top: each
+    /// `verify_image` call owns a range and truncates back to its start.
+    guesses: Vec<Vertex>,
+    /// The anchored fallback's matched-pin requirements, one main
+    /// device's pins, and one pattern device's candidates.
+    required: Vec<(u64, u32)>,
+    have: Vec<(u64, u32)>,
+    cands: Vec<Vertex>,
+    verify: VerifyScratch,
+}
+
 enum Refined {
     /// All pattern vertices matched (state left in the completed
     /// configuration).
@@ -427,6 +502,7 @@ impl<'a> Phase2Runner<'a> {
         }
         SearchState {
             state: st,
+            scratch: Scratch::default(),
             base_matched: base.prematch.len(),
         }
     }
@@ -492,9 +568,10 @@ impl<'a> Phase2Runner<'a> {
     /// One Jacobi relabeling pass over both graphs: every unmatched
     /// vertex with at least one safe, non-global-net neighbor is
     /// relabeled from the labels of its safe neighbors.
-    fn pass(&self, st: &mut State) {
+    fn pass(&self, st: &mut State, sc: &mut Scratch) {
         // --- pattern side ---
-        let mut s_dev_new: Vec<(usize, u64)> = Vec::new();
+        let s_dev_new = &mut sc.s_dev_new;
+        s_dev_new.clear();
         for i in 0..st.s_dev.len() {
             if st.s_dev_match[i].is_some() {
                 continue;
@@ -513,9 +590,10 @@ impl<'a> Phase2Runner<'a> {
             let c = self
                 .s
                 .device_contribs(d, |n| st.s_net_safe[n.index()].then(|| st.s_net[n.index()]));
-            s_dev_new.push((i, hashing::relabel(st.s_dev[i], c.sum)));
+            s_dev_new.push((i as u32, hashing::relabel(st.s_dev[i], c.sum)));
         }
-        let mut s_net_new: Vec<(usize, u64)> = Vec::new();
+        let s_net_new = &mut sc.s_net_new;
+        s_net_new.clear();
         for i in 0..st.s_net.len() {
             if st.s_net_match[i].is_some() || self.s.is_global(NetId::new(i as u32)) {
                 continue;
@@ -531,10 +609,11 @@ impl<'a> Phase2Runner<'a> {
             let c = self
                 .s
                 .net_contribs(n, |d| st.s_dev_safe[d.index()].then(|| st.s_dev[d.index()]));
-            s_net_new.push((i, hashing::relabel(st.s_net[i], c.sum)));
+            s_net_new.push((i as u32, hashing::relabel(st.s_net[i], c.sum)));
         }
         // --- main side: collect frontier from the safe lists ---
-        let mut g_dev_frontier: Vec<u32> = Vec::new();
+        let g_dev_frontier = &mut sc.g_dev_frontier;
+        g_dev_frontier.clear();
         for &ni in &st.g_net_safe_list {
             let n = NetId::new(ni);
             if self.g.is_global(n) || st.g_net_port_image[ni as usize] {
@@ -548,7 +627,8 @@ impl<'a> Phase2Runner<'a> {
         }
         g_dev_frontier.sort_unstable();
         g_dev_frontier.dedup();
-        let mut g_net_frontier: Vec<u32> = Vec::new();
+        let g_net_frontier = &mut sc.g_net_frontier;
+        g_net_frontier.clear();
         for &di in &st.g_dev_safe_list {
             let d = DeviceId::new(di);
             for (n, _) in self.g.device_neighbors(d) {
@@ -559,93 +639,86 @@ impl<'a> Phase2Runner<'a> {
         }
         g_net_frontier.sort_unstable();
         g_net_frontier.dedup();
-        let mut g_dev_new: Vec<(u32, u64)> = Vec::with_capacity(g_dev_frontier.len());
-        for &i in &g_dev_frontier {
+        sc.g_dev_new.clear();
+        for &i in &sc.g_dev_frontier {
             let d = DeviceId::new(i);
             let c = self.g.device_contribs(d, |n| {
                 st.g_net_safe[n.index()].then(|| self.g_net_label(st, n.raw()))
             });
-            g_dev_new.push((i, hashing::relabel(self.g_dev_label(st, i), c.sum)));
+            sc.g_dev_new
+                .push((i, hashing::relabel(self.g_dev_label(st, i), c.sum)));
         }
-        let mut g_net_new: Vec<(u32, u64)> = Vec::with_capacity(g_net_frontier.len());
-        for &i in &g_net_frontier {
+        sc.g_net_new.clear();
+        for &i in &sc.g_net_frontier {
             let n = NetId::new(i);
             let c = self.g.net_contribs(n, |d| {
                 st.g_dev_safe[d.index()].then(|| self.g_dev_label(st, d.raw()))
             });
-            g_net_new.push((i, hashing::relabel(self.g_net_label(st, i), c.sum)));
+            sc.g_net_new
+                .push((i, hashing::relabel(self.g_net_label(st, i), c.sum)));
         }
         // --- commit (Jacobi) ---
-        for (i, l) in s_dev_new {
-            st.set_s_dev_label(i, l);
-            st.touch_s_dev(i);
+        for &(i, l) in &sc.s_dev_new {
+            st.set_s_dev_label(i as usize, l);
+            st.touch_s_dev(i as usize);
         }
-        for (i, l) in s_net_new {
-            st.set_s_net_label(i, l);
-            st.touch_s_net(i);
+        for &(i, l) in &sc.s_net_new {
+            st.set_s_net_label(i as usize, l);
+            st.touch_s_net(i as usize);
         }
-        for (i, l) in g_dev_new {
+        for &(i, l) in &sc.g_dev_new {
             st.set_g_dev_label(i, l);
         }
-        for (i, l) in g_net_new {
+        for &(i, l) in &sc.g_net_new {
             st.set_g_net_label(i, l);
         }
     }
 
-    /// Builds the label partitions over unmatched touched vertices.
-    fn partitions(&self, st: &State) -> HashMap<(u8, u64), (Vec<u32>, Vec<u32>)> {
-        let mut parts: HashMap<(u8, u64), (Vec<u32>, Vec<u32>)> = HashMap::new();
+    /// Fills `table` with the unmatched touched vertices of both graphs
+    /// and sorts it into label runs (see [`Row`]).
+    fn partitions(&self, st: &State, table: &mut Vec<Row>) {
+        table.clear();
+        let row = |kind, label, main, index| Row {
+            kind,
+            label,
+            main,
+            index,
+        };
         for i in 0..st.s_dev.len() {
             if st.s_dev_match[i].is_none() && st.s_dev_touched[i] {
-                parts.entry((0, st.s_dev[i])).or_default().0.push(i as u32);
+                table.push(row(DEVICE, st.s_dev[i], false, i as u32));
             }
         }
         for i in 0..st.s_net.len() {
             if st.s_net_match[i].is_none() && st.s_net_touched[i] {
-                parts.entry((1, st.s_net[i])).or_default().0.push(i as u32);
+                table.push(row(NET, st.s_net[i], false, i as u32));
             }
         }
         for &i in &st.g_dev_touched_list {
             if !st.g_dev_matched[i as usize] {
-                parts
-                    .entry((0, st.g_dev_label[i as usize]))
-                    .or_default()
-                    .1
-                    .push(i);
+                table.push(row(DEVICE, st.g_dev_label[i as usize], true, i));
             }
         }
         for &i in &st.g_net_touched_list {
             if !st.g_net_matched[i as usize] {
-                parts
-                    .entry((1, st.g_net_label[i as usize]))
-                    .or_default()
-                    .1
-                    .push(i);
+                table.push(row(NET, st.g_net_label[i as usize], true, i));
             }
         }
-        // Deterministic member order regardless of hash iteration.
-        for (sv, gv) in parts.values_mut() {
-            sv.sort_unstable();
-            gv.sort_unstable();
-        }
-        parts
+        table.sort_unstable();
     }
 
     /// Consistency + safety + singleton matching. `Err(())` on a proven
     /// inconsistency; otherwise returns `(progress, complete)`.
     ///
-    /// Partitions are processed in sorted `(kind, label)` order, not hash
-    /// order: the order determines which singleton gets the next fresh
-    /// match label, and fixing it keeps every label value — and hence the
-    /// event journal — identical across runs and thread counts.
-    fn analyze(&self, st: &mut State) -> Result<(bool, bool), ()> {
-        let parts = self.partitions(st);
-        let mut keys: Vec<(u8, u64)> = parts.keys().copied().collect();
-        keys.sort_unstable();
+    /// Partitions are processed in sorted `(kind, label)` order: the
+    /// order determines which singleton gets the next fresh match label,
+    /// and fixing it keeps every label value — and hence the event
+    /// journal — identical across runs and thread counts.
+    fn analyze(&self, st: &mut State, sc: &mut Scratch) -> Result<(bool, bool), ()> {
+        self.partitions(st, &mut sc.table);
         let mut progress = false;
-        let mut to_match: Vec<(u8, u32, u32)> = Vec::new();
-        for &(kind, label) in &keys {
-            let (sv, gv) = &parts[&(kind, label)];
+        sc.to_match.clear();
+        for (kind, label, sv, gv) in runs(&sc.table) {
             if sv.is_empty() {
                 continue; // main-graph-only garbage partition
             }
@@ -665,37 +738,27 @@ impl<'a> Phase2Runner<'a> {
             }
             if sv.len() == gv.len() {
                 // Equal sizes: the G partition holds only images — safe.
-                for &i in sv {
-                    let newly = if kind == 0 {
-                        st.set_s_dev_safe(i as usize)
+                for r in sv {
+                    progress |= if kind == DEVICE {
+                        st.set_s_dev_safe(r.index as usize)
                     } else {
-                        st.set_s_net_safe(i as usize)
+                        st.set_s_net_safe(r.index as usize)
                     };
-                    progress |= newly;
                 }
-                for &i in gv {
-                    let inserted = if kind == 0 {
-                        st.set_g_dev_safe(i)
+                for r in gv {
+                    progress |= if kind == DEVICE {
+                        st.set_g_dev_safe(r.index)
                     } else {
-                        st.set_g_net_safe(i)
+                        st.set_g_net_safe(r.index)
                     };
-                    progress |= inserted;
                 }
                 if sv.len() == 1 {
-                    to_match.push((kind, sv[0], gv[0]));
+                    sc.to_match.push((kind, sv[0].index, gv[0].index));
                 }
             }
         }
-        for (kind, si, gi) in to_match {
-            if kind == 0 {
-                self.do_match(
-                    st,
-                    Vertex::Device(DeviceId::new(si)),
-                    Vertex::Device(DeviceId::new(gi)),
-                );
-            } else {
-                self.do_match(st, Vertex::Net(NetId::new(si)), Vertex::Net(NetId::new(gi)));
-            }
+        for &(kind, si, gi) in &sc.to_match {
+            self.do_match(st, vertex(kind, si), vertex(kind, gi));
             progress = true;
         }
         Ok((progress, st.matched == self.total_s()))
@@ -756,11 +819,11 @@ impl<'a> Phase2Runner<'a> {
 
     /// Runs relabeling passes until completion, failure, or a stall.
     /// On `Fail` the state is left dirty — the caller rolls back.
-    fn refine(&self, st: &mut State, stats: &mut Phase2Stats) -> Refined {
+    fn refine(&self, st: &mut State, sc: &mut Scratch, stats: &mut Phase2Stats) -> Refined {
         for _ in 0..self.opts.max_passes_per_candidate {
             stats.passes += 1;
-            self.pass(st);
-            let analyzed = self.analyze(st);
+            self.pass(st, sc);
+            let analyzed = self.analyze(st, sc);
             if st.trace.is_some() {
                 let snap = self.snapshot(st);
                 if let Some(trace) = st.trace.as_mut() {
@@ -781,52 +844,37 @@ impl<'a> Phase2Runner<'a> {
     }
 
     /// Chooses the next ambiguity to guess on: the unmatched pattern
-    /// vertex whose label has the smallest main-graph partition.
-    fn choose_guess(&self, st: &State) -> Option<(Vertex, Vec<Vertex>)> {
-        let parts = self.partitions(st);
-        let mut best: Option<(usize, u8, u64)> = None;
-        for (&(kind, label), (sv, gv)) in &parts {
-            if sv.is_empty() || gv.len() < sv.len() {
-                continue;
-            }
-            let cand = (gv.len(), kind, label);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-        if let Some((_, kind, label)) = best {
-            let (sv, gv) = &parts[&(kind, label)];
-            let s_v = if kind == 0 {
-                Vertex::Device(DeviceId::new(sv[0]))
-            } else {
-                Vertex::Net(NetId::new(sv[0]))
-            };
-            let cands = gv
-                .iter()
-                .map(|&i| {
-                    if kind == 0 {
-                        Vertex::Device(DeviceId::new(i))
-                    } else {
-                        Vertex::Net(NetId::new(i))
-                    }
-                })
-                .collect();
-            return Some((s_v, cands));
+    /// vertex whose label has the smallest main-graph partition. Its
+    /// candidate images go on top of `sc.guesses`; returns the vertex
+    /// and their range there.
+    fn choose_guess(&self, st: &State, sc: &mut Scratch) -> Option<(Vertex, Range<usize>)> {
+        let start = sc.guesses.len();
+        self.partitions(st, &mut sc.table);
+        // Runs come in ascending `(kind, label)` order and `min_by_key`
+        // keeps the first minimum: the smallest `(g_len, kind, label)`.
+        let best = runs(&sc.table)
+            .filter(|(_, _, sv, gv)| !sv.is_empty() && gv.len() >= sv.len())
+            .min_by_key(|(_, _, _, gv)| gv.len());
+        if let Some((kind, _, sv, gv)) = best {
+            sc.guesses.extend(gv.iter().map(|r| vertex(kind, r.index)));
+            return Some((vertex(kind, sv[0].index), start..sc.guesses.len()));
         }
         // Anchored fallback: a pattern device that was never reached by
         // spreading (all its nets are rails or suppressed port images)
         // but has at least one *matched* pin. Its image must sit on the
         // images of those pins, so enumerate the smallest such fanout
         // instead of relabeling it wholesale — this keeps port-image
-        // suppression linear without losing completeness.
-        let mut best_anchor: Option<(usize, u32, Vec<Vertex>)> = None;
+        // suppression linear without losing completeness. The best
+        // device's candidates so far sit on the guess stack.
+        let mut anchored: Option<u32> = None;
         for i in 0..st.s_dev.len() {
             if st.s_dev_match[i].is_some() || st.s_dev_touched[i] {
                 continue;
             }
             let sd = DeviceId::new(i as u32);
             // Matched pins as (class multiplier, image net) requirements.
-            let mut required: Vec<(u64, u32)> = Vec::new();
+            let required = &mut sc.required;
+            required.clear();
             for (n, mult) in self.s.device_neighbors(sd) {
                 if let Some(g) = st.s_net_match[n.index()] {
                     required.push((mult, g));
@@ -842,18 +890,16 @@ impl<'a> Phase2Runner<'a> {
                 .expect("required is non-empty");
             required.sort_unstable();
             let want = self.s.initial_device_label(sd);
-            let mut cands: Vec<Vertex> = Vec::new();
+            sc.cands.clear();
             for (gd, _) in self.g.net_neighbors(NetId::new(anchor)) {
                 if st.g_dev_matched[gd.index()] || self.g.initial_device_label(gd) != want {
                     continue;
                 }
                 // The candidate's pins must cover every matched-pin
                 // requirement (sub-multiset check).
-                let mut have: Vec<(u64, u32)> = self
-                    .g
-                    .device_neighbors(gd)
-                    .map(|(n, mult)| (mult, n.raw()))
-                    .collect();
+                let have = &mut sc.have;
+                have.clear();
+                have.extend(self.g.device_neighbors(gd).map(|(n, mult)| (mult, n.raw())));
                 have.sort_unstable();
                 let mut hi = 0;
                 let covered = required.iter().all(|req| {
@@ -867,43 +913,38 @@ impl<'a> Phase2Runner<'a> {
                         false
                     }
                 });
-                if covered && !cands.contains(&Vertex::Device(gd)) {
-                    cands.push(Vertex::Device(gd));
+                if covered && !sc.cands.contains(&Vertex::Device(gd)) {
+                    sc.cands.push(Vertex::Device(gd));
                 }
             }
-            if cands.is_empty() {
+            if sc.cands.is_empty() {
                 // An unreachable device with no possible image: fail the
                 // branch outright.
+                sc.guesses.truncate(start);
                 return None;
             }
-            if best_anchor
-                .as_ref()
-                .is_none_or(|(n, _, _)| cands.len() < *n)
-            {
-                best_anchor = Some((cands.len(), i as u32, cands));
+            if anchored.is_none() || sc.cands.len() < sc.guesses.len() - start {
+                anchored = Some(i as u32);
+                sc.guesses.truncate(start);
+                sc.guesses.extend_from_slice(&sc.cands);
             }
         }
-        if let Some((_, i, cands)) = best_anchor {
-            return Some((Vertex::Device(DeviceId::new(i)), cands));
+        if let Some(i) = anchored {
+            return Some((Vertex::Device(DeviceId::new(i)), start..sc.guesses.len()));
         }
-        // Last resort for disconnected patterns: anchor an untouched
-        // pattern device on any unmatched main device still carrying the
-        // same initial label.
-        for i in 0..st.s_dev.len() {
-            if st.s_dev_match[i].is_some() || st.s_dev_touched[i] {
-                continue;
-            }
-            let want = st.s_dev[i]; // untouched: still the initial label
-            let cands: Vec<Vertex> = (0..self.g.device_count() as u32)
+        // Last resort for disconnected patterns: anchor the first
+        // untouched pattern device on any unmatched main device still
+        // carrying the same initial label.
+        let i =
+            (0..st.s_dev.len()).find(|&i| st.s_dev_match[i].is_none() && !st.s_dev_touched[i])?;
+        let want = st.s_dev[i]; // untouched: still the initial label
+        sc.guesses.extend(
+            (0..self.g.device_count() as u32)
                 .filter(|&gi| !st.g_dev_matched[gi as usize] && self.g_dev_label(st, gi) == want)
-                .map(|gi| Vertex::Device(DeviceId::new(gi)))
-                .collect();
-            if !cands.is_empty() {
-                return Some((Vertex::Device(DeviceId::new(i as u32)), cands));
-            }
-            return None;
-        }
-        None
+                .map(|gi| Vertex::Device(DeviceId::new(gi))),
+        );
+        let cands = start..sc.guesses.len();
+        (!cands.is_empty()).then(|| (Vertex::Device(DeviceId::new(i as u32)), cands))
     }
 
     fn build_submatch(&self, st: &State) -> SubMatch {
@@ -921,43 +962,51 @@ impl<'a> Phase2Runner<'a> {
         }
     }
 
-    /// The recursive `VerifyImage(K, CV)` of §IV, for one key/candidate
-    /// set. `depth > 0` calls are ambiguity guesses and consume the
-    /// guess budget. Returns `true` with the state left in the
-    /// completed configuration; `false` with the state rolled back to
-    /// where the caller left it.
+    /// The recursive `VerifyImage(K, CV)` of §IV, for one key and the
+    /// candidates `sc.guesses[cands]`. `depth > 0` calls are ambiguity
+    /// guesses and consume the guess budget. Returns the verified
+    /// mapping with the state left in the completed configuration, or
+    /// `None` with the state rolled back to where the caller left it.
+    /// Either way the guess stack is truncated back to `cands.start`.
+    #[allow(clippy::too_many_arguments)]
     fn verify_image(
         &self,
         st: &mut State,
+        sc: &mut Scratch,
         s_v: Vertex,
-        cands: &[Vertex],
+        cands: Range<usize>,
         stats: &mut Phase2Stats,
         guesses_left: &mut usize,
         depth: usize,
-    ) -> bool {
-        for &c in cands {
+    ) -> Option<SubMatch> {
+        let mut found = None;
+        for k in cands.clone() {
             if depth > 0 {
                 if *guesses_left == 0 {
-                    return false;
+                    break;
                 }
                 *guesses_left -= 1;
                 stats.guesses += 1;
             }
             let mark = st.mark();
-            self.do_match(st, s_v, c);
+            self.do_match(st, s_v, sc.guesses[k]);
             if st.trace.is_some() {
                 let snap = self.snapshot(st);
                 if let Some(trace) = st.trace.as_mut() {
                     trace.passes.push(snap);
                 }
             }
-            let reason = match self.refine(st, stats) {
+            let reason = match self.refine(st, sc, stats) {
                 Refined::Complete => {
+                    // The found instance needs this mapping anyway, so
+                    // it is built before the structural check.
                     let m = self.build_submatch(st);
-                    if verify_instance(self.pattern, self.main, &m, self.opts.respect_globals)
-                        .is_ok()
-                    {
-                        return true;
+                    let (pattern, main) = (self.pattern, self.main);
+                    let checked =
+                        verify_with(pattern, main, &m, self.opts.respect_globals, &mut sc.verify);
+                    if checked.is_ok() {
+                        found = Some(m);
+                        break;
                     }
                     // Label collision survived to completion: reject.
                     RejectReason::LabelConflict
@@ -965,17 +1014,19 @@ impl<'a> Phase2Runner<'a> {
                 Refined::Fail => RejectReason::UnsafePartition,
                 refined @ (Refined::Stuck | Refined::PassBudget) => {
                     let passes_out = matches!(refined, Refined::PassBudget);
-                    match self.choose_guess(st) {
-                        Some((s_next, g_cands)) => {
-                            if self.verify_image(
+                    match self.choose_guess(st, sc) {
+                        Some((s_next, next)) => {
+                            found = self.verify_image(
                                 st,
+                                sc,
                                 s_next,
-                                &g_cands,
+                                next,
                                 stats,
                                 guesses_left,
                                 depth + 1,
-                            ) {
-                                return true;
+                            );
+                            if found.is_some() {
+                                break;
                             }
                             // The pass budget is the root cause when the
                             // stall itself came from exhausting it.
@@ -1014,7 +1065,8 @@ impl<'a> Phase2Runner<'a> {
                 st.last_reject = Some(reason);
             }
         }
-        false
+        sc.guesses.truncate(cands.start);
+        found
     }
 
     /// Verifies one candidate from the candidate vector against a
@@ -1065,6 +1117,7 @@ impl<'a> Phase2Runner<'a> {
             }
         }
         let st = &mut search.state;
+        let sc = &mut search.scratch;
         st.trace = record_trace.then(Phase2Trace::default);
         st.last_reject = None;
         let base_mark = Mark {
@@ -1089,8 +1142,10 @@ impl<'a> Phase2Runner<'a> {
             }
             _ => {}
         }
-        let out = if self.verify_image(st, key, &[candidate], stats, &mut guesses_left, 0) {
-            let m = self.build_submatch(st);
+        let start = sc.guesses.len();
+        sc.guesses.push(candidate);
+        let found = self.verify_image(st, sc, key, start..start + 1, stats, &mut guesses_left, 0);
+        let out = if let Some(m) = found {
             Some((m, st.trace.take()))
         } else {
             stats.false_candidates += 1;
@@ -1166,6 +1221,7 @@ pub struct BaseState {
 /// guarantees each call leaves it back in the base configuration.
 pub struct SearchState {
     state: State,
+    scratch: Scratch,
     base_matched: usize,
 }
 

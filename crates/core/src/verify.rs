@@ -15,11 +15,29 @@
 //!   same-named global main net;
 //! * the mapping must be injective on both devices and nets.
 
-use std::collections::HashSet;
-
 use subgemini_netlist::{NetId, Netlist};
 
 use crate::instance::SubMatch;
+
+/// Reusable buffers for [`verify_with`]: once they have grown to the
+/// pattern's size, a check allocates nothing unless it fails.
+#[derive(Default)]
+pub(crate) struct VerifyScratch {
+    /// Image ids, sorted to find repeats.
+    ids: Vec<u32>,
+    /// One device's pins as `(class multiplier, net)`: the pattern
+    /// device's pins mapped through the nets, and its image's pins.
+    sp: Vec<(u64, NetId)>,
+    gp: Vec<(u64, NetId)>,
+}
+
+/// Does `ids` repeat a value? Sorts `buf` to find out.
+fn has_repeat(buf: &mut Vec<u32>, ids: impl Iterator<Item = u32>) -> bool {
+    buf.clear();
+    buf.extend(ids);
+    buf.sort_unstable();
+    buf.windows(2).any(|w| w[0] == w[1])
+}
 
 /// Checks that `m` is a genuine instance of `pattern` inside `main`.
 ///
@@ -32,6 +50,26 @@ pub fn verify_instance(
     m: &SubMatch,
     respect_globals: bool,
 ) -> Result<(), String> {
+    verify_with(
+        pattern,
+        main,
+        m,
+        respect_globals,
+        &mut VerifyScratch::default(),
+    )
+}
+
+/// [`verify_instance`] with caller-owned buffers: the check Phase II
+/// runs on every completed mapping. It reads the [`Netlist`]s, not the
+/// compiled graphs or Phase II's labels, so it stays an independent
+/// soundness check.
+pub(crate) fn verify_with(
+    pattern: &Netlist,
+    main: &Netlist,
+    m: &SubMatch,
+    respect_globals: bool,
+    scratch: &mut VerifyScratch,
+) -> Result<(), String> {
     if m.devices.len() != pattern.device_count() || m.nets.len() != pattern.net_count() {
         return Err(format!(
             "mapping covers {}/{} devices and {}/{} nets",
@@ -42,15 +80,14 @@ pub fn verify_instance(
         ));
     }
     // Injectivity.
-    let dev_set: HashSet<_> = m.devices.iter().collect();
-    if dev_set.len() != m.devices.len() {
+    if has_repeat(&mut scratch.ids, m.devices.iter().map(|d| d.raw())) {
         return Err("device mapping is not injective".into());
     }
-    let net_set: HashSet<_> = m.nets.iter().collect();
-    if net_set.len() != m.nets.len() {
+    if has_repeat(&mut scratch.ids, m.nets.iter().map(|n| n.raw())) {
         return Err("net mapping is not injective".into());
     }
     // Devices: type and class-respecting pin correspondence.
+    let VerifyScratch { sp, gp, .. } = scratch;
     for sd in pattern.device_ids() {
         let gd = m.device(sd);
         if gd.index() >= main.device_count() {
@@ -67,20 +104,23 @@ pub fn verify_instance(
                 gty.name()
             ));
         }
-        let mut sp: Vec<(u64, NetId)> = pattern
-            .device(sd)
-            .pins()
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (sty.class_multiplier(i), m.net(n)))
-            .collect();
-        let mut gp: Vec<(u64, NetId)> = main
-            .device(gd)
-            .pins()
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (gty.class_multiplier(i), n))
-            .collect();
+        sp.clear();
+        sp.extend(
+            pattern
+                .device(sd)
+                .pins()
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (sty.class_multiplier(i), m.net(n))),
+        );
+        gp.clear();
+        gp.extend(
+            main.device(gd)
+                .pins()
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (gty.class_multiplier(i), n)),
+        );
         sp.sort_unstable();
         gp.sort_unstable();
         if sp != gp {
@@ -251,6 +291,109 @@ mod tests {
         let m = identity_match(&p, &g);
         let err = verify_instance(&p, &g, &m, true).unwrap_err();
         assert!(err.contains("degree"), "{err}");
+    }
+
+    #[test]
+    fn non_injective_net_mapping_rejected() {
+        let p = inverter();
+        let g = main_with_inverter();
+        let mut m = identity_match(&p, &g);
+        let (a, y) = (p.find_net("a").unwrap(), p.find_net("y").unwrap());
+        m.nets[a.index()] = m.nets[y.index()];
+        let err = verify_instance(&p, &g, &m, true).unwrap_err();
+        assert_eq!(err, "net mapping is not injective");
+    }
+
+    #[test]
+    fn out_of_range_images_rejected() {
+        let p = inverter();
+        let g = main_with_inverter();
+        let mut m = identity_match(&p, &g);
+        m.devices[0] = DeviceId::new(99);
+        let err = verify_instance(&p, &g, &m, true).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+        // A net on no device pin reaches the net checks unchallenged.
+        let mut p = inverter();
+        p.net("iso");
+        let mut m = identity_match(&inverter(), &g);
+        m.nets.push(NetId::new(99));
+        let err = verify_instance(&p, &g, &m, true).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn same_type_device_on_wrong_nets_rejected() {
+        let p = inverter();
+        let g = main_with_inverter();
+        let mut m = identity_match(&p, &g);
+        // Input and output crossed: every device keeps its type, but
+        // gates now land on drains.
+        let (a, y) = (p.find_net("a").unwrap(), p.find_net("y").unwrap());
+        m.nets.swap(a.index(), y.index());
+        let err = verify_instance(&p, &g, &m, true).unwrap_err();
+        assert!(err.contains("do not map onto"), "{err}");
+    }
+
+    #[test]
+    fn pin_swap_within_a_class_accepted() {
+        let p = inverter();
+        // The main circuit's pmos has source and drain the other way
+        // round: one terminal class, so still an image.
+        let mut g = Netlist::new("main");
+        let mos = g.add_mos_types();
+        let (a, y, vdd, gnd) = (g.net("a"), g.net("y"), g.net("vdd"), g.net("gnd"));
+        g.mark_global(vdd);
+        g.mark_global(gnd);
+        g.add_device("mp", mos.pmos, &[a, y, vdd]).unwrap();
+        g.add_device("mn", mos.nmos, &[a, gnd, y]).unwrap();
+        let m = identity_match(&p, &g);
+        verify_instance(&p, &g, &m, true).unwrap();
+        // Gate and drain are different classes: that swap is rejected.
+        let mut g2 = Netlist::new("main");
+        let mos = g2.add_mos_types();
+        let (a, y, vdd, gnd) = (g2.net("a"), g2.net("y"), g2.net("vdd"), g2.net("gnd"));
+        g2.mark_global(vdd);
+        g2.mark_global(gnd);
+        g2.add_device("mp", mos.pmos, &[y, vdd, a]).unwrap();
+        g2.add_device("mn", mos.nmos, &[a, gnd, y]).unwrap();
+        let m = identity_match(&p, &g2);
+        assert!(verify_instance(&p, &g2, &m, true).is_err());
+    }
+
+    #[test]
+    fn a_reused_scratch_answers_like_a_fresh_one() {
+        let p = inverter();
+        let g = main_with_inverter();
+        let ok = identity_match(&p, &g);
+        let mut dup_device = ok.clone();
+        dup_device.devices[1] = dup_device.devices[0];
+        let mut swapped_types = ok.clone();
+        swapped_types.devices.swap(0, 1);
+        let mut crossed = ok.clone();
+        crossed.nets.swap(0, 1);
+        let mut far = ok.clone();
+        far.devices[1] = DeviceId::new(7);
+        let short = SubMatch {
+            devices: vec![DeviceId::new(0)],
+            nets: vec![],
+        };
+        let mut scratch = VerifyScratch::default();
+        for m in [
+            &ok,
+            &dup_device,
+            &ok,
+            &swapped_types,
+            &crossed,
+            &ok,
+            &far,
+            &short,
+            &ok,
+        ] {
+            for respect_globals in [true, false] {
+                let reused = verify_with(&p, &g, m, respect_globals, &mut scratch);
+                assert_eq!(reused, verify_instance(&p, &g, m, respect_globals), "{m:?}");
+            }
+        }
     }
 
     #[test]

@@ -196,10 +196,10 @@ pub fn load_cell_hierarchical(doc: &Doc, name: &str, label: &str) -> Result<Netl
 
 /// Elaborates every cell a deck defines, in [`Doc::cell_names`] order —
 /// the same netlists and the same first error as [`load_cell`] (or
-/// [`load_cell_hierarchical`]) per name, but a SPICE deck shares one
-/// memo across its cells, so a cell other cells instantiate is
-/// elaborated once, not once per cell that reaches it. An empty deck
-/// yields no cells.
+/// [`load_cell_hierarchical`]) per name, but the deck shares one memo
+/// across its cells, so a cell other cells instantiate is elaborated
+/// once, not once per cell that reaches it. An empty deck yields no
+/// cells.
 ///
 /// # Errors
 ///
@@ -209,11 +209,9 @@ pub fn load_cells(doc: &Doc, mode: CellMode, label: &str) -> Result<Vec<Netlist>
         Doc::Spice(d) => d
             .elaborate_cells(&mode.spice())
             .map_err(|e| format!("{label}: {e}")),
-        Doc::Verilog(_) => doc
-            .cell_names()
-            .iter()
-            .map(|name| load_cell_as(doc, name, mode, label))
-            .collect(),
+        Doc::Verilog(s) => s
+            .elaborate_cells(&mode.verilog())
+            .map_err(|e| format!("{label}: {e}")),
     }
 }
 
@@ -319,6 +317,25 @@ mod tests {
         assert_eq!(cells.len(), 2_001);
         assert!(cells.iter().all(|c| c.device_count() == 1));
         assert_eq!(cells[2_000].name(), "c2000");
+    }
+
+    #[test]
+    fn a_long_chained_verilog_library_loads_through_one_memo() {
+        let mut src = String::from("module c0(input a, output y);\nnot g(y, a);\nendmodule\n");
+        for k in 1..=2_000 {
+            src.push_str(&format!(
+                "module c{k}(input a, output y);\nc{} u1(a, y);\nendmodule\n",
+                k - 1
+            ));
+        }
+        let doc = parse_text(&src, SourceKind::Verilog, "lib").unwrap();
+        let cells = load_cells(&doc, CellMode::Flat, "lib").unwrap();
+        assert_eq!(cells.len(), 2_001);
+        assert!(cells.iter().all(|c| c.device_count() == 1));
+        assert_eq!(cells[2_000].name(), "c2000");
+        let one = load_cell(&doc, "c7", "lib").unwrap();
+        assert_eq!(cells[7].device_count(), one.device_count());
+        assert_eq!(cells[7].net_count(), one.net_count());
     }
 
     #[test]

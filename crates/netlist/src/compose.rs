@@ -9,6 +9,16 @@ use crate::error::NetlistError;
 use crate::id::{DeviceId, NetId};
 use crate::netlist::Netlist;
 
+/// The most devices a front end's flattening may create with
+/// [`instantiate`] during one elaboration, devices copied out of
+/// memoized cells included. Flattening multiplies (a deck of 40 cells,
+/// each instantiating the previous one twice, flattens to 2^40
+/// devices), so the SPICE and Verilog elaborators both stop at this
+/// bound on the work and memory a deck of any size can demand. It is a
+/// constant, not an option: it sits far above every deck in this
+/// repository and no caller needs another value.
+pub const MAX_INSTANTIATED_DEVICES: u64 = 1 << 18;
+
 /// Mapping produced by [`instantiate`]: where each cell entity landed in
 /// the parent netlist.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -70,7 +70,7 @@ mod types;
 
 pub use artifact::{structural_digest, Artifact, ArtifactError};
 pub use compiled::CompiledCircuit;
-pub use compose::{instantiate, InstantiateReport};
+pub use compose::{instantiate, InstantiateReport, MAX_INSTANTIATED_DEVICES};
 pub use dot::to_dot;
 pub use error::NetlistError;
 pub use fingerprint::{FingerprintIndex, HOP2_CAP};

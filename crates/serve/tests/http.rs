@@ -404,6 +404,58 @@ fn hostile_decks_get_answers_and_the_server_stays_up() {
     join.join().unwrap();
 }
 
+/// The Verilog twin of [`chained_deck`]: `depth` chained modules, each
+/// instantiating the previous one `fanout` times, over an inverter.
+fn chained_verilog(depth: usize, fanout: usize) -> String {
+    let mut src = String::from("module c0(input a, output y);\nnot g(y, a);\nendmodule\n");
+    for k in 1..=depth {
+        let p = k - 1;
+        let body = match fanout {
+            1 => format!("c{p} u1(a, y);\n"),
+            _ => format!("wire m;\nc{p} u1(a, m);\nc{p} u2(m, y);\n"),
+        };
+        src.push_str(&format!(
+            "module c{k}(input a, output y);\n{body}endmodule\n"
+        ));
+    }
+    src
+}
+
+#[test]
+fn hostile_verilog_decks_get_answers_and_the_server_stays_up() {
+    // Regressions: a 1,000-deep module chain overflowed a worker's
+    // stack and aborted the daemon; a source doubling at each of 20
+    // levels flattened to 2^20 devices; a chained library was
+    // elaborated once per module that reached each module.
+    let (addr, join, shutdown) = start_server(Arc::new(Engine::new()), 2);
+    let deep = chained_verilog(2_000, 1);
+    let (status, body) = call(addr, "POST", "/v1/circuits/deep?format=verilog", &deep);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(parse_json(&body).get("devices").unwrap().as_u64(), Some(1));
+
+    let bomb = chained_verilog(40, 2);
+    let (status, body) = call(addr, "POST", "/v1/circuits/bomb?format=verilog", &bomb);
+    assert_eq!(status, 400, "{body}");
+    let error = parse_json(&body)
+        .get("error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    assert!(error.contains("module `c"), "{error}");
+    assert!(error.contains("past the cap"), "{error}");
+
+    let (status, body) = call(addr, "POST", "/v1/libraries/chain?format=verilog", &deep);
+    assert_eq!(status, 200, "{body}");
+    let cells = parse_json(&body);
+    assert_eq!(cells.get("cells").unwrap().as_arr().unwrap().len(), 2_001);
+
+    let (status, _) = call(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn shutdown_drains_in_flight_searches_via_cancel() {
     use subgemini_workloads::{cells, gen};

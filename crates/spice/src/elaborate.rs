@@ -7,20 +7,13 @@
 
 use std::collections::{HashMap, HashSet};
 
-use subgemini_netlist::{instantiate, DeviceType, DeviceTypeId, NetId, Netlist, TerminalSpec};
+use subgemini_netlist::{
+    instantiate, DeviceType, DeviceTypeId, NetId, Netlist, TerminalSpec, MAX_INSTANTIATED_DEVICES,
+};
 
 use crate::card::{Card, Span};
 use crate::error::SpiceError;
 use crate::parse::SpiceDoc;
-
-/// The most devices [`instantiate`] may create during one elaboration,
-/// devices copied out of memoized cells included. Flattening multiplies
-/// (a deck of 40 subcircuits, each instantiating the previous one twice,
-/// flattens to 2^40 devices), so this bounds the work and memory a deck
-/// of any size can demand. It is a constant, not an option: it sits
-/// far above every deck in this repository and no caller needs another
-/// value.
-pub(crate) const MAX_INSTANTIATED_DEVICES: u64 = 1 << 18;
 
 /// Elaboration options.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -3,9 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use subgemini_netlist::NetlistError;
-
-use crate::elaborate::MAX_INSTANTIATED_DEVICES;
+use subgemini_netlist::{NetlistError, MAX_INSTANTIATED_DEVICES};
 
 /// Errors produced while parsing or elaborating a SPICE deck.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2,9 +2,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use subgemini_netlist::{instantiate, DeviceType, NetId, Netlist, TerminalSpec};
+use subgemini_netlist::{
+    instantiate, DeviceType, NetId, Netlist, TerminalSpec, MAX_INSTANTIATED_DEVICES,
+};
 
-use crate::ast::{is_primitive, Conns, Instance, Module, Source};
+use crate::ast::{is_primitive, Conns, Instance, Source};
 use crate::error::VerilogError;
 
 /// Elaboration options.
@@ -55,25 +57,66 @@ pub fn primitive_type(gate: &str, inputs: usize) -> DeviceType {
     DeviceType::new(name, terms)
 }
 
+/// The net named `name`, created if new and marked global if `globals`
+/// names it.
+fn net(nl: &mut Netlist, globals: &HashSet<&str>, name: &str) -> NetId {
+    let id = nl.net(name);
+    if globals.contains(name) {
+        nl.mark_global(id);
+    }
+    id
+}
+
+/// One module on the worklist: its netlist so far and the next
+/// instance to add.
+struct Frame<'a> {
+    /// Index of the module in `Source::modules`.
+    module: usize,
+    /// Its supply nets and the implicit globals.
+    globals: HashSet<&'a str>,
+    next: usize,
+    nl: Netlist,
+}
+
+/// Modules elaborate from an explicit worklist rather than by
+/// recursion, so hierarchy depth costs heap, not stack; the visiting
+/// order is the depth-first order a recursive walk would take.
 struct Elaborator<'a> {
     src: &'a Source,
     opts: &'a VerilogOptions,
-    cells: HashMap<String, Netlist>,
-    visiting: Vec<String>,
+    /// Module name → index of its first definition (the one
+    /// [`Source::module`] finds).
+    index: HashMap<&'a str, usize>,
+    /// Per module: its netlist once elaborated (flatten mode).
+    cells: Vec<Option<Netlist>>,
+    /// Per module: on the worklist now, so meeting it again is a cycle.
+    open: Vec<bool>,
+    /// Devices `instantiate` has created so far.
+    instantiated: u64,
 }
 
 impl<'a> Elaborator<'a> {
     fn new(src: &'a Source, opts: &'a VerilogOptions) -> Self {
+        let mut index = HashMap::new();
+        for (i, m) in src.modules.iter().enumerate() {
+            index.entry(m.name.as_str()).or_insert(i);
+        }
+        let n = src.modules.len();
         Self {
             src,
             opts,
-            cells: HashMap::new(),
-            visiting: Vec::new(),
+            index,
+            cells: vec![None; n],
+            open: vec![false; n],
+            instantiated: 0,
         }
     }
 
-    fn build(&mut self, m: &Module) -> Result<Netlist, VerilogError> {
-        let mut nl = Netlist::new(m.name.clone());
+    /// Starts module `i`: a fresh netlist with its ports, wires and
+    /// supplies declared.
+    fn open_module(&mut self, i: usize) -> Frame<'a> {
+        let m = &self.src.modules[i];
+        self.open[i] = true;
         let globals: HashSet<&str> = m
             .supply0
             .iter()
@@ -81,45 +124,72 @@ impl<'a> Elaborator<'a> {
             .map(String::as_str)
             .chain(self.opts.implicit_globals.iter().map(String::as_str))
             .collect();
-        let net = |nl: &mut Netlist, name: &str| -> NetId {
-            let id = nl.net(name);
-            if globals.contains(name) {
-                nl.mark_global(id);
-            }
-            id
-        };
+        let mut nl = Netlist::new(m.name.clone());
         for p in &m.ports {
-            let id = net(&mut nl, p);
+            let id = net(&mut nl, &globals, p);
             nl.mark_port(id);
         }
-        for w in &m.wires {
-            net(&mut nl, w);
+        for w in m
+            .wires
+            .iter()
+            .chain(m.supply0.iter())
+            .chain(m.supply1.iter())
+        {
+            net(&mut nl, &globals, w);
         }
-        for s in m.supply0.iter().chain(m.supply1.iter()) {
-            net(&mut nl, s);
+        Frame {
+            module: i,
+            globals,
+            next: 0,
+            nl,
         }
-        for inst in &m.instances {
-            self.add_instance(&mut nl, m, inst, &globals)?;
-        }
-        // Wires may be declared but unused; match the SPICE pipeline's
-        // normalization and drop them.
-        Ok(nl.compact())
     }
 
+    /// Elaborates module `root`, first elaborating each module it
+    /// flattens the first time one of its instances needs it.
+    fn run(&mut self, root: usize) -> Result<Netlist, VerilogError> {
+        let mut stack = vec![self.open_module(root)];
+        loop {
+            let frame = stack.last_mut().expect("the root stays until it returns");
+            if let Some(inst) = self.src.modules[frame.module].instances.get(frame.next) {
+                match self.add_instance(&mut frame.nl, &frame.globals, inst)? {
+                    None => frame.next += 1,
+                    Some(sub) => {
+                        let child = self.open_module(sub);
+                        stack.push(child);
+                    }
+                }
+                continue;
+            }
+            let done = stack.pop().expect("checked above");
+            self.open[done.module] = false;
+            // Wires may be declared but unused; match the SPICE
+            // pipeline's normalization and drop them.
+            let nl = done.nl.compact();
+            if stack.is_empty() {
+                return Ok(nl);
+            }
+            self.cells[done.module] = Some(nl);
+        }
+    }
+
+    /// Module `i`'s netlist, elaborated on first use and memoized.
+    fn cell(&mut self, i: usize) -> Result<&Netlist, VerilogError> {
+        if self.cells[i].is_none() {
+            let nl = self.run(i)?;
+            self.cells[i] = Some(nl);
+        }
+        Ok(self.cells[i].as_ref().expect("elaborated above"))
+    }
+
+    /// Adds one instance to `nl`, or returns the module a flattened
+    /// instance needs elaborated first (the instance is then retried).
     fn add_instance(
         &mut self,
         nl: &mut Netlist,
-        parent: &Module,
-        inst: &Instance,
         globals: &HashSet<&str>,
-    ) -> Result<(), VerilogError> {
-        let resolve = |nl: &mut Netlist, name: &str| -> NetId {
-            let id = nl.net(name);
-            if globals.contains(name) {
-                nl.mark_global(id);
-            }
-            id
-        };
+        inst: &Instance,
+    ) -> Result<Option<usize>, VerilogError> {
         if is_primitive(&inst.module) {
             let Conns::Positional(nets) = &inst.conns else {
                 return Err(VerilogError::Parse {
@@ -150,11 +220,11 @@ impl<'a> Elaborator<'a> {
                 });
             }
             let ty = nl.add_type(primitive_type(&inst.module, nets.len() - 1))?;
-            let pins: Vec<NetId> = nets.iter().map(|n| resolve(nl, n)).collect();
+            let pins: Vec<NetId> = nets.iter().map(|n| net(nl, globals, n)).collect();
             nl.add_device(inst.name.clone(), ty, &pins)?;
-            return Ok(());
+            return Ok(None);
         }
-        let Some(def) = self.src.module(&inst.module) else {
+        let Some(&sub) = self.index.get(inst.module.as_str()) else {
             // Unknown module: with *named* connections we can still
             // synthesize a composite device type from the port names —
             // this lets a single gate-level module (as written by
@@ -171,16 +241,17 @@ impl<'a> Elaborator<'a> {
                         detail,
                     },
                 )?)?;
-                let pins: Vec<NetId> = pairs.iter().map(|(_, n)| resolve(nl, n)).collect();
+                let pins: Vec<NetId> = pairs.iter().map(|(_, n)| net(nl, globals, n)).collect();
                 nl.add_device(inst.name.clone(), ty, &pins)?;
-                return Ok(());
+                return Ok(None);
             }
             return Err(VerilogError::UnknownModule {
                 name: inst.module.clone(),
             });
         };
+        let def = &self.src.modules[sub];
         // Order the connection nets by the module's port order.
-        let ordered: Vec<String> = match &inst.conns {
+        let ordered: Vec<&str> = match &inst.conns {
             Conns::Positional(nets) => {
                 if nets.len() != def.ports.len() {
                     return Err(VerilogError::PortCountMismatch {
@@ -189,7 +260,7 @@ impl<'a> Elaborator<'a> {
                         got: nets.len(),
                     });
                 }
-                nets.clone()
+                nets.iter().map(String::as_str).collect()
             }
             Conns::Named(pairs) => {
                 let map: HashMap<&str, &str> = pairs
@@ -211,16 +282,28 @@ impl<'a> Elaborator<'a> {
                         got: map.len(),
                     });
                 }
-                def.ports
-                    .iter()
-                    .map(|p| map[p.as_str()].to_string())
-                    .collect()
+                def.ports.iter().map(|p| map[p.as_str()]).collect()
             }
         };
         if self.opts.flatten {
-            let cell = self.cell(&inst.module)?.clone();
-            let bindings: Vec<NetId> = ordered.iter().map(|n| resolve(nl, n)).collect();
-            instantiate(nl, &cell, &inst.name, &bindings)?;
+            let Some(cell) = &self.cells[sub] else {
+                if self.open[sub] {
+                    return Err(VerilogError::RecursiveModule {
+                        name: inst.module.clone(),
+                    });
+                }
+                return Ok(Some(sub));
+            };
+            let devices = self.instantiated + cell.device_count() as u64;
+            if devices > MAX_INSTANTIATED_DEVICES {
+                return Err(VerilogError::ExpansionLimit {
+                    name: inst.module.clone(),
+                    devices,
+                });
+            }
+            let bindings: Vec<NetId> = ordered.iter().map(|n| net(nl, globals, n)).collect();
+            instantiate(nl, cell, &inst.name, &bindings)?;
+            self.instantiated = devices;
         } else {
             let terms: Vec<TerminalSpec> = def
                 .ports
@@ -233,32 +316,10 @@ impl<'a> Elaborator<'a> {
                     detail,
                 },
             )?)?;
-            let pins: Vec<NetId> = ordered.iter().map(|n| resolve(nl, n)).collect();
+            let pins: Vec<NetId> = ordered.iter().map(|n| net(nl, globals, n)).collect();
             nl.add_device(inst.name.clone(), ty, &pins)?;
         }
-        let _ = parent;
-        Ok(())
-    }
-
-    fn cell(&mut self, name: &str) -> Result<&Netlist, VerilogError> {
-        if self.cells.contains_key(name) {
-            return Ok(&self.cells[name]);
-        }
-        if self.visiting.iter().any(|v| v == name) {
-            return Err(VerilogError::RecursiveModule {
-                name: name.to_string(),
-            });
-        }
-        let Some(def) = self.src.module(name) else {
-            return Err(VerilogError::UnknownModule {
-                name: name.to_string(),
-            });
-        };
-        self.visiting.push(name.to_string());
-        let built = self.build(&def.clone())?;
-        self.visiting.pop();
-        self.cells.insert(name.to_string(), built);
-        Ok(&self.cells[name])
+        Ok(None)
     }
 }
 
@@ -268,7 +329,8 @@ impl Source {
     ///
     /// # Errors
     ///
-    /// Unknown/recursive modules, port mismatches, netlist errors.
+    /// Unknown/recursive modules, port mismatches, flattening past
+    /// [`VerilogError::ExpansionLimit`]'s cap, netlist errors.
     ///
     /// # Examples
     ///
@@ -300,7 +362,39 @@ impl Source {
             })?,
         };
         let mut el = Elaborator::new(self, opts);
-        el.build(module)
+        el.run(el.index[module.name.as_str()])
+    }
+
+    /// Elaborates every module, in definition order, through one memo:
+    /// a module other modules instantiate is elaborated once for the
+    /// whole source, not once per module that reaches it. Equivalent to
+    /// calling [`Source::elaborate`] on each name in turn, including
+    /// which error comes first.
+    ///
+    /// # Errors
+    ///
+    /// As [`Source::elaborate`]; the device cap counts the whole source.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use subgemini_verilog::{parse, VerilogOptions};
+    ///
+    /// let src = parse(
+    ///     "module inv(input a, output y);\nnot g(y, a);\nendmodule\n\
+    ///      module buf2(input a, output y);\nwire m;\ninv u1(a, m);\ninv u2(m, y);\nendmodule\n",
+    /// )?;
+    /// let cells = src.elaborate_cells(&VerilogOptions::default())?;
+    /// let sizes: Vec<usize> = cells.iter().map(|c| c.device_count()).collect();
+    /// assert_eq!(sizes, [1, 2]);
+    /// # Ok::<(), subgemini_verilog::VerilogError>(())
+    /// ```
+    pub fn elaborate_cells(&self, opts: &VerilogOptions) -> Result<Vec<Netlist>, VerilogError> {
+        let mut el = Elaborator::new(self, opts);
+        self.modules
+            .iter()
+            .map(|m| el.cell(el.index[m.name.as_str()]).cloned())
+            .collect()
     }
 }
 
@@ -392,7 +486,19 @@ endmodule
         let err = src
             .elaborate(Some("top"), &VerilogOptions::default())
             .unwrap_err();
-        assert!(matches!(err, VerilogError::RecursiveModule { .. }));
+        assert_eq!(err, VerilogError::RecursiveModule { name: "a".into() });
+        // A module instantiating itself.
+        let src = parse("module a(input x);\na u(x);\nendmodule\n").unwrap();
+        let err = src.elaborate(Some("a"), &VerilogOptions::default());
+        assert_eq!(
+            err.unwrap_err(),
+            VerilogError::RecursiveModule { name: "a".into() }
+        );
+        let err = src.elaborate_cells(&VerilogOptions::default());
+        assert_eq!(
+            err.unwrap_err(),
+            VerilogError::RecursiveModule { name: "a".into() }
+        );
     }
 
     #[test]
@@ -410,5 +516,123 @@ endmodule
         let m = src2.elaborate(None, &VerilogOptions::default()).unwrap();
         let gnd = m.find_net("gnd").unwrap();
         assert!(m.net_ref(gnd).is_global());
+    }
+
+    /// `depth` chained modules, each instantiating the previous one
+    /// `fanout` times, over one inverter.
+    fn chain(depth: usize, fanout: usize) -> String {
+        let mut src = String::from("module c0(input a, output y);\nnot g(y, a);\nendmodule\n");
+        for k in 1..=depth {
+            let p = k - 1;
+            let body = match fanout {
+                1 => format!("c{p} u1(a, y);\n"),
+                _ => format!("wire m;\nc{p} u1(a, m);\nc{p} u2(m, y);\n"),
+            };
+            src.push_str(&format!(
+                "module c{k}(input a, output y);\n{body}endmodule\n"
+            ));
+        }
+        src
+    }
+
+    /// Devices (name, type, pins), nets (name, flags) and ports, in order.
+    fn canonical(nl: &Netlist) -> String {
+        let mut out = format!("{} {:?}\n", nl.name(), nl.device_types());
+        for d in nl.device_ids() {
+            let dev = nl.device(d);
+            out.push_str(&format!(
+                "{} {} {:?}\n",
+                dev.name(),
+                dev.type_id(),
+                dev.pins()
+            ));
+        }
+        for n in nl.net_ids() {
+            let net = nl.net_ref(n);
+            out.push_str(&format!(
+                "{} {} {}\n",
+                net.name(),
+                net.is_global(),
+                net.is_port()
+            ));
+        }
+        out + &format!("{:?}", nl.ports())
+    }
+
+    #[test]
+    fn deep_chain_elaborates_without_deep_stack() {
+        let src = parse(&chain(2_000, 1)).unwrap();
+        // A recursive walk needs stack frames per level; 256 KiB would
+        // not hold 2,000 of them.
+        let worker = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || src.elaborate(None, &VerilogOptions::default()))
+            .unwrap();
+        let top = worker.join().unwrap().unwrap();
+        assert_eq!(top.name(), "c2000");
+        assert_eq!(top.device_count(), 1);
+        let name = top.device(top.device_ids().next().unwrap()).name();
+        assert_eq!(name.len(), "u1.".len() * 2_000 + "g".len());
+    }
+
+    #[test]
+    fn doubling_source_hits_the_expansion_cap() {
+        // c_k instantiates c_{k-1} twice: c40 would flatten to 2^40.
+        let src = parse(&chain(40, 2)).unwrap();
+        let err = src.elaborate(None, &VerilogOptions::default()).unwrap_err();
+        // With the cap at 2^b, c1..c(b-1) instantiate 2^b - 2 devices;
+        // cb's first copy of c(b-1) (2^(b-1) devices) crosses the cap.
+        let cap = MAX_INSTANTIATED_DEVICES;
+        let want = VerilogError::ExpansionLimit {
+            name: format!("c{}", cap.trailing_zeros() - 1),
+            devices: cap - 2 + cap / 2,
+        };
+        assert_eq!(err, want);
+        assert!(err.to_string().contains("module `c"), "{err}");
+        assert!(err.to_string().contains(&cap.to_string()), "{err}");
+        // The library path counts the same way.
+        let lib = src.elaborate_cells(&VerilogOptions::default());
+        assert_eq!(lib.unwrap_err(), err);
+        // Hierarchical elaboration never flattens, so it is unaffected.
+        let hier = src
+            .elaborate(None, &VerilogOptions::hierarchical())
+            .unwrap();
+        assert_eq!(hier.device_count(), 2);
+    }
+
+    #[test]
+    fn elaborate_cells_matches_module_by_module() {
+        let text = format!(
+            "{}{SRC}module inv(input a, output y);\nbuf g(y, a);\nendmodule\n\
+             module pair(input a, output b);\ninv u1(a, b);\nc3 u2(.a(b), .y(a));\nendmodule\n",
+            chain(3, 1)
+        );
+        let src = parse(&text).unwrap();
+        for opts in [VerilogOptions::default(), VerilogOptions::hierarchical()] {
+            let all = src.elaborate_cells(&opts).unwrap();
+            assert_eq!(all.len(), src.modules.len());
+            for (cell, m) in all.iter().zip(&src.modules) {
+                let one = src.elaborate(Some(&m.name), &opts).unwrap();
+                assert_eq!(canonical(cell), canonical(&one), "{}", m.name);
+            }
+        }
+        // `inv` is defined twice: both positions get the first body.
+        let all = src.elaborate_cells(&VerilogOptions::default()).unwrap();
+        assert_eq!(canonical(&all[4]), canonical(&all[6]));
+        assert!(all[6].find_device("g").is_some());
+        assert_eq!(all[6].device_types()[0].name(), "$not");
+        // The first failing module's error comes first.
+        let bad = parse(
+            "module ok(input a);\nnot g(a, a);\nendmodule\n\
+             module bad(input a);\nnosuch u(a);\nendmodule\n\
+             module worse(input a);\nworse u(a);\nendmodule\n",
+        )
+        .unwrap();
+        assert_eq!(
+            bad.elaborate_cells(&VerilogOptions::default()).unwrap_err(),
+            VerilogError::UnknownModule {
+                name: "nosuch".into()
+            }
+        );
     }
 }

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use subgemini_netlist::NetlistError;
+use subgemini_netlist::{NetlistError, MAX_INSTANTIATED_DEVICES};
 
 /// Errors produced while parsing or elaborating a Verilog source.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +56,14 @@ pub enum VerilogError {
         /// Connections supplied.
         got: usize,
     },
+    /// Flattening would make `instantiate` create more devices in one
+    /// elaboration than the fixed cap allows (an expansion bomb).
+    ExpansionLimit {
+        /// The module whose instance would cross the cap.
+        name: String,
+        /// Devices the elaboration would have instantiated with it.
+        devices: u64,
+    },
     /// An underlying netlist construction error.
     Netlist(NetlistError),
 }
@@ -89,6 +97,11 @@ impl fmt::Display for VerilogError {
             } => write!(
                 f,
                 "instance `{instance}` supplies {got} connections but the module has {expected} ports"
+            ),
+            VerilogError::ExpansionLimit { name, devices } => write!(
+                f,
+                "instantiating module `{name}` would flatten to {devices} devices, \
+                 past the cap of {MAX_INSTANTIATED_DEVICES}"
             ),
             VerilogError::Netlist(e) => write!(f, "netlist error: {e}"),
         }
