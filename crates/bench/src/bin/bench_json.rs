@@ -548,61 +548,6 @@ fn sharded(scale: usize, threads: usize) -> Value {
     ])
 }
 
-/// Hierarchy reconstruction economics (EXPERIMENTS.md E18): the
-/// fixpoint driver over a generated 3-level chip. Ground truth is
-/// planted per level, so every count is asserted — the section records
-/// what bottom-up reconstruction costs, not whether it works.
-fn hierarchize_section(scale: usize, threads: usize) -> Value {
-    let chip = gen::hierarchical_chip(18, 3, 2_000 * scale.max(1));
-    let mut options = MatchOptions::extraction();
-    options.threads = threads;
-    let t0 = std::time::Instant::now();
-    let outcome = subgemini::hier::hierarchize(&chip.generated.netlist, &chip.library, &options)
-        .expect("hierarchize runs");
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    assert_eq!(outcome.report.unabsorbed_devices, 0, "full absorption");
-    for (cell, &want) in &chip.expected {
-        assert_eq!(
-            outcome.report.count_of(cell),
-            want,
-            "planted count for {cell}"
-        );
-    }
-    let levels = outcome
-        .report
-        .levels
-        .iter()
-        .map(|l| {
-            Value::Obj(vec![
-                ("level".into(), Value::int(l.level as u64)),
-                (
-                    "cells".into(),
-                    Value::Arr(
-                        l.per_cell
-                            .iter()
-                            .map(|(c, n)| {
-                                Value::Obj(vec![
-                                    ("cell".into(), Value::Str(c.clone())),
-                                    ("found".into(), Value::int(*n as u64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    Value::Obj(vec![
-        (
-            "main_devices".into(),
-            Value::int(chip.generated.netlist.device_count() as u64),
-        ),
-        ("sweeps".into(), Value::int(outcome.report.sweeps as u64)),
-        ("wall_ns".into(), Value::int(wall_ns)),
-        ("levels".into(), Value::Arr(levels)),
-    ])
-}
-
 /// Sum of `compile_ns + phase1_refine_ns + phase1_select_ns` across a
 /// report's linearity rows. A missing `compile_ns` (pre-CSR baselines)
 /// counts as zero.
@@ -664,8 +609,6 @@ fn main() {
     let obs = observability(scale, threads);
     eprintln!("bench_json: sharded dispatch walls...");
     let shard = sharded(scale, threads);
-    eprintln!("bench_json: hierarchy reconstruction...");
-    let hier = hierarchize_section(scale, threads);
     let mut fields = vec![
         ("schema_version".into(), Value::int(REPORT_SCHEMA_VERSION)),
         (
@@ -686,9 +629,6 @@ fn main() {
         // Additive since schema v1: unsharded vs 2/4/8-shard walls on
         // the 10^5-device tiled-chip tier (EXPERIMENTS.md E17).
         ("sharded".into(), shard),
-        // Additive since schema v1: per-level hierarchy reconstruction
-        // over a planted 3-level chip (EXPERIMENTS.md E18).
-        ("hierarchize".into(), hier),
     ];
     if with_budget_curve {
         eprintln!("bench_json: budget curve...");

@@ -109,9 +109,8 @@ impl CancelToken {
     }
 }
 
-/// Identity comparison (same shared flag), mirroring `ProgressHook`:
-/// tokens have no meaningful value equality, and `MatchOptions` must
-/// stay `Eq`.
+/// Identity comparison (same shared flag): tokens have no meaningful
+/// value equality, and `MatchOptions` must stay `Eq`.
 impl PartialEq for CancelToken {
     fn eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)

@@ -9,13 +9,12 @@
 //! discipline that prevents an inverter from eating half of every NAND.
 //!
 //! Each round matches one cell with
-//! [`OverlapPolicy::ClaimDevices`](crate::OverlapPolicy) and rebuilds
-//! the netlist with every found instance collapsed into a composite
-//! device whose type carries inferred port-symmetry classes, so a later
-//! (gate-level) match can treat NAND inputs as interchangeable.
+//! [`OverlapPolicy::ClaimDevices`](crate::OverlapPolicy) and collapses
+//! every found instance, in place, into a composite device whose type
+//! carries inferred port-symmetry classes, so a later (gate-level)
+//! match can treat NAND inputs as interchangeable.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use subgemini_netlist::{CompiledCircuit, DeviceId, Netlist, NetlistError};
@@ -227,22 +226,35 @@ impl Extractor {
     /// instances with composite devices, and returns the gate-level
     /// netlist plus a report.
     ///
-    /// The input netlist is never cloned wholesale: rounds that find
-    /// nothing match against the borrowed input (or the previous
-    /// round's rebuild), reusing one compiled CSR snapshot and one
-    /// Phase I label trace. Only a round that actually replaced
-    /// instances rebuilds — and thus recompiles — the netlist.
+    /// Rounds that find nothing match against the borrowed input (or
+    /// the netlist as the last replacing round left it), reusing one
+    /// compiled CSR snapshot and one Phase I label trace. The first
+    /// round that replaces instances copies the input once; every
+    /// replacing round collapses that copy in place
+    /// ([`Netlist::collapse`]), and the next round recompiles it.
     ///
     /// # Errors
     ///
-    /// Propagates netlist construction errors from the rebuild (only
-    /// possible if input names collide with generated composite names).
+    /// Propagates netlist errors from the collapse (only possible if
+    /// input names collide with generated composite names).
     pub fn extract(&self, main: &Netlist) -> Result<(Netlist, ExtractReport), NetlistError> {
-        use crate::metrics::{
-            ExtractCellMetrics, ExtractMetrics, MetricsReport, PhaseTimer, ProgressEvent,
-        };
+        self.run(Cow::Borrowed(main))
+    }
+
+    /// [`Extractor::extract`] over a netlist the caller gives up, so
+    /// even the first replacing round collapses it without a copy: the
+    /// hierarchizer threads its one working netlist through every round
+    /// this way.
+    pub(crate) fn extract_owned(
+        &self,
+        main: Netlist,
+    ) -> Result<(Netlist, ExtractReport), NetlistError> {
+        self.run(Cow::Owned(main))
+    }
+
+    fn run(&self, mut current: Cow<'_, Netlist>) -> Result<(Netlist, ExtractReport), NetlistError> {
+        use crate::metrics::{ExtractCellMetrics, ExtractMetrics, MetricsReport, PhaseTimer};
         let collect = self.options.collect_metrics;
-        let progress = self.options.on_progress.as_ref();
         let total_timer = collect.then(PhaseTimer::start);
         let mut cells: Vec<&Netlist> = self.cells.iter().collect();
         // Largest first; ties broken by name for determinism.
@@ -251,12 +263,15 @@ impl Extractor {
                 .cmp(&a.device_count())
                 .then_with(|| a.name().cmp(b.name()))
         });
-        let mut current: Cow<'_, Netlist> = Cow::Borrowed(main);
         let mut compiled_main: Option<CompiledMain> = None;
         let mut report = ExtractReport::default();
         let mut metrics = collect.then(ExtractMetrics::default);
-        let n_cells = cells.len();
-        for (ci, cell) in cells.into_iter().enumerate() {
+        // A collapse keeps survivors in order and appends composites, so
+        // the input devices still alive are always the prefix
+        // `0..inputs_alive` of the device list and this run's composites
+        // its tail.
+        let mut inputs_alive = current.device_count();
+        for cell in cells {
             // Cooperative cancellation between cell rounds: already
             // extracted cells keep their composites, unstarted cells
             // simply never run (visible as absent `per_cell` entries).
@@ -267,13 +282,6 @@ impl Extractor {
                 .is_some_and(crate::budget::CancelToken::is_cancelled)
             {
                 break;
-            }
-            if let Some(hook) = progress {
-                hook.call(&ProgressEvent::ExtractCellStarted {
-                    cell: cell.name().to_string(),
-                    index: ci,
-                    total: n_cells,
-                });
             }
             assert_no_isolated_nets(cell);
             let match_timer = collect.then(PhaseTimer::start);
@@ -324,13 +332,19 @@ impl Extractor {
             report.per_cell.push((cell.name().to_string(), found));
             let replace_timer = collect.then(PhaseTimer::start);
             if found > 0 {
-                current = Cow::Owned(replace_instances(
-                    &current,
+                inputs_alive -= outcome
+                    .instances
+                    .iter()
+                    .flat_map(|m| &m.devices)
+                    .filter(|d| d.index() < inputs_alive)
+                    .count();
+                replace_instances(
+                    current.to_mut(),
                     cell,
                     &outcome.instances,
                     &mut report,
                     self.composite_offset,
-                )?);
+                )?;
                 // The netlist changed; the next round must recompile.
                 compiled_main = None;
             }
@@ -343,97 +357,49 @@ impl Extractor {
                     match_metrics: outcome.metrics.take(),
                 });
             }
-            if let Some(hook) = progress {
-                hook.call(&ProgressEvent::ExtractCellFinished {
-                    cell: cell.name().to_string(),
-                    found,
-                });
-            }
         }
         if let (Some(m), Some(t)) = (metrics.as_mut(), total_timer) {
             m.total_ns = t.elapsed_ns();
         }
         report.metrics = metrics;
         // A device is absorbed exactly when it *is* one of this run's
-        // composites. Comparing type names against cell names would
-        // misclassify input devices whose type happens to share a
-        // library cell's name — the normal state of a partially
-        // extracted netlist fed back in.
-        let composite_names: HashSet<&str> =
-            report.instances.iter().map(|i| i.device.as_str()).collect();
-        report.unabsorbed_devices = current
-            .device_ids()
-            .filter(|&d| !composite_names.contains(current.device(d).name()))
-            .count();
+        // composites, so the residue is the surviving input devices.
+        // Comparing type names against cell names would misclassify input
+        // devices whose type happens to share a library cell's name — the
+        // normal state of a partially extracted netlist fed back in.
+        report.unabsorbed_devices = inputs_alive;
         Ok((current.into_owned(), report))
     }
 }
 
-/// Rebuilds `main` with each instance collapsed into a composite
-/// device.
+/// Collapses each instance of `cell` in `main` into a composite device
+/// named `cell#k`, numbering on from the composites already reported.
 fn replace_instances(
-    main: &Netlist,
+    main: &mut Netlist,
     cell: &Netlist,
     instances: &[SubMatch],
     report: &mut ExtractReport,
     composite_offset: usize,
-) -> Result<Netlist, NetlistError> {
-    let mut absorbed: HashSet<DeviceId> = HashSet::new();
-    for m in instances {
-        absorbed.extend(m.devices.iter().copied());
-    }
-    let mut out = Netlist::new(main.name().to_string());
-    // Copy surviving devices (nets come into being lazily, by name, so
-    // interior nets of collapsed instances vanish).
-    let carry_net = |out: &mut Netlist, name: &str, is_global: bool, is_port: bool| {
-        let id = out.net(name);
-        if is_global {
-            out.mark_global(id);
-        }
-        if is_port {
-            out.mark_port(id);
-        }
-        id
-    };
-    for d in main.device_ids() {
-        if absorbed.contains(&d) {
-            continue;
-        }
-        let dev = main.device(d);
-        let ty = out.add_type(main.device_type(dev.type_id()).clone())?;
-        let pins: Vec<_> = dev
-            .pins()
-            .iter()
-            .map(|&n| {
-                let net = main.net_ref(n);
-                carry_net(&mut out, net.name(), net.is_global(), net.is_port())
-            })
-            .collect();
-        out.add_device(dev.name().to_string(), ty, &pins)?;
-    }
-    // Add the composites.
-    let comp = out.add_type(composite_type(cell))?;
+) -> Result<(), NetlistError> {
+    let absorbed: Vec<DeviceId> = instances
+        .iter()
+        .flat_map(|m| m.devices.iter().copied())
+        .collect();
     let start = composite_offset + report.instances.len();
+    let mut composites = Vec::with_capacity(instances.len());
     for (i, m) in instances.iter().enumerate() {
         let name = format!("{}#{}", cell.name(), start + i);
-        let pins: Vec<_> = m
-            .port_images(cell)
-            .iter()
-            .map(|&n| {
-                let net = main.net_ref(n);
-                carry_net(&mut out, net.name(), net.is_global(), net.is_port())
-            })
-            .collect();
-        out.add_device(name.clone(), comp, &pins)?;
+        // Absorbed names are read before the collapse frees them.
         report.instances.push(ExtractedInstance {
             cell: cell.name().to_string(),
-            device: name,
+            device: name.clone(),
             absorbed: m
                 .devices
                 .iter()
                 .map(|&d| main.device(d).name().to_string())
                 .collect(),
         });
+        composites.push((name, m.port_images(cell)));
     }
-    Ok(out)
+    main.collapse(&absorbed, composite_type(cell), composites)
 }

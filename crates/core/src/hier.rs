@@ -78,7 +78,8 @@ pub enum HierError {
     },
     /// The sweep cap was hit without reaching a fixpoint.
     NoFixpoint(usize),
-    /// A netlist rebuild failed (name or type collision).
+    /// Normalizing a cell or collapsing found instances failed (a name
+    /// or type collision).
     Netlist(NetlistError),
 }
 
@@ -369,7 +370,7 @@ impl Hierarchizer {
     /// [`HierError::DuplicateCell`] on name clashes,
     /// [`HierError::Cycle`] when references are not a DAG,
     /// [`HierError::PortArity`] on pin-count mismatches, and
-    /// [`HierError::Netlist`] if a rebuild fails.
+    /// [`HierError::Netlist`] if normalizing a cell fails.
     pub fn new(cells: &[Netlist]) -> Result<Self, HierError> {
         let mut index: HashMap<&str, usize> = HashMap::new();
         for (i, c) in cells.iter().enumerate() {
@@ -442,7 +443,7 @@ impl Hierarchizer {
     ///
     /// # Errors
     ///
-    /// [`HierError::Netlist`] from a rebuild, or
+    /// [`HierError::Netlist`] from a collapse, or
     /// [`HierError::NoFixpoint`] if the sweep cap is hit.
     pub fn run(&self, flat: &Netlist) -> Result<HierarchyOutcome, HierError> {
         self.run_observed(flat, |_| {})
@@ -475,6 +476,7 @@ impl Hierarchizer {
         let mut per_level: Vec<BTreeMap<String, usize>> = vec![BTreeMap::new(); self.levels.len()];
         let mut truncated: Vec<usize> = vec![0; self.levels.len()];
         let mut all_instances: Vec<ExtractedInstance> = Vec::new();
+        // The one copy of the design: every round collapses it in place.
         let mut current = flat.clone();
         let mut sweeps = 0usize;
         loop {
@@ -485,7 +487,7 @@ impl Hierarchizer {
             let mut replaced_this_sweep = 0usize;
             for (li, ex) in extractors.iter_mut().enumerate() {
                 ex.set_composite_offset(all_instances.len());
-                let (next, rep) = ex.extract(&current)?;
+                let (next, rep) = ex.extract_owned(current)?;
                 for (cell, n) in &rep.per_cell {
                     *per_level[li].entry(cell.clone()).or_insert(0) += n;
                 }

@@ -80,7 +80,7 @@ pub use events::{Event, EventJournal, EventKind, EventScope, ExplainReport, Reje
 pub use extract::{ExtractReport, ExtractedInstance, Extractor};
 pub use instance::{MatchOutcome, Phase1Stats, Phase2Stats, SubMatch};
 pub use matcher::{find_all, find_all_many, Matcher};
-pub use metrics::{Counters, Histogram, MetricsReport, ProgressEvent, ProgressHook};
+pub use metrics::{Counters, Histogram, MetricsReport};
 pub use options::{KeyPolicy, MatchOptions, OverlapPolicy, Phase2Scheduler, PrunePolicy, WarmMain};
 pub use rules::{RuleChecker, RuleViolation};
 pub use shard::{ShardPlan, ShardPolicy};

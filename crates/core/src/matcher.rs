@@ -15,7 +15,7 @@ use subgemini_netlist::{CompiledCircuit, DeviceId, FingerprintIndex, Netlist};
 use crate::budget::{effort_of, Completeness, Governor, SharedGovernor, TruncationReason};
 use crate::events::{EventBuffer, EventJournal, EventKind, RejectTally};
 use crate::instance::{MatchOutcome, SubMatch};
-use crate::metrics::{Histogram, MetricsReport, PhaseTimer, ProgressEvent};
+use crate::metrics::{Histogram, MetricsReport, PhaseTimer};
 use crate::options::{MatchOptions, OverlapPolicy, Phase2Scheduler, PrunePolicy};
 use crate::phase1;
 use crate::phase2::{CandidateTiming, Phase2Runner};
@@ -338,7 +338,6 @@ pub(crate) fn find_all_compiled(
     // ungoverned build.
     let mut governor = Governor::from_options(options);
     let collect = options.collect_metrics;
-    let progress = options.on_progress.as_ref();
     let main_nl: &Netlist = &prepared.netlist;
 
     // The pattern is compiled once per search (it is tiny next to G).
@@ -352,12 +351,6 @@ pub(crate) fn find_all_compiled(
     let pattern_compile_ns = compile_timer.map_or(0, |t| t.elapsed_ns());
 
     // ---- Phase I ----
-    if let Some(hook) = progress {
-        hook.call(&ProgressEvent::Phase1Started {
-            pattern_devices: pattern_nl.device_count(),
-            main_devices: main_nl.device_count(),
-        });
-    }
     // One serial buffer for Phase I / pre-match events; worker buffers
     // are created inside their search states and merged at the end.
     let mut p1_events = options
@@ -408,12 +401,6 @@ pub(crate) fn find_all_compiled(
     }
     outcome.phase1 = p1.stats;
     outcome.key = p1.key;
-    if let Some(hook) = progress {
-        hook.call(&ProgressEvent::Phase1Finished {
-            iterations: outcome.phase1.iterations,
-            cv_size: outcome.phase1.cv_size,
-        });
-    }
     let Some(key) = p1.key else {
         if let Some(reason) = p1.interrupted {
             // Refinement itself was cut short: no candidate was ever
@@ -916,13 +903,6 @@ pub(crate) fn find_all_compiled(
                 }
             };
             checked += 1;
-            if let Some(hook) = progress {
-                hook.call(&ProgressEvent::CandidateChecked {
-                    index: i,
-                    total: n,
-                    matched: verified.is_some(),
-                });
-            }
             let Some((m, t)) = verified else {
                 continue;
             };
@@ -960,11 +940,6 @@ pub(crate) fn find_all_compiled(
                 p2_trace = t;
             }
             outcome.instances.push(m);
-            if let Some(hook) = progress {
-                hook.call(&ProgressEvent::InstanceFound {
-                    count: outcome.instances.len(),
-                });
-            }
         }
     };
     let mut merge_ns = 0u64;

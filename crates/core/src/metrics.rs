@@ -1,5 +1,5 @@
-//! Observability: phase timers, a counter registry, progress events,
-//! and a machine-readable report.
+//! Observability: phase timers, a counter registry, and a
+//! machine-readable report.
 //!
 //! Collection is opt-in via
 //! [`MatchOptions::collect_metrics`](crate::MatchOptions): when off
@@ -16,7 +16,6 @@
 //! binary) and by tests that check schema stability.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::instance::MatchOutcome;
@@ -306,90 +305,6 @@ pub struct ExtractCellMetrics {
     /// The match's own [`MetricsReport`].
     pub match_metrics: Option<MetricsReport>,
 }
-
-/// A progress notification from the matcher or extractor.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ProgressEvent {
-    /// Phase I is starting.
-    Phase1Started {
-        /// Devices in the pattern.
-        pattern_devices: usize,
-        /// Devices in the main circuit.
-        main_devices: usize,
-    },
-    /// Phase I finished and produced a candidate vector.
-    Phase1Finished {
-        /// Relabeling iterations executed.
-        iterations: usize,
-        /// Candidate-vector size (0 when proven empty).
-        cv_size: usize,
-    },
-    /// One candidate has been fully processed (post-verification).
-    CandidateChecked {
-        /// Index in the candidate vector.
-        index: usize,
-        /// Candidate-vector size.
-        total: usize,
-        /// Whether the candidate verified into an instance.
-        matched: bool,
-    },
-    /// A new (deduplicated, unclaimed) instance was accepted.
-    InstanceFound {
-        /// Instances accepted so far, including this one.
-        count: usize,
-    },
-    /// The extractor is starting a library cell.
-    ExtractCellStarted {
-        /// Cell name.
-        cell: String,
-        /// Index in largest-first processing order.
-        index: usize,
-        /// Number of library cells.
-        total: usize,
-    },
-    /// The extractor finished a library cell.
-    ExtractCellFinished {
-        /// Cell name.
-        cell: String,
-        /// Instances found for this cell.
-        found: usize,
-    },
-}
-
-/// A shareable progress callback
-/// ([`MatchOptions::on_progress`](crate::MatchOptions)).
-///
-/// Equality is pointer identity (two hooks are equal iff they share the
-/// same closure), which keeps `MatchOptions` comparable.
-#[derive(Clone)]
-pub struct ProgressHook(Arc<dyn Fn(&ProgressEvent) + Send + Sync>);
-
-impl ProgressHook {
-    /// Wraps a callback.
-    pub fn new(f: impl Fn(&ProgressEvent) + Send + Sync + 'static) -> Self {
-        ProgressHook(Arc::new(f))
-    }
-
-    /// Invokes the callback.
-    pub fn call(&self, event: &ProgressEvent) {
-        (self.0)(event);
-    }
-}
-
-impl std::fmt::Debug for ProgressHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ProgressHook(..)")
-    }
-}
-
-impl PartialEq for ProgressHook {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl Eq for ProgressHook {}
 
 /// Dependency-free JSON tree, emitter, and parser — just enough for the
 /// stable report schema.
@@ -1085,15 +1000,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&u));
         assert!((u - 0.8).abs() < 1e-9);
         assert_eq!(MetricsReport::default().worker_utilization(), 1.0);
-    }
-
-    #[test]
-    fn progress_hook_equality_is_identity() {
-        let a = ProgressHook::new(|_| {});
-        let b = ProgressHook::new(|_| {});
-        assert_eq!(a, a.clone());
-        assert_ne!(a, b);
-        assert_eq!(format!("{a:?}"), "ProgressHook(..)");
     }
 
     #[test]

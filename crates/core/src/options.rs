@@ -5,7 +5,6 @@ use std::sync::Arc;
 use subgemini_netlist::{Artifact, CompiledCircuit, FingerprintIndex};
 
 use crate::budget::{CancelToken, WorkBudget};
-use crate::metrics::ProgressHook;
 use crate::phase1::SharedSteps;
 use crate::shard::ShardPolicy;
 
@@ -90,7 +89,8 @@ pub enum PrunePolicy {
 /// search through any clone of the handle (DESIGN.md §3b). Searches
 /// stay byte-identical to cold runs.
 ///
-/// Compared by identity (same shared allocation), like [`ProgressHook`].
+/// Compared by identity (same shared allocation), like
+/// [`CancelToken`].
 #[derive(Clone)]
 pub struct WarmMain(Arc<WarmMainInner>);
 
@@ -249,10 +249,6 @@ pub struct MatchOptions {
     /// candidate — not per worker — so drops are deterministic across
     /// thread counts.
     pub trace_events_cap: usize,
-    /// Progress callback invoked at phase boundaries and per processed
-    /// candidate (see [`ProgressEvent`](crate::ProgressEvent)). `None`
-    /// (default) emits nothing.
-    pub on_progress: Option<ProgressHook>,
     /// Global work budget: a cap in deterministic effort units and/or a
     /// wall-clock deadline (see [`WorkBudget`]). `None` (default) runs
     /// unbudgeted: no governor is constructed and results are
@@ -266,7 +262,7 @@ pub struct MatchOptions {
     /// the instances verified so far as a
     /// [`Truncated`](crate::Completeness::Truncated) outcome. `None`
     /// (default) is uncancellable. Compared by identity (same shared
-    /// flag), like [`ProgressHook`].
+    /// flag), like [`WarmMain`].
     pub cancel: Option<CancelToken>,
     /// Warm-start handle holding a precompiled main circuit and
     /// fingerprint index (usually loaded from a `.sgc` artifact). Used
@@ -312,7 +308,6 @@ impl Default for MatchOptions {
             collect_metrics: false,
             trace_events: false,
             trace_events_cap: 8192,
-            on_progress: None,
             budget: None,
             cancel: None,
             warm_main: None,

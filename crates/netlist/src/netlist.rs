@@ -497,6 +497,210 @@ impl Netlist {
         out
     }
 
+    /// Collapses groups of devices into composite devices, in place: the
+    /// `absorbed` devices are removed, one device of type `ty` is
+    /// appended per `(name, pins)` entry of `composites` (pins in this
+    /// netlist's current net ids), and devices, nets and types are
+    /// renumbered by id. This is extraction's replace step.
+    ///
+    /// The result is the netlist that re-adding every surviving device,
+    /// then the composites, to an empty netlist would build:
+    ///
+    /// * devices: the survivors in their old relative order, then the
+    ///   composites in order;
+    /// * nets: numbered by first appearance over those devices' pins,
+    ///   each keeping its name, flags and (device, terminal)-ordered pin
+    ///   list. A net no remaining device touches is dropped — interior
+    ///   nets of the collapsed groups, and nets already isolated;
+    /// * types: numbered by first appearance; a type only absorbed
+    ///   devices used is dropped. `ty` is appended, or reused if an
+    ///   equal type of its name survives, even when `composites` is
+    ///   empty;
+    /// * ports: the surviving port nets, in new-id order.
+    ///
+    /// Name lookups follow the new ids. All checks run before anything
+    /// changes, so an error leaves the netlist as it was.
+    ///
+    /// # Errors
+    ///
+    /// * [`NetlistError::EmptyType`] if `ty` has no terminals.
+    /// * [`NetlistError::DuplicateType`] if a *different* surviving type
+    ///   has `ty`'s name.
+    /// * [`NetlistError::DuplicateDevice`] if a composite name is a
+    ///   surviving device's or another composite's (an absorbed device's
+    ///   name may be reused).
+    /// * [`NetlistError::PinCountMismatch`] if a composite's pin count is
+    ///   not `ty`'s terminal count.
+    /// * [`NetlistError::UnknownNet`] if a pin is not a net of this
+    ///   netlist.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an absorbed id was not issued by this netlist.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use subgemini_netlist::{DeviceType, Netlist, TerminalSpec};
+    ///
+    /// # fn main() -> Result<(), subgemini_netlist::NetlistError> {
+    /// let mut nl = Netlist::new("chip");
+    /// let mos = nl.add_mos_types();
+    /// let (a, m, y) = (nl.net("a"), nl.net("m"), nl.net("y"));
+    /// let p = nl.add_device("mp", mos.pmos, &[a, a, m])?;
+    /// let n = nl.add_device("mn", mos.nmos, &[m, m, y])?;
+    /// let pair = DeviceType::new(
+    ///     "pair",
+    ///     vec![TerminalSpec::new("a", "a"), TerminalSpec::new("y", "y")],
+    /// );
+    /// nl.collapse(&[p, n], pair, vec![("pair#0".to_string(), vec![a, y])])?;
+    /// assert_eq!(nl.device_count(), 1);
+    /// assert_eq!(nl.find_net("m"), None); // interior net gone
+    /// assert_eq!(nl.device_types().len(), 1); // mos types unused
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn collapse(
+        &mut self,
+        absorbed: &[DeviceId],
+        ty: DeviceType,
+        composites: Vec<(String, Vec<NetId>)>,
+    ) -> Result<(), NetlistError> {
+        // Old id -> new id for devices, nets and types; DEAD when dropped.
+        let mut device_map = vec![0u32; self.devices.len()];
+        for &d in absorbed {
+            device_map[d.index()] = DEAD;
+        }
+        let mut survivors = 0u32;
+        for new in device_map.iter_mut().filter(|new| **new != DEAD) {
+            *new = survivors;
+            survivors += 1;
+        }
+        let mut type_map = vec![DEAD; self.types.len()];
+        let mut net_map = vec![DEAD; self.nets.len()];
+        let (mut types, mut nets) = (0u32, 0u32);
+        for (dev, _) in self
+            .devices
+            .iter()
+            .zip(&device_map)
+            .filter(|(_, &new)| new != DEAD)
+        {
+            first_appearance(&mut type_map, &mut types, dev.ty.index());
+            for &n in &dev.pins {
+                first_appearance(&mut net_map, &mut nets, n.index());
+            }
+        }
+        if ty.terminal_count() == 0 {
+            return Err(NetlistError::EmptyType {
+                name: ty.name().to_string(),
+            });
+        }
+        let reused = match self.type_ids.get(ty.name()) {
+            Some(&old) if type_map[old.index()] != DEAD => {
+                if self.types[old.index()] != ty {
+                    return Err(NetlistError::DuplicateType {
+                        name: ty.name().to_string(),
+                    });
+                }
+                Some(DeviceTypeId::new(type_map[old.index()]))
+            }
+            _ => None,
+        };
+        // Linear in the composites: each name is looked up once in the
+        // name map (survivors) and once in a set of this call's names.
+        let mut minted = std::collections::HashSet::with_capacity(composites.len());
+        for (name, pins) in &composites {
+            let taken = self
+                .device_ids
+                .get(name.as_str())
+                .is_some_and(|&d| device_map[d.index()] != DEAD);
+            if taken || !minted.insert(name.as_str()) {
+                return Err(NetlistError::DuplicateDevice { name: name.clone() });
+            }
+            if pins.len() != ty.terminal_count() {
+                return Err(NetlistError::PinCountMismatch {
+                    device: name.clone(),
+                    expected: ty.terminal_count(),
+                    got: pins.len(),
+                });
+            }
+            for &n in pins {
+                if n.index() >= self.nets.len() {
+                    return Err(NetlistError::UnknownNet {
+                        name: format!("{n}"),
+                    });
+                }
+                first_appearance(&mut net_map, &mut nets, n.index());
+            }
+        }
+
+        // Every check passed: renumber in place.
+        let mut old = 0;
+        self.devices.retain(|_| {
+            old += 1;
+            device_map[old - 1] != DEAD
+        });
+        for dev in &mut self.devices {
+            dev.ty = DeviceTypeId::new(type_map[dev.ty.index()]);
+            for n in &mut dev.pins {
+                *n = NetId::new(net_map[n.index()]);
+            }
+        }
+        permute(&mut self.types, &type_map, types);
+        permute(&mut self.nets, &net_map, nets);
+        // `add_device` appends pins in (device, terminal) order; the
+        // survivor renumbering is monotone and composites come last, so
+        // filtering here and appending below keep that order.
+        for net in &mut self.nets {
+            net.pins.retain_mut(|p| {
+                let new = device_map[p.device.index()];
+                p.device = DeviceId::new(new);
+                new != DEAD
+            });
+        }
+        self.device_ids.retain(|_, id| {
+            *id = DeviceId::new(device_map[id.index()]);
+            id.raw() != DEAD
+        });
+        self.net_ids.retain(|_, id| {
+            *id = NetId::new(net_map[id.index()]);
+            id.raw() != DEAD
+        });
+        self.type_ids.retain(|_, id| {
+            *id = DeviceTypeId::new(type_map[id.index()]);
+            id.raw() != DEAD
+        });
+        self.ports.retain_mut(|p| {
+            *p = NetId::new(net_map[p.index()]);
+            p.raw() != DEAD
+        });
+        self.ports.sort_unstable();
+        let ty_id = reused.unwrap_or_else(|| {
+            let id = DeviceTypeId::new(types);
+            self.type_ids.insert(ty.name().to_string(), id);
+            self.types.push(ty);
+            id
+        });
+        self.devices.reserve(composites.len());
+        for (k, (name, mut pins)) in composites.into_iter().enumerate() {
+            let id = DeviceId::new(survivors + k as u32);
+            for (terminal, n) in pins.iter_mut().enumerate() {
+                *n = NetId::new(net_map[n.index()]);
+                self.nets[n.index()].pins.push(Pin {
+                    device: id,
+                    terminal: terminal as u16,
+                });
+            }
+            self.device_ids.insert(name.clone(), id);
+            self.devices.push(Device {
+                name,
+                ty: ty_id,
+                pins,
+            });
+        }
+        Ok(())
+    }
+
     /// Returns a copy with all isolated (degree-0) nets removed and net
     /// ids renumbered densely.
     ///
@@ -619,6 +823,29 @@ impl Netlist {
     }
 }
 
+/// Marks an id that [`Netlist::collapse`] drops.
+const DEAD: u32 = u32::MAX;
+
+/// Gives index `i` the next new id, unless it already has one.
+fn first_appearance(map: &mut [u32], next: &mut u32, i: usize) {
+    if map[i] == DEAD {
+        map[i] = *next;
+        *next += 1;
+    }
+}
+
+/// Moves each `items[old]` to index `map[old]` of a `len`-long table,
+/// dropping the items mapped to [`DEAD`]. `map` must be onto `0..len`.
+fn permute<T>(items: &mut Vec<T>, map: &[u32], len: u32) {
+    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    for (item, &new) in items.drain(..).zip(map) {
+        if new != DEAD {
+            slots[new as usize] = Some(item);
+        }
+    }
+    items.extend(slots.into_iter().map(|s| s.expect("map is onto 0..len")));
+}
+
 impl fmt::Display for Netlist {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -647,6 +874,7 @@ impl fmt::Display for Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::TerminalSpec;
 
     fn inverter() -> (Netlist, MosTypes) {
         let mut nl = Netlist::new("inv");
@@ -819,6 +1047,213 @@ mod tests {
         let d0 = nl.add_device("t0", mos.nmos, &[a, b, b]).unwrap();
         let pat = nl.subnetlist("one", &[d0, d0, d0]);
         assert_eq!(pat.device_count(), 1);
+    }
+
+    /// Two inverters in series, `a -> m -> y`, an isolated net `nc`,
+    /// and ports `y`, `a` marked in that order.
+    fn chain() -> (Netlist, [DeviceId; 4]) {
+        let mut nl = Netlist::new("chain");
+        let mos = nl.add_mos_types();
+        let (vdd, gnd) = (nl.net("vdd"), nl.net("gnd"));
+        nl.mark_global(vdd);
+        nl.mark_global(gnd);
+        let (a, m, y) = (nl.net("a"), nl.net("m"), nl.net("y"));
+        nl.net("nc");
+        nl.mark_port(y);
+        nl.mark_port(a);
+        let devices = [
+            nl.add_device("p1", mos.pmos, &[a, vdd, m]).unwrap(),
+            nl.add_device("n1", mos.nmos, &[a, gnd, m]).unwrap(),
+            nl.add_device("p2", mos.pmos, &[m, vdd, y]).unwrap(),
+            nl.add_device("n2", mos.nmos, &[m, gnd, y]).unwrap(),
+        ];
+        (nl, devices)
+    }
+
+    fn two_pin(name: &str) -> DeviceType {
+        DeviceType::new(
+            name,
+            vec![TerminalSpec::new("a", "a"), TerminalSpec::new("y", "y")],
+        )
+    }
+
+    fn net_names(nl: &Netlist) -> Vec<&str> {
+        nl.nets.iter().map(|n| n.name.as_str()).collect()
+    }
+
+    fn same(a: &Netlist, b: &Netlist) -> bool {
+        a.name == b.name
+            && a.types == b.types
+            && a.type_ids == b.type_ids
+            && a.devices == b.devices
+            && a.device_ids == b.device_ids
+            && a.nets == b.nets
+            && a.net_ids == b.net_ids
+            && a.ports == b.ports
+    }
+
+    #[test]
+    fn collapse_drops_interior_and_isolated_nets() {
+        let (mut nl, [p1, n1, p2, n2]) = chain();
+        let (a, y) = (nl.find_net("a").unwrap(), nl.find_net("y").unwrap());
+        nl.collapse(
+            &[p1, n1, p2, n2],
+            two_pin("buf"),
+            vec![("buf#0".to_string(), vec![a, y])],
+        )
+        .unwrap();
+        nl.validate().unwrap();
+        // `m` was interior, `nc` isolated, the rails touched only by
+        // absorbed transistors.
+        assert_eq!(net_names(&nl), ["a", "y"]);
+        for gone in ["m", "nc", "vdd", "gnd"] {
+            assert_eq!(nl.find_net(gone), None, "{gone}");
+        }
+        assert_eq!(nl.find_net("y"), Some(NetId::new(1)));
+        assert_eq!(nl.device_count(), 1);
+        assert_eq!(nl.find_device("buf#0"), Some(DeviceId::new(0)));
+        assert_eq!(nl.find_device("p1"), None);
+    }
+
+    #[test]
+    fn collapse_renumbers_by_first_appearance() {
+        let (mut nl, [p1, n1, ..]) = chain();
+        let (a, m) = (nl.find_net("a").unwrap(), nl.find_net("m").unwrap());
+        nl.collapse(
+            &[n1, p1],
+            two_pin("inv"),
+            vec![("inv#0".to_string(), vec![a, m])],
+        )
+        .unwrap();
+        nl.validate().unwrap();
+        let names: Vec<&str> = nl.device_types().iter().map(DeviceType::name).collect();
+        // `p2` comes first, so `pmos` now precedes `nmos`.
+        assert_eq!(names, ["pmos", "nmos", "inv"]);
+        assert_eq!(nl.type_id("inv"), Some(DeviceTypeId::new(2)));
+        assert_eq!(net_names(&nl), ["m", "vdd", "y", "gnd", "a"]);
+        let m = nl.find_net("m").unwrap();
+        let pins: Vec<(u32, u16)> = nl
+            .net_ref(m)
+            .pins()
+            .iter()
+            .map(|p| (p.device.raw(), p.terminal))
+            .collect();
+        assert_eq!(pins, [(0, 0), (1, 0), (2, 1)]);
+        assert_eq!(nl.find_device("p2"), Some(DeviceId::new(0)));
+        assert_eq!(nl.find_device("inv#0"), Some(DeviceId::new(2)));
+    }
+
+    #[test]
+    fn collapse_keeps_port_order_by_id_and_global_flags() {
+        let (mut nl, [p1, n1, ..]) = chain();
+        let (a, m) = (nl.find_net("a").unwrap(), nl.find_net("m").unwrap());
+        nl.collapse(
+            &[p1, n1],
+            two_pin("inv"),
+            vec![("inv#0".to_string(), vec![a, m])],
+        )
+        .unwrap();
+        nl.validate().unwrap();
+        let ports: Vec<&str> = nl.ports().iter().map(|&p| nl.net_ref(p).name()).collect();
+        assert_eq!(ports, ["y", "a"]);
+        let globals: Vec<&str> = nl.global_nets().map(|n| nl.net_ref(n).name()).collect();
+        assert_eq!(globals, ["vdd", "gnd"]);
+        assert!(!nl.net_ref(nl.find_net("m").unwrap()).is_port());
+    }
+
+    #[test]
+    fn collapse_drops_types_only_absorbed_devices_used() {
+        let (mut nl, _) = chain();
+        let res = nl.add_type(DeviceType::two_terminal("res")).unwrap();
+        let (a, y) = (nl.find_net("a").unwrap(), nl.find_net("y").unwrap());
+        let r = nl.add_device("r1", res, &[a, y]).unwrap();
+        nl.collapse(&[r], two_pin("wire"), vec![("w#0".to_string(), vec![a, y])])
+            .unwrap();
+        nl.validate().unwrap();
+        assert_eq!(nl.type_id("res"), None);
+        assert_eq!(nl.device_types().len(), 3);
+        // An equal surviving type is reused, not appended; a type of an
+        // absorbed-only name may be redefined.
+        let pmos = nl.find_device("p1").unwrap();
+        nl.collapse(&[], DeviceType::mos("pmos"), Vec::new())
+            .unwrap();
+        assert_eq!(nl.device_types().len(), 3);
+        nl.collapse(&[pmos], two_pin("res"), Vec::new()).unwrap();
+        nl.validate().unwrap();
+        assert_eq!(nl.type_id("res"), Some(DeviceTypeId::new(3)));
+    }
+
+    #[test]
+    fn collapse_may_reuse_an_absorbed_name() {
+        let (mut nl, [p1, n1, ..]) = chain();
+        let (a, m) = (nl.find_net("a").unwrap(), nl.find_net("m").unwrap());
+        nl.collapse(
+            &[p1, n1],
+            two_pin("inv"),
+            vec![("p1".to_string(), vec![a, m])],
+        )
+        .unwrap();
+        nl.validate().unwrap();
+        assert_eq!(nl.find_device("p1"), Some(DeviceId::new(2)));
+        assert_eq!(nl.device(DeviceId::new(2)).name(), "p1");
+    }
+
+    #[test]
+    fn collapse_errors_leave_the_netlist_unchanged() {
+        let (mut nl, [p1, n1, ..]) = chain();
+        let before = nl.clone();
+        let (a, m) = (nl.find_net("a").unwrap(), nl.find_net("m").unwrap());
+        let one = |name: &str| vec![(name.to_string(), vec![a, m])];
+        // A survivor's name, and a name given twice.
+        let err = nl
+            .collapse(&[p1, n1], two_pin("inv"), one("p2"))
+            .unwrap_err();
+        assert_eq!(err, NetlistError::DuplicateDevice { name: "p2".into() });
+        let mut twice = one("inv#0");
+        twice.extend(one("inv#0"));
+        let err = nl.collapse(&[p1, n1], two_pin("inv"), twice).unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::DuplicateDevice {
+                name: "inv#0".into()
+            }
+        );
+        // A different type under a surviving type's name.
+        let err = nl
+            .collapse(&[p1, n1], two_pin("nmos"), one("inv#0"))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::DuplicateType {
+                name: "nmos".into()
+            }
+        );
+        let err = nl
+            .collapse(&[p1, n1], DeviceType::without_terminals("void"), one("v#0"))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::EmptyType {
+                name: "void".into()
+            }
+        );
+        let err = nl
+            .collapse(&[p1, n1], two_pin("inv"), vec![("inv#0".into(), vec![a])])
+            .unwrap_err();
+        assert!(
+            matches!(err, NetlistError::PinCountMismatch { .. }),
+            "{err}"
+        );
+        let err = nl
+            .collapse(
+                &[p1],
+                two_pin("inv"),
+                vec![("inv#0".into(), vec![a, NetId::new(99)])],
+            )
+            .unwrap_err();
+        assert!(matches!(err, NetlistError::UnknownNet { .. }), "{err}");
+        assert!(same(&nl, &before));
+        nl.validate().unwrap();
     }
 
     #[test]

@@ -221,6 +221,20 @@ impl DeviceType {
 }
 
 #[cfg(test)]
+impl DeviceType {
+    /// A type with no terminals, which the public constructors refuse:
+    /// lets the netlist test its own `EmptyType` checks.
+    pub(crate) fn without_terminals(name: &str) -> Self {
+        Self {
+            name: name.to_string(),
+            terminals: Vec::new(),
+            class_mults: Vec::new(),
+            init_label: 0,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
