@@ -389,19 +389,23 @@ pub mod failpoint {
         /// inflates every candidate's effort identically on every
         /// thread count).
         GuessStorm(u64),
-        /// Phase II workers return immediately without touching their
-        /// chunk (simulated worker death; the serial merge recomputes
-        /// whatever it still needs, so results are unchanged).
+        /// Simulated worker death. At `phase2.worker` a spawned Phase
+        /// II worker returns before claiming anything; at
+        /// `phase2.steal` a worker abandons the candidate it just
+        /// claimed and claims no more (the calling thread keeps
+        /// merging). The other threads claim what is left and the
+        /// merge recomputes any hole, so results are unchanged.
         KillWorker,
     }
 
     /// Sites the search consults. Checked at: every Phase I refinement
     /// cycle (`phase1.cycle`), every Phase II candidate verification
-    /// (`phase2.candidate`), every Phase II worker startup
-    /// (`phase2.worker`), and every work-stealing claim attempt
-    /// (`phase2.steal`) — where `KillWorker` abandons an
-    /// already-claimed candidate, exercising the merge's hole
-    /// recovery.
+    /// (`phase2.candidate`), every spawned Phase II worker's startup
+    /// (`phase2.worker`; the calling thread, also a worker, never
+    /// runs it), and every work-stealing claim attempt, the calling
+    /// thread's included (`phase2.steal`) — where `KillWorker`
+    /// abandons an already-claimed candidate, exercising the merge's
+    /// hole recovery.
     pub const SITES: [&str; 4] = [
         "phase1.cycle",
         "phase2.candidate",

@@ -53,7 +53,7 @@ impl CompiledMain {
         // replacement pass changes the digest and recompiles cold.
         if options.respect_globals {
             if let Some(w) = options.warm_main.as_ref() {
-                if w.source_digest() == subgemini_netlist::structural_digest(current) {
+                if w.adopts(current) {
                     let compiled = Arc::clone(w.compiled());
                     // A private trace even on a warm hit: it is dropped
                     // at the first replacement pass, where the handle's

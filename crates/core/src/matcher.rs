@@ -7,7 +7,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, OnceLock};
 
 use subgemini_netlist::{CompiledCircuit, DeviceId, FingerprintIndex, Netlist};
@@ -15,11 +15,13 @@ use subgemini_netlist::{CompiledCircuit, DeviceId, FingerprintIndex, Netlist};
 use crate::budget::{effort_of, Completeness, Governor, SharedGovernor, TruncationReason};
 use crate::events::{EventBuffer, EventJournal, EventKind, RejectTally};
 use crate::instance::{MatchOutcome, SubMatch};
-use crate::metrics::{Histogram, MetricsReport, PhaseTimer};
+use crate::metrics::{MetricsReport, PhaseTimer};
 use crate::options::{MatchOptions, OverlapPolicy, Phase2Scheduler, PrunePolicy};
 use crate::phase1;
-use crate::phase2::{CandidateTiming, Phase2Runner};
-use crate::scheduler::{Claim, ClaimBoard, StealQueue, WorkerStats};
+use crate::phase2::Phase2Runner;
+use crate::scheduler::{
+    Claim, ClaimBoard, Dispatch, SlotData, StealQueue, Worker, WorkerPart, WorkerStats,
+};
 use crate::shard::ShardPlan;
 use crate::trace::Phase2Trace;
 
@@ -137,12 +139,11 @@ pub(crate) fn strip_globals(nl: &Netlist, as_ports: bool) -> Netlist {
 
 pub(crate) fn prepare_main<'a>(main: &'a Netlist, options: &MatchOptions) -> PreparedMain<'a> {
     // Warm start: adopt the handle's snapshot and index when globals
-    // are respected (stripping rewrites the circuit) and the source
-    // digest ties the artifact to this exact netlist. The digest check
-    // is O(pins) — the cost compilation is being saved from.
+    // are respected (stripping rewrites the circuit) and the handle is
+    // tied to this exact netlist (`WarmMain::adopts`).
     if options.respect_globals {
         if let Some(w) = options.warm_main.as_ref() {
-            if w.source_digest() == subgemini_netlist::structural_digest(main) {
+            if w.adopts(main) {
                 return PreparedMain {
                     netlist: Cow::Borrowed(main),
                     compiled: Arc::clone(w.compiled()),
@@ -536,17 +537,21 @@ pub(crate) fn find_all_compiled(
 
     // ---- Phase II candidate stage ----
     //
-    // Parallel runs stream: workers claim candidates — one at a time
-    // from a shared atomic cursor (work stealing, the default) or as
-    // preassigned contiguous chunks — verify them into per-candidate
-    // slots, and the serial merge below consumes those slots in
-    // candidate-vector order *concurrently*, behind a bounded reorder
-    // window. The merge is the sole determinism authority: it charges
-    // the governor, decides truncation, claims devices, and absorbs
-    // stats/events/tallies from exactly the candidates it consumes —
-    // so instances, stats, the journal, and the truncation point are
-    // identical for every thread count and both schedulers (tracing
-    // forces the serial path). See DESIGN.md §3e.
+    // Parallel runs stream: `threads` workers claim candidates — one at
+    // a time from a shared atomic cursor (work stealing, the default),
+    // as preassigned contiguous chunks, or shard by shard — verify them
+    // into per-candidate slots, and the serial merge below consumes
+    // those slots in candidate-vector order *concurrently*, behind a
+    // bounded reorder window. The calling thread is one of the
+    // workers: it merges every ready slot, and whenever the next one
+    // is empty it claims and verifies a candidate itself, so only
+    // `threads - 1` threads are spawned. The merge is the sole
+    // determinism authority: it charges the governor, decides
+    // truncation, claims devices, and absorbs stats/events/tallies
+    // from exactly the candidates it consumes — so instances, stats,
+    // the journal, and the truncation point are identical for every
+    // thread count and both schedulers (tracing forces the serial
+    // path). See DESIGN.md §3e.
     //
     // Shard mode rides the same machinery — slots, shared governor,
     // merge — but workers claim whole shards from an atomic cursor, so
@@ -554,44 +559,12 @@ pub(crate) fn find_all_compiled(
     // the scheduler knob and the claim board (the merge's own claim
     // check is authoritative either way).
     let par_enabled = !options.record_trace && n > 1 && (worker_count > 1 || sharded);
-    let spawn_count = match shard_lists.as_ref() {
+    let threads = match shard_lists.as_ref() {
         Some(lists) => worker_count.min(lists.len()).min(n),
         None => worker_count.min(n),
     };
     let stealing = par_enabled && !sharded && options.scheduler == Phase2Scheduler::WorkStealing;
     let phase2_timer = collect.then(PhaseTimer::start);
-    // Worker-side observability payloads harvested after the scope.
-    struct WorkerPart {
-        timing: Option<CandidateTiming>,
-        backtrack_hist: Option<Histogram>,
-        sched: WorkerStats,
-    }
-    // One candidate's complete verification product. Stats, events,
-    // and tallies live here — per candidate, not per worker — so the
-    // merge can absorb exactly the candidates it consumes, making the
-    // outcome's accounting independent of how candidates were
-    // distributed over workers. `done: false` marks an abandoned claim
-    // (injected worker death): empty payload, the merge recomputes.
-    struct SlotData {
-        result: Option<crate::instance::SubMatch>,
-        stats: crate::instance::Phase2Stats,
-        effort: u64,
-        events: Option<EventBuffer>,
-        tally: Option<RejectTally>,
-        done: bool,
-    }
-    impl SlotData {
-        fn abandoned() -> Self {
-            SlotData {
-                result: None,
-                stats: crate::instance::Phase2Stats::default(),
-                effort: 0,
-                events: None,
-                tally: None,
-                done: false,
-            }
-        }
-    }
     let mut event_buffers: Vec<EventBuffer> = Vec::new();
     let mut reject_tally = RejectTally::default();
     // Shared scheduler state. `OnceLock` gives lock-free one-shot
@@ -603,7 +576,7 @@ pub(crate) fn find_all_compiled(
         slots.resize_with(n, OnceLock::new);
     }
     let mut consumed = vec![false; slots.len()];
-    let queue = StealQueue::new(n, spawn_count);
+    let queue = StealQueue::new(n, threads);
     // Broadcast face of the governor: workers poll it before each
     // claim and feed finished candidates' effort back, so exhaustion
     // stops every worker within one candidate; the merge rides its
@@ -619,170 +592,25 @@ pub(crate) fn find_all_compiled(
     // worker's unwritten slot.
     let board = (stealing && options.overlap == OverlapPolicy::ClaimDevices)
         .then(|| ClaimBoard::new(main_nl.device_count()));
-    let chunk = if par_enabled {
-        n.div_ceil(spawn_count)
-    } else {
-        1
+    let dispatch = Dispatch {
+        runner: &runner,
+        base: &base,
+        key,
+        candidates: &p1.candidates,
+        pruned: pruned_mask.as_deref(),
+        slots: &slots,
+        queue: &queue,
+        shared: &shared,
+        board: board.as_ref(),
+        shards: shard_lists.as_deref(),
+        shard_cursor: AtomicUsize::new(0),
+        stealing,
+        chunk: if par_enabled { n.div_ceil(threads) } else { 1 },
+        collect,
     };
-    let parts = std::sync::Mutex::new(Vec::<WorkerPart>::new());
-    // Shard claim cursor: workers take whole shards, in shard order.
-    // Claim order affects locality and wall-clock only — every slot a
-    // worker fills is consumed by the merge in CV order regardless.
-    let shard_cursor = AtomicUsize::new(0);
-    let worker = |w: usize| {
-        use crate::budget::failpoint;
-        let mut part = WorkerPart {
-            timing: collect.then(CandidateTiming::default),
-            backtrack_hist: None,
-            sched: WorkerStats::default(),
-        };
-        let push_part = |part: WorkerPart| {
-            parts
-                .lock()
-                .expect("no panics while holding the lock")
-                .push(part);
-        };
-        if let Some(failpoint::Action::KillWorker) = failpoint::get("phase2.worker") {
-            // Simulated worker death at startup: its candidates become
-            // holes the merge recomputes serially.
-            queue.worker_done();
-            push_part(part);
-            return;
-        }
-        failpoint::stall("phase2.worker");
-        let mut search = runner.make_state(&base);
-        if let Some(lists) = shard_lists.as_ref() {
-            // Sharded dispatch: claim a shard, verify its candidates in
-            // CV order into the shared per-candidate slots, repeat. The
-            // governor broadcast is checked per candidate, so
-            // exhaustion stops a worker mid-shard; the merge recomputes
-            // any hole serially, keeping results byte-identical.
-            'shards: loop {
-                if shared.halted() || shared.should_stop() {
-                    break;
-                }
-                let sidx = shard_cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(list) = lists.get(sidx) else {
-                    break;
-                };
-                for &i in list {
-                    if shared.halted() || shared.should_stop() {
-                        break 'shards;
-                    }
-                    if pruned_at(i) {
-                        continue;
-                    }
-                    part.sched.claimed += 1;
-                    let mut stats = crate::instance::Phase2Stats::default();
-                    let result = runner
-                        .run_candidate_timed(
-                            &mut search,
-                            key,
-                            p1.candidates[i],
-                            i as u32,
-                            &mut stats,
-                            false,
-                            part.timing.as_mut(),
-                        )
-                        .map(|(m, _)| m);
-                    let effort = 1 + effort_of(&stats);
-                    let _ = slots[i].set(SlotData {
-                        result,
-                        stats,
-                        effort,
-                        events: search.drain_events(),
-                        tally: search.drain_reject_tally(),
-                        done: true,
-                    });
-                    shared.charge(effort);
-                }
-            }
-            queue.worker_done();
-            part.backtrack_hist = search.take_backtrack_hist();
-            push_part(part);
-            return;
-        }
-        // The worker's home range under static chunking — also what
-        // defines a "steal": a claim outside it is work this worker
-        // would have idled through with static chunks.
-        let home = (w * chunk)..(((w + 1) * chunk).min(n));
-        let mut next_static = home.start;
-        loop {
-            if shared.halted() || shared.should_stop() {
-                break;
-            }
-            let i = if stealing {
-                if let Some(failpoint::Action::KillWorker) = failpoint::get("phase2.steal") {
-                    // Death *after* claiming: abandon the candidate so
-                    // the merge's hole recovery has to repair it.
-                    if let Claim::Got(i) = queue.try_claim() {
-                        let _ = slots[i].set(SlotData::abandoned());
-                    }
-                    break;
-                }
-                failpoint::stall("phase2.steal");
-                match queue.try_claim() {
-                    Claim::Got(i) => i,
-                    Claim::Blocked => {
-                        part.sched.window_stalls += 1;
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    Claim::Drained => break,
-                }
-            } else {
-                if next_static >= home.end {
-                    break;
-                }
-                let i = next_static;
-                next_static += 1;
-                i
-            };
-            if pruned_at(i) {
-                // Fingerprint-pruned: like a claim-skip, no slot is
-                // written and the merge's own check never waits on one.
-                continue;
-            }
-            part.sched.claimed += 1;
-            if stealing && !home.contains(&i) {
-                part.sched.steals += 1;
-            }
-            let c = p1.candidates[i];
-            if let (Some(b), Some(d)) = (board.as_ref(), c.as_device()) {
-                if shared.claim_epoch() > 0 && b.is_claimed(d.index()) {
-                    part.sched.claim_skips += 1;
-                    continue;
-                }
-            }
-            let mut stats = crate::instance::Phase2Stats::default();
-            let result = runner
-                .run_candidate_timed(
-                    &mut search,
-                    key,
-                    c,
-                    i as u32,
-                    &mut stats,
-                    false,
-                    part.timing.as_mut(),
-                )
-                .map(|(m, _)| m);
-            let effort = 1 + effort_of(&stats);
-            let _ = slots[i].set(SlotData {
-                result,
-                stats,
-                effort,
-                events: search.drain_events(),
-                tally: search.drain_reject_tally(),
-                done: true,
-            });
-            shared.charge(effort);
-        }
-        queue.worker_done();
-        part.backtrack_hist = search.take_backtrack_hist();
-        push_part(part);
-    };
-
-    let mut serial_search = (!par_enabled).then(|| runner.make_state(&base));
+    // The calling thread's worker: its search state also serves the
+    // serial path and every merge recomputation.
+    let mut own = dispatch.worker(0);
     let mut claimed: HashSet<DeviceId> = HashSet::new();
     // Canonical device-set → owner shard of the candidate that first
     // produced it (0 when unsharded). The dedup check is what it always
@@ -791,7 +619,6 @@ pub(crate) fn find_all_compiled(
     let mut seen_sets: HashMap<Vec<DeviceId>, u32> = HashMap::new();
     let mut shard_dedup_dropped = 0u64;
     let mut p2_trace: Option<Phase2Trace> = None;
-    let mut serial_timing = (collect && !par_enabled).then(CandidateTiming::default);
     let mut checked = 0u64;
     let mut matched = 0u64;
     let mut dedup_dropped = 0u64;
@@ -810,7 +637,11 @@ pub(crate) fn find_all_compiled(
     // simply never consumed), so a stuck claim costs duplicated work,
     // never a hang or a result change.
     const MERGE_PATIENCE: u64 = 200_000;
-    let mut run_merge = |serial_search: &mut Option<crate::phase2::SearchState>| {
+    let mut run_merge = |own: &mut Worker| {
+        // Whether the calling thread still claims candidates. Cleared
+        // for good once its source drains, the broadcast stops it, or a
+        // failpoint kills its claiming (never its merging).
+        let mut claiming = par_enabled;
         for (i, &c) in p1.candidates.iter().enumerate() {
             if par_enabled {
                 queue.advance_merge(i);
@@ -838,15 +669,25 @@ pub(crate) fn find_all_compiled(
                 }
             }
             let want_trace = options.record_trace && p2_trace.is_none();
-            // Streaming consume: wait for the candidate's slot while
-            // any worker is still alive to fill it (brief spin, then
-            // yield). Once workers are gone — or patience runs out on
-            // an abandoned claim — fall through to serial recompute.
+            // Streaming consume. While the candidate's slot is empty,
+            // claim and verify one candidate (often this very one),
+            // then look again. With nothing to claim, wait while any
+            // spawned worker is still alive to fill it (brief spin,
+            // then yield). Once workers are gone — or patience runs
+            // out on an abandoned claim — fall through to serial
+            // recompute.
             let slot = if par_enabled {
                 let mut spins = 0u64;
                 loop {
                     if let Some(s) = slots[i].get() {
                         break Some(s);
+                    }
+                    if claiming {
+                        match dispatch.step(own) {
+                            Claim::Got(_) => continue,
+                            Claim::Blocked => {}
+                            Claim::Drained => claiming = false,
+                        }
                     }
                     if !queue.workers_active() {
                         // Workers exited between the failed get and
@@ -885,17 +726,27 @@ pub(crate) fn find_all_compiled(
                     if par_enabled {
                         recomputed += 1;
                     }
-                    let search = serial_search.get_or_insert_with(|| runner.make_state(&base));
                     let before = effort_of(&outcome.phase2);
                     let verified = runner.run_candidate_timed(
-                        search,
+                        &mut own.search,
                         key,
                         c,
                         i as u32,
                         &mut outcome.phase2,
                         want_trace,
-                        serial_timing.as_mut(),
+                        own.timing.as_mut(),
                     );
+                    if par_enabled {
+                        // The same state fills slots: hand this
+                        // candidate's events and tallies over now, so
+                        // the next slot carries only its own.
+                        if let Some(b) = own.search.drain_events() {
+                            event_buffers.push(b);
+                        }
+                        if let Some(t) = own.search.drain_reject_tally() {
+                            reject_tally.merge(&t);
+                        }
+                    }
                     if let Some(g) = governor.as_mut() {
                         g.charge(1 + (effort_of(&outcome.phase2) - before));
                     }
@@ -943,23 +794,33 @@ pub(crate) fn find_all_compiled(
         }
     };
     let mut merge_ns = 0u64;
-    if par_enabled {
+    let mut parts: Vec<WorkerPart> = if par_enabled {
         std::thread::scope(|scope| {
-            for w in 0..spawn_count {
-                let worker = &worker;
-                scope.spawn(move || worker(w));
-            }
+            let spawned: Vec<_> = (1..threads)
+                .map(|w| {
+                    let dispatch = &dispatch;
+                    scope.spawn(move || dispatch.run(w))
+                })
+                .collect();
             let merge_timer = (collect && sharded).then(PhaseTimer::start);
-            run_merge(&mut serial_search);
-            merge_ns = merge_timer.map_or(0, |t| t.elapsed_ns());
+            run_merge(&mut own);
+            // The merge's own cost: its wall time net of the candidates
+            // the calling thread verified along the way.
+            let own_ns = own.timing.as_ref().map_or(0, |t| t.sum_ns);
+            merge_ns = merge_timer.map_or(0, |t| t.elapsed_ns().saturating_sub(own_ns));
             // Raised on every merge exit path (completion, a limit, a
             // stop): workers — including ones parked on the reorder
             // window — drain promptly instead of finishing the vector.
             shared.halt();
-        });
+            spawned
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
     } else {
-        run_merge(&mut serial_search);
-    }
+        run_merge(&mut own);
+        Vec::new()
+    };
     if let Some(reason) = truncation {
         let candidates_skipped = n - stop_index;
         outcome.completeness = Completeness::Truncated {
@@ -979,19 +840,13 @@ pub(crate) fn find_all_compiled(
     // instance, not one per comparison.
     outcome.instances.sort_by_cached_key(SubMatch::device_set);
     outcome.trace = p2_trace;
-    if let Some(search) = serial_search.as_mut() {
-        if let Some(t) = search.take_reject_tally() {
-            reject_tally.merge(&t);
-        }
-        if let Some(b) = search.take_events() {
-            event_buffers.push(b);
-        }
-        if let Some(h) = search.take_backtrack_hist() {
-            if let Some(m) = metrics.as_mut() {
-                m.backtrack_depth_hist.merge(&h);
-            }
-        }
+    if let Some(t) = own.search.take_reject_tally() {
+        reject_tally.merge(&t);
     }
+    if let Some(b) = own.search.take_events() {
+        event_buffers.push(b);
+    }
+    parts.push(own.finish());
     // Harvest the slots: only *consumed* candidates contribute events
     // and tallies (per-candidate, so the journal and reject accounting
     // are byte-identical across thread counts); slots the merge never
@@ -1012,7 +867,7 @@ pub(crate) fn find_all_compiled(
             unconsumed += 1;
         }
     }
-    for part in parts.into_inner().expect("threads joined") {
+    for part in parts {
         sched.absorb(&part.sched);
         if let Some(m) = metrics.as_mut() {
             if let Some(t) = part.timing {
@@ -1028,13 +883,7 @@ pub(crate) fn find_all_compiled(
     }
     if let Some(m) = metrics.as_mut() {
         if par_enabled {
-            m.threads_used = spawn_count;
-        }
-        if let Some(t) = serial_timing {
-            m.worker_busy_ns.push(t.sum_ns);
-            m.phase2_verify_ns += t.sum_ns;
-            m.phase2_max_candidate_ns = m.phase2_max_candidate_ns.max(t.max_ns);
-            m.verify_ns_hist.merge(&t.hist);
+            m.threads_used = threads;
         }
         if let Some(t) = &phase2_timer {
             m.phase2_wall_ns = t.elapsed_ns();

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use subgemini_netlist::{Artifact, CompiledCircuit, FingerprintIndex};
+use subgemini_netlist::{structural_digest, Artifact, CompiledCircuit, FingerprintIndex, Netlist};
 
 use crate::budget::{CancelToken, WorkBudget};
 use crate::phase1::SharedSteps;
@@ -78,10 +78,13 @@ pub enum PrunePolicy {
 /// across every pattern in a run.
 ///
 /// [`prepare`](crate::Matcher) paths use the handle — skipping
-/// compilation entirely — when the handle's source digest matches the
+/// compilation entirely — when globals are respected and the handle
+/// is tied to the main netlist: either the main *is* the netlist the
+/// handle was [`bound`](WarmMain::bound) to (pointer identity, O(1)),
+/// or the handle's source digest matches the
 /// [`structural_digest`](subgemini_netlist::structural_digest) of the
-/// main netlist and globals are respected; otherwise they fall back to
-/// a fresh compile (counted as `artifact.warm_misses`).
+/// main (O(pins)). Otherwise they fall back to a fresh compile
+/// (counted as `artifact.warm_misses`).
 ///
 /// The handle also carries the first steps of the main circuit's
 /// Phase I label trace, which depend on the circuit alone: each is
@@ -100,30 +103,47 @@ struct WarmMainInner {
     source_digest: u64,
     load_ns: u64,
     steps: SharedSteps,
+    /// The netlist the handle was built from, when its constructor kept it
+    /// (a registry entry). Shared and never mutated while the handle
+    /// holds it, so a search on that very allocation needs no digest.
+    source: Option<Arc<Netlist>>,
 }
 
 impl WarmMain {
-    /// Wraps an already-shared compiled circuit and index. `load_ns` is
-    /// reported as the `artifact.load_ns` counter on warm hits.
-    pub fn new(
-        compiled: Arc<CompiledCircuit>,
-        index: Arc<FingerprintIndex>,
-        source_digest: u64,
-        load_ns: u64,
-    ) -> Self {
+    /// Wraps a decoded artifact. `load_ns` is reported as the
+    /// `artifact.load_ns` counter on warm hits.
+    pub fn from_artifact(artifact: Artifact, load_ns: u64) -> Self {
+        Self::wrap(artifact, load_ns, None)
+    }
+
+    /// Wraps `artifact`, which must have been built from `source`, and
+    /// keeps `source` with it: a search on that very netlist adopts the
+    /// handle without recomputing its digest. Searches on any other
+    /// netlist, an equal clone included, still go by the digest.
+    pub fn bound(source: Arc<Netlist>, artifact: Artifact, load_ns: u64) -> Self {
+        Self::wrap(artifact, load_ns, Some(source))
+    }
+
+    fn wrap(artifact: Artifact, load_ns: u64, source: Option<Arc<Netlist>>) -> Self {
+        let (compiled, index, source_digest) = artifact.into_shared();
         WarmMain(Arc::new(WarmMainInner {
             compiled,
             index,
             source_digest,
             load_ns,
             steps: SharedSteps::default(),
+            source,
         }))
     }
 
-    /// Wraps a decoded artifact.
-    pub fn from_artifact(artifact: Artifact, load_ns: u64) -> Self {
-        let (compiled, index, source_digest) = artifact.into_shared();
-        Self::new(compiled, index, source_digest, load_ns)
+    /// Whether a search on `main` may adopt this handle: `main` is the
+    /// netlist the handle is bound to, or has its source digest.
+    pub(crate) fn adopts(&self, main: &Netlist) -> bool {
+        self.0
+            .source
+            .as_ref()
+            .is_some_and(|s| std::ptr::eq(Arc::as_ptr(s), main))
+            || self.0.source_digest == structural_digest(main)
     }
 
     /// The shared compiled main circuit.
@@ -379,6 +399,59 @@ mod tests {
         assert_eq!(w1, w1.clone());
         assert_ne!(w1, w2, "distinct handles differ even with equal contents");
         assert_eq!(w1.load_ns(), 7);
+    }
+
+    #[test]
+    fn bound_handle_adopts_its_own_netlist_without_the_digest() {
+        let mut nl = subgemini_netlist::Netlist::new("t");
+        let mos = nl.add_mos_types();
+        let (a, b) = (nl.net("a"), nl.net("b"));
+        nl.add_device("m", mos.nmos, &[a, b, a]).unwrap();
+        let mut art = Artifact::build(&nl);
+        // A digest no netlist has: only pointer identity can tie the
+        // handle to its source.
+        art.source_digest ^= 1;
+        let source = Arc::new(nl);
+        let clone = Netlist::clone(&source);
+        let bound = WarmMain::bound(Arc::clone(&source), art.clone(), 0);
+        assert!(bound.adopts(&source), "its own netlist, by identity");
+        assert!(!bound.adopts(&clone), "an equal clone goes by the digest");
+        let unbound = WarmMain::from_artifact(art, 0);
+        assert!(!unbound.adopts(&source));
+        // The matcher and the extractor decide through `adopts`.
+        let mut pattern = subgemini_netlist::Netlist::new("p");
+        let mos = pattern.add_mos_types();
+        let (x, y) = (pattern.net("x"), pattern.net("y"));
+        pattern.mark_port(x);
+        pattern.mark_port(y);
+        pattern.add_device("q", mos.nmos, &[x, y, x]).unwrap();
+        let opts = MatchOptions {
+            warm_main: Some(bound),
+            collect_metrics: true,
+            ..MatchOptions::default()
+        };
+        let counter = |o: &crate::MatchOutcome, name: &str| {
+            o.metrics
+                .as_ref()
+                .expect("metrics requested")
+                .counters
+                .get(name)
+        };
+        let hit = crate::find_all(&pattern, &source, &opts);
+        let miss = crate::find_all(&pattern, &clone, &opts);
+        assert_eq!(counter(&hit, "artifact.warm_hits"), 1);
+        assert_eq!(counter(&miss, "artifact.warm_misses"), 1);
+        assert_eq!(hit.instances, miss.instances);
+        let extract_hits = |main: &Netlist| {
+            let mut ex = crate::Extractor::new();
+            ex.add_cell(pattern.clone()).set_options(opts.clone());
+            let (_, report) = ex.extract(main).expect("no composite name collides");
+            let cell = &report.metrics.expect("metrics requested").cells[0];
+            let m = cell.match_metrics.as_ref().expect("metrics requested");
+            m.counters.get("artifact.warm_hits")
+        };
+        assert_eq!(extract_hits(&source), 1);
+        assert_eq!(extract_hits(&clone), 0);
     }
 
     #[test]

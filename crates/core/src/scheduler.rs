@@ -11,7 +11,7 @@
 //! and deciding truncation in candidate-vector order exactly as the
 //! serial path would.
 //!
-//! Three small lock-free pieces live in this module:
+//! The pieces that live in this module:
 //!
 //! * [`StealQueue`] — a shared claim cursor plus a bounded reorder
 //!   window. Workers claim the next unclaimed candidate index with one
@@ -26,6 +26,12 @@
 //!   verifying it is pure waste. Bits only ever turn on, and only the
 //!   serial merge sets them, so a worker-side skip can never disagree
 //!   with the merge's own (authoritative) claim check.
+//! * [`Dispatch`] and [`Worker`] — the one worker loop. A worker
+//!   claims from its [`Source`] (the stealing cursor, its static home
+//!   chunk, or the shard cursor) and verifies each claim into its
+//!   [`SlotData`]. Spawned threads run the loop to the end
+//!   ([`Dispatch::run`]); the thread that merges takes single turns
+//!   ([`Dispatch::step`]) between slots it consumes.
 //! * [`WorkerStats`] — per-worker scheduler counters, summed into the
 //!   `scheduler.*` metrics namespace by the harvest.
 //!
@@ -33,7 +39,17 @@
 //! no locks on the claim path and the hot cursor is cache-line padded
 //! to keep claim traffic off neighbouring data.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+use subgemini_netlist::Vertex;
+
+use crate::budget::{effort_of, failpoint, SharedGovernor};
+use crate::events::{EventBuffer, RejectTally};
+use crate::instance::{Phase2Stats, SubMatch};
+use crate::metrics::Histogram;
+use crate::phase2::{BaseState, CandidateTiming, Phase2Runner, SearchState};
 
 /// Pads (and aligns) a value to a 64-byte cache line so a hot atomic
 /// does not false-share with its neighbours.
@@ -41,16 +57,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 #[repr(align(64))]
 pub(crate) struct CachePadded<T>(pub T);
 
-/// Outcome of a [`StealQueue::try_claim`] attempt.
+/// Outcome of a claim attempt ([`StealQueue::try_claim`]) or of one
+/// turn of the worker loop ([`Dispatch::step`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Claim {
     /// The caller owns candidate `i` and must either fill its slot or
-    /// abandon it (the merge recovers abandoned slots serially).
+    /// abandon it (the merge recovers abandoned slots serially). From
+    /// [`Dispatch::step`]: candidate `i` has been dealt with.
     Got(usize),
     /// The next candidate is outside the reorder window; retry after
     /// the merge advances (callers should briefly yield).
     Blocked,
-    /// Every candidate has been claimed; the worker can exit.
+    /// Nothing is left for this worker: every candidate of its source
+    /// has been claimed, or the broadcast told it to stop.
     Drained,
 }
 
@@ -66,25 +85,27 @@ pub(crate) enum Claim {
 pub(crate) struct StealQueue {
     cursor: CachePadded<AtomicUsize>,
     merge_pos: CachePadded<AtomicUsize>,
-    /// Workers still inside their claim/verify loop. The merge uses
-    /// this to decide when a never-filled slot is a permanent hole
-    /// (worker died or was halted) rather than still in flight.
+    /// Spawned workers still inside their claim/verify loop. The merge
+    /// uses this to decide when a never-filled slot is a permanent hole
+    /// (worker died or was halted) rather than still in flight. The
+    /// merging thread is not counted: it never waits on itself.
     active: CachePadded<AtomicUsize>,
     len: usize,
     window: usize,
 }
 
 impl StealQueue {
-    /// A queue over `len` candidates for `workers` workers. The window
-    /// scales with the worker count so every worker can stay several
+    /// A queue over `len` candidates verified by `threads` threads: the
+    /// merging thread and `threads - 1` spawned workers. The window
+    /// scales with the thread count so every worker can stay several
     /// candidates deep without contending on the merge position.
-    pub(crate) fn new(len: usize, workers: usize) -> Self {
+    pub(crate) fn new(len: usize, threads: usize) -> Self {
         StealQueue {
             cursor: CachePadded(AtomicUsize::new(0)),
             merge_pos: CachePadded(AtomicUsize::new(0)),
-            active: CachePadded(AtomicUsize::new(workers)),
+            active: CachePadded(AtomicUsize::new(threads.saturating_sub(1))),
             len,
-            window: (8 * workers.max(1)).max(32),
+            window: (8 * threads.max(1)).max(32),
         }
     }
 
@@ -113,13 +134,13 @@ impl StealQueue {
         self.merge_pos.0.store(i, Ordering::Relaxed);
     }
 
-    /// A worker reports it has exited its claim loop (normally, on a
-    /// stop signal, or via an injected kill).
+    /// A spawned worker reports it has exited its claim loop (normally,
+    /// on a stop signal, or via an injected kill).
     pub(crate) fn worker_done(&self) {
         self.active.0.fetch_sub(1, Ordering::Release);
     }
 
-    /// Whether any worker is still claiming or verifying. Pairs with
+    /// Whether any spawned worker is still claiming or verifying. Pairs with
     /// [`worker_done`](Self::worker_done): once this returns false it
     /// stays false, and every slot write by an exited worker is
     /// visible (release/acquire on `active`).
@@ -192,6 +213,245 @@ impl WorkerStats {
     }
 }
 
+/// One candidate's complete verification product. Stats, events, and
+/// tallies live here — per candidate, not per worker — so the merge
+/// can absorb exactly the candidates it consumes, making the outcome's
+/// accounting independent of how candidates were distributed over
+/// workers. `done: false` marks an abandoned claim (injected worker
+/// death): empty payload, the merge recomputes.
+pub(crate) struct SlotData {
+    pub(crate) result: Option<SubMatch>,
+    pub(crate) stats: Phase2Stats,
+    pub(crate) effort: u64,
+    pub(crate) events: Option<EventBuffer>,
+    pub(crate) tally: Option<RejectTally>,
+    pub(crate) done: bool,
+}
+
+impl SlotData {
+    fn abandoned() -> Self {
+        SlotData {
+            result: None,
+            stats: Phase2Stats::default(),
+            effort: 0,
+            events: None,
+            tally: None,
+            done: false,
+        }
+    }
+}
+
+/// Where a worker takes its next candidate from.
+enum Source {
+    /// One candidate at a time from the queue's shared cursor.
+    Steal,
+    /// The worker's static home chunk, in order.
+    Static(Range<usize>),
+    /// Whole shards from the dispatch's shard cursor: `pos` walks the
+    /// current shard's candidate list, which is in CV order.
+    Shards { shard: usize, pos: Range<usize> },
+}
+
+/// What every Phase II worker shares: the candidate vector, the slots
+/// they fill, and the claim sources and broadcast signals. The merging
+/// thread owns one [`Worker`] of its own, so `threads` threads verify
+/// while only `threads - 1` are spawned.
+pub(crate) struct Dispatch<'a> {
+    pub(crate) runner: &'a Phase2Runner<'a>,
+    pub(crate) base: &'a BaseState,
+    pub(crate) key: Vertex,
+    pub(crate) candidates: &'a [Vertex],
+    /// Fingerprint-pruned candidates: never verified, never awaited.
+    pub(crate) pruned: Option<&'a [bool]>,
+    pub(crate) slots: &'a [OnceLock<SlotData>],
+    pub(crate) queue: &'a StealQueue,
+    pub(crate) shared: &'a SharedGovernor,
+    pub(crate) board: Option<&'a ClaimBoard>,
+    /// Per-shard candidate lists; `Some` selects the shard source.
+    pub(crate) shards: Option<&'a [Vec<usize>]>,
+    /// Next unclaimed shard. Claim order affects locality and
+    /// wall-clock only — the merge consumes every slot in CV order.
+    pub(crate) shard_cursor: AtomicUsize,
+    /// Stealing (vs static chunks) when unsharded.
+    pub(crate) stealing: bool,
+    /// Home-chunk length: static chunks, and what makes a claim a steal.
+    pub(crate) chunk: usize,
+    pub(crate) collect: bool,
+}
+
+/// One Phase II worker's private state: its search state, its claim
+/// source, and what it measured.
+pub(crate) struct Worker {
+    pub(crate) search: SearchState,
+    pub(crate) timing: Option<CandidateTiming>,
+    pub(crate) sched: WorkerStats,
+    /// The worker's static-chunk home range. Under stealing a claim
+    /// outside it is a steal: work it would have idled through with
+    /// static chunks.
+    home: Range<usize>,
+    source: Source,
+}
+
+/// What a worker hands back for the harvest.
+#[derive(Default)]
+pub(crate) struct WorkerPart {
+    pub(crate) timing: Option<CandidateTiming>,
+    pub(crate) backtrack_hist: Option<Histogram>,
+    pub(crate) sched: WorkerStats,
+}
+
+impl Worker {
+    /// Ends the worker: its timing, backtrack histogram and counters.
+    pub(crate) fn finish(mut self) -> WorkerPart {
+        WorkerPart {
+            timing: self.timing,
+            backtrack_hist: self.search.take_backtrack_hist(),
+            sched: self.sched,
+        }
+    }
+}
+
+impl Dispatch<'_> {
+    /// Worker `w` (0 is the merging thread) with a fresh search state.
+    pub(crate) fn worker(&self, w: usize) -> Worker {
+        let n = self.candidates.len();
+        let home = (w * self.chunk)..((w + 1) * self.chunk).min(n);
+        let source = if self.shards.is_some() {
+            Source::Shards {
+                shard: 0,
+                pos: 0..0,
+            }
+        } else if self.stealing {
+            Source::Steal
+        } else {
+            Source::Static(home.clone())
+        };
+        Worker {
+            search: self.runner.make_state(self.base),
+            timing: self.collect.then(CandidateTiming::default),
+            sched: WorkerStats::default(),
+            home,
+            source,
+        }
+    }
+
+    /// A spawned worker's whole life: turns of [`step`](Self::step)
+    /// until it drains or is stopped, yielding while the reorder window
+    /// is full.
+    pub(crate) fn run(&self, w: usize) -> WorkerPart {
+        if let Some(failpoint::Action::KillWorker) = failpoint::get("phase2.worker") {
+            // Simulated worker death at startup: its candidates are
+            // claimed by the other threads or recomputed by the merge.
+            self.queue.worker_done();
+            return WorkerPart {
+                timing: self.collect.then(CandidateTiming::default),
+                ..WorkerPart::default()
+            };
+        }
+        failpoint::stall("phase2.worker");
+        let mut worker = self.worker(w);
+        loop {
+            match self.step(&mut worker) {
+                Claim::Got(_) => {}
+                Claim::Blocked => {
+                    worker.sched.window_stalls += 1;
+                    std::thread::yield_now();
+                }
+                Claim::Drained => break,
+            }
+        }
+        self.queue.worker_done();
+        worker.finish()
+    }
+
+    /// One turn of the worker loop: unless the broadcast says stop,
+    /// claim one candidate and verify it into its slot. The governor
+    /// broadcast is checked per candidate, so exhaustion stops a worker
+    /// within one candidate (mid-shard too); the merge recomputes any
+    /// hole serially, keeping results byte-identical.
+    pub(crate) fn step(&self, w: &mut Worker) -> Claim {
+        if self.shared.halted() || self.shared.should_stop() {
+            return Claim::Drained;
+        }
+        let claim = self.claim(w);
+        let Claim::Got(i) = claim else {
+            return claim;
+        };
+        if self.pruned.is_some_and(|p| p[i]) {
+            // Fingerprint-pruned: like a claim-skip, no slot is written
+            // and the merge's own check never waits on one.
+            return claim;
+        }
+        w.sched.claimed += 1;
+        if matches!(w.source, Source::Steal) && !w.home.contains(&i) {
+            w.sched.steals += 1;
+        }
+        let c = self.candidates[i];
+        if let (Some(b), Some(d)) = (self.board, c.as_device()) {
+            if self.shared.claim_epoch() > 0 && b.is_claimed(d.index()) {
+                w.sched.claim_skips += 1;
+                return claim;
+            }
+        }
+        let mut stats = Phase2Stats::default();
+        let result = self
+            .runner
+            .run_candidate_timed(
+                &mut w.search,
+                self.key,
+                c,
+                i as u32,
+                &mut stats,
+                false,
+                w.timing.as_mut(),
+            )
+            .map(|(m, _)| m);
+        let effort = 1 + effort_of(&stats);
+        let _ = self.slots[i].set(SlotData {
+            result,
+            stats,
+            effort,
+            events: w.search.drain_events(),
+            tally: w.search.drain_reject_tally(),
+            done: true,
+        });
+        self.shared.charge(effort);
+        claim
+    }
+
+    /// The worker's next candidate from its source.
+    fn claim(&self, w: &mut Worker) -> Claim {
+        match &mut w.source {
+            Source::Steal => {
+                if let Some(failpoint::Action::KillWorker) = failpoint::get("phase2.steal") {
+                    // Death *after* claiming: abandon the candidate so
+                    // the merge's hole recovery has to repair it.
+                    if let Claim::Got(i) = self.queue.try_claim() {
+                        let _ = self.slots[i].set(SlotData::abandoned());
+                    }
+                    return Claim::Drained;
+                }
+                failpoint::stall("phase2.steal");
+                self.queue.try_claim()
+            }
+            Source::Static(home) => home.next().map_or(Claim::Drained, Claim::Got),
+            Source::Shards { shard, pos } => {
+                let lists = self.shards.unwrap_or_default();
+                loop {
+                    if let Some(p) = pos.next() {
+                        return Claim::Got(lists[*shard][p]);
+                    }
+                    *shard = self.shard_cursor.fetch_add(1, Ordering::Relaxed);
+                    match lists.get(*shard) {
+                        Some(list) => *pos = 0..list.len(),
+                        None => return Claim::Drained,
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,7 +515,9 @@ mod tests {
 
     #[test]
     fn worker_done_drains_active() {
-        let q = StealQueue::new(4, 3);
+        // Four threads: the merging thread plus three spawned workers,
+        // and only the spawned ones count as active.
+        let q = StealQueue::new(4, 4);
         assert!(q.workers_active());
         q.worker_done();
         q.worker_done();

@@ -536,57 +536,6 @@ impl Default for Engine {
     }
 }
 
-/// A request envelope, for transports that dispatch uniformly (the
-/// daemon). Front ends with static knowledge of the request kind (the
-/// CLI) call the corresponding [`Engine`] method directly — both paths
-/// are the same pipeline.
-#[derive(Debug)]
-pub enum Request<'a> {
-    /// Compile and register a circuit under a name.
-    Compile {
-        /// Registry name.
-        name: String,
-        /// The circuit to compile.
-        netlist: Box<Netlist>,
-    },
-    /// Register a pattern library under a name.
-    RegisterLibrary {
-        /// Registry name.
-        name: String,
-        /// The library cells, in order.
-        cells: Vec<Netlist>,
-    },
-    /// Locate all instances of a pattern.
-    Find(FindRequest<'a>),
-    /// Sweep a library over a circuit.
-    Survey(SurveyRequest<'a>),
-    /// Find with the event journal on, plus a distilled report.
-    Explain(ExplainRequest<'a>),
-    /// Rebuild a flat circuit's hierarchy bottom-up to a fixpoint.
-    Hierarchize(HierarchizeRequest<'a>),
-    /// Registry contents and request counters.
-    Status,
-}
-
-/// The response for each [`Request`] variant.
-#[derive(Debug)]
-pub enum Response {
-    /// For [`Request::Compile`].
-    Compiled(CompileInfo),
-    /// For [`Request::RegisterLibrary`].
-    LibraryRegistered(LibraryInfo),
-    /// For [`Request::Find`].
-    Found(Box<FindResponse>),
-    /// For [`Request::Survey`].
-    Surveyed(SurveyResponse),
-    /// For [`Request::Explain`].
-    Explained(Box<ExplainResponse>),
-    /// For [`Request::Hierarchize`].
-    Hierarchized(Box<HierarchizeResponse>),
-    /// For [`Request::Status`].
-    Status(EngineStatus),
-}
-
 enum ResolvedCircuit<'a> {
     Entry(Arc<CircuitEntry>),
     Inline(&'a Netlist),
@@ -675,10 +624,12 @@ impl Engine {
         let nets = artifact.circuit.net_count();
         let digest = artifact.source_digest;
         let build_ns = t0.elapsed().as_nanos() as u64;
-        let (compiled, index, source_digest) = artifact.into_shared();
-        let warm = WarmMain::new(compiled, index, source_digest, build_ns);
+        // The handle keeps the entry's netlist: requests on this entry
+        // adopt it by identity, without an O(pins) digest.
+        let netlist = Arc::new(netlist);
+        let warm = WarmMain::bound(Arc::clone(&netlist), artifact, build_ns);
         let entry = Arc::new(CircuitEntry {
-            netlist: Arc::new(netlist),
+            netlist,
             warm,
             devices,
             nets,
@@ -1056,30 +1007,6 @@ impl Engine {
             telemetry: self.telemetry.snapshot(),
         }
     }
-
-    /// Uniform dispatch over the [`Request`] envelope.
-    ///
-    /// # Errors
-    ///
-    /// See the per-kind methods.
-    pub fn handle(&self, req: Request<'_>) -> Result<Response, EngineError> {
-        match req {
-            Request::Compile { name, netlist } => {
-                Ok(Response::Compiled(self.register_circuit(&name, *netlist)))
-            }
-            Request::RegisterLibrary { name, cells } => Ok(Response::LibraryRegistered(
-                self.register_library(&name, cells),
-            )),
-            Request::Find(r) => self.find(&r).map(Box::new).map(Response::Found),
-            Request::Survey(r) => self.survey(&r).map(Response::Surveyed),
-            Request::Explain(r) => self.explain(&r).map(Box::new).map(Response::Explained),
-            Request::Hierarchize(r) => self
-                .hierarchize(&r)
-                .map(Box::new)
-                .map(Response::Hierarchized),
-            Request::Status => Ok(Response::Status(self.status())),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1271,39 +1198,6 @@ mod tests {
         assert_eq!(get("compile"), 1);
         assert_eq!(get("find"), 1);
         assert_eq!(get("truncated"), 1, "1-effort find must truncate");
-    }
-
-    #[test]
-    fn envelope_dispatch_matches_direct_calls() {
-        let engine = Engine::new();
-        let main = gen::ripple_adder(3).netlist;
-        let pattern = cells::full_adder();
-        let resp = engine
-            .handle(Request::Compile {
-                name: "chip".into(),
-                netlist: Box::new(main),
-            })
-            .unwrap();
-        let Response::Compiled(info) = resp else {
-            panic!("compile answers Compiled");
-        };
-        assert_eq!(info.name, "chip");
-        assert!(info.artifact_bytes > 0);
-        let resp = engine
-            .handle(Request::Find(FindRequest {
-                circuit: CircuitSource::Registered("chip"),
-                pattern: PatternSource::Inline(&pattern),
-                options: RequestOptions::default(),
-            }))
-            .unwrap();
-        let Response::Found(found) = resp else {
-            panic!("find answers Found");
-        };
-        assert_eq!(found.outcome.count(), 3);
-        let Response::Status(status) = engine.handle(Request::Status).unwrap() else {
-            panic!("status answers Status");
-        };
-        assert_eq!(status.circuits.len(), 1);
     }
 
     #[test]

@@ -231,8 +231,10 @@ fn killed_workers_fall_back_to_serial_recomputation() {
     let _fp = FpSession::start();
     let (pattern, main) = workload();
     let reference = run(&pattern, &main, MatchOptions::default());
-    // Every worker dies before touching its chunk; the merge loop must
-    // recompute every slot serially and still produce the full answer.
+    // Every spawned worker dies before claiming anything. The calling
+    // thread is a worker too and never runs the startup failpoint, so
+    // it claims and verifies every candidate itself: the full answer,
+    // with nothing left for the merge to recompute.
     failpoint::configure("phase2.worker", Action::KillWorker);
     for threads in [2, 8] {
         let survived = run(
@@ -240,6 +242,7 @@ fn killed_workers_fall_back_to_serial_recomputation() {
             &main,
             MatchOptions {
                 threads,
+                collect_metrics: true,
                 ..MatchOptions::default()
             },
         );
@@ -248,6 +251,12 @@ fn killed_workers_fall_back_to_serial_recomputation() {
             "threads {threads}: worker death changed the result"
         );
         assert!(survived.completeness.is_complete());
+        let m = survived.metrics.as_ref().expect("metrics requested");
+        assert_eq!(
+            m.counters.get("scheduler.recomputed"),
+            0,
+            "threads {threads}: the calling thread verifies every candidate"
+        );
     }
     // Same story under a budget: the truncation point is decided by
     // the serial ledger, dead workers or not.
@@ -267,11 +276,18 @@ fn killed_workers_fall_back_to_serial_recomputation() {
             MatchOptions {
                 threads,
                 budget: Some(WorkBudget::effort(budget)),
+                collect_metrics: true,
                 ..MatchOptions::default()
             },
         );
         assert_eq!(budgeted_serial.instances, budgeted.instances);
         assert_eq!(budgeted_serial.completeness, budgeted.completeness);
+        let m = budgeted.metrics.as_ref().expect("metrics requested");
+        assert_eq!(
+            m.counters.get("scheduler.recomputed"),
+            0,
+            "threads {threads}"
+        );
     }
 }
 

@@ -266,19 +266,28 @@ fn worker_death_at_steal_site_recovers_with_identical_results() {
     let reference = run(&pattern, &main, opts(1, Phase2Scheduler::WorkStealing));
     // Every worker dies at its first claim, leaving an abandoned-slot
     // tombstone; the merge must recompute every candidate serially and
-    // still produce the full answer.
+    // still produce the full answer. The calling thread claims too, so
+    // its own abandoned claim guarantees at least one recomputed hole.
     failpoint::configure("phase2.steal", Action::KillWorker);
     for threads in [2, 8] {
         let o = run(
             &pattern,
             &main,
-            opts(threads, Phase2Scheduler::WorkStealing),
+            MatchOptions {
+                collect_metrics: true,
+                ..opts(threads, Phase2Scheduler::WorkStealing)
+            },
         );
         assert_eq!(
             reference.instances, o.instances,
             "threads {threads}: steal-site death changed the result"
         );
         assert!(o.completeness.is_complete());
+        let m = o.metrics.as_ref().expect("metrics requested");
+        assert!(
+            m.counters.get("scheduler.recomputed") >= 1,
+            "threads {threads}: the hole-recovery path must run"
+        );
     }
     // Under a budget the truncation point is still the serial one.
     let budget = total_effort(&reference) / 2;
@@ -333,17 +342,35 @@ fn worker_death_at_spawn_site_recovers_under_stealing_scheduler() {
     let _fp = FpSession::start();
     let (pattern, main) = workload();
     let reference = run(&pattern, &main, opts(1, Phase2Scheduler::WorkStealing));
-    // Workers die before claiming anything at all (no tombstones, just
-    // an empty board); the merge self-heals via recomputation.
+    // Spawned workers die before claiming anything at all (no
+    // tombstones, just an empty board). The calling thread never runs
+    // the startup failpoint: under stealing it claims every candidate
+    // itself, so nothing is recomputed; under static chunks it owns
+    // only chunk 0 and the merge self-heals the rest by recomputation.
     failpoint::configure("phase2.worker", Action::KillWorker);
     for scheduler in SCHEDULERS {
         for threads in [2, 8] {
-            let o = run(&pattern, &main, opts(threads, scheduler));
+            let o = run(
+                &pattern,
+                &main,
+                MatchOptions {
+                    collect_metrics: true,
+                    ..opts(threads, scheduler)
+                },
+            );
             assert_eq!(
                 reference.instances, o.instances,
                 "{scheduler:?} threads {threads}: spawn-site death changed the result"
             );
             assert!(o.completeness.is_complete());
+            if scheduler == Phase2Scheduler::WorkStealing {
+                let m = o.metrics.as_ref().expect("metrics requested");
+                assert_eq!(
+                    m.counters.get("scheduler.recomputed"),
+                    0,
+                    "threads {threads}: the calling thread verifies every candidate"
+                );
+            }
         }
     }
 }
