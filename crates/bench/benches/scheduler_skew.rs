@@ -1,22 +1,18 @@
-//! Phase II scheduler face-off on a skew-heavy workload: a symmetric
-//! blob of superposed pattern copies (guess storms, ~80x the mean
+//! Phase II work stealing on a skew-heavy workload: a symmetric blob
+//! of superposed pattern copies (guess storms, ~80x the mean
 //! verification cost) clustered at the head of the candidate vector,
-//! followed by a long tail of cheap instances. Static chunking strands
-//! every heavy candidate in one worker's chunk; work stealing drains
-//! the tail around it.
+//! followed by a long tail of cheap instances. An even, fixed split of
+//! the vector would strand every heavy candidate in one worker's
+//! share; stealing drains the tail around it.
 //!
 //! Besides timing, this bench is a correctness gate: it asserts that
-//! both schedulers at every thread count return byte-identical
-//! instances and completeness, that stealing actually happens at 8
-//! threads, and — when the host has at least 2 cores — that the
-//! stealing scheduler beats static chunks by the acceptance margin.
+//! every thread count returns byte-identical instances and
+//! completeness, and that stealing actually happens at 8 threads.
 
 use std::hint::black_box;
 
-use subgemini::{MatchOptions, Matcher, Phase2Scheduler};
-use subgemini_bench::harness::{
-    criterion_group, criterion_main, measure_median_ns, BenchmarkId, Criterion,
-};
+use subgemini::{MatchOptions, Matcher};
+use subgemini_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use subgemini_netlist::Netlist;
 use subgemini_workloads::{cells, gen};
 
@@ -30,10 +26,9 @@ fn workload() -> (Netlist, Netlist) {
     (cell, g.netlist)
 }
 
-fn opts(threads: usize, scheduler: Phase2Scheduler) -> MatchOptions {
+fn opts(threads: usize) -> MatchOptions {
     MatchOptions {
         threads,
-        scheduler,
         ..MatchOptions::default()
     }
 }
@@ -42,32 +37,30 @@ fn run(pattern: &Netlist, main: &Netlist, o: MatchOptions) -> subgemini::MatchOu
     Matcher::new(pattern, main).options(o).find_all()
 }
 
-/// The results half of the acceptance bar: identical answers
-/// everywhere, and real stealing on the skewed field.
+/// Identical answers at every thread count, and real stealing on the
+/// skewed field.
 fn preflight(pattern: &Netlist, main: &Netlist) {
-    let reference = run(pattern, main, opts(1, Phase2Scheduler::WorkStealing));
+    let reference = run(pattern, main, opts(1));
     assert!(reference.completeness.is_complete());
     assert_eq!(
         reference.count(),
         TRAPS + EASY,
         "ground truth: every planted instance is found"
     );
-    for scheduler in [Phase2Scheduler::WorkStealing, Phase2Scheduler::StaticChunks] {
-        for threads in [1, 2, THREADS] {
-            let o = run(pattern, main, opts(threads, scheduler));
-            assert_eq!(
-                reference.instances, o.instances,
-                "{scheduler:?} threads {threads}: instances diverge"
-            );
-            assert_eq!(reference.completeness, o.completeness);
-        }
+    for threads in [2, THREADS] {
+        let o = run(pattern, main, opts(threads));
+        assert_eq!(
+            reference.instances, o.instances,
+            "threads {threads}: instances diverge"
+        );
+        assert_eq!(reference.completeness, o.completeness);
     }
     let observed = run(
         pattern,
         main,
         MatchOptions {
             collect_metrics: true,
-            ..opts(THREADS, Phase2Scheduler::WorkStealing)
+            ..opts(THREADS)
         },
     );
     let m = observed.metrics.as_ref().expect("metrics requested");
@@ -83,61 +76,16 @@ fn preflight(pattern: &Netlist, main: &Netlist) {
     );
 }
 
-/// The wall-clock half: stealing <= 0.8x static at 8 threads. Only
-/// meaningful on a multi-core host — a single hardware thread runs the
-/// workers sequentially and both schedulers degenerate to the same
-/// serial sweep — and only with real sampling, not the one-shot
-/// `SUBG_BENCH_FAST` smoke.
-fn ratio_gate(pattern: &Netlist, main: &Netlist) {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let fast = std::env::var_os("SUBG_BENCH_FAST").is_some_and(|v| v != "0");
-    let steal_ns = measure_median_ns(&mut |b| {
-        b.iter(|| {
-            black_box(run(
-                pattern,
-                main,
-                opts(THREADS, Phase2Scheduler::WorkStealing),
-            ))
-        })
-    });
-    let static_ns = measure_median_ns(&mut |b| {
-        b.iter(|| {
-            black_box(run(
-                pattern,
-                main,
-                opts(THREADS, Phase2Scheduler::StaticChunks),
-            ))
-        })
-    });
-    let ratio = steal_ns as f64 / static_ns.max(1) as f64;
-    println!(
-        "scheduler_skew ratio: steal {steal_ns} ns vs static {static_ns} ns \
-         = {ratio:.3} ({cores} cores)"
-    );
-    if cores >= 2 && !fast {
-        assert!(
-            ratio <= 0.8,
-            "work stealing must be <= 0.8x static chunking on the skewed \
-             workload at {THREADS} threads ({cores} cores): got {ratio:.3}"
-        );
-    }
-}
-
 fn bench(c: &mut Criterion) {
     let (pattern, main) = workload();
     preflight(&pattern, &main);
     let mut group = c.benchmark_group("scheduler_skew");
-    for (name, threads, scheduler) in [
-        ("serial", 1, Phase2Scheduler::WorkStealing),
-        ("static", THREADS, Phase2Scheduler::StaticChunks),
-        ("steal", THREADS, Phase2Scheduler::WorkStealing),
-    ] {
+    for (name, threads) in [("serial", 1), ("steal", THREADS)] {
         group.bench_with_input(BenchmarkId::new(name, threads), &(), |b, ()| {
-            b.iter(|| black_box(run(&pattern, &main, opts(threads, scheduler))))
+            b.iter(|| black_box(run(&pattern, &main, opts(threads))))
         });
     }
     group.finish();
-    ratio_gate(&pattern, &main);
 }
 
 criterion_group!(benches, bench);

@@ -484,70 +484,6 @@ fn observability(scale: usize, threads: usize) -> Value {
     ])
 }
 
-/// Sharded-dispatch walls (EXPERIMENTS.md E17): full-adder search over
-/// a 10^5-device-tier tiled chip, unsharded vs 2/4/8 shards at the
-/// same thread count. Every run must find exactly the planted
-/// instances (the differential battery pins byte-identity; this pins
-/// the ground truth at benchmark scale and records what the shard
-/// plan, halo overlap, and cross-shard merge cost).
-fn sharded(scale: usize, threads: usize) -> Value {
-    use subgemini::ShardPolicy;
-    let pattern = cells::full_adder();
-    let chip = gen::tiled_chip(17, 100_000 * scale.max(1));
-    let planted = chip.planted_count("full_adder") as u64;
-    let mut rows = Vec::new();
-    for shards in [0u32, 2, 4, 8] {
-        let policy = match shards {
-            0 => ShardPolicy::Off,
-            n => ShardPolicy::Count(n),
-        };
-        let outcome = Matcher::new(&pattern, &chip.netlist)
-            .options(MatchOptions {
-                threads,
-                shards: policy,
-                collect_metrics: true,
-                ..MatchOptions::default()
-            })
-            .find_all();
-        assert_eq!(
-            outcome.count() as u64,
-            planted,
-            "sharded run must find exactly the planted instances"
-        );
-        let m = outcome.metrics.expect("collect_metrics was set");
-        rows.push(Value::Obj(vec![
-            ("requested_shards".into(), Value::int(shards as u64)),
-            ("shards".into(), Value::int(m.counters.get("shard.count"))),
-            ("total_ns".into(), Value::int(m.total_ns)),
-            ("phase2_wall_ns".into(), Value::int(m.phase2_wall_ns)),
-            (
-                "halo_devices".into(),
-                Value::int(m.counters.get("shard.halo_devices")),
-            ),
-            (
-                "dedup_dropped".into(),
-                Value::int(m.counters.get("shard.dedup_dropped")),
-            ),
-            (
-                "plan_ns".into(),
-                Value::int(m.counters.get("shard.plan_ns")),
-            ),
-            (
-                "merge_ns".into(),
-                Value::int(m.counters.get("shard.merge_ns")),
-            ),
-        ]));
-    }
-    Value::Obj(vec![
-        (
-            "main_devices".into(),
-            Value::int(chip.netlist.device_count() as u64),
-        ),
-        ("planted".into(), Value::int(planted)),
-        ("rows".into(), Value::Arr(rows)),
-    ])
-}
-
 /// Sum of `compile_ns + phase1_refine_ns + phase1_select_ns` across a
 /// report's linearity rows. A missing `compile_ns` (pre-CSR baselines)
 /// counts as zero.
@@ -607,8 +543,6 @@ fn main() {
     let serve = serve_section(scale, threads);
     eprintln!("bench_json: observability overhead...");
     let obs = observability(scale, threads);
-    eprintln!("bench_json: sharded dispatch walls...");
-    let shard = sharded(scale, threads);
     let mut fields = vec![
         ("schema_version".into(), Value::int(REPORT_SCHEMA_VERSION)),
         (
@@ -626,9 +560,6 @@ fn main() {
         // Additive since schema v1: telemetry fold / exposition /
         // capture-serialization overhead (EXPERIMENTS.md E16).
         ("observability".into(), obs),
-        // Additive since schema v1: unsharded vs 2/4/8-shard walls on
-        // the 10^5-device tiled-chip tier (EXPERIMENTS.md E17).
-        ("sharded".into(), shard),
     ];
     if with_budget_curve {
         eprintln!("bench_json: budget curve...");

@@ -173,7 +173,7 @@ fn run_one(name: &str, throughput: Option<Throughput>, f: &mut dyn FnMut(&mut Be
 }
 
 /// Calibrates then samples a benchmark body; returns median ns/iter.
-pub fn measure_median_ns(f: &mut dyn FnMut(&mut Bencher)) -> u64 {
+fn measure_median_ns(f: &mut dyn FnMut(&mut Bencher)) -> u64 {
     let mut b = Bencher {
         iters: 1,
         elapsed: Duration::ZERO,

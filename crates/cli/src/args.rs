@@ -27,26 +27,54 @@ const SWITCHES: &[&str] = &[
     "--fail-fast",
 ];
 
+/// Flags that take a value: every `--key` a subcommand reads through
+/// [`Args::option`]. Any flag in neither list is a usage error, so a
+/// typo or a retired option fails loudly instead of running with
+/// defaults.
+const OPTIONS: &[&str] = &[
+    "--access-log",
+    "--addr",
+    "--artifact",
+    "--cell",
+    "--deadline-ms",
+    "--events-out",
+    "--lib",
+    "--library",
+    "--max-effort",
+    "--out",
+    "--pattern",
+    "--prune",
+    "--report",
+    "--rules",
+    "--slow-keep",
+    "--slow-ms",
+    "--threads",
+    "--trace-out",
+    "--workers",
+];
+
 impl Args {
     /// Parses raw arguments (already without the program/subcommand
     /// names).
     ///
     /// # Errors
     ///
-    /// Returns a message when an option is missing its value.
+    /// Returns a message when a flag is unknown or an option is missing
+    /// its value.
     pub fn parse(raw: &[String]) -> Result<Self, String> {
         let mut args = Args::default();
-        let mut it = raw.iter().peekable();
+        let mut it = raw.iter();
         while let Some(a) = it.next() {
-            if let Some(stripped) = a.strip_prefix("--") {
-                let _ = stripped;
+            if a.starts_with("--") {
                 if SWITCHES.contains(&a.as_str()) {
                     args.switches.push(a.clone());
-                } else {
+                } else if OPTIONS.contains(&a.as_str()) {
                     let value = it
                         .next()
                         .ok_or_else(|| format!("option {a} requires a value"))?;
                     args.options.insert(a.clone(), value.clone());
+                } else {
+                    return Err(format!("unknown option {a}"));
                 }
             } else {
                 args.positional.push(a.clone());
@@ -106,6 +134,22 @@ mod tests {
     fn option_without_value_errors() {
         let err = Args::parse(&v(&["--pattern"])).unwrap_err();
         assert!(err.contains("--pattern"));
+    }
+
+    #[test]
+    fn every_option_a_subcommand_reads_is_known() {
+        let source = include_str!("commands.rs");
+        let read: Vec<&str> = source
+            .split("option(\"")
+            .skip(1)
+            .filter_map(|rest| rest.split('"').next())
+            .collect();
+        for key in &read {
+            assert!(OPTIONS.contains(key), "{key} is read but not in OPTIONS");
+        }
+        for key in OPTIONS {
+            assert!(read.contains(key), "{key} is in OPTIONS but never read");
+        }
     }
 
     #[test]

@@ -61,26 +61,6 @@ fn request_options(args: &Args) -> Result<RequestOptions, String> {
             .parse()
             .map_err(|_| format!("--threads: `{n}` is not a count"))?;
     }
-    if let Some(s) = args.option("--scheduler") {
-        opts.scheduler = match s {
-            "steal" => subgemini::Phase2Scheduler::WorkStealing,
-            "static" => subgemini::Phase2Scheduler::StaticChunks,
-            other => {
-                return Err(format!(
-                    "--scheduler: `{other}` is not a scheduler (expected `steal` or `static`)"
-                ))
-            }
-        };
-    }
-    if let Some(s) = args.option("--shards") {
-        opts.shards = match s {
-            "auto" => subgemini::ShardPolicy::Auto,
-            "off" => subgemini::ShardPolicy::Off,
-            n => subgemini::ShardPolicy::Count(n.parse().map_err(|_| {
-                format!("--shards: `{n}` is not a shard count (expected `auto`, `off` or a number)")
-            })?),
-        };
-    }
     // A report implies metrics collection; text output stays untouched
     // (and the match byte-identical) without one.
     if report_mode(args)?.is_some() {

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! subg find <main.sp> --pattern <cell> [--lib <cells.sp>] [--ignore-globals] [--first] [--csv]
-//!           [--report json|text] [--threads <n>] [--scheduler steal|static]
-//!           [--shards auto|off|<n>] [--trace-out <trace.json>]
+//!           [--report json|text] [--threads <n>] [--trace-out <trace.json>]
 //!           [--events-out <events.ndjson>] [--explain]
 //!           [--max-effort <n>] [--deadline-ms <ms>] [--fail-fast]
 //!           [--artifact <main.sgc>] [--prune auto|always|never]
@@ -36,8 +35,7 @@ subg — SubGemini subcircuit tools
 
 USAGE:
   subg find <main.sp> --pattern <cell> [--lib <cells.sp>] [--ignore-globals] [--first] [--csv]
-            [--report json|text] [--threads <n>] [--scheduler steal|static]
-            [--shards auto|off|<n>] [--trace-out <trace.json>]
+            [--report json|text] [--threads <n>] [--trace-out <trace.json>]
             [--events-out <events.ndjson>] [--explain]
             [--max-effort <n>] [--deadline-ms <ms>] [--fail-fast]
             [--artifact <main.sgc>] [--prune auto|always|never]

@@ -602,6 +602,23 @@ fn usage_on_no_args_and_unknown_command() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
     let out = subg(&dir, &["bogus"]);
     assert_eq!(out.status.code(), Some(2));
+    // Unknown flags, the retired `--shards`/`--scheduler` and typos
+    // alike, are usage errors: none may run the search with defaults.
+    write_files(&dir);
+    for extra in [
+        ["--shards", "2"],
+        ["--scheduler", "static"],
+        ["--thread", "8"],
+    ] {
+        let mut args = vec!["find", "chip.sp", "--pattern", "inv", "--lib", "cells.sp"];
+        args.extend(extra);
+        let out = subg(&dir, &args);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        assert!(out.stdout.is_empty(), "{extra:?}: no search ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("unknown option {}", extra[0]);
+        assert!(stderr.contains(&want), "{stderr}");
+    }
 }
 
 #[test]

@@ -396,6 +396,11 @@ pub mod failpoint {
         /// merging). The other threads claim what is left and the
         /// merge recomputes any hole, so results are unchanged.
         KillWorker,
+        /// Panic at the site. At `phase2.merge` the merging thread
+        /// panics while spawned workers may be parked on the reorder
+        /// window: the panic must still reach the caller of the
+        /// search.
+        Panic,
     }
 
     /// Sites the search consults. Checked at: every Phase I refinement
@@ -405,12 +410,14 @@ pub mod failpoint {
     /// runs it), and every work-stealing claim attempt, the calling
     /// thread's included (`phase2.steal`) — where `KillWorker`
     /// abandons an already-claimed candidate, exercising the merge's
-    /// hole recovery.
-    pub const SITES: [&str; 4] = [
+    /// hole recovery — and every candidate the merge reaches, on the
+    /// merging thread only (`phase2.merge`).
+    pub const SITES: [&str; 5] = [
         "phase1.cycle",
         "phase2.candidate",
         "phase2.worker",
         "phase2.steal",
+        "phase2.merge",
     ];
 
     #[cfg(any(test, feature = "failpoints"))]

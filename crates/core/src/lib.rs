@@ -68,7 +68,6 @@ mod phase1;
 mod phase2;
 mod rules;
 mod scheduler;
-pub mod shard;
 mod symmetry;
 mod techmap;
 pub mod telemetry;
@@ -81,9 +80,8 @@ pub use extract::{ExtractReport, ExtractedInstance, Extractor};
 pub use instance::{MatchOutcome, Phase1Stats, Phase2Stats, SubMatch};
 pub use matcher::{find_all, find_all_many, Matcher};
 pub use metrics::{Counters, Histogram, MetricsReport};
-pub use options::{KeyPolicy, MatchOptions, OverlapPolicy, Phase2Scheduler, PrunePolicy, WarmMain};
+pub use options::{KeyPolicy, MatchOptions, OverlapPolicy, PrunePolicy, WarmMain};
 pub use rules::{RuleChecker, RuleViolation};
-pub use shard::{ShardPlan, ShardPolicy};
 pub use symmetry::port_symmetry_classes;
 pub use techmap::{CoverCandidate, CoverResult, TechMapper};
 pub use telemetry::{RequestSample, Rollup, ShardedCounter, Telemetry, TelemetrySnapshot};

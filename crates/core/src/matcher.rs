@@ -6,23 +6,23 @@
 //! `G` are shared by every pattern.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::AtomicUsize;
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use subgemini_netlist::{CompiledCircuit, DeviceId, FingerprintIndex, Netlist};
 
-use crate::budget::{effort_of, Completeness, Governor, SharedGovernor, TruncationReason};
+use crate::budget::{
+    effort_of, failpoint, Completeness, Governor, SharedGovernor, TruncationReason,
+};
 use crate::events::{EventBuffer, EventJournal, EventKind, RejectTally};
 use crate::instance::{MatchOutcome, SubMatch};
 use crate::metrics::{MetricsReport, PhaseTimer};
-use crate::options::{MatchOptions, OverlapPolicy, Phase2Scheduler, PrunePolicy};
+use crate::options::{MatchOptions, OverlapPolicy, PrunePolicy};
 use crate::phase1;
 use crate::phase2::Phase2Runner;
 use crate::scheduler::{
     Claim, ClaimBoard, Dispatch, SlotData, StealQueue, Worker, WorkerPart, WorkerStats,
 };
-use crate::shard::ShardPlan;
 use crate::trace::Phase2Trace;
 
 /// A configured subcircuit search: find instances of `pattern` inside
@@ -188,22 +188,10 @@ pub(crate) fn prepare_main<'a>(main: &'a Netlist, options: &MatchOptions) -> Pre
 /// adopts the handle's shared steps, so only the first search on a
 /// handle builds them; a cold main gets a private trace.
 fn main_trace(prepared: &PreparedMain<'_>, options: &MatchOptions) -> phase1::GTrace {
-    let mut trace = match options.warm_main.as_ref().filter(|_| prepared.warm) {
+    match options.warm_main.as_ref().filter(|_| prepared.warm) {
         Some(warm) => phase1::GTrace::shared(warm),
         None => phase1::GTrace::new(Arc::clone(&prepared.compiled)),
-    };
-    // Shard-tier graphs get chunk-parallel Jacobi relabeling: each
-    // output element is a pure function of the previous step, so
-    // chunking is bit-identical to the serial pass. Gated on sharding
-    // so unsharded runs keep the serial path.
-    if options
-        .shards
-        .resolve(prepared.compiled.device_count())
-        .is_some()
-    {
-        trace.set_relabel_workers(options.resolved_threads());
     }
-    trace
 }
 
 pub(crate) fn assert_no_isolated_nets(pattern: &Netlist) {
@@ -303,6 +291,16 @@ pub fn find_all_many(
             outcome
         })
         .collect()
+}
+
+/// Raises the workers' `halt` signal when dropped, so it goes up
+/// however the merge ends, unwinding included.
+struct HaltOnDrop<'a>(&'a SharedGovernor);
+
+impl Drop for HaltOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.halt();
+    }
 }
 
 /// Budget bookkeeping on a metrics report. Called only when a governor
@@ -439,7 +437,7 @@ pub(crate) fn find_all_compiled(
     // merge both skip marked candidates the same way claim-skips work:
     // no slot is ever written or awaited for them. The mask is computed
     // before any worker spawns, so pruning — like everything the merge
-    // consumes — is identical for every thread count and scheduler.
+    // consumes — is identical for every thread count.
     let pruned_mask: Option<Vec<bool>> = {
         let prune_index = match options.prune {
             PrunePolicy::Never => None,
@@ -491,55 +489,10 @@ pub(crate) fn find_all_compiled(
         outcome.metrics = metrics;
         return outcome;
     };
-    // ---- Shard plan (DESIGN.md §3i) ----
-    //
-    // Sharding partitions the *candidate vector* by anchor ownership:
-    // the main graph's compiled device order is cut into contiguous
-    // core ranges (plus pattern-diameter halos, the containment
-    // contract), and every candidate is owned by exactly one shard.
-    // Workers claim whole shards instead of single candidates, which
-    // localizes their reads; everything downstream of the slots — the
-    // serial CV-ordered merge — is untouched, so sharded results are
-    // byte-identical to unsharded ones by construction. Tracing forces
-    // the serial path, exactly as it disables parallel dispatch.
-    let n = p1.candidates.len();
-    let plan_timer = collect.then(PhaseTimer::start);
-    let shard_plan: Option<ShardPlan> = if options.record_trace || n <= 1 {
-        None
-    } else {
-        options
-            .shards
-            .resolve(prepared.compiled.device_count())
-            .map(|k| {
-                let diameter = crate::shard::pattern_diameter(&s);
-                ShardPlan::build(&prepared.compiled, k, diameter)
-            })
-    };
-    let plan_ns = plan_timer.map_or(0, |t| t.elapsed_ns());
-    // Per-shard candidate lists (CV indices in CV order) and the
-    // owner-shard of every candidate — the merge uses owners to tell a
-    // cross-shard halo duplicate from an ordinary one.
-    let (shard_lists, owners): (Option<Vec<Vec<usize>>>, Option<Vec<u32>>) =
-        match shard_plan.as_ref() {
-            Some(plan) => {
-                let mut lists: Vec<Vec<usize>> = vec![Vec::new(); plan.shard_count()];
-                let mut owners: Vec<u32> = Vec::with_capacity(n);
-                for (i, c) in p1.candidates.iter().enumerate() {
-                    let o = plan.owner_of(&prepared.compiled, *c);
-                    owners.push(o as u32);
-                    lists[o].push(i);
-                }
-                (Some(lists), Some(owners))
-            }
-            None => (None, None),
-        };
-    let sharded = shard_lists.is_some();
-
     // ---- Phase II candidate stage ----
     //
-    // Parallel runs stream: `threads` workers claim candidates — one at
-    // a time from a shared atomic cursor (work stealing, the default),
-    // as preassigned contiguous chunks, or shard by shard — verify them
+    // Parallel runs stream: `threads` workers claim candidates one at a
+    // time from a shared atomic cursor (work stealing), verify them
     // into per-candidate slots, and the serial merge below consumes
     // those slots in candidate-vector order *concurrently*, behind a
     // bounded reorder window. The calling thread is one of the
@@ -550,20 +503,11 @@ pub(crate) fn find_all_compiled(
     // truncation, claims devices, and absorbs stats/events/tallies
     // from exactly the candidates it consumes — so instances, stats,
     // the journal, and the truncation point are identical for every
-    // thread count and both schedulers (tracing forces the serial
-    // path). See DESIGN.md §3e.
-    //
-    // Shard mode rides the same machinery — slots, shared governor,
-    // merge — but workers claim whole shards from an atomic cursor, so
-    // it always uses the slot path (even at one thread) and ignores
-    // the scheduler knob and the claim board (the merge's own claim
-    // check is authoritative either way).
-    let par_enabled = !options.record_trace && n > 1 && (worker_count > 1 || sharded);
-    let threads = match shard_lists.as_ref() {
-        Some(lists) => worker_count.min(lists.len()).min(n),
-        None => worker_count.min(n),
-    };
-    let stealing = par_enabled && !sharded && options.scheduler == Phase2Scheduler::WorkStealing;
+    // thread count (tracing forces the serial path). See DESIGN.md
+    // §3e.
+    let n = p1.candidates.len();
+    let par_enabled = !options.record_trace && n > 1 && worker_count > 1;
+    let threads = worker_count.min(n);
     let phase2_timer = collect.then(PhaseTimer::start);
     let mut event_buffers: Vec<EventBuffer> = Vec::new();
     let mut reject_tally = RejectTally::default();
@@ -584,13 +528,13 @@ pub(crate) fn find_all_compiled(
     let shared = governor
         .as_ref()
         .map_or_else(SharedGovernor::unlimited, Governor::shared);
-    // Claim board: under ClaimDevices, stealing workers skip
-    // candidates whose key image a merged instance already claimed.
-    // Claims only grow, and only the merge publishes them, so any bit
-    // a worker observes belongs to a merged prefix — the merge's own
-    // claim check skips the same candidate, never waiting on the
-    // worker's unwritten slot.
-    let board = (stealing && options.overlap == OverlapPolicy::ClaimDevices)
+    // Claim board: under ClaimDevices, workers skip candidates whose
+    // key image a merged instance already claimed. Claims only grow,
+    // and only the merge publishes them, so any bit a worker observes
+    // belongs to a merged prefix — the merge's own claim check skips
+    // the same candidate, never waiting on the worker's unwritten
+    // slot.
+    let board = (par_enabled && options.overlap == OverlapPolicy::ClaimDevices)
         .then(|| ClaimBoard::new(main_nl.device_count()));
     let dispatch = Dispatch {
         runner: &runner,
@@ -602,9 +546,6 @@ pub(crate) fn find_all_compiled(
         queue: &queue,
         shared: &shared,
         board: board.as_ref(),
-        shards: shard_lists.as_deref(),
-        shard_cursor: AtomicUsize::new(0),
-        stealing,
         chunk: if par_enabled { n.div_ceil(threads) } else { 1 },
         collect,
     };
@@ -612,12 +553,9 @@ pub(crate) fn find_all_compiled(
     // serial path and every merge recomputation.
     let mut own = dispatch.worker(0);
     let mut claimed: HashSet<DeviceId> = HashSet::new();
-    // Canonical device-set → owner shard of the candidate that first
-    // produced it (0 when unsharded). The dedup check is what it always
-    // was; the owner lets shard mode count cross-shard halo duplicates
-    // separately (`shard.dedup_dropped`).
-    let mut seen_sets: HashMap<Vec<DeviceId>, u32> = HashMap::new();
-    let mut shard_dedup_dropped = 0u64;
+    // Canonical device sets of the instances merged so far: the same
+    // instance reached through another candidate is dropped.
+    let mut seen_sets: HashSet<Vec<DeviceId>> = HashSet::new();
     let mut p2_trace: Option<Phase2Trace> = None;
     let mut checked = 0u64;
     let mut matched = 0u64;
@@ -643,6 +581,9 @@ pub(crate) fn find_all_compiled(
         // failpoint kills its claiming (never its merging).
         let mut claiming = par_enabled;
         for (i, &c) in p1.candidates.iter().enumerate() {
+            if let Some(failpoint::Action::Panic) = failpoint::get("phase2.merge") {
+                panic!("failpoint phase2.merge: injected panic at candidate {i}");
+            }
             if par_enabled {
                 queue.advance_merge(i);
             }
@@ -759,14 +700,8 @@ pub(crate) fn find_all_compiled(
             };
             matched += 1;
             let set = m.device_set();
-            let owner = owners.as_ref().map_or(0, |o| o[i]);
-            if let Some(&first_owner) = seen_sets.get(&set) {
+            if seen_sets.contains(&set) {
                 dedup_dropped += 1;
-                if owners.is_some() && first_owner != owner {
-                    // The halo-duplicated case: the same instance was
-                    // reached from anchors owned by two shards.
-                    shard_dedup_dropped += 1;
-                }
                 continue; // same instance reached through another candidate
             }
             let overlaps = options.overlap == OverlapPolicy::ClaimDevices
@@ -782,7 +717,7 @@ pub(crate) fn find_all_compiled(
                 }
                 claimed.extend(set.iter().copied());
             }
-            seen_sets.insert(set, owner); // move, not clone — the set is consumed here
+            seen_sets.insert(set); // move, not clone — the set is consumed here
             if overlaps {
                 outcome.phase2.overlap_dropped += 1;
                 continue;
@@ -793,7 +728,6 @@ pub(crate) fn find_all_compiled(
             outcome.instances.push(m);
         }
     };
-    let mut merge_ns = 0u64;
     let mut parts: Vec<WorkerPart> = if par_enabled {
         std::thread::scope(|scope| {
             let spawned: Vec<_> = (1..threads)
@@ -802,16 +736,15 @@ pub(crate) fn find_all_compiled(
                     scope.spawn(move || dispatch.run(w))
                 })
                 .collect();
-            let merge_timer = (collect && sharded).then(PhaseTimer::start);
-            run_merge(&mut own);
-            // The merge's own cost: its wall time net of the candidates
-            // the calling thread verified along the way.
-            let own_ns = own.timing.as_ref().map_or(0, |t| t.sum_ns);
-            merge_ns = merge_timer.map_or(0, |t| t.elapsed_ns().saturating_sub(own_ns));
-            // Raised on every merge exit path (completion, a limit, a
-            // stop): workers — including ones parked on the reorder
-            // window — drain promptly instead of finishing the vector.
-            shared.halt();
+            {
+                // Raised on every merge exit — completion, a limit, a
+                // stop, or a panic: workers, including ones parked on
+                // the reorder window, drain promptly instead of
+                // finishing the vector, and a panic reaches the caller
+                // instead of leaving the scope waiting on them.
+                let _halt = HaltOnDrop(&shared);
+                run_merge(&mut own);
+            }
             spawned
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
@@ -909,15 +842,6 @@ pub(crate) fn find_all_compiled(
             m.counters.bump("scheduler.merge_stalls", merge_stalls);
             m.counters.bump("scheduler.recomputed", recomputed);
             m.counters.bump("scheduler.unconsumed", unconsumed);
-        }
-        if let Some(plan) = shard_plan.as_ref() {
-            // Shard telemetry (schema v1 additive): plan shape plus the
-            // overlap and merge costs the sharding pays for.
-            m.counters.bump("shard.count", plan.shard_count() as u64);
-            m.counters.bump("shard.halo_devices", plan.halo_devices());
-            m.counters.bump("shard.dedup_dropped", shard_dedup_dropped);
-            m.counters.bump("shard.plan_ns", plan_ns);
-            m.counters.bump("shard.merge_ns", merge_ns);
         }
         // Reject reasons land as counters in first-bump order;
         // `nonzero()` yields them in the closed `ALL` order.

@@ -6,7 +6,6 @@ use subgemini_netlist::{structural_digest, Artifact, CompiledCircuit, Fingerprin
 
 use crate::budget::{CancelToken, WorkBudget};
 use crate::phase1::SharedSteps;
-use crate::shard::ShardPolicy;
 
 /// What to do when two instances want the same main-circuit device.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,25 +35,6 @@ pub enum KeyPolicy {
     /// The *largest* main-graph partition — the adversarial choice,
     /// included to quantify how much the paper's rule matters.
     LargestPartition,
-}
-
-/// How parallel Phase II distributes candidates over worker threads.
-/// Either way the serial merge consumes results in candidate-vector
-/// order, so the choice affects wall-clock only — never results.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Phase2Scheduler {
-    /// Workers claim candidates one at a time from a shared atomic
-    /// cursor behind a bounded reorder window (see DESIGN.md §3e).
-    /// Robust to skewed per-candidate cost — one pathological
-    /// candidate no longer idles every other worker — and lets
-    /// workers skip candidates whose key image the merge has already
-    /// claimed under [`OverlapPolicy::ClaimDevices`].
-    #[default]
-    WorkStealing,
-    /// The candidate vector is split into contiguous chunks, one per
-    /// worker, assigned up front. Kept as an escape hatch and as the
-    /// baseline the scheduler benches compare against.
-    StaticChunks,
 }
 
 /// When to intersect Phase I's candidate vector against the k-hop
@@ -224,14 +204,13 @@ pub struct MatchOptions {
     pub key_policy: KeyPolicy,
     /// Worker threads for Phase II candidate verification (candidates
     /// are independent). `1` (default) runs serially; `0` uses the
-    /// machine's available parallelism. Results are identical to the
-    /// serial order regardless of thread count; `record_trace` forces
-    /// serial execution.
+    /// machine's available parallelism. Parallel workers claim
+    /// candidates one at a time from a shared cursor (work stealing,
+    /// DESIGN.md §3e), and the serial merge consumes their results in
+    /// candidate-vector order, so results are identical to the serial
+    /// run for every thread count; `record_trace` forces serial
+    /// execution.
     pub threads: usize,
-    /// How parallel Phase II hands candidates to workers; ignored when
-    /// the run is effectively serial. Default
-    /// [`Phase2Scheduler::WorkStealing`].
-    pub scheduler: Phase2Scheduler,
     /// Seed for the deterministic RNG that generates unique match
     /// labels. Runs with equal seeds are bit-identical.
     pub seed: u64,
@@ -301,14 +280,6 @@ pub struct MatchOptions {
     /// the search never reads it. `None` (default) for direct core
     /// calls.
     pub request_id: Option<u64>,
-    /// Sharded Phase II dispatch over contiguous device-range shards
-    /// with pattern-diameter halos (see [`ShardPolicy`] and DESIGN.md
-    /// §3i). [`ShardPolicy::Off`] (default) keeps the unsharded
-    /// scheduler paths; any other setting changes dispatch only —
-    /// instances, stats, journal, reject tallies, and truncation points
-    /// stay byte-identical to the unsharded run. Ignored (treated as
-    /// off) when `record_trace` forces the serial teaching path.
-    pub shards: ShardPolicy,
 }
 
 impl Default for MatchOptions {
@@ -321,7 +292,6 @@ impl Default for MatchOptions {
             max_passes_per_candidate: 10_000,
             key_policy: KeyPolicy::default(),
             threads: 1,
-            scheduler: Phase2Scheduler::default(),
             seed: 0x5b6e_1347,
             record_trace: false,
             spread_from_port_images: false,
@@ -333,7 +303,6 @@ impl Default for MatchOptions {
             warm_main: None,
             prune: PrunePolicy::default(),
             request_id: None,
-            shards: ShardPolicy::default(),
         }
     }
 }
@@ -381,10 +350,8 @@ mod tests {
         assert_eq!(o.max_instances, 0);
         assert_eq!(o.budget, None, "searches are unbudgeted by default");
         assert_eq!(o.cancel, None, "searches are uncancellable by default");
-        assert_eq!(o.scheduler, Phase2Scheduler::WorkStealing);
         assert_eq!(o.warm_main, None, "cold start by default");
         assert_eq!(o.prune, PrunePolicy::Auto);
-        assert_eq!(o.shards, ShardPolicy::Off, "unsharded by default");
     }
 
     #[test]

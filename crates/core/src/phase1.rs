@@ -73,20 +73,7 @@ fn initial_labels(g: &CompiledCircuit) -> Labels {
 /// One Jacobi half-phase over `c`: writes the next label of every net
 /// (`nets`) or of every device into `out`, each a pure function of the
 /// previous `dev`/`net` labels. Global nets keep their fixed labels.
-///
-/// With `workers > 1` the output range is split into chunks over
-/// scoped threads. No element reads another's new value, so every
-/// worker count gives bit-identical labels — the parallelism changes
-/// wall-clock, never labels. Each chunk's read set is its vertices'
-/// neighborhoods, the halo-exchange picture of a stencil step.
-fn relabel(
-    c: &CompiledCircuit,
-    dev: &[u64],
-    net: &[u64],
-    nets: bool,
-    workers: usize,
-    out: &mut Vec<u64>,
-) {
+fn relabel(c: &CompiledCircuit, dev: &[u64], net: &[u64], nets: bool, out: &mut Vec<u64>) {
     let next = |i: usize| {
         if nets {
             let n = NetId::new(i as u32);
@@ -102,22 +89,7 @@ fn relabel(
     };
     let len = if nets { net.len() } else { dev.len() };
     out.clear();
-    if workers <= 1 {
-        out.extend((0..len).map(next));
-        return;
-    }
-    out.resize(len, 0);
-    let chunk = len.div_ceil(workers).max(1);
-    let next = &next;
-    std::thread::scope(|scope| {
-        for (ci, slots) in out.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (k, slot) in slots.iter_mut().enumerate() {
-                    *slot = next(ci * chunk + k);
-                }
-            });
-        }
-    });
+    out.extend((0..len).map(next));
 }
 
 /// One side (devices or nets) of a `G` trace step: its labels plus the
@@ -173,17 +145,10 @@ impl Step {
     }
 
     /// The step after `self`, whose index is `index`.
-    fn next(&self, g: &CompiledCircuit, index: usize, workers: usize) -> Self {
+    fn next(&self, g: &CompiledCircuit, index: usize) -> Self {
         let nets = index % 2 == 1;
         let mut out = Vec::new();
-        relabel(
-            g,
-            &self.dev.labels,
-            &self.net.labels,
-            nets,
-            workers,
-            &mut out,
-        );
+        relabel(g, &self.dev.labels, &self.net.labels, nets, &mut out);
         let changed = Arc::new(Side::new(out));
         if nets {
             Self {
@@ -240,8 +205,6 @@ pub struct GTrace {
     steps: Vec<Arc<Step>>,
     /// Where the first [`SHARED_STEPS`] steps come from, if shared.
     shared: Option<WarmMain>,
-    /// Scoped threads used per relabeling pass (1 = serial).
-    relabel_workers: usize,
 }
 
 impl GTrace {
@@ -252,7 +215,6 @@ impl GTrace {
             g,
             steps: Vec::new(),
             shared: None,
-            relabel_workers: 1,
         }
     }
 
@@ -266,15 +228,6 @@ impl GTrace {
         }
     }
 
-    /// Enables chunk-parallel Jacobi relabeling with up to `workers`
-    /// scoped threads per pass. Labels are bit-identical to the serial
-    /// trace for any worker count, so this only changes wall-clock
-    /// (and a shared step may be built by either). Clamped to at
-    /// least 1.
-    pub fn set_relabel_workers(&mut self, workers: usize) {
-        self.relabel_workers = workers.max(1);
-    }
-
     /// The step after `index` relabeling half-phases, extending the
     /// trace as needed.
     fn step(&mut self, index: usize) -> Arc<Step> {
@@ -282,7 +235,7 @@ impl GTrace {
             let i = self.steps.len();
             let build = || match self.steps.last() {
                 None => Step::initial(&self.g),
-                Some(prev) => prev.next(&self.g, i, self.relabel_workers),
+                Some(prev) => prev.next(&self.g, i),
             };
             let step = match self
                 .shared
@@ -576,7 +529,7 @@ fn refine(
             return Err((stats, Some(reason)));
         }
         // --- net phase ---
-        relabel(s, &sl.dev, &sl.net, true, 1, &mut relabel_buf);
+        relabel(s, &sl.dev, &sl.net, true, &mut relabel_buf);
         std::mem::swap(&mut sl.net, &mut relabel_buf);
         step += 1;
         let inv_n = valid.propagate_to_nets(s);
@@ -596,7 +549,7 @@ fn refine(
             break;
         }
         // --- device phase ---
-        relabel(s, &sl.dev, &sl.net, false, 1, &mut relabel_buf);
+        relabel(s, &sl.dev, &sl.net, false, &mut relabel_buf);
         std::mem::swap(&mut sl.dev, &mut relabel_buf);
         step += 1;
         let inv_d = valid.propagate_to_devices(s);
@@ -966,25 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_relabel_is_bit_identical() {
-        let pat = inverter_cell();
-        let chip = inverter_chain(9);
-        let g = compile(&chip);
-        let sp = compile(&pat);
-        let mut serial = GTrace::new(Arc::clone(&g));
-        let mut par = GTrace::new(Arc::clone(&g));
-        par.set_relabel_workers(4);
-        let a = run_with_trace(&sp, &mut serial, KeyPolicy::SmallestPartition);
-        let b = run_with_trace(&sp, &mut par, KeyPolicy::SmallestPartition);
-        assert_eq!(a.key, b.key);
-        assert_eq!(a.candidates, b.candidates);
-        assert_eq!(serial.steps.len(), par.steps.len());
-        for (i, (s, p)) in serial.steps.iter().zip(&par.steps).enumerate() {
-            assert_same_step(s, p, &format!("step {i}"));
-        }
-    }
-
-    #[test]
     fn half_phase_steps_share_the_side_they_did_not_change() {
         let mut trace = GTrace::new(compile(&inverter_chain(5)));
         let steps: Vec<Arc<Step>> = (0..5).map(|i| trace.step(i)).collect();
@@ -1002,34 +936,30 @@ mod tests {
         let depth = SHARED_STEPS + 3;
         let mut private = GTrace::new(compile(&chip));
         let reference: Vec<Arc<Step>> = (0..=depth).map(|i| private.step(i)).collect();
-        for workers in [1, 4] {
-            let warm = WarmMain::from_artifact(subgemini_netlist::Artifact::build(&chip), 0);
-            let mut a = GTrace::shared(&warm);
-            let mut b = GTrace::shared(&warm);
-            a.set_relabel_workers(workers);
-            b.set_relabel_workers(workers);
-            // Interleaved, to different depths: `a` builds the first
-            // steps, `b` adopts them and builds the rest of the prefix
-            // and past it, `a` adopts those and goes past the cap too.
-            for (first, upto) in [(true, 2), (false, depth), (true, depth - 1)] {
-                let trace = if first { &mut a } else { &mut b };
-                let step = trace.step(upto);
-                assert_same_step(&step, &reference[upto], &format!("step {upto}"));
-                assert!(warm.shared_steps().built() <= SHARED_STEPS);
-            }
-            assert_eq!(warm.shared_steps().built(), SHARED_STEPS);
-            for (i, want) in reference.iter().enumerate() {
-                let what = format!("workers {workers}, step {i}");
-                assert_same_step(&b.steps[i], want, &what);
-                if i < a.steps.len() {
-                    assert_same_step(&a.steps[i], want, &what);
-                    let adopted = Arc::ptr_eq(&a.steps[i], &b.steps[i]);
-                    assert_eq!(
-                        adopted,
-                        i < SHARED_STEPS,
-                        "{what}: shared iff below the cap"
-                    );
-                }
+        let warm = WarmMain::from_artifact(subgemini_netlist::Artifact::build(&chip), 0);
+        let mut a = GTrace::shared(&warm);
+        let mut b = GTrace::shared(&warm);
+        // Interleaved, to different depths: `a` builds the first
+        // steps, `b` adopts them and builds the rest of the prefix
+        // and past it, `a` adopts those and goes past the cap too.
+        for (first, upto) in [(true, 2), (false, depth), (true, depth - 1)] {
+            let trace = if first { &mut a } else { &mut b };
+            let step = trace.step(upto);
+            assert_same_step(&step, &reference[upto], &format!("step {upto}"));
+            assert!(warm.shared_steps().built() <= SHARED_STEPS);
+        }
+        assert_eq!(warm.shared_steps().built(), SHARED_STEPS);
+        for (i, want) in reference.iter().enumerate() {
+            let what = format!("step {i}");
+            assert_same_step(&b.steps[i], want, &what);
+            if i < a.steps.len() {
+                assert_same_step(&a.steps[i], want, &what);
+                let adopted = Arc::ptr_eq(&a.steps[i], &b.steps[i]);
+                assert_eq!(
+                    adopted,
+                    i < SHARED_STEPS,
+                    "{what}: shared iff below the cap"
+                );
             }
         }
     }

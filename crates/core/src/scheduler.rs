@@ -27,9 +27,8 @@
 //!   serial merge sets them, so a worker-side skip can never disagree
 //!   with the merge's own (authoritative) claim check.
 //! * [`Dispatch`] and [`Worker`] — the one worker loop. A worker
-//!   claims from its [`Source`] (the stealing cursor, its static home
-//!   chunk, or the shard cursor) and verifies each claim into its
-//!   [`SlotData`]. Spawned threads run the loop to the end
+//!   claims the next candidate from the [`StealQueue`] and verifies it
+//!   into its [`SlotData`]. Spawned threads run the loop to the end
 //!   ([`Dispatch::run`]); the thread that merges takes single turns
 //!   ([`Dispatch::step`]) between slots it consumes.
 //! * [`WorkerStats`] — per-worker scheduler counters, summed into the
@@ -68,8 +67,8 @@ pub(crate) enum Claim {
     /// The next candidate is outside the reorder window; retry after
     /// the merge advances (callers should briefly yield).
     Blocked,
-    /// Nothing is left for this worker: every candidate of its source
-    /// has been claimed, or the broadcast told it to stop.
+    /// Nothing is left for this worker: every candidate has been
+    /// claimed, or the broadcast told it to stop.
     Drained,
 }
 
@@ -193,8 +192,9 @@ impl ClaimBoard {
 pub(crate) struct WorkerStats {
     /// Candidates this worker claimed (and attempted).
     pub claimed: u64,
-    /// Claims outside the worker's static-chunk home range — i.e. work
-    /// it would have idled through under static chunking.
+    /// Claims outside the worker's home chunk — i.e. work an even,
+    /// fixed split of the candidate vector would have left to another
+    /// worker.
     pub steals: u64,
     /// Candidates skipped because the claim board already covered
     /// their key image.
@@ -241,19 +241,8 @@ impl SlotData {
     }
 }
 
-/// Where a worker takes its next candidate from.
-enum Source {
-    /// One candidate at a time from the queue's shared cursor.
-    Steal,
-    /// The worker's static home chunk, in order.
-    Static(Range<usize>),
-    /// Whole shards from the dispatch's shard cursor: `pos` walks the
-    /// current shard's candidate list, which is in CV order.
-    Shards { shard: usize, pos: Range<usize> },
-}
-
 /// What every Phase II worker shares: the candidate vector, the slots
-/// they fill, and the claim sources and broadcast signals. The merging
+/// they fill, the claim queue and the broadcast signals. The merging
 /// thread owns one [`Worker`] of its own, so `threads` threads verify
 /// while only `threads - 1` are spawned.
 pub(crate) struct Dispatch<'a> {
@@ -267,29 +256,22 @@ pub(crate) struct Dispatch<'a> {
     pub(crate) queue: &'a StealQueue,
     pub(crate) shared: &'a SharedGovernor,
     pub(crate) board: Option<&'a ClaimBoard>,
-    /// Per-shard candidate lists; `Some` selects the shard source.
-    pub(crate) shards: Option<&'a [Vec<usize>]>,
-    /// Next unclaimed shard. Claim order affects locality and
-    /// wall-clock only — the merge consumes every slot in CV order.
-    pub(crate) shard_cursor: AtomicUsize,
-    /// Stealing (vs static chunks) when unsharded.
-    pub(crate) stealing: bool,
-    /// Home-chunk length: static chunks, and what makes a claim a steal.
+    /// Home-chunk length: `candidates / threads`, rounded up. A claim
+    /// outside a worker's home chunk counts as a steal.
     pub(crate) chunk: usize,
     pub(crate) collect: bool,
 }
 
-/// One Phase II worker's private state: its search state, its claim
-/// source, and what it measured.
+/// One Phase II worker's private state: its search state and what it
+/// measured.
 pub(crate) struct Worker {
     pub(crate) search: SearchState,
     pub(crate) timing: Option<CandidateTiming>,
     pub(crate) sched: WorkerStats,
-    /// The worker's static-chunk home range. Under stealing a claim
-    /// outside it is a steal: work it would have idled through with
-    /// static chunks.
+    /// The worker's even share of the candidate vector. A claim outside
+    /// it is a steal: work a fixed split would have left to another
+    /// worker.
     home: Range<usize>,
-    source: Source,
 }
 
 /// What a worker hands back for the harvest.
@@ -315,23 +297,11 @@ impl Dispatch<'_> {
     /// Worker `w` (0 is the merging thread) with a fresh search state.
     pub(crate) fn worker(&self, w: usize) -> Worker {
         let n = self.candidates.len();
-        let home = (w * self.chunk)..((w + 1) * self.chunk).min(n);
-        let source = if self.shards.is_some() {
-            Source::Shards {
-                shard: 0,
-                pos: 0..0,
-            }
-        } else if self.stealing {
-            Source::Steal
-        } else {
-            Source::Static(home.clone())
-        };
         Worker {
             search: self.runner.make_state(self.base),
             timing: self.collect.then(CandidateTiming::default),
             sched: WorkerStats::default(),
-            home,
-            source,
+            home: (w * self.chunk)..((w + 1) * self.chunk).min(n),
         }
     }
 
@@ -367,13 +337,13 @@ impl Dispatch<'_> {
     /// One turn of the worker loop: unless the broadcast says stop,
     /// claim one candidate and verify it into its slot. The governor
     /// broadcast is checked per candidate, so exhaustion stops a worker
-    /// within one candidate (mid-shard too); the merge recomputes any
-    /// hole serially, keeping results byte-identical.
+    /// within one candidate; the merge recomputes any hole serially,
+    /// keeping results byte-identical.
     pub(crate) fn step(&self, w: &mut Worker) -> Claim {
         if self.shared.halted() || self.shared.should_stop() {
             return Claim::Drained;
         }
-        let claim = self.claim(w);
+        let claim = self.claim();
         let Claim::Got(i) = claim else {
             return claim;
         };
@@ -383,7 +353,7 @@ impl Dispatch<'_> {
             return claim;
         }
         w.sched.claimed += 1;
-        if matches!(w.source, Source::Steal) && !w.home.contains(&i) {
+        if !w.home.contains(&i) {
             w.sched.steals += 1;
         }
         let c = self.candidates[i];
@@ -419,36 +389,18 @@ impl Dispatch<'_> {
         claim
     }
 
-    /// The worker's next candidate from its source.
-    fn claim(&self, w: &mut Worker) -> Claim {
-        match &mut w.source {
-            Source::Steal => {
-                if let Some(failpoint::Action::KillWorker) = failpoint::get("phase2.steal") {
-                    // Death *after* claiming: abandon the candidate so
-                    // the merge's hole recovery has to repair it.
-                    if let Claim::Got(i) = self.queue.try_claim() {
-                        let _ = self.slots[i].set(SlotData::abandoned());
-                    }
-                    return Claim::Drained;
-                }
-                failpoint::stall("phase2.steal");
-                self.queue.try_claim()
+    /// The next candidate from the shared queue.
+    fn claim(&self) -> Claim {
+        if let Some(failpoint::Action::KillWorker) = failpoint::get("phase2.steal") {
+            // Death *after* claiming: abandon the candidate so the
+            // merge's hole recovery has to repair it.
+            if let Claim::Got(i) = self.queue.try_claim() {
+                let _ = self.slots[i].set(SlotData::abandoned());
             }
-            Source::Static(home) => home.next().map_or(Claim::Drained, Claim::Got),
-            Source::Shards { shard, pos } => {
-                let lists = self.shards.unwrap_or_default();
-                loop {
-                    if let Some(p) = pos.next() {
-                        return Claim::Got(lists[*shard][p]);
-                    }
-                    *shard = self.shard_cursor.fetch_add(1, Ordering::Relaxed);
-                    match lists.get(*shard) {
-                        Some(list) => *pos = 0..list.len(),
-                        None => return Claim::Drained,
-                    }
-                }
-            }
+            return Claim::Drained;
         }
+        failpoint::stall("phase2.steal");
+        self.queue.try_claim()
     }
 }
 

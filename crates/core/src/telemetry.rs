@@ -110,12 +110,6 @@ pub struct RequestSample {
     /// Per-reason Phase II reject tallies (`reject.*` counter names
     /// with the prefix stripped), sorted by reason.
     pub rejects: Vec<(String, u64)>,
-    /// Whether any outcome of this request ran sharded Phase II
-    /// dispatch (`shard.count > 0`, DESIGN.md §3i).
-    pub sharded: bool,
-    /// Halo-duplicated candidates dropped by the cross-shard merge
-    /// (`shard.dedup_dropped`), summed over the request's outcomes.
-    pub shard_dedup_dropped: u64,
 }
 
 impl RequestSample {
@@ -155,8 +149,6 @@ impl RequestSample {
         if let Some(m) = &outcome.metrics {
             self.pruned_candidates += m.counters.get("index.pruned_candidates");
             self.admitted_candidates += m.counters.get("index.admitted_candidates");
-            self.sharded |= m.counters.get("shard.count") > 0;
-            self.shard_dedup_dropped += m.counters.get("shard.dedup_dropped");
             for (name, v) in m.counters.iter() {
                 if let Some(reason) = name.strip_prefix("reject.") {
                     match self.rejects.iter_mut().find(|(n, _)| n == reason) {
@@ -191,10 +183,6 @@ pub struct Rollup {
     pub truncation_reasons: BTreeMap<String, u64>,
     /// Phase II reject tallies by reason name.
     pub reject_reasons: BTreeMap<String, u64>,
-    /// Requests that ran sharded Phase II dispatch.
-    pub sharded_requests: u64,
-    /// Total halo-duplicated candidates dropped by cross-shard merges.
-    pub shard_dedup_dropped: u64,
 }
 
 impl Rollup {
@@ -213,8 +201,6 @@ impl Rollup {
         for (reason, v) in &sample.rejects {
             *self.reject_reasons.entry(reason.clone()).or_insert(0) += v;
         }
-        self.sharded_requests += sample.sharded as u64;
-        self.shard_dedup_dropped += sample.shard_dedup_dropped;
     }
 
     /// Merges another rollup in (bucket-wise histogram sums, tally
@@ -234,8 +220,6 @@ impl Rollup {
         for (reason, v) in &other.reject_reasons {
             *self.reject_reasons.entry(reason.clone()).or_insert(0) += v;
         }
-        self.sharded_requests += other.sharded_requests;
-        self.shard_dedup_dropped += other.shard_dedup_dropped;
     }
 
     /// Fraction of index-checked candidates that were pruned (0 when
@@ -275,13 +259,6 @@ impl Rollup {
                 tally_obj(&self.truncation_reasons),
             ),
             ("reject_reasons".into(), tally_obj(&self.reject_reasons)),
-            // v1-additive (appended after the original key set): shard
-            // dispatch adoption and merge dedup volume.
-            ("sharded_requests".into(), Value::int(self.sharded_requests)),
-            (
-                "shard_dedup_dropped".into(),
-                Value::int(self.shard_dedup_dropped),
-            ),
         ])
     }
 }
@@ -576,8 +553,6 @@ mod tests {
             pruned_candidates: rng.next_u64() % 1000,
             admitted_candidates: rng.next_u64() % 1000,
             rejects,
-            sharded: rng.next_u64().is_multiple_of(3),
-            shard_dedup_dropped: rng.next_u64() % 20,
         }
     }
 
@@ -689,30 +664,6 @@ mod tests {
         rollup.fold(&sample);
         assert_eq!(rollup.prune_ratio(), 0.7);
         assert_eq!(rollup.truncation_reasons["effort_exhausted"], 1);
-    }
-
-    #[test]
-    fn sample_distills_shard_counters() {
-        use crate::metrics::MetricsReport;
-        let mut metrics = MetricsReport::default();
-        metrics.counters.bump("shard.count", 4);
-        metrics.counters.bump("shard.dedup_dropped", 9);
-        let outcome = MatchOutcome {
-            metrics: Some(metrics),
-            ..MatchOutcome::default()
-        };
-        let sample = RequestSample::from_outcome(&outcome, 1);
-        assert!(sample.sharded);
-        assert_eq!(sample.shard_dedup_dropped, 9);
-        let mut rollup = Rollup::default();
-        rollup.fold(&sample);
-        rollup.fold(&RequestSample::default()); // unsharded request
-        assert_eq!(rollup.sharded_requests, 1);
-        assert_eq!(rollup.shard_dedup_dropped, 9);
-        // The JSON keys are additive and present.
-        let json = rollup.to_json().compact();
-        assert!(json.contains("\"sharded_requests\":1"), "{json}");
-        assert!(json.contains("\"shard_dedup_dropped\":9"), "{json}");
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!   [`subgemini::find_all_many`] amortizes it across a library sweep.
 //! * Typed requests ([`FindRequest`], [`SurveyRequest`],
 //!   [`ExplainRequest`]) — every request carries its *own*
-//!   [`RequestOptions`]: work budget/deadline, prune mode,
-//!   thread/scheduler choice, cancellation token, and event-journal
-//!   capture. Nothing is process-global; two concurrent requests with
+//!   [`RequestOptions`]: work budget/deadline, prune mode, thread
+//!   count, cancellation token, and event-journal capture. Nothing is process-global; two concurrent requests with
 //!   different QoS coexist on one registry entry.
 //! * [`RequestOptions::lower`] — the one place that turns request
 //!   options into core [`MatchOptions`], including the artifact-load /
@@ -49,9 +48,8 @@ use std::time::Instant;
 
 use subgemini::hier::{Hierarchizer, HierarchyReport};
 use subgemini::{
-    find_all, find_all_many, CancelToken, ExplainReport, MatchOptions, MatchOutcome,
-    Phase2Scheduler, PrunePolicy, RequestSample, ShardPolicy, Telemetry, TelemetrySnapshot,
-    WarmMain, WorkBudget,
+    find_all, find_all_many, CancelToken, ExplainReport, MatchOptions, MatchOutcome, PrunePolicy,
+    RequestSample, Telemetry, TelemetrySnapshot, WarmMain, WorkBudget,
 };
 use subgemini_netlist::{structural_digest, Artifact, Netlist};
 
@@ -107,12 +105,6 @@ pub struct RequestOptions {
     pub max_instances: usize,
     /// Phase II worker threads (`1` serial, `0` = machine auto).
     pub threads: usize,
-    /// Phase II candidate scheduler.
-    pub scheduler: Phase2Scheduler,
-    /// Sharded Phase II dispatch policy (DESIGN.md §3i). Off by
-    /// default; `Auto` sizes shards from the main circuit's device
-    /// count, `Count(n)` forces `n` shards.
-    pub shards: ShardPolicy,
     /// Collect phase timers and effort counters on the outcome.
     pub collect_metrics: bool,
     /// Record the structured event journal on the outcome.
@@ -145,8 +137,6 @@ impl Default for RequestOptions {
             respect_globals: true,
             max_instances: 0,
             threads: 1,
-            scheduler: Phase2Scheduler::default(),
-            shards: ShardPolicy::default(),
             collect_metrics: false,
             trace_events: false,
             budget: None,
@@ -186,8 +176,6 @@ impl RequestOptions {
             respect_globals: self.respect_globals,
             max_instances: self.max_instances,
             threads: self.threads,
-            scheduler: self.scheduler,
-            shards: self.shards,
             collect_metrics: self.collect_metrics,
             trace_events: self.trace_events,
             prune: self.prune,
@@ -282,7 +270,7 @@ pub struct SurveyRequest<'a> {
 /// circuit by running extraction bottom-up, level by level, to a
 /// fixpoint (paper §I; `subgemini::hier`). The request options lower
 /// through the same [`RequestOptions::lower`] path as every other
-/// request; budget, deadline, prune, and shard settings apply to each
+/// request; budget, deadline, and prune settings apply to each
 /// round's searches independently (the budget is declarative, so every
 /// round starts it fresh).
 #[derive(Debug)]

@@ -22,9 +22,9 @@
 //! cell (`"pattern": {"library": "lib", "cell": "inv"}`) or carry
 //! inline source (`{"source": "<deck>", "cell": "inv"}`). The optional
 //! `"options"` object maps one-to-one onto the CLI flags:
-//! `ignore_globals`, `max_instances`, `threads`, `scheduler`,
-//! `shards`, `metrics`, `events`, `max_effort`, `deadline_ms`,
-//! `prune`. Every
+//! `ignore_globals`, `max_instances`, `threads`, `metrics`, `events`,
+//! `max_effort`, `deadline_ms`, `prune`. Any other key answers 400.
+//! Every
 //! request carries its own budget and cancel token — a deadline that
 //! expires mid-search answers 200 with `"completeness": "truncated"`,
 //! exactly like the CLI.
@@ -589,36 +589,10 @@ fn options_from(body: &Value) -> Result<RequestOptions, String> {
             "ignore_globals" => opts.respect_globals = !expect_bool(key, v)?,
             "max_instances" => opts.max_instances = expect_count(key, v)? as usize,
             "threads" => opts.threads = expect_count(key, v)? as usize,
-            "scheduler" => {
-                let name = v.as_str().ok_or("options.scheduler: expected a string")?;
-                opts.scheduler = match name {
-                    "steal" => subgemini::Phase2Scheduler::WorkStealing,
-                    "static" => subgemini::Phase2Scheduler::StaticChunks,
-                    other => {
-                        return Err(format!(
-                            "options.scheduler: `{other}` is not a scheduler (expected `steal` or `static`)"
-                        ))
-                    }
-                };
-            }
             "metrics" => opts.collect_metrics = expect_bool(key, v)?,
             "events" => opts.trace_events = expect_bool(key, v)?,
             "max_effort" => budget.max_effort = Some(expect_count(key, v)?),
             "deadline_ms" => budget.deadline_ms = Some(expect_count(key, v)?),
-            "shards" => {
-                opts.shards = match v {
-                    Value::Str(s) if s == "auto" => subgemini::ShardPolicy::Auto,
-                    Value::Str(s) if s == "off" => subgemini::ShardPolicy::Off,
-                    _ => match v.as_u64() {
-                        Some(n) => subgemini::ShardPolicy::Count(n as u32),
-                        None => {
-                            return Err(
-                                "options.shards: expected `auto`, `off` or a shard count".into()
-                            )
-                        }
-                    },
-                };
-            }
             "prune" => {
                 let name = v.as_str().ok_or("options.prune: expected a string")?;
                 opts.prune = match name {

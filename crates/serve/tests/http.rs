@@ -333,6 +333,24 @@ fn unknown_names_and_bad_bodies_map_to_http_errors() {
     assert_eq!(status, 404);
     let (status, _) = call(addr, "DELETE", "/healthz", "");
     assert_eq!(status, 405);
+    // Removed dispatch options are unknown keys, not silently ignored.
+    for (key, value) in [("shards", "2"), ("scheduler", r#""static""#)] {
+        let body = format!(
+            r#"{{"circuit": "ghost", "pattern": {{"library": "none", "cell": "x"}},
+                "options": {{"{key}": {value}}}}}"#
+        );
+        let (status, body) = call(addr, "POST", "/v1/find", &body);
+        assert_eq!(status, 400, "{body}");
+        let error = parse_json(&body)
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string();
+        assert_eq!(error, format!("options: unknown key `{key}`"));
+    }
+    let (status, _) = call(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
     shutdown();
     join.join().unwrap();
 }

@@ -456,9 +456,9 @@ pub fn near_miss_field(cell: &Netlist, n: usize, seed: u64) -> Generated {
 /// effort per candidate than a clean instance), followed by `easy`
 /// true instances on disjoint fresh nets (each a fast verify). The
 /// blob is planted first, so its heavy candidates cluster at the head
-/// of the candidate vector: under static chunking the first worker
-/// serializes behind the whole blob while the rest idle; a
-/// work-stealing scheduler lets every worker drain the easy tail
+/// of the candidate vector: split evenly and up front, the first
+/// worker's share would serialize behind the whole blob while the rest
+/// idle; work stealing lets every worker drain the easy tail
 /// meanwhile. Fully deterministic (no randomness). Ground truth:
 /// `traps + easy` true instances (blob copies share nets, not
 /// devices).
@@ -486,8 +486,8 @@ pub fn skewed_trap_field(cell: &Netlist, traps: usize, easy: usize) -> Generated
 /// through four kinds — an SRAM block (12×8 `sram6t`), a pipelined
 /// datapath (8 `full_adder` + `dff` stages), a 4-channel mixed-signal
 /// front end (`two_stage_opamp` + `rc_lowpass` + digital glue), and a
-/// seeded glue-logic soup — so shard cuts by compiled device order land
-/// inside every block style. Each tile draws its own RNG stream via
+/// seeded glue-logic soup — so every stretch of the compiled device
+/// order mixes block styles. Each tile draws its own RNG stream via
 /// [`Generated::child_seed`] (master stream [`streams::TILED_CHIP`],
 /// then per-tile index), so tiles with the same master seed are not
 /// clones and the generator composes with other seeded generators

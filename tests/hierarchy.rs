@@ -147,33 +147,21 @@ fn hierarchize_roundtrip_is_isomorphic_across_seeds() {
 
 #[test]
 fn hierarchize_bytes_are_runtime_config_invariant() {
-    use subgemini::{MatchOptions, Phase2Scheduler, ShardPolicy};
+    use subgemini::MatchOptions;
     let chip = gen::hierarchical_chip(9, 3, 300);
     let flat = &chip.generated.netlist;
     let mut golden: Option<(String, String)> = None;
     for threads in [1usize, 2, 8] {
-        for scheduler in [Phase2Scheduler::WorkStealing, Phase2Scheduler::StaticChunks] {
-            for shards in [ShardPolicy::Off, ShardPolicy::Count(2)] {
-                let mut options = MatchOptions::extraction();
-                options.threads = threads;
-                options.scheduler = scheduler;
-                options.shards = shards;
-                let outcome = subgemini::hier::hierarchize(flat, &chip.library, &options).unwrap();
-                let report = outcome.report.to_json().pretty();
-                let deck = write_hierarchical(&outcome.top, &outcome.used_cells());
-                match &golden {
-                    None => golden = Some((report, deck)),
-                    Some((r, d)) => {
-                        assert_eq!(
-                            r, &report,
-                            "report drifted at threads={threads} {scheduler:?} {shards:?}"
-                        );
-                        assert_eq!(
-                            d, &deck,
-                            "deck drifted at threads={threads} {scheduler:?} {shards:?}"
-                        );
-                    }
-                }
+        let mut options = MatchOptions::extraction();
+        options.threads = threads;
+        let outcome = subgemini::hier::hierarchize(flat, &chip.library, &options).unwrap();
+        let report = outcome.report.to_json().pretty();
+        let deck = write_hierarchical(&outcome.top, &outcome.used_cells());
+        match &golden {
+            None => golden = Some((report, deck)),
+            Some((r, d)) => {
+                assert_eq!(r, &report, "report drifted at threads={threads}");
+                assert_eq!(d, &deck, "deck drifted at threads={threads}");
             }
         }
     }

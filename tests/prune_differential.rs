@@ -4,11 +4,10 @@
 //! completeness (the prune is provably sound — it may only discard
 //! candidates Phase II would reject anyway), and on a decoy-heavy
 //! field the prune ratio is measurably nonzero. Pruned runs are also
-//! pinned byte-identical across thread counts and both Phase II
-//! schedulers, journal included.
+//! pinned byte-identical across thread counts, journal included.
 
 use subgemini::events::journal_to_ndjson;
-use subgemini::{MatchOptions, MatchOutcome, Matcher, Phase2Scheduler, PrunePolicy};
+use subgemini::{MatchOptions, MatchOutcome, Matcher, PrunePolicy};
 use subgemini_netlist::rng::Rng64;
 use subgemini_netlist::{instantiate, DeviceType, NetId, Netlist};
 use subgemini_workloads::{cells, gen};
@@ -200,19 +199,18 @@ fn prune_ratio_is_nonzero_on_the_decoy_field() {
 #[test]
 fn pruned_runs_are_identical_across_threads_and_schedulers() {
     let (pattern, g) = decoy_workload();
-    let observed = |threads: usize, scheduler: Phase2Scheduler| {
+    let observed = |threads: usize| {
         run(
             &pattern,
             &g.netlist,
             MatchOptions {
                 threads,
-                scheduler,
                 trace_events: true,
                 ..with_policy(PrunePolicy::Always)
             },
         )
     };
-    let reference = observed(1, Phase2Scheduler::WorkStealing);
+    let reference = observed(1);
     let ref_journal = journal_to_ndjson(reference.events.as_ref().expect("journal requested"));
     assert!(!ref_journal.is_empty());
     let ref_counters = (
@@ -220,30 +218,28 @@ fn pruned_runs_are_identical_across_threads_and_schedulers() {
         counter(&reference, "index.admitted_candidates"),
     );
     assert!(ref_counters.0 > 0, "workload must actually prune");
-    for scheduler in [Phase2Scheduler::WorkStealing, Phase2Scheduler::StaticChunks] {
-        for threads in [1, 2, 8] {
-            let o = observed(threads, scheduler);
-            assert_eq!(
-                reference.instances, o.instances,
-                "{scheduler:?} threads {threads}: instances diverge"
-            );
-            assert_eq!(
-                reference.phase2, o.phase2,
-                "{scheduler:?} threads {threads}: Phase II stats diverge"
-            );
-            assert_eq!(
-                ref_journal,
-                journal_to_ndjson(o.events.as_ref().expect("journal requested")),
-                "{scheduler:?} threads {threads}: journal diverges"
-            );
-            assert_eq!(
-                ref_counters,
-                (
-                    counter(&o, "index.pruned_candidates"),
-                    counter(&o, "index.admitted_candidates"),
-                ),
-                "{scheduler:?} threads {threads}: prune tallies diverge"
-            );
-        }
+    for threads in [1, 2, 8] {
+        let o = observed(threads);
+        assert_eq!(
+            reference.instances, o.instances,
+            "threads {threads}: instances diverge"
+        );
+        assert_eq!(
+            reference.phase2, o.phase2,
+            "threads {threads}: Phase II stats diverge"
+        );
+        assert_eq!(
+            ref_journal,
+            journal_to_ndjson(o.events.as_ref().expect("journal requested")),
+            "threads {threads}: journal diverges"
+        );
+        assert_eq!(
+            ref_counters,
+            (
+                counter(&o, "index.pruned_candidates"),
+                counter(&o, "index.admitted_candidates"),
+            ),
+            "threads {threads}: prune tallies diverge"
+        );
     }
 }
