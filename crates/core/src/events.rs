@@ -407,18 +407,27 @@ pub struct EventJournal {
 impl EventJournal {
     /// Merges per-worker buffers into one deterministic stream.
     pub fn merge(buffers: Vec<EventBuffer>) -> Self {
-        let mut events = Vec::new();
-        let mut dropped = 0u64;
-        for buf in buffers {
-            let (ev, d) = buf.into_parts();
-            events.extend(ev);
-            dropped += d;
+        let mut journal = Self::default();
+        for buf in &buffers {
+            journal.append(buf);
         }
-        // (scope, seq) is unique across all buffers: Phase I events come
-        // from one serial buffer, and each candidate's events live in
-        // exactly one worker's buffer.
-        events.sort_unstable_by_key(|e| (e.scope, e.seq));
-        Self { events, dropped }
+        journal.sort();
+        journal
+    }
+
+    /// Appends a buffer's events and drop count. The order is restored
+    /// by [`sort`](Self::sort) once every buffer is in.
+    pub(crate) fn append(&mut self, buf: &EventBuffer) {
+        self.events.extend_from_slice(&buf.events);
+        self.dropped += buf.dropped;
+    }
+
+    /// Puts the events in deterministic `(scope, seq)` order. The key is
+    /// unique across all buffers: Phase I events come from one serial
+    /// buffer, and each candidate's events from exactly one
+    /// verification.
+    pub(crate) fn sort(&mut self) {
+        self.events.sort_unstable_by_key(|e| (e.scope, e.seq));
     }
 
     /// Number of events.

@@ -15,96 +15,13 @@
 //! match can treat NAND inputs as interchangeable.
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
-use subgemini_netlist::{CompiledCircuit, DeviceId, Netlist, NetlistError};
+use subgemini_netlist::{DeviceId, Netlist, NetlistError};
 
-use crate::instance::{MatchOutcome, SubMatch};
-use crate::matcher::{assert_no_isolated_nets, find_all_compiled, strip_globals, PreparedMain};
+use crate::instance::SubMatch;
+use crate::matcher::{assert_no_isolated_nets, search_stamped, PreparedMain};
 use crate::options::{MatchOptions, OverlapPolicy};
-use crate::phase1::GTrace;
 use crate::symmetry::composite_type;
-
-/// The compiled state of the extractor's current netlist: one CSR
-/// snapshot plus one Phase I label trace, shared by every cell round
-/// until a replacement pass actually changes the netlist.
-struct CompiledMain {
-    /// De-globaled copy, present only when `respect_globals` is off.
-    stripped: Option<Netlist>,
-    compiled: Arc<CompiledCircuit>,
-    trace: GTrace,
-    compile_ns: u64,
-    /// Fingerprint index for candidate pruning (warm handle's, or built
-    /// fresh under [`PrunePolicy`](crate::PrunePolicy)`::Always`).
-    index: Option<Arc<subgemini_netlist::FingerprintIndex>>,
-    /// Whether this snapshot was adopted from a warm-start artifact
-    /// (only possible before the first replacement pass).
-    warm: bool,
-    load_ns: u64,
-    index_build_ns: u64,
-    /// Whether `compile_ns` has already been attributed to a cell's
-    /// metrics; later rounds report a cache hit instead.
-    reported: bool,
-}
-
-impl CompiledMain {
-    fn build(current: &Netlist, options: &MatchOptions) -> Self {
-        // Warm start applies to the unmodified input only: any
-        // replacement pass changes the digest and recompiles cold.
-        if options.respect_globals {
-            if let Some(w) = options.warm_main.as_ref() {
-                if w.adopts(current) {
-                    let compiled = Arc::clone(w.compiled());
-                    // A private trace even on a warm hit: it is dropped
-                    // at the first replacement pass, where the handle's
-                    // shared steps would stay alive beside every later
-                    // round's trace (DESIGN.md §3b).
-                    let trace = GTrace::new(Arc::clone(&compiled));
-                    return CompiledMain {
-                        stripped: None,
-                        compiled,
-                        trace,
-                        compile_ns: 0,
-                        index: Some(Arc::clone(w.index())),
-                        warm: true,
-                        load_ns: w.load_ns(),
-                        index_build_ns: 0,
-                        reported: false,
-                    };
-                }
-            }
-        }
-        let timer = options
-            .collect_metrics
-            .then(crate::metrics::PhaseTimer::start);
-        let stripped = (!options.respect_globals).then(|| strip_globals(current, false));
-        let compiled = Arc::new(CompiledCircuit::compile(
-            stripped.as_ref().unwrap_or(current),
-        ));
-        let compile_ns = timer.map_or(0, |t| t.elapsed_ns());
-        let (index, index_build_ns) = if options.prune == crate::options::PrunePolicy::Always {
-            let t = options
-                .collect_metrics
-                .then(crate::metrics::PhaseTimer::start);
-            let idx = Arc::new(subgemini_netlist::FingerprintIndex::build(&compiled));
-            (Some(idx), t.map_or(0, |t| t.elapsed_ns()))
-        } else {
-            (None, 0)
-        };
-        let trace = GTrace::new(Arc::clone(&compiled));
-        CompiledMain {
-            stripped,
-            compiled,
-            trace,
-            compile_ns,
-            index,
-            warm: false,
-            load_ns: 0,
-            index_build_ns,
-            reported: false,
-        }
-    }
-}
 
 /// One composite device created by extraction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -253,7 +170,7 @@ impl Extractor {
     }
 
     fn run(&self, mut current: Cow<'_, Netlist>) -> Result<(Netlist, ExtractReport), NetlistError> {
-        use crate::metrics::{ExtractCellMetrics, ExtractMetrics, MetricsReport, PhaseTimer};
+        use crate::metrics::{ExtractCellMetrics, ExtractMetrics, PhaseTimer};
         let collect = self.options.collect_metrics;
         let total_timer = collect.then(PhaseTimer::start);
         let mut cells: Vec<&Netlist> = self.cells.iter().collect();
@@ -263,7 +180,9 @@ impl Extractor {
                 .cmp(&a.device_count())
                 .then_with(|| a.name().cmp(b.name()))
         });
-        let mut compiled_main: Option<CompiledMain> = None;
+        // One prepared main per netlist version: rounds that find nothing
+        // share it; a collapse drops it.
+        let mut prepared: Option<PreparedMain> = None;
         let mut report = ExtractReport::default();
         let mut metrics = collect.then(ExtractMetrics::default);
         // A collapse keeps survivors in order and appends composites, so
@@ -284,47 +203,10 @@ impl Extractor {
                 break;
             }
             assert_no_isolated_nets(cell);
-            let match_timer = collect.then(PhaseTimer::start);
-            let mut outcome = if cell.device_count() == 0 {
-                MatchOutcome::default()
-            } else {
-                let CompiledMain {
-                    stripped,
-                    compiled,
-                    trace,
-                    compile_ns,
-                    index,
-                    warm,
-                    load_ns,
-                    index_build_ns,
-                    reported,
-                } = compiled_main
-                    .get_or_insert_with(|| CompiledMain::build(&current, &self.options));
-                let main_cached = *reported;
-                let main_ns = if main_cached { 0 } else { *compile_ns };
-                *reported = true;
-                let prepared = PreparedMain {
-                    netlist: Cow::Borrowed(stripped.as_ref().unwrap_or(&current)),
-                    compiled: Arc::clone(compiled),
-                    compile_ns: main_ns,
-                    index: index.clone(),
-                    warm: *warm,
-                    load_ns: *load_ns,
-                    index_build_ns: if main_cached { 0 } else { *index_build_ns },
-                };
-                find_all_compiled(cell, &prepared, trace, &self.options, main_ns, main_cached)
-            };
-            // Read the timer once so `ExtractCellMetrics::match_ns` and
-            // the outcome's `metrics.total_ns` agree exactly.
-            let match_ns = match_timer.map_or(0, |t| t.elapsed_ns());
-            if match_timer.is_some() {
-                let m = outcome.metrics.get_or_insert_with(|| MetricsReport {
-                    threads_requested: self.options.threads,
-                    threads_used: 1,
-                    ..MetricsReport::default()
-                });
-                m.total_ns = match_ns;
-            }
+            let prepare = || PreparedMain::new(&current, &self.options).with_private_trace();
+            let mut outcome = search_stamped(&mut prepared, prepare, cell, &current, &self.options);
+            // The outcome's one timer is the cell's `match_ns`.
+            let match_ns = outcome.metrics.as_ref().map_or(0, |m| m.total_ns);
             let found = outcome.instances.len();
             if outcome.completeness.is_truncated() {
                 report.truncated_cells += 1;
@@ -346,7 +228,7 @@ impl Extractor {
                     self.composite_offset,
                 )?;
                 // The netlist changed; the next round must recompile.
-                compiled_main = None;
+                prepared = None;
             }
             if let Some(m) = metrics.as_mut() {
                 m.cells.push(ExtractCellMetrics {

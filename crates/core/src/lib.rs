@@ -84,7 +84,7 @@ pub use options::{KeyPolicy, MatchOptions, OverlapPolicy, PrunePolicy, WarmMain}
 pub use rules::{RuleChecker, RuleViolation};
 pub use symmetry::port_symmetry_classes;
 pub use techmap::{CoverCandidate, CoverResult, TechMapper};
-pub use telemetry::{RequestSample, Rollup, ShardedCounter, Telemetry, TelemetrySnapshot};
+pub use telemetry::{RequestSample, Rollup, Telemetry, TelemetrySnapshot};
 pub use trace::{Phase2Trace, TraceCell, TraceSnapshot};
 pub use verify::verify_instance;
 

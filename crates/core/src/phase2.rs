@@ -1075,7 +1075,6 @@ impl<'a> Phase2Runner<'a> {
     /// always restored to the base configuration before returning.
     /// `rank` is the candidate's index in the candidate vector — the
     /// deterministic scope of its journal events.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_candidate(
         &self,
         search: &mut SearchState,
@@ -1168,33 +1167,6 @@ impl<'a> Phase2Runner<'a> {
         st.trace = None;
         out
     }
-
-    /// [`run_candidate`](Self::run_candidate) with optional per-candidate
-    /// timing: when `timing` is set, the candidate's verification
-    /// wall-clock is added to the accumulator (sum, max, latency
-    /// histogram). `None` takes no timestamps.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_candidate_timed(
-        &self,
-        search: &mut SearchState,
-        key: Vertex,
-        candidate: Vertex,
-        rank: u32,
-        stats: &mut Phase2Stats,
-        record_trace: bool,
-        timing: Option<&mut CandidateTiming>,
-    ) -> Option<(SubMatch, Option<Phase2Trace>)> {
-        let Some(t) = timing else {
-            return self.run_candidate(search, key, candidate, rank, stats, record_trace);
-        };
-        let timer = crate::metrics::PhaseTimer::start();
-        let out = self.run_candidate(search, key, candidate, rank, stats, record_trace);
-        let ns = timer.elapsed_ns();
-        t.sum_ns += ns;
-        t.max_ns = t.max_ns.max(ns);
-        t.hist.record(ns);
-        out
-    }
 }
 
 /// Per-worker accumulator for candidate verification wall-clock:
@@ -1226,25 +1198,14 @@ pub struct SearchState {
 }
 
 impl SearchState {
-    /// Takes the worker's event buffer for merging (empties the slot).
-    pub fn take_events(&mut self) -> Option<EventBuffer> {
-        self.state.events.take()
-    }
-
     /// Takes the worker's backtrack-depth histogram (empties the slot).
     pub fn take_backtrack_hist(&mut self) -> Option<Histogram> {
         self.state.backtrack_hist.take()
     }
 
-    /// Takes the worker's reject-reason tallies (empties the slot).
-    pub fn take_reject_tally(&mut self) -> Option<RejectTally> {
-        self.state.reject_tally.take()
-    }
-
     /// Drains the events recorded since the last drain, leaving the
-    /// buffer in place (empty) for the next candidate. Unlike
-    /// [`take_events`](Self::take_events) this keeps tracing enabled,
-    /// so a reused search state keeps recording per candidate.
+    /// buffer in place (empty) for the next candidate, so a reused
+    /// search state keeps recording per candidate.
     pub fn drain_events(&mut self) -> Option<EventBuffer> {
         self.state.events.as_mut().map(EventBuffer::drain)
     }

@@ -30,7 +30,9 @@
 //!   claims the next candidate from the [`StealQueue`] and verifies it
 //!   into its [`SlotData`]. Spawned threads run the loop to the end
 //!   ([`Dispatch::run`]); the thread that merges takes single turns
-//!   ([`Dispatch::step`]) between slots it consumes.
+//!   ([`Dispatch::step`]) between slots it consumes. Every
+//!   verification, the merge's serial path and recomputes included,
+//!   goes through [`Dispatch::verify`].
 //! * [`WorkerStats`] — per-worker scheduler counters, summed into the
 //!   `scheduler.*` metrics namespace by the harvest.
 //!
@@ -47,8 +49,9 @@ use subgemini_netlist::Vertex;
 use crate::budget::{effort_of, failpoint, SharedGovernor};
 use crate::events::{EventBuffer, RejectTally};
 use crate::instance::{Phase2Stats, SubMatch};
-use crate::metrics::Histogram;
+use crate::metrics::{Histogram, PhaseTimer};
 use crate::phase2::{BaseState, CandidateTiming, Phase2Runner, SearchState};
+use crate::trace::Phase2Trace;
 
 /// Pads (and aligns) a value to a 64-byte cache line so a hot atomic
 /// does not false-share with its neighbours.
@@ -218,27 +221,18 @@ impl WorkerStats {
 /// can absorb exactly the candidates it consumes, making the outcome's
 /// accounting independent of how candidates were distributed over
 /// workers. `done: false` marks an abandoned claim (injected worker
-/// death): empty payload, the merge recomputes.
+/// death): the default, empty payload; the merge recomputes.
+#[derive(Default)]
 pub(crate) struct SlotData {
     pub(crate) result: Option<SubMatch>,
+    /// The found instance's Phase II trace, when one was recorded (the
+    /// serial path only).
+    pub(crate) trace: Option<Phase2Trace>,
     pub(crate) stats: Phase2Stats,
     pub(crate) effort: u64,
     pub(crate) events: Option<EventBuffer>,
     pub(crate) tally: Option<RejectTally>,
     pub(crate) done: bool,
-}
-
-impl SlotData {
-    fn abandoned() -> Self {
-        SlotData {
-            result: None,
-            stats: Phase2Stats::default(),
-            effort: 0,
-            events: None,
-            tally: None,
-            done: false,
-        }
-    }
 }
 
 /// What every Phase II worker shares: the candidate vector, the slots
@@ -363,30 +357,49 @@ impl Dispatch<'_> {
                 return claim;
             }
         }
+        let data = self.verify(w, i, false);
+        let effort = data.effort;
+        let _ = self.slots[i].set(data);
+        self.shared.charge(effort);
+        claim
+    }
+
+    /// Verifies candidate `i` on `w`'s search state: the one path from a
+    /// claimed candidate to its [`SlotData`] — the result, the stats and
+    /// the effort they cost, the candidate's own events and reject
+    /// tally, and its time on the worker's clock. Spawned workers, the
+    /// merging thread's own claims, the serial path and hole recomputes
+    /// all call it. `record_trace` asks for the found instance's trace.
+    pub(crate) fn verify(&self, w: &mut Worker, i: usize, record_trace: bool) -> SlotData {
+        let timer = w.timing.is_some().then(PhaseTimer::start);
         let mut stats = Phase2Stats::default();
-        let result = self
-            .runner
-            .run_candidate_timed(
-                &mut w.search,
-                self.key,
-                c,
-                i as u32,
-                &mut stats,
-                false,
-                w.timing.as_mut(),
-            )
-            .map(|(m, _)| m);
-        let effort = 1 + effort_of(&stats);
-        let _ = self.slots[i].set(SlotData {
+        let found = self.runner.run_candidate(
+            &mut w.search,
+            self.key,
+            self.candidates[i],
+            i as u32,
+            &mut stats,
+            record_trace,
+        );
+        if let (Some(t), Some(timer)) = (w.timing.as_mut(), timer) {
+            let ns = timer.elapsed_ns();
+            t.sum_ns += ns;
+            t.max_ns = t.max_ns.max(ns);
+            t.hist.record(ns);
+        }
+        let (result, trace) = match found {
+            Some((m, trace)) => (Some(m), trace),
+            None => (None, None),
+        };
+        SlotData {
             result,
+            trace,
+            effort: 1 + effort_of(&stats),
             stats,
-            effort,
             events: w.search.drain_events(),
             tally: w.search.drain_reject_tally(),
             done: true,
-        });
-        self.shared.charge(effort);
-        claim
+        }
     }
 
     /// The next candidate from the shared queue.
@@ -395,7 +408,7 @@ impl Dispatch<'_> {
             // Death *after* claiming: abandon the candidate so the
             // merge's hole recovery has to repair it.
             if let Claim::Got(i) = self.queue.try_claim() {
-                let _ = self.slots[i].set(SlotData::abandoned());
+                let _ = self.slots[i].set(SlotData::default());
             }
             return Claim::Drained;
         }

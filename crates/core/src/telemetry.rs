@@ -7,9 +7,6 @@
 //! request into, so a long-lived daemon can answer "what are p99 find
 //! latencies on circuit X?" without re-running anything:
 //!
-//! * [`ShardedCounter`] — a cache-line-padded, thread-sharded atomic
-//!   counter for hot-path tallies (one `fetch_add` per request, no
-//!   contention between workers).
 //! * [`RequestSample`] — the distilled per-request numbers (wall time,
 //!   deterministic effort, backtracks, truncation reason, prune and
 //!   reject tallies), extracted from a [`MatchOutcome`] once the
@@ -18,7 +15,9 @@
 //!   log2-bucket latency/effort/backtrack [`Histogram`]s (p50/p95/p99),
 //!   truncation- and reject-reason tallies, prune ratios.
 //! * [`Telemetry`] — the shared registry of rollups keyed by endpoint
-//!   and by registered-circuit name, snapshotted for `/metrics`.
+//!   and by registered-circuit name, snapshotted for `/metrics`. Every
+//!   fold lands in exactly one endpoint rollup, so the snapshot's
+//!   request total is the endpoints' sum.
 //! * [`prometheus`] — text-format v0.0.4 exposition over snapshots.
 //!
 //! The sharing contract (DESIGN.md §3h): folding happens exactly once
@@ -30,62 +29,12 @@
 //! regardless of the order concurrent requests completed in.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::budget::Completeness;
 use crate::instance::MatchOutcome;
 use crate::metrics::{json, Histogram};
-
-/// Shards in a [`ShardedCounter`]; enough that a small worker pool
-/// rarely collides on a line.
-const SHARD_COUNT: usize = 16;
-
-/// One counter shard, padded to its own cache line so neighbouring
-/// shards never false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct Shard(AtomicU64);
-
-/// A thread-sharded atomic counter: each thread bumps its own
-/// cache-line-padded shard, reads sum all shards. Reads are racy in the
-/// usual monotone-counter sense (a concurrent bump may or may not be
-/// visible) but never lose increments.
-#[derive(Default)]
-pub struct ShardedCounter {
-    shards: [Shard; SHARD_COUNT],
-}
-
-impl ShardedCounter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn shard(&self) -> &AtomicU64 {
-        thread_local! {
-            static SHARD: usize = {
-                static NEXT: AtomicUsize = AtomicUsize::new(0);
-                NEXT.fetch_add(1, Ordering::Relaxed) % SHARD_COUNT
-            };
-        }
-        let i = SHARD.with(|s| *s);
-        &self.shards[i].0
-    }
-
-    /// Adds `by` to the calling thread's shard.
-    pub fn add(&self, by: u64) {
-        self.shard().fetch_add(by, Ordering::Relaxed);
-    }
-
-    /// The current total across all shards.
-    pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
 
 /// The distilled telemetry numbers of one completed request, extracted
 /// from its outcome(s) after the serial merge.
@@ -271,10 +220,9 @@ struct Rollups {
 
 /// The shared cross-request aggregation registry. Cheap when disabled
 /// (one atomic load per request); when enabled, each completed request
-/// costs one sharded-counter bump plus one short mutex-guarded fold.
+/// costs one short mutex-guarded fold.
 pub struct Telemetry {
     enabled: AtomicBool,
-    requests: ShardedCounter,
     rollups: Mutex<Rollups>,
 }
 
@@ -283,7 +231,6 @@ impl Telemetry {
     pub fn new(enabled: bool) -> Self {
         Self {
             enabled: AtomicBool::new(enabled),
-            requests: ShardedCounter::new(),
             rollups: Mutex::new(Rollups::default()),
         }
     }
@@ -305,7 +252,6 @@ impl Telemetry {
         if !self.enabled() {
             return;
         }
-        self.requests.add(1);
         let mut rollups = self.rollups.lock().expect("telemetry rollups poisoned");
         rollups
             .endpoints
@@ -325,7 +271,7 @@ impl Telemetry {
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let rollups = self.rollups.lock().expect("telemetry rollups poisoned");
         TelemetrySnapshot {
-            requests: self.requests.get(),
+            requests: rollups.endpoints.values().map(|r| r.requests).sum(),
             endpoints: rollups
                 .endpoints
                 .iter()
@@ -349,7 +295,8 @@ impl Default for Telemetry {
 /// A point-in-time copy of a [`Telemetry`] registry, sorted by key.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// Total requests folded since startup.
+    /// Total requests folded since startup: the sum of the endpoint
+    /// rollups' `requests`, since every fold lands in exactly one.
     pub requests: u64,
     /// Per-endpoint rollups, sorted by endpoint name.
     pub endpoints: Vec<(String, Rollup)>,
@@ -516,24 +463,6 @@ mod tests {
     use super::*;
     use subgemini_netlist::rng::Rng64;
 
-    #[test]
-    fn sharded_counter_sums_across_threads() {
-        let counter = std::sync::Arc::new(ShardedCounter::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let counter = std::sync::Arc::clone(&counter);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    counter.add(1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.get(), 8000);
-    }
-
     fn random_sample(rng: &mut Rng64) -> RequestSample {
         let truncation = match rng.next_u64() % 4 {
             0 => Some("effort_exhausted".to_string()),
@@ -620,6 +549,10 @@ mod tests {
         assert_eq!(snapshots[0], snapshots[1]);
         assert_eq!(snapshots[0], snapshots[2]);
         assert_eq!(snapshots[0].requests, 64);
+        for snapshot in &snapshots {
+            let endpoints: u64 = snapshot.endpoints.iter().map(|(_, r)| r.requests).sum();
+            assert_eq!(snapshot.requests, endpoints, "requests is the endpoint sum");
+        }
         assert!(snapshots[0].endpoint("find").is_some());
         assert!(snapshots[0].circuit("chip").is_some());
     }

@@ -1,5 +1,7 @@
 //! AST for the structural Verilog subset.
 
+use std::collections::HashSet;
+
 /// Port/net direction (kept for writer fidelity; matching itself is
 /// direction-blind, like the paper's undirected graphs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,16 +71,16 @@ impl Source {
     /// The top module: the unique module never instantiated by another
     /// (`None` when ambiguous or when the source is empty).
     pub fn infer_top(&self) -> Option<&Module> {
-        let mut instantiated: Vec<&str> = Vec::new();
-        for m in &self.modules {
-            for i in &m.instances {
-                instantiated.push(&i.module);
-            }
-        }
+        let instantiated: HashSet<&str> = self
+            .modules
+            .iter()
+            .flat_map(|m| &m.instances)
+            .map(|i| i.module.as_str())
+            .collect();
         let mut tops = self
             .modules
             .iter()
-            .filter(|m| !instantiated.contains(&m.name.as_str()));
+            .filter(|m| !instantiated.contains(m.name.as_str()));
         match (tops.next(), tops.next()) {
             (Some(t), None) => Some(t),
             _ => None,

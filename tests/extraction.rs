@@ -1,9 +1,10 @@
 //! Integration tests for the extraction engine (experiment E9) across
 //! crates: extract, then independently validate with Gemini.
 
-use subgemini::Extractor;
+use subgemini::metrics::ExtractCellMetrics;
+use subgemini::{Extractor, MatchOptions, WarmMain};
 use subgemini_gemini::compare;
-use subgemini_netlist::NetlistStats;
+use subgemini_netlist::{Artifact, NetlistStats};
 use subgemini_workloads::{cells, gen};
 
 fn full_library_extractor() -> Extractor {
@@ -196,4 +197,113 @@ fn extract_metrics_cell_timer_matches_outcome_total() {
         );
     }
     assert!(metrics.total_ns >= metrics.cells.iter().map(|c| c.match_ns).sum::<u64>());
+}
+
+/// Extracts `[dff, full_adder, nand2, inv]` (run largest first) from
+/// `main` with metrics on, and returns each cell's metrics.
+fn cell_metrics(
+    main: &subgemini_netlist::Netlist,
+    warm: Option<WarmMain>,
+) -> Vec<ExtractCellMetrics> {
+    let mut extractor = Extractor::new();
+    for cell in [
+        cells::dff(),
+        cells::full_adder(),
+        cells::nand2(),
+        cells::inv(),
+    ] {
+        extractor.add_cell(cell);
+    }
+    extractor.set_options(MatchOptions {
+        collect_metrics: true,
+        warm_main: warm,
+        ..MatchOptions::extraction()
+    });
+    let (_, report) = extractor.extract(main).unwrap();
+    report.metrics.expect("metrics requested").cells
+}
+
+/// Which cell pays for compiling the main circuit: the first cell on
+/// each netlist version. A collapse changes the netlist, so the next
+/// cell compiles it afresh (a warm handle describes the input only); a
+/// round that finds nothing leaves the snapshot to the next cell, which
+/// counts a cache hit.
+#[test]
+fn extraction_attributes_each_main_compile_to_one_cell() {
+    let counts = |cells: &[ExtractCellMetrics]| -> Vec<(String, u64, u64, u64)> {
+        cells
+            .iter()
+            .map(|cm| {
+                let c = &cm
+                    .match_metrics
+                    .as_ref()
+                    .expect("per-match metrics")
+                    .counters;
+                (
+                    cm.cell.clone(),
+                    c.get("artifact.warm_hits"),
+                    c.get("artifact.warm_misses"),
+                    c.get("compile.main_cache_hits"),
+                )
+            })
+            .collect()
+    };
+    let expect = |rows: [(&str, u64, u64, u64); 4]| -> Vec<(String, u64, u64, u64)> {
+        rows.iter()
+            .map(|&(c, h, m, k)| (c.to_string(), h, m, k))
+            .collect()
+    };
+    let load_ns = |cm: &ExtractCellMetrics| {
+        let m = cm.match_metrics.as_ref().expect("per-match metrics");
+        m.counters.get("artifact.load_ns")
+    };
+
+    // Warm: the handle serves the input, so `full_adder` adopts it; its
+    // instances collapse, and `dff` misses on the changed netlist.
+    let adder = gen::ripple_adder(4);
+    let warm = WarmMain::from_artifact(Artifact::build(&adder.netlist), 1234);
+    let cells = cell_metrics(&adder.netlist, Some(warm));
+    assert_eq!(
+        counts(&cells),
+        expect([
+            ("full_adder", 1, 0, 0),
+            ("dff", 0, 1, 0),
+            ("nand2", 0, 0, 1),
+            ("inv", 0, 0, 1),
+        ])
+    );
+    assert_eq!(load_ns(&cells[0]), 1234);
+    assert!(cells[1..].iter().all(|cm| load_ns(cm) == 0));
+
+    // Cold: the same cells compile, without artifact counters. The main
+    // is large next to the patterns, so the compile `full_adder` reports
+    // dwarfs the pattern-only compiles of the cache hits after `dff`.
+    let adder = gen::ripple_adder(64);
+    let cells = cell_metrics(&adder.netlist, None);
+    assert_eq!(
+        counts(&cells),
+        expect([
+            ("full_adder", 0, 0, 0),
+            ("dff", 0, 0, 0),
+            ("nand2", 0, 0, 1),
+            ("inv", 0, 0, 1),
+        ])
+    );
+    let compile_ns = |cm: &ExtractCellMetrics| cm.match_metrics.as_ref().unwrap().compile_ns;
+    let pattern_only = compile_ns(&cells[2]).min(compile_ns(&cells[3]));
+    assert!(
+        compile_ns(&cells[0]) > pattern_only,
+        "full_adder's compile_ns {} must include the main compile (cache hits: {})",
+        compile_ns(&cells[0]),
+        pattern_only
+    );
+    for cm in &cells {
+        let m = cm.match_metrics.as_ref().unwrap();
+        let phases = m.compile_ns + m.phase1_refine_ns + m.phase1_select_ns + m.phase2_wall_ns;
+        assert!(
+            cm.match_ns >= phases,
+            "{}: match_ns covers its phases",
+            cm.cell
+        );
+    }
 }

@@ -4,7 +4,7 @@
 //! a multi-pattern run compiles the main circuit exactly once.
 
 use subgemini::{find_all, find_all_many, MatchOptions};
-use subgemini_netlist::Netlist;
+use subgemini_netlist::{DeviceType, Netlist};
 use subgemini_workloads::{analog, cells, gen};
 
 fn check_equivalence(patterns: &[&Netlist], main: &Netlist, options: &MatchOptions) {
@@ -82,5 +82,45 @@ fn main_is_compiled_once_across_patterns() {
         } else {
             assert_eq!(hits, 1, "pattern {i} must reuse the main compilation");
         }
+    }
+}
+
+/// Every survey row's `total_ns` covers the phases it reports, the main
+/// compile included: the row that compiles the main circuit times that
+/// compile too, even when its own search ends at once.
+#[test]
+fn survey_row_total_covers_its_own_compile() {
+    // A resistor divider: the adder has no resistors, so Phase I proves
+    // the first row empty at once.
+    let mut divider = Netlist::new("divider");
+    let res = divider.add_type(DeviceType::two_terminal("res")).unwrap();
+    let (a, m, b) = (divider.net("a"), divider.net("m"), divider.net("b"));
+    divider.mark_port(a);
+    divider.mark_port(b);
+    divider.add_device("r1", res, &[a, m]).unwrap();
+    divider.add_device("r2", res, &[m, b]).unwrap();
+    let library = [divider, cells::inv(), cells::full_adder()];
+    let refs: Vec<&Netlist> = library.iter().collect();
+    let adder = gen::ripple_adder(512);
+    let options = MatchOptions {
+        collect_metrics: true,
+        ..MatchOptions::default()
+    };
+    let rows = find_all_many(&refs, &adder.netlist, &options);
+    assert!(rows[0].phase1.proven_empty, "no resistor in the adder");
+    assert_eq!(rows[2].count(), 512);
+    for (pattern, row) in library.iter().zip(&rows) {
+        let m = row.metrics.as_ref().expect("collect_metrics was set");
+        let phases = m.compile_ns + m.phase1_refine_ns + m.phase1_select_ns + m.phase2_wall_ns;
+        assert!(
+            m.total_ns >= phases,
+            "{}: total_ns {} < compile {} + phase I {} + {} + phase II {}",
+            pattern.name(),
+            m.total_ns,
+            m.compile_ns,
+            m.phase1_refine_ns,
+            m.phase1_select_ns,
+            m.phase2_wall_ns
+        );
     }
 }
