@@ -1,7 +1,8 @@
-//! Machine-readable phase-timing benchmark: runs the linearity sweep
-//! and the library survey with metrics collection on, then writes a
-//! single JSON artifact (`BENCH_phase_timings.json` by default) whose
-//! schema is documented in EXPERIMENTS.md.
+//! Machine-readable phase-timing benchmark: runs the linearity sweep,
+//! the library survey and the telemetry-overhead probe with metrics
+//! collection on, then writes a single JSON artifact
+//! (`BENCH_phase_timings.json` by default) whose schema is documented
+//! in EXPERIMENTS.md.
 //!
 //! Usage:
 //!
@@ -20,7 +21,9 @@
 //! committed report: the sum of `compile_ns + phase1_refine_ns +
 //! phase1_select_ns` across the sweep must not exceed 2x the
 //! baseline's, else the process exits 1 (the CI regression smoke).
-//! Unless `--out` is also given, a check run writes nothing.
+//! Unless `--out` is also given, a check run writes nothing. The
+//! baseline is read before the sweep: an unreadable one, like any bad
+//! flag, exits 2 with one line on stderr.
 
 use std::collections::BTreeMap;
 
@@ -198,180 +201,6 @@ fn budget_curve(scale: usize, threads: usize) -> Value {
     ])
 }
 
-/// Warm-start economics and fingerprint prune ratio (EXPERIMENTS.md
-/// E14). Cold vs warm full-adder search over a ripple adder: the warm
-/// run decodes a `.sgc` artifact (in memory) instead of compiling the
-/// main circuit, and reports `artifact.load_ns` / `artifact.warm_hits`.
-/// The `prune` row runs a decoy field (true instances among near-miss
-/// mutants) with pruning forced on and records how many Phase I
-/// candidates the k-hop fingerprints reject before Phase II.
-fn warm_start(scale: usize, threads: usize) -> Value {
-    use subgemini::{PrunePolicy, WarmMain};
-    use subgemini_netlist::Artifact;
-    let pattern = cells::full_adder();
-    let g = gen::ripple_adder(16 * scale.max(1));
-    let artifact = Artifact::build(&g.netlist);
-    let bytes = artifact.encode();
-    let t0 = std::time::Instant::now();
-    let decoded = Artifact::decode(&bytes).expect("fresh artifact decodes");
-    let load_ns = t0.elapsed().as_nanos() as u64;
-
-    let (cold_found, _, cold) = run_one(&pattern, &g.netlist, threads);
-    let warm_outcome = Matcher::new(&pattern, &g.netlist)
-        .options(MatchOptions {
-            collect_metrics: true,
-            threads,
-            warm_main: Some(WarmMain::from_artifact(decoded, load_ns)),
-            ..MatchOptions::default()
-        })
-        .find_all();
-    assert_eq!(
-        warm_outcome.count() as u64,
-        cold_found,
-        "warm start must not change results"
-    );
-    let warm = warm_outcome.metrics.expect("collect_metrics was set");
-
-    // The prune row uses a shallow pattern on purpose: `inv` is where
-    // Phase I refinement stops at one iteration (every net is a port or
-    // a rail), so the index's degree-free rail features carry real
-    // pruning power the candidate vector lacks.
-    let prune_pattern = cells::inv();
-    let mut decoys = gen::near_miss_field(&prune_pattern, 24 * scale.max(1), 0x5347_e140);
-    for i in 0..(8 * scale.max(1)) {
-        let bindings: Vec<_> = (0..prune_pattern.ports().len())
-            .map(|p| decoys.netlist.net(format!("t{i}p{p}")))
-            .collect();
-        decoys.plant(&prune_pattern, &format!("pl{i}"), &bindings);
-    }
-    let pruned_outcome = Matcher::new(&prune_pattern, &decoys.netlist)
-        .options(MatchOptions {
-            collect_metrics: true,
-            threads,
-            prune: PrunePolicy::Always,
-            ..MatchOptions::default()
-        })
-        .find_all();
-    let pm = pruned_outcome
-        .metrics
-        .as_ref()
-        .expect("collect_metrics was set");
-    Value::Obj(vec![
-        (
-            "main_devices".into(),
-            Value::int(g.netlist.device_count() as u64),
-        ),
-        ("artifact_bytes".into(), Value::int(bytes.len() as u64)),
-        ("found".into(), Value::int(cold_found)),
-        ("cold_compile_ns".into(), Value::int(cold.compile_ns)),
-        ("cold_total_ns".into(), Value::int(cold.total_ns)),
-        ("warm_compile_ns".into(), Value::int(warm.compile_ns)),
-        ("warm_total_ns".into(), Value::int(warm.total_ns)),
-        (
-            "artifact_load_ns".into(),
-            Value::int(warm.counters.get("artifact.load_ns")),
-        ),
-        (
-            "artifact_warm_hits".into(),
-            Value::int(warm.counters.get("artifact.warm_hits")),
-        ),
-        (
-            "prune".into(),
-            Value::Obj(vec![
-                (
-                    "main_devices".into(),
-                    Value::int(decoys.netlist.device_count() as u64),
-                ),
-                (
-                    "planted".into(),
-                    Value::int(decoys.planted_count("inv") as u64),
-                ),
-                ("found".into(), Value::int(pruned_outcome.count() as u64)),
-                (
-                    "cv_size".into(),
-                    Value::int(pruned_outcome.phase1.cv_size as u64),
-                ),
-                (
-                    "pruned_candidates".into(),
-                    Value::int(pm.counters.get("index.pruned_candidates")),
-                ),
-                (
-                    "admitted_candidates".into(),
-                    Value::int(pm.counters.get("index.admitted_candidates")),
-                ),
-                (
-                    "index_build_ns".into(),
-                    Value::int(pm.counters.get("index.build_ns")),
-                ),
-            ]),
-        ),
-    ])
-}
-
-/// Daemon-shaped request economics (EXPERIMENTS.md E15): per-request
-/// wall time for engine find requests against a registered (warm,
-/// shared compiled snapshot + index) circuit vs inline (cold,
-/// compile-per-request) submission of the same netlist — the
-/// compile-once/query-many split `subg serve` exposes over HTTP,
-/// measured at the session layer so socket noise stays out of the
-/// numbers. Results are asserted identical before timings are
-/// reported.
-fn serve_section(scale: usize, threads: usize) -> Value {
-    use subgemini_engine::{CircuitSource, Engine, FindRequest, PatternSource, RequestOptions};
-    const REQUESTS: usize = 8;
-    let pattern = cells::full_adder();
-    let g = gen::ripple_adder(16 * scale.max(1));
-    let engine = Engine::new();
-    let t0 = std::time::Instant::now();
-    let info = engine.register_circuit("bench", g.netlist.clone());
-    let register_ns = t0.elapsed().as_nanos() as u64;
-    let options = || RequestOptions {
-        threads,
-        ..RequestOptions::default()
-    };
-    let timed = |circuit: CircuitSource<'_>| -> (u64, Vec<u64>) {
-        let mut found = 0u64;
-        let mut wall = Vec::with_capacity(REQUESTS);
-        for _ in 0..REQUESTS {
-            let t0 = std::time::Instant::now();
-            let resp = engine
-                .find(&FindRequest {
-                    circuit,
-                    pattern: PatternSource::Inline(&pattern),
-                    options: options(),
-                })
-                .expect("bench circuit resolves");
-            wall.push(t0.elapsed().as_nanos() as u64);
-            found = resp.outcome.count() as u64;
-        }
-        wall.sort_unstable();
-        (found, wall)
-    };
-    let (warm_found, warm_wall) = timed(CircuitSource::Registered("bench"));
-    let (cold_found, cold_wall) = timed(CircuitSource::Inline(&g.netlist));
-    assert_eq!(
-        warm_found, cold_found,
-        "registry warm start must not change results"
-    );
-    Value::Obj(vec![
-        (
-            "main_devices".into(),
-            Value::int(g.netlist.device_count() as u64),
-        ),
-        (
-            "artifact_bytes".into(),
-            Value::int(info.artifact_bytes as u64),
-        ),
-        ("requests".into(), Value::int(REQUESTS as u64)),
-        ("found".into(), Value::int(warm_found)),
-        ("register_ns".into(), Value::int(register_ns)),
-        ("cold_min_ns".into(), Value::int(cold_wall[0])),
-        ("cold_p50_ns".into(), Value::int(cold_wall[REQUESTS / 2])),
-        ("warm_min_ns".into(), Value::int(warm_wall[0])),
-        ("warm_p50_ns".into(), Value::int(warm_wall[REQUESTS / 2])),
-    ])
-}
-
 /// Telemetry economics (EXPERIMENTS.md E16): what observability costs.
 /// Three numbers matter — the per-request fold overhead (telemetry on
 /// vs off over the same registered circuit; must be noise), the time to
@@ -503,44 +332,52 @@ fn linearity_front_ns(report: &Value) -> u64 {
         .sum()
 }
 
+/// Exits 2 with one line on stderr: a usage error.
+fn usage(message: &str) -> ! {
+    eprintln!("bench_json: {message}");
+    std::process::exit(2);
+}
+
+/// A count flag's value, or a usage error.
+fn count(flag: &str, value: String) -> usize {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("{flag} takes a count, not `{value}`")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 1usize;
     let mut threads = 1usize;
-    let mut out_path = "BENCH_phase_timings.json".to_string();
-    let mut out_given = false;
+    let mut out_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut with_budget_curve = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{what} requires a value"))
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{flag} requires a value")))
         };
-        match a.as_str() {
-            "--scale" => scale = take("--scale").parse().expect("--scale takes a count"),
-            "--threads" => threads = take("--threads").parse().expect("--threads takes a count"),
-            "--out" => {
-                out_path = take("--out").clone();
-                out_given = true;
-            }
-            "--check" => check_path = Some(take("--check").clone()),
+        match flag.as_str() {
+            "--scale" => scale = count(&flag, value()),
+            "--threads" => threads = count(&flag, value()),
+            "--out" => out_path = Some(value()),
+            "--check" => check_path = Some(value()),
             "--budget-curve" => with_budget_curve = true,
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown flag {other}")),
         }
     }
+    // The baseline is read before the sweep, so a bad path fails at once.
+    let baseline_ns = check_path.as_deref().map(|path| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
+        let baseline = subgemini::metrics::json::parse(&text)
+            .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
+        linearity_front_ns(&baseline)
+    });
 
     eprintln!("bench_json: linearity sweep (scale {scale}, threads {threads})...");
     let lin = linearity(scale, threads);
     eprintln!("bench_json: library survey...");
     let sur = survey(scale, threads);
-    eprintln!("bench_json: warm start + prune ratio...");
-    let warm = warm_start(scale, threads);
-    eprintln!("bench_json: serve registry economics...");
-    let serve = serve_section(scale, threads);
     eprintln!("bench_json: observability overhead...");
     let obs = observability(scale, threads);
     let mut fields = vec![
@@ -551,12 +388,6 @@ fn main() {
         ),
         ("linearity".into(), lin),
         ("survey".into(), sur),
-        // Additive since schema v1: warm-start and prune-ratio section.
-        ("warm_start".into(), warm),
-        // Additive since schema v1: cold vs registry-warm per-request
-        // wall time at the engine session layer (the `subg serve`
-        // economics).
-        ("serve".into(), serve),
         // Additive since schema v1: telemetry fold / exposition /
         // capture-serialization overhead (EXPERIMENTS.md E16).
         ("observability".into(), obs),
@@ -566,21 +397,17 @@ fn main() {
         fields.push(("budget_curve".into(), budget_curve(scale, threads)));
     }
     let report = Value::Obj(fields);
-    let text = report.pretty();
-    if check_path.is_none() || out_given {
-        if out_path == "-" {
-            print!("{text}");
-        } else {
-            std::fs::write(&out_path, text).unwrap_or_else(|e| panic!("{out_path}: {e}"));
-            eprintln!("bench_json: wrote {out_path}");
+    if baseline_ns.is_none() || out_path.is_some() {
+        let text = report.pretty();
+        match out_path.as_deref().unwrap_or("BENCH_phase_timings.json") {
+            "-" => print!("{text}"),
+            path => {
+                std::fs::write(path, text).unwrap_or_else(|e| panic!("{path}: {e}"));
+                eprintln!("bench_json: wrote {path}");
+            }
         }
     }
-    if let Some(baseline_path) = check_path {
-        let baseline_text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
-        let baseline = subgemini::metrics::json::parse(&baseline_text)
-            .unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
-        let was = linearity_front_ns(&baseline);
+    if let Some(was) = baseline_ns {
         let now = linearity_front_ns(&report);
         eprintln!("bench_json: check compile+phase1 on linearity: {now} ns vs baseline {was} ns");
         if was > 0 && now > was.saturating_mul(2) {

@@ -378,7 +378,7 @@ pub mod json {
         /// Serializes with two-space indentation and a trailing newline.
         pub fn pretty(&self) -> String {
             let mut out = String::new();
-            self.emit(&mut out, 0);
+            self.emit(&mut out, Some(0));
             out.push('\n');
             out
         }
@@ -387,11 +387,14 @@ pub mod json {
         /// NDJSON form used by the event-journal exporter.
         pub fn compact(&self) -> String {
             let mut out = String::new();
-            self.emit_compact(&mut out);
+            self.emit(&mut out, None);
             out
         }
 
-        fn emit_compact(&self, out: &mut String) {
+        /// Writes the value at nesting depth `indent` when pretty
+        /// printing, or on one line when `indent` is `None`.
+        fn emit(&self, out: &mut String, indent: Option<usize>) {
+            let inner = indent.map(|depth| depth + 1);
             match self {
                 Value::Null => out.push_str("null"),
                 Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -409,7 +412,11 @@ pub mod json {
                         if i > 0 {
                             out.push(',');
                         }
-                        item.emit_compact(out);
+                        newline(out, inner);
+                        item.emit(out, inner);
+                    }
+                    if !items.is_empty() {
+                        newline(out, indent);
                     }
                     out.push(']');
                 }
@@ -419,70 +426,26 @@ pub mod json {
                         if i > 0 {
                             out.push(',');
                         }
+                        newline(out, inner);
                         emit_string(out, k);
-                        out.push(':');
-                        v.emit_compact(out);
+                        out.push_str(if indent.is_some() { ": " } else { ":" });
+                        v.emit(out, inner);
+                    }
+                    if !members.is_empty() {
+                        newline(out, indent);
                     }
                     out.push('}');
                 }
             }
         }
+    }
 
-        fn emit(&self, out: &mut String, indent: usize) {
-            let pad = |out: &mut String, n: usize| {
-                for _ in 0..n {
-                    out.push_str("  ");
-                }
-            };
-            match self {
-                Value::Null => out.push_str("null"),
-                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                Value::Num(n) => {
-                    if n.fract() == 0.0 && n.abs() < 9e15 {
-                        let _ = write!(out, "{}", *n as i64);
-                    } else {
-                        let _ = write!(out, "{n}");
-                    }
-                }
-                Value::Str(s) => emit_string(out, s),
-                Value::Arr(items) => {
-                    if items.is_empty() {
-                        out.push_str("[]");
-                        return;
-                    }
-                    out.push('[');
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push('\n');
-                        pad(out, indent + 1);
-                        item.emit(out, indent + 1);
-                    }
-                    out.push('\n');
-                    pad(out, indent);
-                    out.push(']');
-                }
-                Value::Obj(members) => {
-                    if members.is_empty() {
-                        out.push_str("{}");
-                        return;
-                    }
-                    out.push('{');
-                    for (i, (k, v)) in members.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push('\n');
-                        pad(out, indent + 1);
-                        emit_string(out, k);
-                        out.push_str(": ");
-                        v.emit(out, indent + 1);
-                    }
-                    out.push('\n');
-                    pad(out, indent);
-                    out.push('}');
-                }
+    /// Starts a fresh line at depth `indent` when pretty printing.
+    fn newline(out: &mut String, indent: Option<usize>) {
+        if let Some(depth) = indent {
+            out.push('\n');
+            for _ in 0..depth {
+                out.push_str("  ");
             }
         }
     }

@@ -37,6 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use subgemini::events::{journal_to_ndjson, EventJournal};
 use subgemini::metrics::json::Value;
 use subgemini::CancelToken;
 use subgemini_engine::Engine;
@@ -44,8 +45,6 @@ use subgemini_engine::Engine;
 pub mod http;
 mod routes;
 pub mod signal;
-
-use routes::RequestMeta;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -107,19 +106,58 @@ impl AccessLog {
     }
 }
 
+/// One search request, built once by the search route: the access log
+/// and the capture ring both describe the request from it.
+#[derive(Clone, Debug)]
+pub(crate) struct SearchRecord {
+    pub(crate) request_id: u64,
+    /// `find`, `explain`, `survey` or `hierarchize`.
+    pub(crate) kind: &'static str,
+    pub(crate) circuit: String,
+    /// The pattern's name, or `library:<name>` (`library:(inline)`) for
+    /// a survey or hierarchize.
+    pub(crate) pattern: String,
+    /// The engine's wall time for the search.
+    pub(crate) wall_ns: u64,
+    /// Deterministic effort spent; hierarchize reports none.
+    pub(crate) effort_spent: Option<u64>,
+    pub(crate) truncated: bool,
+}
+
+impl SearchRecord {
+    fn completeness(&self) -> &'static str {
+        if self.truncated {
+            "truncated"
+        } else {
+            "complete"
+        }
+    }
+
+    /// The capture ring's summary of the request, whose route is the
+    /// search kind.
+    pub(crate) fn summary(&self) -> Vec<(String, Value)> {
+        vec![
+            ("request_id".into(), Value::int(self.request_id)),
+            ("route".into(), Value::Str(self.kind.into())),
+            ("circuit".into(), Value::Str(self.circuit.clone())),
+            ("pattern".into(), Value::Str(self.pattern.clone())),
+            ("wall_ns".into(), Value::int(self.wall_ns)),
+            (
+                "completeness".into(),
+                Value::Str(self.completeness().into()),
+            ),
+        ]
+    }
+}
+
 /// One slow/truncated request kept in the capture ring: everything
 /// needed to answer "why was request N slow?" after the fact.
 #[derive(Clone, Debug)]
 pub(crate) struct CapturedRequest {
-    pub(crate) id: u64,
-    pub(crate) route: &'static str,
-    pub(crate) circuit: String,
-    pub(crate) pattern: String,
-    pub(crate) wall_ns: u64,
-    pub(crate) completeness: &'static str,
-    /// The full response report, pretty JSON.
-    pub(crate) report: String,
-    /// The merged event journal as NDJSON (requests run with
+    pub(crate) record: SearchRecord,
+    /// The response document.
+    pub(crate) report: Value,
+    /// The merged event journal as NDJSON (find and survey run with
     /// `trace_events` forced on while capture is configured).
     pub(crate) journal: String,
 }
@@ -140,12 +178,17 @@ impl CaptureRing {
         }
     }
 
-    /// Whether a finished request qualifies for capture.
-    pub(crate) fn wants(&self, wall_ns: u64, truncated: bool) -> bool {
-        truncated || wall_ns >= self.slow_ns
-    }
-
-    pub(crate) fn push(&self, captured: CapturedRequest) {
+    /// Keeps a finished search if it qualifies: truncated, or slower
+    /// than the threshold. Only a kept search's journals are serialized.
+    pub(crate) fn offer(&self, record: &SearchRecord, report: Value, journals: &[EventJournal]) {
+        if !record.truncated && record.wall_ns < self.slow_ns {
+            return;
+        }
+        let captured = CapturedRequest {
+            record: record.clone(),
+            report,
+            journal: journals.iter().map(journal_to_ndjson).collect(),
+        };
         let mut ring = self.ring.lock().expect("capture ring poisoned");
         if ring.len() == self.keep {
             ring.pop_front();
@@ -154,14 +197,20 @@ impl CaptureRing {
     }
 
     /// Newest-first summaries of every held capture.
-    pub(crate) fn entries(&self) -> Vec<CapturedRequest> {
+    pub(crate) fn summaries(&self) -> Vec<Value> {
         let ring = self.ring.lock().expect("capture ring poisoned");
-        ring.iter().rev().cloned().collect()
+        ring.iter()
+            .rev()
+            .map(|c| Value::Obj(c.record.summary()))
+            .collect()
     }
 
     pub(crate) fn get(&self, id: u64) -> Option<CapturedRequest> {
         let ring = self.ring.lock().expect("capture ring poisoned");
-        ring.iter().rev().find(|c| c.id == id).cloned()
+        ring.iter()
+            .rev()
+            .find(|c| c.record.request_id == id)
+            .cloned()
     }
 }
 
@@ -304,26 +353,39 @@ impl Drop for InFlight<'_> {
     }
 }
 
-/// Builds the one-line access-log record for a finished request.
+/// Builds the one-line access-log record for a finished request: its
+/// method and HTTP path when it parsed, the exchange's wall time, and
+/// the search's record when it was a search that answered 200.
 fn access_line(
-    meta: &RequestMeta,
-    method: Option<&str>,
-    route: Option<&str>,
+    record: Option<&SearchRecord>,
+    request: Option<(&str, &str)>,
     status: u16,
     wall_ns: u64,
 ) -> String {
     let opt_str = |v: Option<&str>| v.map_or(Value::Null, |s| Value::Str(s.to_string()));
     let opt_int = |v: Option<u64>| v.map_or(Value::Null, Value::int);
     Value::Obj(vec![
-        ("request_id".into(), opt_int(meta.request_id)),
-        ("method".into(), opt_str(method)),
-        ("route".into(), opt_str(route)),
+        ("request_id".into(), opt_int(record.map(|r| r.request_id))),
+        ("method".into(), opt_str(request.map(|(method, _)| method))),
+        ("route".into(), opt_str(request.map(|(_, path)| path))),
         ("status".into(), Value::int(u64::from(status))),
         ("wall_ns".into(), Value::int(wall_ns)),
-        ("effort_spent".into(), opt_int(meta.effort_spent)),
-        ("completeness".into(), opt_str(meta.completeness)),
-        ("circuit".into(), opt_str(meta.circuit.as_deref())),
-        ("pattern".into(), opt_str(meta.pattern.as_deref())),
+        (
+            "effort_spent".into(),
+            opt_int(record.and_then(|r| r.effort_spent)),
+        ),
+        (
+            "completeness".into(),
+            opt_str(record.map(|r| r.completeness())),
+        ),
+        (
+            "circuit".into(),
+            opt_str(record.map(|r| r.circuit.as_str())),
+        ),
+        (
+            "pattern".into(),
+            opt_str(record.map(|r| r.pattern.as_str())),
+        ),
     ])
     .compact()
 }
@@ -499,7 +561,7 @@ fn handle_connection(
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     let mut reader = io::BufReader::new(stream);
     let t0 = Instant::now();
-    let mut meta = RequestMeta::default();
+    let mut record = None;
     let mut request_line: Option<(String, String)> = None;
     let response = match http::read_request(&mut reader, max_body) {
         Ok(request) => {
@@ -508,7 +570,7 @@ fn handle_connection(
             // hitting a core precondition) must not shrink the worker
             // pool: catch it and answer 500.
             let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                routes::route(engine, state, &request, &mut meta)
+                routes::route(engine, state, &request, &mut record)
             }));
             match handled {
                 Ok(response) => response,
@@ -525,14 +587,10 @@ fn handle_connection(
     };
     state.note_response(response.status);
     if let Some(log) = &state.access_log {
-        let (method, route) = match &request_line {
-            Some((m, p)) => (Some(m.as_str()), Some(p.as_str())),
-            None => (None, None),
-        };
+        let request = request_line.as_ref().map(|(m, p)| (m.as_str(), p.as_str()));
         log.write_line(&access_line(
-            &meta,
-            method,
-            route,
+            record.as_ref(),
+            request,
             response.status,
             t0.elapsed().as_nanos() as u64,
         ));

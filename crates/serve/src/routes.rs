@@ -16,6 +16,9 @@
 //! | POST   | `/v1/hierarchize`     | JSON survey-shaped request  | hierarchy report + hierarchical deck |
 //! | POST   | `/v1/shutdown`        | —                           | ack, then drain |
 //!
+//! Any other method on one of these paths answers 405; any other path
+//! answers 404.
+//!
 //! Find/survey/explain bodies name a registered circuit (`"circuit":
 //! "chip"`) or carry an inline one (`"circuit_source": "<deck>"`,
 //! optional `"circuit_format"`); patterns name a registered library
@@ -34,80 +37,65 @@
 
 use std::sync::Arc;
 
+use subgemini::events::EventJournal;
 use subgemini::metrics::json::{self, Value};
 use subgemini::metrics::{outcome_to_json, REPORT_SCHEMA_VERSION};
 use subgemini::telemetry::prometheus::TextWriter;
+use subgemini::CancelToken;
 use subgemini_engine::source::{
     load_cell, load_cells, main_from_doc, parse_text, CellMode, SourceKind,
 };
 use subgemini_engine::{
-    CircuitSource, Engine, EngineError, ExplainRequest, FindRequest, FindResponse,
-    HierarchizeRequest, HierarchizeResponse, LibrarySource, PatternSource, RequestOptions,
-    SurveyRequest, SurveyResponse,
+    CircuitSource, Engine, EngineError, ExplainRequest, FindRequest, HierarchizeRequest,
+    LibrarySource, PatternSource, RequestOptions, SurveyRequest,
 };
 use subgemini_netlist::Netlist;
 
 use crate::http::{Request, Response};
-use crate::{CapturedRequest, ServerState};
+use crate::{SearchRecord, ServerState};
 
-/// Per-request correlation fields the search handlers report back to
-/// the connection loop for the access log.
-#[derive(Debug, Default)]
-pub(crate) struct RequestMeta {
-    pub(crate) request_id: Option<u64>,
-    pub(crate) circuit: Option<String>,
-    pub(crate) pattern: Option<String>,
-    pub(crate) effort_spent: Option<u64>,
-    pub(crate) completeness: Option<&'static str>,
-}
-
-/// Dispatches one parsed request.
+/// Dispatches one parsed request by its path, then by its method: a
+/// known path asked with another method answers 405. A search that
+/// answers 200 leaves its record in `record`.
 pub(crate) fn route(
     engine: &Engine,
     state: &Arc<ServerState>,
     req: &Request,
-    meta: &mut RequestMeta,
+    record: &mut Option<SearchRecord>,
 ) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => healthz(state),
-        ("GET", "/metrics") => metrics(engine, state, req),
-        ("GET", "/v1/requests") => list_captures(state),
-        ("GET", path) if path.starts_with("/v1/requests/") => {
-            get_capture(state, &path["/v1/requests/".len()..])
+    let path = req.path.as_str();
+    let mut searching = |kind: Kind| search(engine, state, req, kind, record);
+    let (method, handler): (&str, Box<dyn FnOnce() -> Response + '_>) = match path {
+        "/healthz" => ("GET", Box::new(|| healthz(state))),
+        "/metrics" => ("GET", Box::new(|| metrics(engine, state, req))),
+        "/v1/requests" => ("GET", Box::new(|| list_captures(state))),
+        "/v1/shutdown" => ("POST", Box::new(|| shutdown(state))),
+        "/v1/find" => ("POST", Box::new(move || searching(find))),
+        "/v1/explain" => ("POST", Box::new(move || searching(explain))),
+        "/v1/survey" => ("POST", Box::new(move || searching(survey))),
+        "/v1/hierarchize" => ("POST", Box::new(move || searching(hierarchize))),
+        _ => {
+            if let Some(id) = path.strip_prefix("/v1/requests/") {
+                ("GET", Box::new(move || get_capture(state, id)))
+            } else if let Some(name) = path.strip_prefix("/v1/circuits/") {
+                (
+                    "POST",
+                    Box::new(move || register_circuit(engine, req, name)),
+                )
+            } else if let Some(name) = path.strip_prefix("/v1/libraries/") {
+                (
+                    "POST",
+                    Box::new(move || register_library(engine, req, name)),
+                )
+            } else {
+                return Response::error(404, "no such endpoint");
+            }
         }
-        ("POST", "/v1/shutdown") => {
-            state.request_shutdown();
-            Response::json(
-                200,
-                Value::Obj(vec![("status".into(), Value::Str("shutting-down".into()))]).pretty(),
-            )
-        }
-        ("POST", "/v1/find") => searching(state, |cancel| find(engine, state, req, cancel, meta)),
-        ("POST", "/v1/explain") => {
-            searching(state, |cancel| explain(engine, state, req, cancel, meta))
-        }
-        ("POST", "/v1/survey") => {
-            searching(state, |cancel| survey(engine, state, req, cancel, meta))
-        }
-        ("POST", "/v1/hierarchize") => searching(state, |cancel| {
-            hierarchize(engine, state, req, cancel, meta)
-        }),
-        ("POST", path) if path.starts_with("/v1/circuits/") => {
-            register_circuit(engine, req, &path["/v1/circuits/".len()..])
-        }
-        ("POST", path) if path.starts_with("/v1/libraries/") => {
-            register_library(engine, req, &path["/v1/libraries/".len()..])
-        }
-        (
-            _,
-            "/healthz" | "/metrics" | "/v1/requests" | "/v1/find" | "/v1/survey" | "/v1/explain"
-            | "/v1/hierarchize" | "/v1/shutdown",
-        ) => Response::error(405, "method not allowed"),
-        (_, path) if path.starts_with("/v1/requests/") => {
-            Response::error(405, "method not allowed")
-        }
-        _ => Response::error(404, "no such endpoint"),
+    };
+    if req.method != method {
+        return Response::error(405, "method not allowed");
     }
+    handler()
 }
 
 fn healthz(state: &Arc<ServerState>) -> Response {
@@ -126,24 +114,12 @@ fn healthz(state: &Arc<ServerState>) -> Response {
     )
 }
 
-/// Runs a search-shaped handler with an in-flight registration, so a
-/// draining shutdown can cancel it.
-fn searching(
-    state: &Arc<ServerState>,
-    f: impl FnOnce(subgemini::CancelToken) -> Response,
-) -> Response {
-    let (_registration, token) = state.begin_search();
-    f(token)
-}
-
-fn engine_failure(e: &EngineError) -> Response {
-    let status = match e {
-        EngineError::UnknownCircuit(_)
-        | EngineError::UnknownLibrary(_)
-        | EngineError::UnknownCell { .. } => 404,
-        EngineError::Invalid(_) => 400,
-    };
-    Response::error(status, &e.to_string())
+fn shutdown(state: &ServerState) -> Response {
+    state.request_shutdown();
+    Response::json(
+        200,
+        Value::Obj(vec![("status".into(), Value::Str("shutting-down".into()))]).pretty(),
+    )
 }
 
 fn metrics(engine: &Engine, state: &Arc<ServerState>, req: &Request) -> Response {
@@ -391,23 +367,28 @@ fn body_text(req: &Request) -> Result<&str, String> {
     std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8".to_string())
 }
 
-fn body_format(req: &Request) -> Result<SourceKind, String> {
-    match req.query_value("format") {
-        None => Ok(SourceKind::Spice),
-        Some(name) => SourceKind::from_name(name)
-            .ok_or_else(|| format!("format: `{name}` is not `spice` or `verilog`")),
-    }
+/// Reads a deck-format name; an absent one means SPICE. `Some(None)` is
+/// a value that is not a string. `field` names the value in errors.
+fn deck_format(field: &str, name: Option<Option<&str>>) -> Result<SourceKind, String> {
+    let Some(name) = name else {
+        return Ok(SourceKind::Spice);
+    };
+    let name = name.ok_or_else(|| format!("{field}: expected a string"))?;
+    SourceKind::from_name(name)
+        .ok_or_else(|| format!("{field}: `{name}` is not `spice` or `verilog`"))
+}
+
+/// An uploaded deck: the body's text and the format its `?format=` names.
+fn body_deck(req: &Request) -> Result<(&str, SourceKind), String> {
+    let kind = deck_format("format", req.query_value("format").map(Some));
+    Ok((body_text(req)?, kind?))
 }
 
 fn register_circuit(engine: &Engine, req: &Request, name: &str) -> Response {
-    if req.method != "POST" {
-        return Response::error(405, "method not allowed");
-    }
     if name.is_empty() || name.contains('/') {
         return Response::error(400, "circuit name must be a single non-empty path segment");
     }
-    let parsed = body_text(req)
-        .and_then(|text| body_format(req).map(|kind| (text, kind)))
+    let parsed = body_deck(req)
         .and_then(|(text, kind)| parse_text(text, kind, name))
         .and_then(|doc| main_from_doc(&doc, name, name));
     match parsed {
@@ -446,15 +427,11 @@ fn cells_from_deck(
 }
 
 fn register_library(engine: &Engine, req: &Request, name: &str) -> Response {
-    if req.method != "POST" {
-        return Response::error(405, "method not allowed");
-    }
     if name.is_empty() || name.contains('/') {
         return Response::error(400, "library name must be a single non-empty path segment");
     }
-    let parsed = body_text(req)
-        .and_then(|text| body_format(req).map(|kind| (text, kind)))
-        .and_then(|(text, kind)| cells_from_deck(text, kind, name, CellMode::Flat));
+    let parsed =
+        body_deck(req).and_then(|(text, kind)| cells_from_deck(text, kind, name, CellMode::Flat));
     match parsed {
         Ok(cells) => {
             let info = engine.register_library(name, cells);
@@ -496,15 +473,10 @@ fn circuit_from(body: &Value) -> Result<BodyCircuit, String> {
     }
     if let Some(src) = body.get("circuit_source") {
         let text = src.as_str().ok_or("circuit_source: expected a string")?;
-        let kind = match body.get("circuit_format") {
-            None => SourceKind::Spice,
-            Some(v) => {
-                let name = v.as_str().ok_or("circuit_format: expected a string")?;
-                SourceKind::from_name(name).ok_or_else(|| {
-                    format!("circuit_format: `{name}` is not `spice` or `verilog`")
-                })?
-            }
-        };
+        let kind = deck_format(
+            "circuit_format",
+            body.get("circuit_format").map(Value::as_str),
+        )?;
         let doc = parse_text(text, kind, "circuit_source")?;
         return main_from_doc(&doc, "circuit", "circuit_source")
             .map(|n| BodyCircuit::Inline(Box::new(n)));
@@ -548,15 +520,7 @@ fn pattern_from(body: &Value) -> Result<BodyPattern, String> {
             .get("cell")
             .and_then(Value::as_str)
             .ok_or("pattern.cell: expected a string")?;
-        let kind = match spec.get("format") {
-            None => SourceKind::Spice,
-            Some(v) => {
-                let name = v.as_str().ok_or("pattern.format: expected a string")?;
-                SourceKind::from_name(name).ok_or_else(|| {
-                    format!("pattern.format: `{name}` is not `spice` or `verilog`")
-                })?
-            }
-        };
+        let kind = deck_format("pattern.format", spec.get("format").map(Value::as_str))?;
         let doc = parse_text(text, kind, "pattern")?;
         return load_cell(&doc, cell, "pattern").map(|n| BodyPattern::Inline(Box::new(n)));
     }
@@ -619,113 +583,25 @@ fn parse_body(req: &Request) -> Result<Value, String> {
     json::parse(body_text(req)?)
 }
 
-fn find_response_doc(resp: &FindResponse) -> Value {
-    let Value::Obj(mut fields) = outcome_to_json(&resp.outcome) else {
-        unreachable!("outcome_to_json answers an object");
-    };
-    // v1-additive: the base report keeps its exact field order; the
-    // daemon appends its own fields after it.
-    fields.push(("circuit".into(), Value::Str(resp.circuit.clone())));
-    fields.push(("pattern".into(), Value::Str(resp.pattern.clone())));
-    fields.push(("found".into(), Value::int(resp.outcome.count() as u64)));
-    fields.push((
-        "instance_devices".into(),
-        Value::Arr(
-            resp.instance_devices
-                .iter()
-                .map(|names| Value::Arr(names.iter().map(|n| Value::Str(n.clone())).collect()))
-                .collect(),
-        ),
-    ));
-    fields.push(("wall_ns".into(), Value::int(resp.wall_ns)));
-    fields.push(("effort_spent".into(), Value::int(resp.effort_spent)));
-    Value::Obj(fields)
-}
-
-/// `"complete"` / `"truncated"` for logs and captures.
-fn completeness_str(outcome: &subgemini::MatchOutcome) -> &'static str {
-    if outcome.completeness.is_truncated() {
-        "truncated"
-    } else {
-        "complete"
-    }
-}
-
-/// Serializes the outcome's event journal as NDJSON (empty string when
-/// the search ran without `trace_events`).
-fn journal_text(outcome: &subgemini::MatchOutcome) -> String {
-    outcome
-        .events
-        .as_ref()
-        .map(subgemini::events::journal_to_ndjson)
-        .unwrap_or_default()
-}
-
-/// Offers a finished search to the capture ring, if one is configured
-/// and the request qualifies (slow or truncated).
-#[allow(clippy::too_many_arguments)]
-fn maybe_capture(
-    state: &Arc<ServerState>,
-    route: &'static str,
-    id: u64,
-    circuit: &str,
-    pattern: &str,
-    wall_ns: u64,
-    completeness: &'static str,
-    report: &Value,
-    journal: String,
-) {
-    let Some(ring) = state.capture() else {
-        return;
-    };
-    if !ring.wants(wall_ns, completeness == "truncated") {
-        return;
-    }
-    ring.push(CapturedRequest {
-        id,
-        route,
-        circuit: circuit.to_string(),
-        pattern: pattern.to_string(),
-        wall_ns,
-        completeness,
-        report: report.pretty(),
-        journal,
-    });
-}
-
-fn list_captures(state: &Arc<ServerState>) -> Response {
-    let Some(ring) = state.capture() else {
-        return Response::error(
-            404,
-            "slow-request capture is off; start the daemon with --slow-ms to enable it",
-        );
-    };
-    let entries = ring
-        .entries()
-        .into_iter()
-        .map(|c| {
-            Value::Obj(vec![
-                ("request_id".into(), Value::int(c.id)),
-                ("route".into(), Value::Str(c.route.into())),
-                ("circuit".into(), Value::Str(c.circuit)),
-                ("pattern".into(), Value::Str(c.pattern)),
-                ("wall_ns".into(), Value::int(c.wall_ns)),
-                ("completeness".into(), Value::Str(c.completeness.into())),
-            ])
-        })
-        .collect();
-    Response::json(
-        200,
-        Value::Obj(vec![("requests".into(), Value::Arr(entries))]).pretty(),
+/// The 404 both capture endpoints answer when capture is off.
+fn capture_off() -> Response {
+    Response::error(
+        404,
+        "slow-request capture is off; start the daemon with --slow-ms to enable it",
     )
 }
 
-fn get_capture(state: &Arc<ServerState>, id: &str) -> Response {
+fn list_captures(state: &ServerState) -> Response {
     let Some(ring) = state.capture() else {
-        return Response::error(
-            404,
-            "slow-request capture is off; start the daemon with --slow-ms to enable it",
-        );
+        return capture_off();
+    };
+    let entries = Value::Arr(ring.summaries());
+    Response::json(200, Value::Obj(vec![("requests".into(), entries)]).pretty())
+}
+
+fn get_capture(state: &ServerState, id: &str) -> Response {
+    let Some(ring) = state.capture() else {
+        return capture_off();
     };
     let Ok(id) = id.parse::<u64>() else {
         return Response::error(400, "request id must be a non-negative integer");
@@ -741,149 +617,10 @@ fn get_capture(state: &Arc<ServerState>, id: &str) -> Response {
         .lines()
         .map(|line| json::parse(line).unwrap_or_else(|_| Value::Str(line.to_string())))
         .collect();
-    let report = json::parse(&c.report).unwrap_or(Value::Null);
-    let doc = Value::Obj(vec![
-        ("request_id".into(), Value::int(c.id)),
-        ("route".into(), Value::Str(c.route.into())),
-        ("circuit".into(), Value::Str(c.circuit)),
-        ("pattern".into(), Value::Str(c.pattern)),
-        ("wall_ns".into(), Value::int(c.wall_ns)),
-        ("completeness".into(), Value::Str(c.completeness.into())),
-        ("report".into(), report),
-        ("journal".into(), Value::Arr(journal_lines)),
-    ]);
-    Response::json(200, doc.pretty())
-}
-
-fn survey_response_doc(resp: &SurveyResponse) -> Value {
-    let rows = resp
-        .rows
-        .iter()
-        .map(|row| {
-            Value::Obj(vec![
-                ("cell".into(), Value::Str(row.cell.clone())),
-                ("found".into(), Value::int(row.outcome.count() as u64)),
-                ("report".into(), outcome_to_json(&row.outcome)),
-            ])
-        })
-        .collect();
-    Value::Obj(vec![
-        ("circuit".into(), Value::Str(resp.circuit.clone())),
-        ("rows".into(), Value::Arr(rows)),
-        ("request_id".into(), Value::int(resp.request_id)),
-        ("wall_ns".into(), Value::int(resp.wall_ns)),
-        ("effort_spent".into(), Value::int(resp.effort_spent)),
-    ])
-}
-
-fn find(
-    engine: &Engine,
-    state: &Arc<ServerState>,
-    req: &Request,
-    cancel: subgemini::CancelToken,
-    meta: &mut RequestMeta,
-) -> Response {
-    let prepared = parse_body(req).and_then(|body| {
-        let circuit = circuit_from(&body)?;
-        let pattern = pattern_from(&body)?;
-        let options = options_from(&body)?;
-        Ok((circuit, pattern, options))
-    });
-    let (circuit, pattern, mut options) = match prepared {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &e),
-    };
-    options.cancel = Some(cancel);
-    // Capture needs the journal; the find response never serializes it,
-    // so forcing it on does not change the response bytes.
-    if state.capture().is_some() {
-        options.trace_events = true;
-    }
-    match engine.find(&FindRequest {
-        circuit: circuit.as_source(),
-        pattern: pattern.as_source(),
-        options,
-    }) {
-        Ok(resp) => {
-            let completeness = completeness_str(&resp.outcome);
-            meta.request_id = Some(resp.request_id);
-            meta.circuit = Some(resp.circuit.clone());
-            meta.pattern = Some(resp.pattern.clone());
-            meta.effort_spent = Some(resp.effort_spent);
-            meta.completeness = Some(completeness);
-            let doc = find_response_doc(&resp);
-            maybe_capture(
-                state,
-                "find",
-                resp.request_id,
-                &resp.circuit,
-                &resp.pattern,
-                resp.wall_ns,
-                completeness,
-                &doc,
-                journal_text(&resp.outcome),
-            );
-            Response::json(200, doc.pretty())
-        }
-        Err(e) => engine_failure(&e),
-    }
-}
-
-fn explain(
-    engine: &Engine,
-    state: &Arc<ServerState>,
-    req: &Request,
-    cancel: subgemini::CancelToken,
-    meta: &mut RequestMeta,
-) -> Response {
-    let prepared = parse_body(req).and_then(|body| {
-        let circuit = circuit_from(&body)?;
-        let pattern = pattern_from(&body)?;
-        let options = options_from(&body)?;
-        Ok((circuit, pattern, options))
-    });
-    let (circuit, pattern, mut options) = match prepared {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &e),
-    };
-    options.cancel = Some(cancel);
-    match engine.explain(&ExplainRequest {
-        circuit: circuit.as_source(),
-        pattern: pattern.as_source(),
-        options,
-    }) {
-        Ok(resp) => {
-            let completeness = completeness_str(&resp.outcome);
-            meta.request_id = Some(resp.request_id);
-            meta.circuit = Some(resp.circuit.clone());
-            meta.pattern = Some(resp.pattern.clone());
-            meta.effort_spent = Some(resp.effort_spent);
-            meta.completeness = Some(completeness);
-            let doc = Value::Obj(vec![
-                ("circuit".into(), Value::Str(resp.circuit.clone())),
-                ("pattern".into(), Value::Str(resp.pattern.clone())),
-                ("found".into(), Value::int(resp.outcome.count() as u64)),
-                ("explain".into(), resp.report.to_json()),
-                ("report".into(), outcome_to_json(&resp.outcome)),
-                ("request_id".into(), Value::int(resp.request_id)),
-                ("wall_ns".into(), Value::int(resp.wall_ns)),
-                ("effort_spent".into(), Value::int(resp.effort_spent)),
-            ]);
-            maybe_capture(
-                state,
-                "explain",
-                resp.request_id,
-                &resp.circuit,
-                &resp.pattern,
-                resp.wall_ns,
-                completeness,
-                &doc,
-                journal_text(&resp.outcome),
-            );
-            Response::json(200, doc.pretty())
-        }
-        Err(e) => engine_failure(&e),
-    }
+    let mut doc = c.record.summary();
+    doc.push(("report".into(), c.report));
+    doc.push(("journal".into(), Value::Arr(journal_lines)));
+    Response::json(200, Value::Obj(doc).pretty())
 }
 
 /// The library named or embedded in a survey body.
@@ -899,6 +636,14 @@ impl BodyLibrary {
             BodyLibrary::Inline(cells) => LibrarySource::Inline(cells),
         }
     }
+
+    /// The pattern label a library search is logged and captured under.
+    fn label(&self) -> String {
+        match self {
+            BodyLibrary::Named(name) => format!("library:{name}"),
+            BodyLibrary::Inline(_) => "library:(inline)".to_string(),
+        }
+    }
 }
 
 /// The library named or embedded in a JSON request body; an inline
@@ -912,155 +657,256 @@ fn library_from(body: &Value, mode: CellMode) -> Result<BodyLibrary, String> {
     }
     if let Some(src) = spec.get("source") {
         let text = src.as_str().ok_or("library.source: expected a string")?;
-        let kind = match spec.get("format") {
-            None => SourceKind::Spice,
-            Some(v) => {
-                let name = v.as_str().ok_or("library.format: expected a string")?;
-                SourceKind::from_name(name).ok_or_else(|| {
-                    format!("library.format: `{name}` is not `spice` or `verilog`")
-                })?
-            }
-        };
+        let kind = deck_format("library.format", spec.get("format").map(Value::as_str))?;
         return cells_from_deck(text, kind, "library", mode).map(BodyLibrary::Inline);
     }
     Err("library needs a registered name or a `source` deck".into())
 }
 
-fn survey(
-    engine: &Engine,
-    state: &Arc<ServerState>,
-    req: &Request,
-    cancel: subgemini::CancelToken,
-    meta: &mut RequestMeta,
-) -> Response {
-    let prepared = parse_body(req).and_then(|body| {
-        let circuit = circuit_from(&body)?;
-        let library = library_from(&body, CellMode::Flat)?;
-        let options = options_from(&body)?;
-        Ok((circuit, library, options))
-    });
-    let (circuit, library, mut options) = match prepared {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &e),
-    };
-    options.cancel = Some(cancel);
-    // Same reasoning as `find`: survey rows never serialize journals.
-    if state.capture().is_some() {
-        options.trace_events = true;
-    }
-    let library_label = match &library {
-        BodyLibrary::Named(name) => format!("library:{name}"),
-        BodyLibrary::Inline(_) => "library:(inline)".to_string(),
-    };
-    match engine.survey(&SurveyRequest {
-        circuit: circuit.as_source(),
-        library: library.as_source(),
-        options,
-    }) {
-        Ok(resp) => {
-            let truncated = resp
-                .rows
-                .iter()
-                .any(|r| r.outcome.completeness.is_truncated());
-            let completeness = if truncated { "truncated" } else { "complete" };
-            meta.request_id = Some(resp.request_id);
-            meta.circuit = Some(resp.circuit.clone());
-            meta.pattern = Some(library_label.clone());
-            meta.effort_spent = Some(resp.effort_spent);
-            meta.completeness = Some(completeness);
-            let doc = survey_response_doc(&resp);
-            // One journal per row; concatenated NDJSON keeps each
-            // row's `journal_end` trailer as the separator.
-            let journal = resp
-                .rows
-                .iter()
-                .map(|r| journal_text(&r.outcome))
-                .collect::<Vec<_>>()
-                .concat();
-            maybe_capture(
-                state,
-                "survey",
-                resp.request_id,
-                &resp.circuit,
-                &library_label,
-                resp.wall_ns,
-                completeness,
-                &doc,
-                journal,
-            );
-            Response::json(200, doc.pretty())
-        }
-        Err(e) => engine_failure(&e),
+/// What a search kind's step hands back to [`search`].
+struct Searched {
+    record: SearchRecord,
+    /// The response document.
+    doc: Value,
+    /// The event journals the search recorded, in order.
+    journals: Vec<EventJournal>,
+}
+
+/// Why a search answered without a report: the status and the message.
+struct Refusal(u16, String);
+
+/// A malformed body answers 400.
+impl From<String> for Refusal {
+    fn from(e: String) -> Self {
+        Refusal(400, e)
     }
 }
 
-fn hierarchize_response_doc(resp: &HierarchizeResponse) -> Value {
-    Value::Obj(vec![
+impl From<EngineError> for Refusal {
+    fn from(e: EngineError) -> Self {
+        let status = match e {
+            EngineError::UnknownCircuit(_)
+            | EngineError::UnknownLibrary(_)
+            | EngineError::UnknownCell { .. } => 404,
+            EngineError::Invalid(_) => 400,
+        };
+        Refusal(status, e.to_string())
+    }
+}
+
+/// What the search route lends a kind's step.
+struct Lent {
+    cancel: CancelToken,
+    /// Whether a capture ring is configured.
+    capture: bool,
+}
+
+impl Lent {
+    /// The body's options, run under the request's cancel token. With
+    /// `journal`, the event journal is forced on while capture is
+    /// configured, for a kind whose response never serializes it and
+    /// whose engine call does not record one itself.
+    fn options(self, body: &Value, journal: bool) -> Result<RequestOptions, String> {
+        let mut options = options_from(body)?;
+        options.cancel = Some(self.cancel);
+        options.trace_events |= journal && self.capture;
+        Ok(options)
+    }
+}
+
+/// A search kind's own step: parse its sources in order (the circuit,
+/// then the pattern or library, then the options), call the engine and
+/// build the response document.
+type Kind = fn(&Engine, &Value, Lent) -> Result<Searched, Refusal>;
+
+/// The one route every search takes. The search is registered in
+/// flight before its body is read, so a draining shutdown cancels and
+/// counts it. A 200 is offered to the capture ring and leaves its
+/// record in `record`.
+fn search(
+    engine: &Engine,
+    state: &ServerState,
+    req: &Request,
+    kind: Kind,
+    record: &mut Option<SearchRecord>,
+) -> Response {
+    let (_registration, cancel) = state.begin_search();
+    let capture = state.capture().is_some();
+    let searched = parse_body(req)
+        .map_err(Refusal::from)
+        .and_then(|body| kind(engine, &body, Lent { cancel, capture }));
+    match searched {
+        Ok(searched) => {
+            let response = Response::json(200, searched.doc.pretty());
+            if let Some(ring) = state.capture() {
+                ring.offer(&searched.record, searched.doc, &searched.journals);
+            }
+            *record = Some(searched.record);
+            response
+        }
+        Err(Refusal(status, e)) => Response::error(status, &e),
+    }
+}
+
+fn find(engine: &Engine, body: &Value, lent: Lent) -> Result<Searched, Refusal> {
+    let circuit = circuit_from(body)?;
+    let pattern = pattern_from(body)?;
+    let resp = engine.find(&FindRequest {
+        circuit: circuit.as_source(),
+        pattern: pattern.as_source(),
+        options: lent.options(body, true)?,
+    })?;
+    let Value::Obj(mut doc) = outcome_to_json(&resp.outcome) else {
+        unreachable!("outcome_to_json answers an object");
+    };
+    // v1-additive: the base report keeps its exact field order; the
+    // daemon appends its own fields after it.
+    let instance_devices = resp
+        .instance_devices
+        .iter()
+        .map(|names| Value::Arr(names.iter().map(|n| Value::Str(n.clone())).collect()));
+    doc.extend([
+        ("circuit".into(), Value::Str(resp.circuit.clone())),
+        ("pattern".into(), Value::Str(resp.pattern.clone())),
+        ("found".into(), Value::int(resp.outcome.count() as u64)),
+        (
+            "instance_devices".into(),
+            Value::Arr(instance_devices.collect()),
+        ),
+        ("wall_ns".into(), Value::int(resp.wall_ns)),
+        ("effort_spent".into(), Value::int(resp.effort_spent)),
+    ]);
+    Ok(Searched {
+        record: SearchRecord {
+            request_id: resp.request_id,
+            kind: "find",
+            circuit: resp.circuit,
+            pattern: resp.pattern,
+            wall_ns: resp.wall_ns,
+            effort_spent: Some(resp.effort_spent),
+            truncated: resp.outcome.completeness.is_truncated(),
+        },
+        doc: Value::Obj(doc),
+        journals: resp.outcome.events.into_iter().collect(),
+    })
+}
+
+fn explain(engine: &Engine, body: &Value, lent: Lent) -> Result<Searched, Refusal> {
+    let circuit = circuit_from(body)?;
+    let pattern = pattern_from(body)?;
+    // The engine records the journal of every explain itself.
+    let resp = engine.explain(&ExplainRequest {
+        circuit: circuit.as_source(),
+        pattern: pattern.as_source(),
+        options: lent.options(body, false)?,
+    })?;
+    let doc = Value::Obj(vec![
+        ("circuit".into(), Value::Str(resp.circuit.clone())),
+        ("pattern".into(), Value::Str(resp.pattern.clone())),
+        ("found".into(), Value::int(resp.outcome.count() as u64)),
+        ("explain".into(), resp.report.to_json()),
+        ("report".into(), outcome_to_json(&resp.outcome)),
+        ("request_id".into(), Value::int(resp.request_id)),
+        ("wall_ns".into(), Value::int(resp.wall_ns)),
+        ("effort_spent".into(), Value::int(resp.effort_spent)),
+    ]);
+    Ok(Searched {
+        record: SearchRecord {
+            request_id: resp.request_id,
+            kind: "explain",
+            circuit: resp.circuit,
+            pattern: resp.pattern,
+            wall_ns: resp.wall_ns,
+            effort_spent: Some(resp.effort_spent),
+            truncated: resp.outcome.completeness.is_truncated(),
+        },
+        doc,
+        journals: resp.outcome.events.into_iter().collect(),
+    })
+}
+
+fn survey(engine: &Engine, body: &Value, lent: Lent) -> Result<Searched, Refusal> {
+    let circuit = circuit_from(body)?;
+    let library = library_from(body, CellMode::Flat)?;
+    let resp = engine.survey(&SurveyRequest {
+        circuit: circuit.as_source(),
+        library: library.as_source(),
+        options: lent.options(body, true)?,
+    })?;
+    let rows = resp.rows.iter().map(|row| {
+        Value::Obj(vec![
+            ("cell".into(), Value::Str(row.cell.clone())),
+            ("found".into(), Value::int(row.outcome.count() as u64)),
+            ("report".into(), outcome_to_json(&row.outcome)),
+        ])
+    });
+    let doc = Value::Obj(vec![
+        ("circuit".into(), Value::Str(resp.circuit.clone())),
+        ("rows".into(), Value::Arr(rows.collect())),
+        ("request_id".into(), Value::int(resp.request_id)),
+        ("wall_ns".into(), Value::int(resp.wall_ns)),
+        ("effort_spent".into(), Value::int(resp.effort_spent)),
+    ]);
+    let truncated = resp
+        .rows
+        .iter()
+        .any(|r| r.outcome.completeness.is_truncated());
+    Ok(Searched {
+        record: SearchRecord {
+            request_id: resp.request_id,
+            kind: "survey",
+            circuit: resp.circuit,
+            pattern: library.label(),
+            wall_ns: resp.wall_ns,
+            effort_spent: Some(resp.effort_spent),
+            truncated,
+        },
+        doc,
+        // One journal per row; their concatenated NDJSON keeps each
+        // row's `journal_end` trailer as the separator.
+        journals: resp
+            .rows
+            .into_iter()
+            .filter_map(|r| r.outcome.events)
+            .collect(),
+    })
+}
+
+fn hierarchize(engine: &Engine, body: &Value, lent: Lent) -> Result<Searched, Refusal> {
+    let circuit = circuit_from(body)?;
+    // Inline decks keep one level of `X`-instance structure: flat
+    // elaboration (what find/survey use for patterns) would erase
+    // the reference depth the level grouping reconstructs.
+    // Registered libraries pass through as stored —
+    // libraries uploaded over HTTP are flattened at registration,
+    // so a full tree needs the library inline in the request.
+    let library = library_from(body, CellMode::Hierarchical)?;
+    let resp = engine.hierarchize(&HierarchizeRequest {
+        circuit: circuit.as_source(),
+        library: library.as_source(),
+        options: lent.options(body, false)?,
+    })?;
+    let doc = Value::Obj(vec![
         ("circuit".into(), Value::Str(resp.circuit.clone())),
         ("hierarchy".into(), resp.report.to_json()),
-        ("deck".into(), Value::Str(resp.deck.clone())),
+        ("deck".into(), Value::Str(resp.deck)),
         ("rounds".into(), Value::int(resp.rounds as u64)),
         ("request_id".into(), Value::int(resp.request_id)),
         ("wall_ns".into(), Value::int(resp.wall_ns)),
-    ])
-}
-
-fn hierarchize(
-    engine: &Engine,
-    state: &Arc<ServerState>,
-    req: &Request,
-    cancel: subgemini::CancelToken,
-    meta: &mut RequestMeta,
-) -> Response {
-    let prepared = parse_body(req).and_then(|body| {
-        let circuit = circuit_from(&body)?;
-        // Inline decks keep one level of `X`-instance structure: flat
-        // elaboration (what find/survey use for patterns) would erase
-        // the reference depth the level grouping reconstructs.
-        // Registered libraries pass through as stored —
-        // libraries uploaded over HTTP are flattened at registration,
-        // so a full tree needs the library inline in the request.
-        let library = library_from(&body, CellMode::Hierarchical)?;
-        let options = options_from(&body)?;
-        Ok((circuit, library, options))
-    });
-    let (circuit, library, mut options) = match prepared {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &e),
-    };
-    options.cancel = Some(cancel);
-    let library_label = match &library {
-        BodyLibrary::Named(name) => format!("library:{name}"),
-        BodyLibrary::Inline(_) => "library:(inline)".to_string(),
-    };
-    match engine.hierarchize(&HierarchizeRequest {
-        circuit: circuit.as_source(),
-        library: library.as_source(),
-        options,
-    }) {
-        Ok(resp) => {
-            let truncated = resp.report.levels.iter().any(|l| l.truncated_cells > 0);
-            let completeness = if truncated { "truncated" } else { "complete" };
-            meta.request_id = Some(resp.request_id);
-            meta.circuit = Some(resp.circuit.clone());
-            meta.pattern = Some(library_label.clone());
-            meta.completeness = Some(completeness);
-            let doc = hierarchize_response_doc(&resp);
-            // Hierarchize rounds carry no per-match journals; capture
-            // records the report document alone.
-            maybe_capture(
-                state,
-                "hierarchize",
-                resp.request_id,
-                &resp.circuit,
-                &library_label,
-                resp.wall_ns,
-                completeness,
-                &doc,
-                String::new(),
-            );
-            Response::json(200, doc.pretty())
-        }
-        Err(e) => engine_failure(&e),
-    }
+    ]);
+    Ok(Searched {
+        record: SearchRecord {
+            request_id: resp.request_id,
+            kind: "hierarchize",
+            circuit: resp.circuit,
+            pattern: library.label(),
+            wall_ns: resp.wall_ns,
+            effort_spent: None,
+            truncated: resp.report.levels.iter().any(|l| l.truncated_cells > 0),
+        },
+        doc,
+        // Hierarchize rounds carry no per-match journals; capture
+        // records the report document alone.
+        journals: Vec::new(),
+    })
 }

@@ -333,6 +333,14 @@ fn unknown_names_and_bad_bodies_map_to_http_errors() {
     assert_eq!(status, 404);
     let (status, _) = call(addr, "DELETE", "/healthz", "");
     assert_eq!(status, 405);
+    // Routing is by path, then by method: a known path asked with the
+    // wrong method answers 405, the registration prefixes included.
+    for method in ["GET", "DELETE"] {
+        for path in ["/v1/circuits/chip", "/v1/libraries/cells"] {
+            let (status, body) = call(addr, method, path, "");
+            assert_eq!(status, 405, "{method} {path}: {body}");
+        }
+    }
     // Removed dispatch options are unknown keys, not silently ignored.
     for (key, value) in [("shards", "2"), ("scheduler", r#""static""#)] {
         let body = format!(

@@ -422,6 +422,146 @@ fn access_log_emits_one_ndjson_line_per_request() {
     let _ = std::fs::remove_file(&log_path);
 }
 
+/// The completeness a search's response reports: find's own field,
+/// explain's report, any survey row, or any hierarchize level.
+fn response_completeness(kind: &str, doc: &json::Value) -> String {
+    let truncated = match kind {
+        "find" => return doc.get("completeness").unwrap().as_str().unwrap().into(),
+        "explain" => {
+            let report = doc.get("report").unwrap();
+            return report.get("completeness").unwrap().as_str().unwrap().into();
+        }
+        "survey" => doc
+            .get("rows")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .any(|row| {
+                let report = row.get("report").unwrap();
+                report.get("completeness").unwrap().as_str() == Some("truncated")
+            }),
+        _ => {
+            let levels = doc.get("hierarchy").unwrap().get("levels").unwrap();
+            levels
+                .as_arr()
+                .unwrap()
+                .iter()
+                .any(|level| level.get("truncated_cells").unwrap().as_u64() != Some(0))
+        }
+    };
+    if truncated { "truncated" } else { "complete" }.into()
+}
+
+/// Every search route describes a request the same way in its response
+/// envelope, its access-log line and its capture: the same request id,
+/// circuit, pattern label and completeness. The access log names the
+/// HTTP path, the capture the search kind, and the captured report is
+/// the response body.
+#[test]
+fn every_search_route_agrees_across_response_access_log_and_capture() {
+    let log_path = std::env::temp_dir().join(format!(
+        "subg-observability-record-{}.ndjson",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&log_path);
+    let config = ServeConfig {
+        access_log: Some(log_path.to_string_lossy().into_owned()),
+        slow_ms: Some(0),
+        ..ephemeral()
+    };
+    let (addr, join, shutdown) = start_with(Arc::new(Engine::new()), config);
+    register_chip_and_cells(addr);
+    let library = r#"{"circuit": "chip", "library": "cells"}"#;
+    let truncated = r#"{"circuit": "chip", "pattern": {"library": "cells", "cell": "inv"}, "options": {"max_effort": 1}}"#;
+    // (kind, body, request id, pattern label, effort spent, completeness)
+    let expected = [
+        ("find", FIND_INV, 1, "inv", Some(11), "complete"),
+        ("explain", FIND_INV, 2, "inv", Some(11), "complete"),
+        ("survey", library, 3, "library:cells", Some(11), "complete"),
+        ("hierarchize", library, 4, "library:cells", None, "complete"),
+        ("find", truncated, 5, "inv", Some(1), "truncated"),
+    ];
+    let responses: Vec<json::Value> = expected
+        .iter()
+        .map(|(kind, body, ..)| {
+            let (status, resp) = call(addr, "POST", &format!("/v1/{kind}"), body);
+            assert_eq!(status, 200, "{resp}");
+            parse_json(&resp)
+        })
+        .collect();
+    let (status, body) = call(addr, "GET", "/v1/requests", "");
+    assert_eq!(status, 200, "{body}");
+    let mut summaries = parse_json(&body)
+        .get("requests")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .to_vec();
+    summaries.reverse(); // listed newest first
+    assert_eq!(summaries.len(), expected.len(), "{body}");
+    let captures: Vec<json::Value> = expected
+        .iter()
+        .map(|(_, _, id, ..)| {
+            let (status, body) = call(addr, "GET", &format!("/v1/requests/{id}"), "");
+            assert_eq!(status, 200, "{body}");
+            parse_json(&body)
+        })
+        .collect();
+    shutdown();
+    join.join().unwrap();
+    let text = std::fs::read_to_string(&log_path).expect("access log written");
+    let _ = std::fs::remove_file(&log_path);
+    let searches: Vec<json::Value> = text
+        .lines()
+        .map(parse_json)
+        .filter(|line| !matches!(line.get("request_id"), Some(json::Value::Null)))
+        .collect();
+    assert_eq!(searches.len(), expected.len(), "{text}");
+
+    let str_of = |doc: &json::Value, key: &str| doc.get(key).unwrap().as_str().map(String::from);
+    let int_of = |doc: &json::Value, key: &str| doc.get(key).unwrap().as_u64();
+    for (i, (kind, _, id, pattern, effort, completeness)) in expected.into_iter().enumerate() {
+        let (resp, line) = (&responses[i], &searches[i]);
+        let (summary, capture) = (&summaries[i], &captures[i]);
+        let context = format!("{kind} #{id}: {resp:?}\n{line:?}\n{summary:?}");
+        assert_eq!(response_completeness(kind, resp), completeness, "{context}");
+        if resp.get("pattern").is_some() {
+            assert_eq!(
+                str_of(resp, "pattern").as_deref(),
+                Some(pattern),
+                "{context}"
+            );
+        }
+        for doc in [resp, line, summary, capture] {
+            assert_eq!(int_of(doc, "request_id"), Some(id), "{context}");
+            assert_eq!(str_of(doc, "circuit").as_deref(), Some("chip"), "{context}");
+        }
+        for doc in [line, summary, capture] {
+            assert_eq!(
+                str_of(doc, "pattern").as_deref(),
+                Some(pattern),
+                "{context}"
+            );
+            let logged = str_of(doc, "completeness");
+            assert_eq!(logged.as_deref(), Some(completeness), "{context}");
+        }
+        assert_eq!(str_of(line, "method").as_deref(), Some("POST"), "{context}");
+        let path = format!("/v1/{kind}");
+        assert_eq!(str_of(line, "route").as_deref(), Some(path.as_str()));
+        assert_eq!(int_of(line, "status"), Some(200), "{context}");
+        assert_eq!(int_of(line, "effort_spent"), effort, "{context}");
+        if effort.is_some() {
+            assert_eq!(int_of(resp, "effort_spent"), effort, "{context}");
+        }
+        for doc in [summary, capture] {
+            assert_eq!(str_of(doc, "route").as_deref(), Some(kind), "{context}");
+            assert_eq!(int_of(doc, "wall_ns"), int_of(resp, "wall_ns"), "{context}");
+        }
+        assert_eq!(capture.get("report"), Some(resp), "{context}");
+    }
+}
+
 /// Zero perturbation, end to end: a daemon with the access log, the
 /// capture ring, and telemetry all active answers byte-identical find
 /// responses (modulo its own wall-clock field) to a plain daemon.
