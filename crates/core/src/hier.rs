@@ -643,7 +643,7 @@ fn normalize_cell(
             None => out.add_type(src.clone())?,
         };
         let pins: Vec<NetId> = dev.pins().iter().map(|&n| nets[n.index()]).collect();
-        out.add_device(dev.name().to_string(), ty, &pins)?;
+        out.add_device(dev.name(), ty, &pins)?;
     }
     Ok(out)
 }

@@ -167,7 +167,7 @@ mod tests {
         let mut c = Netlist::new("flip");
         let mos = c.add_mos_types();
         for d in b.device_ids() {
-            let dev = b.device(d).clone();
+            let dev = b.device(d);
             let ty = if dev.name() == "n2" {
                 mos.pmos
             } else {

@@ -107,8 +107,7 @@ fn single_device_removal_is_detected() {
                 .iter()
                 .map(|&n| b.net(a.net_ref(n).name()))
                 .collect();
-            b.add_device(dev.name().to_string(), dev.type_id(), &pins)
-                .unwrap();
+            b.add_device(dev.name(), dev.type_id(), &pins).unwrap();
         }
         let b = b.compact();
         assert!(!are_isomorphic(&a, &b), "case {case}");
@@ -148,8 +147,7 @@ fn rewiring_one_pin_is_detected() {
                     changed = true;
                 }
             }
-            b.add_device(dev.name().to_string(), dev.type_id(), &pins)
-                .unwrap();
+            b.add_device(dev.name(), dev.type_id(), &pins).unwrap();
         }
         if !changed {
             continue; // nothing to rewire in this case

@@ -20,7 +20,9 @@
 //! * `dev_pin_start.len() == device_count + 1`, and the slice
 //!   `[dev_pin_start[d], dev_pin_start[d+1])` of `dev_pin_net` /
 //!   `dev_pin_mult` lists device `d`'s pins in terminal order;
-//! * symmetrically for nets, in pin-insertion order;
+//! * symmetrically for nets, in (device, terminal) order — the
+//!   transpose of the device side, which is the order the netlist
+//!   lists each net's pins in;
 //! * `dev_init[d]` is the hash of the device's type name;
 //!   `net_init[n]` is the degree hash, or the fixed name-derived label
 //!   for globals;
@@ -136,7 +138,9 @@ pub struct CompiledCircuit {
 }
 
 impl CompiledCircuit {
-    /// Compiles `netlist` into its CSR snapshot in one pass.
+    /// Compiles `netlist` into its CSR snapshot: one pass over the
+    /// devices, then their transpose for the nets. The netlist's own
+    /// net pin table is neither read nor built.
     pub fn compile(netlist: &Netlist) -> Self {
         let nd = netlist.device_count();
         let nn = netlist.net_count();
@@ -161,37 +165,47 @@ impl CompiledCircuit {
         dev_pin_start.push(0);
         for d in netlist.device_ids() {
             let dev = netlist.device(d);
-            let ty = netlist.device_type_of(d);
-            for (i, &n) in dev.pins().iter().enumerate() {
-                dev_pin_net.push(n);
-                dev_pin_mult.push(ty.class_multiplier(i));
-            }
+            let ty = netlist.device_type(dev.type_id());
+            dev_pin_net.extend_from_slice(dev.pins());
+            dev_pin_mult.extend((0..dev.pins().len()).map(|i| ty.class_multiplier(i)));
             dev_pin_start.push(dev_pin_net.len() as u32);
             dev_type.push(dev.type_id().index() as u32);
             dev_init.push(type_inits[dev.type_id().index()]);
         }
 
-        let mut net_pin_start = Vec::with_capacity(nn + 1);
-        let mut net_pin_dev = Vec::with_capacity(netlist.pin_count());
-        let mut net_pin_mult = Vec::with_capacity(netlist.pin_count());
+        // Net -> device CSR: the transpose of the device side, so each
+        // net lists its pins in (device, terminal) order, as the netlist
+        // does.
+        let mut net_pin_start = vec![0u32; nn + 1];
+        for n in &dev_pin_net {
+            net_pin_start[n.index() + 1] += 1;
+        }
+        for i in 0..nn {
+            net_pin_start[i + 1] += net_pin_start[i];
+        }
+        let mut next = net_pin_start[..nn].to_vec();
+        let mut net_pin_dev = vec![DeviceId::new(0); dev_pin_net.len()];
+        let mut net_pin_mult = vec![0; dev_pin_net.len()];
+        for d in 0..nd {
+            for p in dev_pin_start[d] as usize..dev_pin_start[d + 1] as usize {
+                let slot = &mut next[dev_pin_net[p].index()];
+                net_pin_dev[*slot as usize] = DeviceId::new(d as u32);
+                net_pin_mult[*slot as usize] = dev_pin_mult[p];
+                *slot += 1;
+            }
+        }
         let mut net_init = Vec::with_capacity(nn);
         let mut net_global = Vec::with_capacity(nn);
         let mut net_port = Vec::with_capacity(nn);
         let mut globals: Vec<(String, NetId)> = Vec::new();
-        net_pin_start.push(0);
         for n in netlist.net_ids() {
             let net = netlist.net_ref(n);
-            for pin in net.pins() {
-                let ty = netlist.device_type_of(pin.device);
-                net_pin_dev.push(pin.device);
-                net_pin_mult.push(ty.class_multiplier(pin.terminal as usize));
-            }
-            net_pin_start.push(net_pin_dev.len() as u32);
             if net.is_global() {
                 net_init.push(hashing::global_net_label(net.name()));
                 globals.push((net.name().to_string(), n));
             } else {
-                net_init.push(hashing::net_degree_label(net.degree()));
+                let degree = net_pin_start[n.index() + 1] - net_pin_start[n.index()];
+                net_init.push(hashing::net_degree_label(degree as usize));
             }
             net_global.push(net.is_global());
             net_port.push(net.is_port());

@@ -19,6 +19,17 @@ use crate::netlist::Netlist;
 /// repository and no caller needs another value.
 pub const MAX_INSTANTIATED_DEVICES: u64 = 1 << 18;
 
+/// The most name bytes a front end's flattening may have [`instantiate`]
+/// mint during one elaboration ([`minted_name_bytes`] per call, summed).
+/// Instance paths grow with depth, so a chain of `d` cells each
+/// instantiating the next mints about `1.5 d²` bytes per leaf device
+/// (`x1.x1.….m1`): flattening is quadratic in the depth however few
+/// devices it makes. The SPICE and Verilog elaborators both stop at this
+/// bound, which such a chain reaches about 26,750 levels deep with one
+/// leaf device and 18,900 with two. Like [`MAX_INSTANTIATED_DEVICES`] it
+/// is a constant, far above every deck in this repository.
+pub const MAX_INSTANTIATED_NAME_BYTES: u64 = 1 << 30;
+
 /// Mapping produced by [`instantiate`]: where each cell entity landed in
 /// the parent netlist.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,31 +94,62 @@ pub fn instantiate(
             got: bindings.len(),
         });
     }
-    // Map cell nets into the target.
-    let mut nets = Vec::with_capacity(cell.net_count());
+    // Map cell nets into the target: ports to their bindings, globals
+    // by name, the rest to fresh prefixed nets, created in cell order.
+    let mut nets = vec![NetId::new(0); cell.net_count()];
+    for (&p, &bound) in cell.ports().iter().zip(bindings) {
+        nets[p.index()] = bound;
+    }
     for n in cell.net_ids() {
         let net = cell.net_ref(n);
-        let mapped = if let Some(pos) = cell.ports().iter().position(|&p| p == n) {
-            bindings[pos]
-        } else if net.is_global() {
+        if net.is_port() {
+            continue;
+        }
+        nets[n.index()] = if net.is_global() {
             let g = target.net(net.name());
             target.mark_global(g);
             g
         } else {
-            target.net(format!("{prefix}.{}", net.name()))
+            target.intern_net(&[prefix, ".", net.name()])
         };
-        nets.push(mapped);
     }
-    // Copy devices, registering types on demand.
+    // Copy devices, registering each cell type on its first use.
+    let mut types = vec![None; cell.device_types().len()];
     let mut devices = Vec::with_capacity(cell.device_count());
     for d in cell.device_ids() {
         let dev = cell.device(d);
-        let ty = target.add_type(cell.device_type(dev.type_id()).clone())?;
-        let pins: Vec<NetId> = dev.pins().iter().map(|&n| nets[n.index()]).collect();
-        let id = target.add_device(format!("{prefix}.{}", dev.name()), ty, &pins)?;
-        devices.push(id);
+        let ty = match types[dev.type_id().index()] {
+            Some(ty) => ty,
+            None => {
+                let cell_ty = cell.device_type(dev.type_id());
+                let ty = match target.known_type(cell_ty)? {
+                    Some(ty) => ty,
+                    None => target.push_type(cell_ty.clone()),
+                };
+                *types[dev.type_id().index()].insert(ty)
+            }
+        };
+        let pins = dev.pins().iter().map(|&n| nets[n.index()]);
+        devices.push(target.push_device(&[prefix, ".", dev.name()], ty, pins)?);
     }
     Ok(InstantiateReport { devices, nets })
+}
+
+/// The bytes of new names [`instantiate`] writes when it stamps `cell`
+/// as instance `prefix`: `"{prefix}.{name}"` for every device and for
+/// every net that is neither a port nor global. The flatteners add it
+/// up against [`MAX_INSTANTIATED_NAME_BYTES`] before they instantiate.
+pub fn minted_name_bytes(cell: &Netlist, prefix: &str) -> u64 {
+    let devices = cell.device_ids().map(|d| cell.device(d).name());
+    let nets = cell
+        .net_ids()
+        .map(|n| cell.net_ref(n))
+        .filter(|net| !net.is_port() && !net.is_global())
+        .map(|net| net.name());
+    let minted = devices
+        .chain(nets)
+        .map(|name| prefix.len() + 1 + name.len());
+    minted.map(|len| len as u64).sum()
 }
 
 #[cfg(test)]
@@ -179,6 +221,28 @@ mod tests {
         // Devices map in declaration order.
         assert_eq!(chip.device(rep.devices[0]).name(), "u1.mp");
         assert_eq!(chip.device_type_of(rep.devices[1]).name(), "nmos");
+    }
+
+    #[test]
+    fn minted_name_bytes_counts_what_instantiate_writes() {
+        let mut cell = inverter_cell();
+        let mos = cell.add_mos_types();
+        let (a, mid, gnd) = (cell.net("a"), cell.net("mid"), cell.net("gnd"));
+        cell.add_device("mx", mos.nmos, &[a, mid, gnd]).unwrap();
+        let mut chip = Netlist::new("chip");
+        let (i, o) = (chip.net("in"), chip.net("out"));
+        let names = |nl: &Netlist| -> usize {
+            let devices = nl.device_ids().map(|d| nl.device(d).name().len());
+            devices
+                .chain(nl.net_ids().map(|n| nl.net_ref(n).name().len()))
+                .sum()
+        };
+        let before = names(&chip) + "vdd".len() + "gnd".len();
+        instantiate(&mut chip, &cell, "u7", &[i, o]).unwrap();
+        // `u7.mp`, `u7.mn`, `u7.mx` and `u7.mid`; ports and rails mint
+        // nothing.
+        assert_eq!(minted_name_bytes(&cell, "u7"), 5 + 5 + 5 + 6);
+        assert_eq!(names(&chip) - before, 21);
     }
 
     #[test]

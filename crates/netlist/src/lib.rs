@@ -62,6 +62,7 @@ mod fingerprint;
 mod graph;
 pub mod hashing;
 mod id;
+mod idmap;
 mod merge;
 mod netlist;
 pub mod rng;
@@ -70,7 +71,10 @@ mod types;
 
 pub use artifact::{structural_digest, Artifact, ArtifactError};
 pub use compiled::CompiledCircuit;
-pub use compose::{instantiate, InstantiateReport, MAX_INSTANTIATED_DEVICES};
+pub use compose::{
+    instantiate, minted_name_bytes, InstantiateReport, MAX_INSTANTIATED_DEVICES,
+    MAX_INSTANTIATED_NAME_BYTES,
+};
 pub use dot::to_dot;
 pub use error::NetlistError;
 pub use fingerprint::{FingerprintIndex, HOP2_CAP};

@@ -9,8 +9,6 @@
 //! removes the ambiguity *and* makes fingered layouts match unfingered
 //! patterns.
 
-use std::collections::HashMap;
-
 use crate::id::{DeviceId, NetId};
 use crate::netlist::Netlist;
 
@@ -38,12 +36,6 @@ impl MergeReport {
 /// terminal classes (in any order within a class) collapse into the
 /// first of their group.
 ///
-/// Grouping key: type name plus the class-weighted pin multiset.
-type ParallelKey = (String, Vec<(u64, NetId)>);
-
-/// Returns a copy of `netlist` with parallel devices merged (see the
-/// module docs).
-///
 /// # Examples
 ///
 /// ```
@@ -63,82 +55,81 @@ type ParallelKey = (String, Vec<(u64, NetId)>);
 /// # }
 /// ```
 pub fn merge_parallel(netlist: &Netlist) -> (Netlist, MergeReport) {
-    // Group devices by (type name, sorted (class multiplier, net) pins).
-    let mut groups: HashMap<ParallelKey, Vec<DeviceId>> = HashMap::new();
+    // Grouping key: the type plus the class-weighted pins, sorted. The
+    // keys lie back to back in one array, `key_end` cutting it.
+    let mut keys: Vec<(u64, NetId)> = Vec::with_capacity(netlist.pin_count());
+    let mut key_end = Vec::with_capacity(netlist.device_count());
     for d in netlist.device_ids() {
         let ty = netlist.device_type_of(d);
-        let mut key_pins: Vec<(u64, NetId)> = netlist
-            .device(d)
-            .pins()
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (ty.class_multiplier(i), n))
-            .collect();
-        key_pins.sort_unstable();
-        groups
-            .entry((ty.name().to_string(), key_pins))
-            .or_default()
-            .push(d);
+        let start = keys.len();
+        let pins = netlist.device(d).pins().iter().enumerate();
+        keys.extend(pins.map(|(i, &n)| (ty.class_multiplier(i), n)));
+        keys[start..].sort_unstable();
+        key_end.push(keys.len());
     }
-    let mut survivor_of: HashMap<DeviceId, DeviceId> = HashMap::new();
+    let key = |d: DeviceId| {
+        let start = d.index().checked_sub(1).map_or(0, |p| key_end[p]);
+        (
+            netlist.device(d).type_id(),
+            &keys[start..key_end[d.index()]],
+        )
+    };
+    // Groups are runs of equal keys; the first member, the smallest id,
+    // survives.
+    let mut order: Vec<DeviceId> = netlist.device_ids().collect();
+    order.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)).then(a.cmp(&b)));
+    let mut survives = vec![true; netlist.device_count()];
     let mut report = MergeReport {
         devices_before: netlist.device_count(),
         ..MergeReport::default()
     };
-    for members in groups.values() {
-        let keep = *members.iter().min().expect("groups are non-empty");
-        for &m in members {
-            survivor_of.insert(m, keep);
+    let name = |d: DeviceId| netlist.device(d).name().to_string();
+    for group in order.chunk_by(|&a, &b| key(a) == key(b)) {
+        let (keep, absorbed) = (group[0], &group[1..]);
+        if absorbed.is_empty() {
+            continue;
         }
-        if members.len() > 1 {
-            let mut absorbed: Vec<String> = members
-                .iter()
-                .filter(|&&m| m != keep)
-                .map(|&m| netlist.device(m).name().to_string())
-                .collect();
-            absorbed.sort();
-            report
-                .merged
-                .push((netlist.device(keep).name().to_string(), absorbed));
-        }
+        let mut absorbed: Vec<String> = absorbed
+            .iter()
+            .map(|&m| {
+                survives[m.index()] = false;
+                name(m)
+            })
+            .collect();
+        absorbed.sort();
+        report.merged.push((name(keep), absorbed));
     }
     report.merged.sort();
-    // Rebuild with survivors only (in original order for determinism).
-    let mut out = Netlist::new(netlist.name().to_string());
+    // Rebuild with survivors only, in original order; nets are numbered
+    // by first appearance over their pins and keep their flags.
+    let mut out = Netlist::new(netlist.name());
     for ty in netlist.device_types() {
         out.add_type(ty.clone()).expect("types are valid");
     }
-    for d in netlist.device_ids() {
-        if survivor_of.get(&d) != Some(&d) {
-            continue;
-        }
+    let mut net_map: Vec<Option<NetId>> = vec![None; netlist.net_count()];
+    let mut pins = Vec::new();
+    for d in netlist.device_ids().filter(|d| survives[d.index()]) {
         let dev = netlist.device(d);
-        let pins: Vec<NetId> = dev
-            .pins()
-            .iter()
-            .map(|&n| {
+        pins.clear();
+        for &n in dev.pins() {
+            pins.push(*net_map[n.index()].get_or_insert_with(|| {
                 let net = netlist.net_ref(n);
                 let id = out.net(net.name());
                 if net.is_global() {
                     out.mark_global(id);
                 }
                 id
-            })
-            .collect();
-        out.add_device(dev.name().to_string(), dev.type_id(), &pins)
+            }));
+        }
+        out.add_device(dev.name(), dev.type_id(), &pins)
             .expect("copying preserves validity");
     }
     // Carry port marks for surviving nets.
     for &p in netlist.ports() {
-        let name = netlist.net_ref(p).name();
-        if let Some(id) = out.find_net(name) {
-            out.mark_port(id);
-        } else {
-            let id = out.net(name);
+        if let Some(id) = net_map[p.index()] {
             out.mark_port(id);
         }
     }
-    let out = out.compact();
     report.devices_after = out.device_count();
     (out, report)
 }

@@ -1,11 +1,22 @@
 //! The [`Netlist`]: a flat circuit as interconnected devices and nets.
+//!
+//! Layout (DESIGN §3n). Every device and net name lives once, in one
+//! byte arena, addressed by `u32` spans. Device pins are one flat
+//! [`NetId`] array cut by per-device end offsets. Port and global flags
+//! are one byte per net. Lookups by name are [`IdMap`]s holding ids
+//! only, confirmed against the arena. Each net's pins are a run of one
+//! flat [`Pin`] array in (device, terminal) order: the transpose of the
+//! device pins, built on the first read of a net's pins and kept
+//! current from then on. Building a netlist allocates only as these
+//! arrays grow, and a clone copies each array once.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::error::NetlistError;
 use crate::id::{DeviceId, DeviceTypeId, NetId};
+use crate::idmap::{IdMap, VACANT};
 use crate::types::DeviceType;
 
 /// One pin: a (device, terminal-index) pair attached to a net.
@@ -18,18 +29,18 @@ pub struct Pin {
 }
 
 /// A device instance: a named occurrence of a [`DeviceType`] with one net
-/// per terminal.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Device {
-    name: String,
+/// per terminal. A view into its [`Netlist`] ([`Netlist::device`]).
+#[derive(Clone, Copy)]
+pub struct Device<'a> {
+    netlist: &'a Netlist,
+    index: usize,
     ty: DeviceTypeId,
-    pins: Vec<NetId>,
 }
 
-impl Device {
+impl<'a> Device<'a> {
     /// The instance name (unique within the netlist).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.netlist.name_at(self.netlist.dev_name[self.index])
     }
 
     /// The device type id.
@@ -38,8 +49,8 @@ impl Device {
     }
 
     /// The net attached to each terminal, in terminal order.
-    pub fn pins(&self) -> &[NetId] {
-        &self.pins
+    pub fn pins(&self) -> &'a [NetId] {
+        self.netlist.device_pins(self.index)
     }
 
     /// The net attached to terminal `i`.
@@ -48,33 +59,42 @@ impl Device {
     ///
     /// Panics if `i` is out of bounds for the device type.
     pub fn pin(&self, i: usize) -> NetId {
-        self.pins[i]
+        self.pins()[i]
     }
 }
 
-/// A net (wire) connecting device terminals.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Net {
-    name: String,
-    pins: Vec<Pin>,
-    is_port: bool,
-    is_global: bool,
+impl fmt::Debug for Device<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Device")
+            .field("name", &self.name())
+            .field("ty", &self.ty)
+            .field("pins", &self.pins())
+            .finish()
+    }
 }
 
-impl Net {
+/// A net (wire) connecting device terminals. A view into its
+/// [`Netlist`] ([`Netlist::net_ref`]).
+#[derive(Clone, Copy)]
+pub struct Net<'a> {
+    netlist: &'a Netlist,
+    index: usize,
+}
+
+impl<'a> Net<'a> {
     /// The net name (unique within the netlist).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.netlist.name_at(self.netlist.net_name[self.index])
     }
 
-    /// All pins attached to this net.
-    pub fn pins(&self) -> &[Pin] {
-        &self.pins
+    /// All pins attached to this net, in (device, terminal) order.
+    pub fn pins(&self) -> &'a [Pin] {
+        self.netlist.net_pins().pins(self.index)
     }
 
     /// Number of device terminals on this net (the paper's `degree(n)`).
     pub fn degree(&self) -> usize {
-        self.pins.len()
+        self.netlist.net_pins().runs[self.index].len as usize
     }
 
     /// Whether the net is an external port of the (sub)circuit.
@@ -83,14 +103,25 @@ impl Net {
     /// images in the main circuit may have additional connections, so
     /// Phase I marks their labels corrupt from the start.
     pub fn is_port(&self) -> bool {
-        self.is_port
+        self.netlist.net_flags[self.index] & PORT != 0
     }
 
     /// Whether the net is a special global signal (e.g. `Vdd`, `GND`).
     ///
     /// Global nets are matched by name and carry a fixed label (§IV.A).
     pub fn is_global(&self) -> bool {
-        self.is_global
+        self.netlist.net_flags[self.index] & GLOBAL != 0
+    }
+}
+
+impl fmt::Debug for Net<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Net")
+            .field("name", &self.name())
+            .field("pins", &self.pins())
+            .field("is_port", &self.is_port())
+            .field("is_global", &self.is_global())
+            .finish()
     }
 }
 
@@ -102,6 +133,92 @@ pub struct MosTypes {
     pub nmos: DeviceTypeId,
     /// The P-channel MOSFET type (`pmos`).
     pub pmos: DeviceTypeId,
+}
+
+/// Where a name sits in the arena: `names[start..start + len]`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+/// `net_flags` bits.
+const PORT: u8 = 1;
+const GLOBAL: u8 = 2;
+
+/// Every net's pins: the transpose of the device pins, one run per net.
+#[derive(Clone, Debug, Default)]
+struct NetPins {
+    runs: Vec<Run>,
+    /// The runs back to back, each with its spare room; a run that
+    /// outgrew its room left its old place behind.
+    pins: Vec<Pin>,
+}
+
+/// A net's pins in [`NetPins::pins`]: `len` of them from `start`, in
+/// room for `cap`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Run {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl NetPins {
+    /// Transposes `netlist`'s device pins: each run exactly as long as
+    /// its net's degree, in (device, terminal) order.
+    fn transpose(netlist: &Netlist) -> NetPins {
+        let mut runs = vec![Run::default(); netlist.net_count()];
+        for &n in &netlist.dev_pins {
+            runs[n.index()].cap += 1;
+        }
+        let mut start = 0;
+        for run in &mut runs {
+            run.start = start;
+            start += run.cap;
+        }
+        let mut pins = vec![
+            Pin {
+                device: DeviceId::new(0),
+                terminal: 0,
+            };
+            netlist.dev_pins.len()
+        ];
+        for d in 0..netlist.device_count() {
+            for (terminal, &n) in netlist.device_pins(d).iter().enumerate() {
+                let run = &mut runs[n.index()];
+                pins[(run.start + run.len) as usize] = Pin {
+                    device: DeviceId::new(d as u32),
+                    terminal: terminal as u16,
+                };
+                run.len += 1;
+            }
+        }
+        NetPins { runs, pins }
+    }
+
+    /// Net `i`'s pins.
+    fn pins(&self, i: usize) -> &[Pin] {
+        let run = self.runs[i];
+        &self.pins[run.start as usize..(run.start + run.len) as usize]
+    }
+
+    /// Appends `pin` to `net`'s run, moving the run to the end with
+    /// twice the room when it is full.
+    fn push(&mut self, net: NetId, pin: Pin) {
+        let run = &mut self.runs[net.index()];
+        if run.len == run.cap {
+            let (old, end) = (run.start as usize, self.pins.len());
+            // At least four pins' room: most nets have no more.
+            let cap = (run.cap * 2).max(4);
+            self.pins.extend_from_within(old..old + run.len as usize);
+            self.pins.resize(end + cap as usize, pin);
+            run.start = u32::try_from(end).expect("a netlist holds at most 2^32 net pins");
+            run.cap = cap;
+        }
+        self.pins[(run.start + run.len) as usize] = pin;
+        run.len += 1;
+    }
 }
 
 /// A flat circuit netlist: device types, devices, and nets.
@@ -138,12 +255,25 @@ pub struct MosTypes {
 #[derive(Clone, Debug, Default)]
 pub struct Netlist {
     name: String,
+    /// Every device and net name, back to back. Names of devices and
+    /// nets that [`Netlist::collapse`] dropped stay until the netlist
+    /// does.
+    names: String,
     types: Vec<DeviceType>,
-    type_ids: HashMap<String, DeviceTypeId>,
-    devices: Vec<Device>,
-    device_ids: HashMap<String, DeviceId>,
-    nets: Vec<Net>,
-    net_ids: HashMap<String, NetId>,
+    type_index: IdMap,
+    // Devices, by id.
+    dev_name: Vec<Span>,
+    dev_type: Vec<DeviceTypeId>,
+    /// Device `d`'s nets are `dev_pins[dev_pin_end[d - 1]..dev_pin_end[d]]`.
+    dev_pin_end: Vec<u32>,
+    dev_pins: Vec<NetId>,
+    device_index: IdMap,
+    // Nets, by id.
+    net_name: Vec<Span>,
+    net_flags: Vec<u8>,
+    net_index: IdMap,
+    /// Built on first read; kept current by every change after that.
+    net_pins: OnceLock<NetPins>,
     ports: Vec<NetId>,
 }
 
@@ -179,23 +309,34 @@ impl Netlist {
     /// the same name exists, and [`NetlistError::EmptyType`] if the type
     /// has no terminals.
     pub fn add_type(&mut self, ty: DeviceType) -> Result<DeviceTypeId, NetlistError> {
+        match self.known_type(&ty)? {
+            Some(id) => Ok(id),
+            None => Ok(self.push_type(ty)),
+        }
+    }
+
+    /// The id of the registered type equal to `ty`, if any: what
+    /// [`Netlist::add_type`] returns without registering anything.
+    pub(crate) fn known_type(&self, ty: &DeviceType) -> Result<Option<DeviceTypeId>, NetlistError> {
         if ty.terminal_count() == 0 {
             return Err(NetlistError::EmptyType {
                 name: ty.name().to_string(),
             });
         }
-        if let Some(&id) = self.type_ids.get(ty.name()) {
-            if self.types[id.index()] == ty {
-                return Ok(id);
-            }
-            return Err(NetlistError::DuplicateType {
+        match self.type_id(ty.name()) {
+            Some(id) if self.types[id.index()] != *ty => Err(NetlistError::DuplicateType {
                 name: ty.name().to_string(),
-            });
+            }),
+            known => Ok(known),
         }
-        let id = DeviceTypeId::new(self.types.len() as u32);
-        self.type_ids.insert(ty.name().to_string(), id);
+    }
+
+    /// Appends `ty`, whose name no registered type has.
+    pub(crate) fn push_type(&mut self, ty: DeviceType) -> DeviceTypeId {
+        let id = self.types.len() as u32;
+        self.type_index.insert(self.type_index.hash(ty.name()), id);
         self.types.push(ty);
-        Ok(id)
+        DeviceTypeId::new(id)
     }
 
     /// Registers (or fetches) the standard `nmos`/`pmos` transistor
@@ -212,7 +353,10 @@ impl Netlist {
 
     /// Looks up a type id by name.
     pub fn type_id(&self, name: &str) -> Option<DeviceTypeId> {
-        self.type_ids.get(name).copied()
+        let hash = self.type_index.hash(name);
+        self.type_index
+            .find(hash, |id| self.types[id as usize].name() == name)
+            .map(DeviceTypeId::new)
     }
 
     /// The type table entry for `id`.
@@ -230,29 +374,78 @@ impl Netlist {
     }
 
     // ------------------------------------------------------------------
+    // Names
+    // ------------------------------------------------------------------
+
+    fn name_at(&self, span: Span) -> &str {
+        let start = span.start as usize;
+        &self.names[start..start + span.len as usize]
+    }
+
+    /// The id `index` stores for `name`, whose hash is `hash`; `spans`
+    /// are the names of the ids it stores.
+    fn lookup(&self, index: &IdMap, spans: &[Span], hash: u32, name: &str) -> Option<u32> {
+        index.find(hash, |id| self.name_at(spans[id as usize]) == name)
+    }
+
+    /// Appends the name made of `parts` to the arena; returns where it
+    /// starts. The arena's tail from there is the name until it is
+    /// interned or dropped.
+    fn push_name(&mut self, parts: &[&str]) -> usize {
+        let start = self.names.len();
+        for part in parts {
+            self.names.push_str(part);
+        }
+        start
+    }
+
+    /// The span of the arena's tail from `start`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena outgrows `u32` offsets (4 GiB of names).
+    fn tail_span(&self, start: usize) -> Span {
+        let end = u32::try_from(self.names.len()).expect("a netlist holds at most 4 GiB of names");
+        Span {
+            start: start as u32,
+            len: end - start as u32,
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Nets
     // ------------------------------------------------------------------
 
     /// Returns the net named `name`, creating it if necessary.
     pub fn net(&mut self, name: impl AsRef<str>) -> NetId {
-        let name = name.as_ref();
-        if let Some(&id) = self.net_ids.get(name) {
-            return id;
+        self.intern_net(&[name.as_ref()])
+    }
+
+    /// The net named by `parts` back to back, created if necessary:
+    /// [`Netlist::net`] without first joining the parts into a string.
+    pub(crate) fn intern_net(&mut self, parts: &[&str]) -> NetId {
+        let start = self.push_name(parts);
+        let name = &self.names[start..];
+        let hash = self.net_index.hash(name);
+        if let Some(id) = self.lookup(&self.net_index, &self.net_name, hash, name) {
+            self.names.truncate(start);
+            return NetId::new(id);
         }
-        let id = NetId::new(self.nets.len() as u32);
-        self.net_ids.insert(name.to_string(), id);
-        self.nets.push(Net {
-            name: name.to_string(),
-            pins: Vec::new(),
-            is_port: false,
-            is_global: false,
-        });
-        id
+        let id = self.net_name.len() as u32;
+        self.net_name.push(self.tail_span(start));
+        self.net_flags.push(0);
+        self.net_index.insert(hash, id);
+        if let Some(net_pins) = self.net_pins.get_mut() {
+            net_pins.runs.push(Run::default());
+        }
+        NetId::new(id)
     }
 
     /// Looks up an existing net by name without creating it.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.net_ids.get(name).copied()
+        let hash = self.net_index.hash(name);
+        self.lookup(&self.net_index, &self.net_name, hash, name)
+            .map(NetId::new)
     }
 
     /// The net record for `id`.
@@ -261,36 +454,49 @@ impl Netlist {
     ///
     /// Panics if `id` was not issued by this netlist.
     #[inline]
-    pub fn net_ref(&self, id: NetId) -> &Net {
-        &self.nets[id.index()]
+    pub fn net_ref(&self, id: NetId) -> Net<'_> {
+        assert!(
+            id.index() < self.net_count(),
+            "{id} is not a net of `{}`",
+            self.name
+        );
+        Net {
+            netlist: self,
+            index: id.index(),
+        }
     }
 
     /// Alias for [`Netlist::net_ref`], reads better at call sites that
     /// already hold an id.
     #[inline]
-    pub fn net_by_id(&self, id: NetId) -> &Net {
+    pub fn net_by_id(&self, id: NetId) -> Net<'_> {
         self.net_ref(id)
+    }
+
+    /// Every net's pins, transposed from the device pins on first use.
+    fn net_pins(&self) -> &NetPins {
+        self.net_pins.get_or_init(|| NetPins::transpose(self))
     }
 
     /// Marks a net as an external port (appends to the ordered port
     /// list; idempotent).
     pub fn mark_port(&mut self, id: NetId) {
-        let net = &mut self.nets[id.index()];
-        if !net.is_port {
-            net.is_port = true;
+        let flags = &mut self.net_flags[id.index()];
+        if *flags & PORT == 0 {
+            *flags |= PORT;
             self.ports.push(id);
         }
     }
 
     /// Marks a net as a special global signal (`Vdd`/`GND`-like).
     pub fn mark_global(&mut self, id: NetId) {
-        self.nets[id.index()].is_global = true;
+        self.net_flags[id.index()] |= GLOBAL;
     }
 
     /// Clears the global flag on a net (used by ablation experiments that
     /// deliberately ignore special signals).
     pub fn clear_global(&mut self, id: NetId) {
-        self.nets[id.index()].is_global = false;
+        self.net_flags[id.index()] &= !GLOBAL;
     }
 
     /// The ordered list of port nets.
@@ -300,27 +506,28 @@ impl Netlist {
 
     /// All global (special) nets.
     pub fn global_nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        (0..self.nets.len() as u32)
-            .map(NetId::new)
-            .filter(|&n| self.nets[n.index()].is_global)
+        self.net_ids()
+            .filter(|&n| self.net_flags[n.index()] & GLOBAL != 0)
     }
 
     /// Number of nets.
     pub fn net_count(&self) -> usize {
-        self.nets.len()
+        self.net_name.len()
     }
 
     /// Iterates over all net ids.
     pub fn net_ids(&self) -> impl ExactSizeIterator<Item = NetId> {
-        (0..self.nets.len() as u32).map(NetId::new)
+        (0..self.net_name.len() as u32).map(NetId::new)
     }
 
     /// Reserves room for at least `additional` more devices, so a
     /// builder that knows its device count up front grows the device
     /// tables once.
     pub fn reserve_devices(&mut self, additional: usize) {
-        self.devices.reserve(additional);
-        self.device_ids.reserve(additional);
+        self.dev_name.reserve(additional);
+        self.dev_type.reserve(additional);
+        self.dev_pin_end.reserve(additional);
+        self.device_index.reserve(additional);
     }
 
     // ------------------------------------------------------------------
@@ -338,57 +545,93 @@ impl Netlist {
     ///   the type's terminal count.
     pub fn add_device(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         ty: DeviceTypeId,
         pins: &[NetId],
     ) -> Result<DeviceId, NetlistError> {
-        let slot = match self.device_ids.entry(name.into()) {
-            Entry::Occupied(taken) => {
-                return Err(NetlistError::DuplicateDevice {
-                    name: taken.key().clone(),
-                })
+        self.push_device(&[name.as_ref()], ty, pins.iter().copied())
+    }
+
+    /// [`Netlist::add_device`] for the device named by `parts` back to
+    /// back, with its pins from an iterator: neither is collected first.
+    /// An error leaves the netlist as it was.
+    pub(crate) fn push_device(
+        &mut self,
+        parts: &[&str],
+        ty: DeviceTypeId,
+        pins: impl IntoIterator<Item = NetId>,
+    ) -> Result<DeviceId, NetlistError> {
+        let (name_start, pin_start) = (self.push_name(parts), self.dev_pins.len());
+        self.dev_pins.extend(pins);
+        let hash = match self.check_device(name_start, ty, pin_start) {
+            Ok(hash) => hash,
+            Err(e) => {
+                self.names.truncate(name_start);
+                self.dev_pins.truncate(pin_start);
+                return Err(e);
             }
-            Entry::Vacant(slot) => slot,
         };
+        let id = self.dev_name.len() as u32;
+        self.dev_name.push(self.tail_span(name_start));
+        self.dev_type.push(ty);
+        let end = u32::try_from(self.dev_pins.len()).expect("a netlist holds at most 2^32 pins");
+        self.dev_pin_end.push(end);
+        self.device_index.insert(hash, id);
+        if let Some(net_pins) = self.net_pins.get_mut() {
+            for (terminal, &n) in self.dev_pins[pin_start..].iter().enumerate() {
+                let device = DeviceId::new(id);
+                let terminal = terminal as u16;
+                net_pins.push(n, Pin { device, terminal });
+            }
+        }
+        Ok(DeviceId::new(id))
+    }
+
+    /// The checks of [`Netlist::add_device`], in its order, on the
+    /// device whose name and pins are the tails of the arena and of
+    /// `dev_pins`; returns the name's hash.
+    fn check_device(
+        &self,
+        name_start: usize,
+        ty: DeviceTypeId,
+        pin_start: usize,
+    ) -> Result<u32, NetlistError> {
+        let name = &self.names[name_start..];
+        let hash = self.device_index.hash(name);
+        if self
+            .lookup(&self.device_index, &self.dev_name, hash, name)
+            .is_some()
+        {
+            return Err(NetlistError::DuplicateDevice {
+                name: name.to_string(),
+            });
+        }
         let Some(tyref) = self.types.get(ty.index()) else {
             return Err(NetlistError::UnknownType {
                 name: format!("{ty}"),
             });
         };
+        let pins = &self.dev_pins[pin_start..];
         if pins.len() != tyref.terminal_count() {
             return Err(NetlistError::PinCountMismatch {
-                device: slot.into_key(),
+                device: name.to_string(),
                 expected: tyref.terminal_count(),
                 got: pins.len(),
             });
         }
-        for &n in pins {
-            if n.index() >= self.nets.len() {
-                return Err(NetlistError::UnknownNet {
-                    name: format!("{n}"),
-                });
-            }
-        }
-        let id = DeviceId::new(self.devices.len() as u32);
-        for (i, &n) in pins.iter().enumerate() {
-            self.nets[n.index()].pins.push(Pin {
-                device: id,
-                terminal: i as u16,
+        if let Some(n) = pins.iter().find(|n| n.index() >= self.net_count()) {
+            return Err(NetlistError::UnknownNet {
+                name: format!("{n}"),
             });
         }
-        let name = slot.key().clone();
-        slot.insert(id);
-        self.devices.push(Device {
-            name,
-            ty,
-            pins: pins.to_vec(),
-        });
-        Ok(id)
+        Ok(hash)
     }
 
     /// Looks up a device by name.
     pub fn find_device(&self, name: &str) -> Option<DeviceId> {
-        self.device_ids.get(name).copied()
+        let hash = self.device_index.hash(name);
+        self.lookup(&self.device_index, &self.dev_name, hash, name)
+            .map(DeviceId::new)
     }
 
     /// The device record for `id`.
@@ -397,29 +640,40 @@ impl Netlist {
     ///
     /// Panics if `id` was not issued by this netlist.
     #[inline]
-    pub fn device(&self, id: DeviceId) -> &Device {
-        &self.devices[id.index()]
+    pub fn device(&self, id: DeviceId) -> Device<'_> {
+        Device {
+            netlist: self,
+            index: id.index(),
+            ty: self.dev_type[id.index()],
+        }
+    }
+
+    /// Device `i`'s nets, in terminal order.
+    #[inline]
+    fn device_pins(&self, i: usize) -> &[NetId] {
+        let start = i.checked_sub(1).map_or(0, |p| self.dev_pin_end[p] as usize);
+        &self.dev_pins[start..self.dev_pin_end[i] as usize]
     }
 
     /// The device type of device `id`.
     #[inline]
     pub fn device_type_of(&self, id: DeviceId) -> &DeviceType {
-        &self.types[self.devices[id.index()].ty.index()]
+        &self.types[self.dev_type[id.index()].index()]
     }
 
     /// Number of devices.
     pub fn device_count(&self) -> usize {
-        self.devices.len()
+        self.dev_name.len()
     }
 
     /// Iterates over all device ids.
     pub fn device_ids(&self) -> impl ExactSizeIterator<Item = DeviceId> {
-        (0..self.devices.len() as u32).map(DeviceId::new)
+        (0..self.dev_name.len() as u32).map(DeviceId::new)
     }
 
     /// Total number of pins (graph edges).
     pub fn pin_count(&self) -> usize {
-        self.devices.iter().map(|d| d.pins.len()).sum()
+        self.dev_pins.len()
     }
 
     /// Carves the induced subcircuit over `devices` out as a standalone
@@ -456,45 +710,52 @@ impl Netlist {
     /// # }
     /// ```
     pub fn subnetlist(&self, name: &str, devices: &[DeviceId]) -> Netlist {
-        let mut selected = vec![false; self.devices.len()];
+        let mut selected = vec![false; self.device_count()];
         for &d in devices {
             selected[d.index()] = true;
         }
-        let mut out = Netlist::new(name);
-        for ty in &self.types {
-            out.add_type(ty.clone()).expect("types are valid");
-        }
+        let mut out = self.empty_copy(name);
         // First pass: create nets with the right flags.
-        let mut net_map: Vec<Option<NetId>> = vec![None; self.nets.len()];
-        for (ni, net) in self.nets.iter().enumerate() {
-            let touched = net.pins.iter().any(|p| selected[p.device.index()]);
-            if !touched {
+        let mut net_map = vec![NetId::new(VACANT); self.net_count()];
+        for n in self.net_ids() {
+            let net = self.net_ref(n);
+            if !net.pins().iter().any(|p| selected[p.device.index()]) {
                 continue;
             }
-            let id = out.net(&net.name);
-            if net.is_global {
+            let id = out.net(net.name());
+            if net.is_global() {
                 out.mark_global(id);
             } else {
-                let fully_inside = net.pins.iter().all(|p| selected[p.device.index()]);
-                if !fully_inside || net.is_port {
+                let fully_inside = net.pins().iter().all(|p| selected[p.device.index()]);
+                if !fully_inside || net.is_port() {
                     out.mark_port(id);
                 }
             }
-            net_map[ni] = Some(id);
+            net_map[n.index()] = id;
         }
-        for (di, dev) in self.devices.iter().enumerate() {
-            if !selected[di] {
-                continue;
-            }
-            let pins: Vec<NetId> = dev
-                .pins
-                .iter()
-                .map(|&n| net_map[n.index()].expect("selected pins were mapped"))
-                .collect();
-            out.add_device(dev.name.clone(), dev.ty, &pins)
-                .expect("carving preserves validity");
+        for d in self.device_ids().filter(|d| selected[d.index()]) {
+            out.copy_device(self, d, &net_map);
         }
         out
+    }
+
+    /// An empty netlist named `name` with this one's type table.
+    fn empty_copy(&self, name: &str) -> Netlist {
+        Netlist {
+            name: name.to_string(),
+            types: self.types.clone(),
+            type_index: self.type_index.clone(),
+            ..Netlist::default()
+        }
+    }
+
+    /// Adds `from`'s device `d`, its pins mapped through `net_map`, to
+    /// this netlist, whose type table is `from`'s.
+    fn copy_device(&mut self, from: &Netlist, d: DeviceId, net_map: &[NetId]) {
+        let dev = from.device(d);
+        let pins = dev.pins().iter().map(|n| net_map[n.index()]);
+        self.push_device(&[dev.name()], dev.type_id(), pins)
+            .expect("copying preserves validity");
     }
 
     /// Collapses groups of devices into composite devices, in place: the
@@ -567,26 +828,19 @@ impl Netlist {
         composites: Vec<(String, Vec<NetId>)>,
     ) -> Result<(), NetlistError> {
         // Old id -> new id for devices, nets and types; DEAD when dropped.
-        let mut device_map = vec![0u32; self.devices.len()];
+        let mut device_map = vec![0u32; self.device_count()];
         for &d in absorbed {
             device_map[d.index()] = DEAD;
         }
-        let mut survivors = 0u32;
-        for new in device_map.iter_mut().filter(|new| **new != DEAD) {
-            *new = survivors;
-            survivors += 1;
+        for (new, id) in device_map.iter_mut().filter(|new| **new != DEAD).zip(0..) {
+            *new = id;
         }
         let mut type_map = vec![DEAD; self.types.len()];
-        let mut net_map = vec![DEAD; self.nets.len()];
+        let mut net_map = vec![DEAD; self.net_count()];
         let (mut types, mut nets) = (0u32, 0u32);
-        for (dev, _) in self
-            .devices
-            .iter()
-            .zip(&device_map)
-            .filter(|(_, &new)| new != DEAD)
-        {
-            first_appearance(&mut type_map, &mut types, dev.ty.index());
-            for &n in &dev.pins {
+        for d in (0..self.device_count()).filter(|&d| device_map[d] != DEAD) {
+            first_appearance(&mut type_map, &mut types, self.dev_type[d].index());
+            for &n in self.device_pins(d) {
                 first_appearance(&mut net_map, &mut nets, n.index());
             }
         }
@@ -595,8 +849,8 @@ impl Netlist {
                 name: ty.name().to_string(),
             });
         }
-        let reused = match self.type_ids.get(ty.name()) {
-            Some(&old) if type_map[old.index()] != DEAD => {
+        let reused = match self.type_id(ty.name()) {
+            Some(old) if type_map[old.index()] != DEAD => {
                 if self.types[old.index()] != ty {
                     return Err(NetlistError::DuplicateType {
                         name: ty.name().to_string(),
@@ -608,12 +862,11 @@ impl Netlist {
         };
         // Linear in the composites: each name is looked up once in the
         // name map (survivors) and once in a set of this call's names.
-        let mut minted = std::collections::HashSet::with_capacity(composites.len());
+        let mut minted = HashSet::with_capacity(composites.len());
         for (name, pins) in &composites {
             let taken = self
-                .device_ids
-                .get(name.as_str())
-                .is_some_and(|&d| device_map[d.index()] != DEAD);
+                .find_device(name)
+                .is_some_and(|d| device_map[d.index()] != DEAD);
             if taken || !minted.insert(name.as_str()) {
                 return Err(NetlistError::DuplicateDevice { name: name.clone() });
             }
@@ -625,7 +878,7 @@ impl Netlist {
                 });
             }
             for &n in pins {
-                if n.index() >= self.nets.len() {
+                if n.index() >= self.net_count() {
                     return Err(NetlistError::UnknownNet {
                         name: format!("{n}"),
                     });
@@ -634,69 +887,46 @@ impl Netlist {
             }
         }
 
-        // Every check passed: renumber in place.
-        let mut old = 0;
-        self.devices.retain(|_| {
-            old += 1;
-            device_map[old - 1] != DEAD
-        });
-        for dev in &mut self.devices {
-            dev.ty = DeviceTypeId::new(type_map[dev.ty.index()]);
-            for n in &mut dev.pins {
-                *n = NetId::new(net_map[n.index()]);
+        // Every check passed: renumber in place. Survivors keep their
+        // relative order, so each moves down over absorbed devices.
+        let (mut kept, mut read, mut write) = (0, 0, 0);
+        for d in 0..self.device_count() {
+            let end = self.dev_pin_end[d] as usize;
+            if device_map[d] != DEAD {
+                self.dev_name[kept] = self.dev_name[d];
+                self.dev_type[kept] = DeviceTypeId::new(type_map[self.dev_type[d].index()]);
+                for p in read..end {
+                    self.dev_pins[write] = NetId::new(net_map[self.dev_pins[p].index()]);
+                    write += 1;
+                }
+                self.dev_pin_end[kept] = write as u32;
+                kept += 1;
             }
+            read = end;
         }
+        self.dev_name.truncate(kept);
+        self.dev_type.truncate(kept);
+        self.dev_pin_end.truncate(kept);
+        self.dev_pins.truncate(write);
+        // The net pins are transposed afresh when next read.
+        self.net_pins = OnceLock::new();
         permute(&mut self.types, &type_map, types);
-        permute(&mut self.nets, &net_map, nets);
-        // `add_device` appends pins in (device, terminal) order; the
-        // survivor renumbering is monotone and composites come last, so
-        // filtering here and appending below keep that order.
-        for net in &mut self.nets {
-            net.pins.retain_mut(|p| {
-                let new = device_map[p.device.index()];
-                p.device = DeviceId::new(new);
-                new != DEAD
-            });
-        }
-        self.device_ids.retain(|_, id| {
-            *id = DeviceId::new(device_map[id.index()]);
-            id.raw() != DEAD
-        });
-        self.net_ids.retain(|_, id| {
-            *id = NetId::new(net_map[id.index()]);
-            id.raw() != DEAD
-        });
-        self.type_ids.retain(|_, id| {
-            *id = DeviceTypeId::new(type_map[id.index()]);
-            id.raw() != DEAD
-        });
+        permute(&mut self.net_name, &net_map, nets);
+        permute(&mut self.net_flags, &net_map, nets);
+        self.device_index.remap(&device_map);
+        self.net_index.remap(&net_map);
+        self.type_index.remap(&type_map);
         self.ports.retain_mut(|p| {
             *p = NetId::new(net_map[p.index()]);
             p.raw() != DEAD
         });
         self.ports.sort_unstable();
-        let ty_id = reused.unwrap_or_else(|| {
-            let id = DeviceTypeId::new(types);
-            self.type_ids.insert(ty.name().to_string(), id);
-            self.types.push(ty);
-            id
-        });
-        self.devices.reserve(composites.len());
-        for (k, (name, mut pins)) in composites.into_iter().enumerate() {
-            let id = DeviceId::new(survivors + k as u32);
-            for (terminal, n) in pins.iter_mut().enumerate() {
-                *n = NetId::new(net_map[n.index()]);
-                self.nets[n.index()].pins.push(Pin {
-                    device: id,
-                    terminal: terminal as u16,
-                });
-            }
-            self.device_ids.insert(name.clone(), id);
-            self.devices.push(Device {
-                name,
-                ty: ty_id,
-                pins,
-            });
+        let ty_id = reused.unwrap_or_else(|| self.push_type(ty));
+        self.reserve_devices(composites.len());
+        for (name, pins) in &composites {
+            let pins = pins.iter().map(|n| NetId::new(net_map[n.index()]));
+            self.push_device(&[name], ty_id, pins)
+                .expect("composites were checked above");
         }
         Ok(())
     }
@@ -718,10 +948,8 @@ impl Netlist {
     /// assert_eq!(compacted.net_count(), 0);
     /// ```
     pub fn compact(&self) -> Netlist {
-        let mut out = Netlist::new(self.name.clone());
-        for ty in &self.types {
-            out.add_type(ty.clone()).expect("types are valid");
-        }
+        let mut out = self.empty_copy(&self.name);
+        let mut net_map = vec![NetId::new(VACANT); self.net_count()];
         for n in self.net_ids() {
             let net = self.net_ref(n);
             if net.degree() == 0 {
@@ -731,22 +959,15 @@ impl Netlist {
             if net.is_global() {
                 out.mark_global(id);
             }
+            net_map[n.index()] = id;
         }
         for &p in &self.ports {
             if self.net_ref(p).degree() > 0 {
-                let id = out.net(self.net_ref(p).name());
-                out.mark_port(id);
+                out.mark_port(net_map[p.index()]);
             }
         }
         for d in self.device_ids() {
-            let dev = self.device(d);
-            let pins: Vec<NetId> = dev
-                .pins()
-                .iter()
-                .map(|&n| out.net(self.net_ref(n).name()))
-                .collect();
-            out.add_device(dev.name().to_string(), dev.type_id(), &pins)
-                .expect("copying preserves validity");
+            out.copy_device(self, d, &net_map);
         }
         out
     }
@@ -767,53 +988,60 @@ impl Netlist {
     /// Returns [`NetlistError::Inconsistent`] describing the first
     /// violation found.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        for (di, dev) in self.devices.iter().enumerate() {
-            let ty = &self.types[dev.ty.index()];
-            if dev.pins.len() != ty.terminal_count() {
+        for d in self.device_ids() {
+            let dev = self.device(d);
+            let ty = self.device_type_of(d);
+            if dev.pins().len() != ty.terminal_count() {
                 return Err(NetlistError::Inconsistent {
                     detail: format!(
                         "device `{}` has {} pins, type `{}` has {} terminals",
-                        dev.name,
-                        dev.pins.len(),
+                        dev.name(),
+                        dev.pins().len(),
                         ty.name(),
                         ty.terminal_count()
                     ),
                 });
             }
-            for (ti, &net) in dev.pins.iter().enumerate() {
-                let Some(netrec) = self.nets.get(net.index()) else {
+            for (ti, &net) in dev.pins().iter().enumerate() {
+                if net.index() >= self.net_count() {
                     return Err(NetlistError::Inconsistent {
-                        detail: format!("device `{}` pin {ti} references missing {net}", dev.name),
+                        detail: format!(
+                            "device `{}` pin {ti} references missing {net}",
+                            dev.name()
+                        ),
                     });
-                };
+                }
                 let back = Pin {
-                    device: DeviceId::new(di as u32),
+                    device: d,
                     terminal: ti as u16,
                 };
-                if !netrec.pins.contains(&back) {
+                let netrec = self.net_ref(net);
+                if !netrec.pins().contains(&back) {
                     return Err(NetlistError::Inconsistent {
                         detail: format!(
                             "net `{}` lacks back-reference to device `{}` terminal {ti}",
-                            netrec.name, dev.name
+                            netrec.name(),
+                            dev.name()
                         ),
                     });
                 }
             }
         }
-        for net in &self.nets {
-            for pin in &net.pins {
-                let Some(dev) = self.devices.get(pin.device.index()) else {
+        for n in self.net_ids() {
+            let net = self.net_ref(n);
+            for pin in net.pins() {
+                if pin.device.index() >= self.device_count() {
                     return Err(NetlistError::Inconsistent {
-                        detail: format!("net `{}` references missing {}", net.name, pin.device),
+                        detail: format!("net `{}` references missing {}", net.name(), pin.device),
                     });
-                };
-                if dev.pins.get(pin.terminal as usize).copied()
-                    != self.net_ids.get(&net.name).copied()
-                {
+                }
+                let dev = self.device(pin.device);
+                if dev.pins().get(pin.terminal as usize).copied() != self.find_net(net.name()) {
                     return Err(NetlistError::Inconsistent {
                         detail: format!(
                             "net `{}` pin back-reference mismatch on device `{}`",
-                            net.name, dev.name
+                            net.name(),
+                            dev.name()
                         ),
                     });
                 }
@@ -824,7 +1052,7 @@ impl Netlist {
 }
 
 /// Marks an id that [`Netlist::collapse`] drops.
-const DEAD: u32 = u32::MAX;
+const DEAD: u32 = VACANT;
 
 /// Gives index `i` the next new id, unless it already has one.
 fn first_appearance(map: &mut [u32], next: &mut u32, i: usize) {
@@ -852,18 +1080,18 @@ impl fmt::Display for Netlist {
             f,
             "netlist `{}`: {} devices, {} nets, {} ports",
             self.name,
-            self.devices.len(),
-            self.nets.len(),
+            self.device_count(),
+            self.net_count(),
             self.ports.len()
         )?;
-        for dev in &self.devices {
-            let ty = &self.types[dev.ty.index()];
-            write!(f, "  {} {}(", dev.name, ty.name())?;
-            for (i, &n) in dev.pins.iter().enumerate() {
+        for d in self.device_ids() {
+            let (dev, ty) = (self.device(d), self.device_type_of(d));
+            write!(f, "  {} {}(", dev.name(), ty.name())?;
+            for (i, &n) in dev.pins().iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
-                write!(f, "{}={}", ty.terminal(i).name(), self.nets[n.index()].name)?;
+                write!(f, "{}={}", ty.terminal(i).name(), self.net_ref(n).name())?;
             }
             writeln!(f, ")")?;
         }
@@ -1078,18 +1306,29 @@ mod tests {
     }
 
     fn net_names(nl: &Netlist) -> Vec<&str> {
-        nl.nets.iter().map(|n| n.name.as_str()).collect()
+        nl.net_ids().map(|n| nl.net_ref(n).name()).collect()
+    }
+
+    /// Everything the accessors show, lookups by name included.
+    fn snapshot(nl: &Netlist) -> String {
+        let mut out = format!("{} {:?} {:?}\n", nl.name(), nl.device_types(), nl.ports());
+        for d in nl.device_ids() {
+            let dev = nl.device(d);
+            let found = nl.find_device(dev.name());
+            out += &format!("{dev:?} {found:?}\n");
+        }
+        for n in nl.net_ids() {
+            let net = nl.net_ref(n);
+            out += &format!("{net:?} {:?}\n", nl.find_net(net.name()));
+        }
+        for ty in nl.device_types() {
+            out += &format!("{:?}\n", nl.type_id(ty.name()));
+        }
+        out
     }
 
     fn same(a: &Netlist, b: &Netlist) -> bool {
-        a.name == b.name
-            && a.types == b.types
-            && a.type_ids == b.type_ids
-            && a.devices == b.devices
-            && a.device_ids == b.device_ids
-            && a.nets == b.nets
-            && a.net_ids == b.net_ids
-            && a.ports == b.ports
+        snapshot(a) == snapshot(b)
     }
 
     #[test]
@@ -1262,7 +1501,8 @@ mod tests {
         // clone to ensure validate() actually checks cross-references.
         let (nl, _) = inverter();
         let mut bad = nl.clone();
-        bad.nets[0].pins.clear(); // drop back-references on net 0
+        bad.net_pins();
+        bad.net_pins.get_mut().unwrap().runs[0].len = 0; // drop back-references on net 0
         assert!(bad.validate().is_err());
     }
 }

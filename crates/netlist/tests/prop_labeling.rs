@@ -87,8 +87,7 @@ fn swap_sd(nl: &Netlist) -> Netlist {
                 }
             }
         }
-        out.add_device(dev.name().to_string(), dev.type_id(), &pins)
-            .unwrap();
+        out.add_device(dev.name(), dev.type_id(), &pins).unwrap();
     }
     out
 }

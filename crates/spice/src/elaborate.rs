@@ -8,7 +8,8 @@
 use std::collections::{HashMap, HashSet};
 
 use subgemini_netlist::{
-    instantiate, DeviceType, DeviceTypeId, NetId, Netlist, TerminalSpec, MAX_INSTANTIATED_DEVICES,
+    instantiate, minted_name_bytes, DeviceType, DeviceTypeId, NetId, Netlist, TerminalSpec,
+    MAX_INSTANTIATED_DEVICES, MAX_INSTANTIATED_NAME_BYTES,
 };
 
 use crate::card::{Card, Span};
@@ -120,7 +121,9 @@ struct Frame<'d> {
     cell: Option<usize>,
     cards: &'d [Card],
     next: usize,
-    out: Builder<'d>,
+    /// Started when the first card adds to it, so the frames of a chain
+    /// waiting on the cells below them hold no netlist.
+    out: Option<Box<Builder<'d>>>,
 }
 
 struct Elaborator<'d> {
@@ -132,8 +135,9 @@ struct Elaborator<'d> {
     index: HashMap<&'d str, usize>,
     globals: HashSet<String>,
     /// Flatten mode, per subcircuit: its netlist once elaborated, until
-    /// the last `X` card that can instantiate it has.
-    cells: Vec<Option<Netlist>>,
+    /// the last `X` card that can instantiate it has. Boxed: a deck may
+    /// define hundreds of thousands of subcircuits.
+    cells: Vec<Option<Box<Netlist>>>,
     /// Flatten mode, per subcircuit: `X` cards in the deck that name it
     /// and have not been elaborated yet.
     uses: Vec<u32>,
@@ -142,6 +146,10 @@ struct Elaborator<'d> {
     open: Vec<bool>,
     /// Devices `instantiate` has created so far.
     instantiated: u64,
+    /// Name bytes `instantiate` has minted so far.
+    minted: u64,
+    /// An `X` card's nets, reused from card to card.
+    bindings: Vec<NetId>,
 }
 
 fn mos_type_name(model: &str) -> &'static str {
@@ -192,24 +200,31 @@ impl<'d> Elaborator<'d> {
             uses,
             open: vec![false; n],
             instantiated: 0,
+            minted: 0,
+            bindings: Vec::new(),
         }
     }
 
-    /// Starts subcircuit `i`: a fresh netlist with its ports marked.
+    /// Puts subcircuit `i` on the worklist.
     fn open_cell(&mut self, i: usize) -> Frame<'d> {
-        let def = &self.doc.subckts[i];
         self.open[i] = true;
+        Frame {
+            cell: Some(i),
+            cards: &self.doc.subckts[i].cards,
+            next: 0,
+            out: None,
+        }
+    }
+
+    /// Subcircuit `i`'s netlist as it starts: its ports, marked.
+    fn start_cell(&self, i: usize) -> Box<Builder<'d>> {
+        let def = &self.doc.subckts[i];
         let mut out = Builder::new(Netlist::new(def.name.clone()));
         for p in &def.ports {
             let id = out.net(p, &self.globals);
             out.nl.mark_port(id);
         }
-        Frame {
-            cell: Some(i),
-            cards: &def.cards,
-            next: 0,
-            out,
-        }
+        Box::new(out)
     }
 
     /// Elaborates `root`, first elaborating each cell it reaches the
@@ -219,33 +234,62 @@ impl<'d> Elaborator<'d> {
         loop {
             let frame = stack.last_mut().expect("the root stays until it returns");
             if let Some(card) = frame.cards.get(frame.next) {
-                match self.add_card(&mut frame.out, card)? {
-                    None => frame.next += 1,
-                    Some(sub) => {
-                        let child = self.open_cell(sub);
-                        stack.push(child);
-                    }
+                if let Some(sub) = self.waits_on(card)? {
+                    let child = self.open_cell(sub);
+                    stack.push(child);
+                    continue;
                 }
+                let cell = frame.cell;
+                let out = frame.out.get_or_insert_with(|| {
+                    self.start_cell(cell.expect("the top level starts with its netlist"))
+                });
+                self.add_card(out, card)?;
+                frame.next += 1;
                 continue;
             }
             let done = stack.pop().expect("checked above");
+            let cell = done.cell;
+            let out = done.out.unwrap_or_else(|| {
+                self.start_cell(cell.expect("the top level starts with its netlist"))
+            });
+            let nl = out.nl;
             if let Some(i) = done.cell {
                 self.open[i] = false;
             }
             match (stack.is_empty(), done.cell) {
-                (false, Some(i)) => self.cells[i] = Some(done.out.nl),
-                _ => return Ok(done.out.nl),
+                (false, Some(i)) => self.cells[i] = Some(Box::new(nl)),
+                _ => return Ok(nl),
             }
         }
     }
 
-    /// Adds one card to `out`, or returns the subcircuit an `X` card
-    /// needs elaborated first (the card is then retried).
-    fn add_card(
-        &mut self,
-        out: &mut Builder<'d>,
-        card: &Card,
-    ) -> Result<Option<usize>, SpiceError> {
+    /// The subcircuit an `X` card must wait for: one it flattens that is
+    /// not elaborated yet (the card is retried once it is).
+    fn waits_on(&self, card: &Card) -> Result<Option<usize>, SpiceError> {
+        let Card::Instance { subckt, .. } = *card else {
+            return Ok(None);
+        };
+        let subckt = self.doc.str(subckt);
+        let &i = self
+            .index
+            .get(subckt)
+            .ok_or_else(|| SpiceError::UnknownSubckt {
+                name: subckt.to_string(),
+            })?;
+        if !self.flatten || self.cells[i].is_some() {
+            return Ok(None);
+        }
+        if self.open[i] {
+            return Err(SpiceError::RecursiveSubckt {
+                name: subckt.to_string(),
+            });
+        }
+        Ok(Some(i))
+    }
+
+    /// Adds one card to `out`; an `X` card's subcircuit is elaborated
+    /// already when it flattens ([`Elaborator::waits_on`]).
+    fn add_card(&mut self, out: &mut Builder<'d>, card: &Card) -> Result<(), SpiceError> {
         let doc = self.doc;
         let s = |t: Span| doc.str(t);
         let g = &self.globals;
@@ -295,12 +339,7 @@ impl<'d> Elaborator<'d> {
             Card::Instance { nets, subckt, .. } => {
                 let nets = doc.instance_nets(nets);
                 let subckt = s(subckt);
-                let &i = self
-                    .index
-                    .get(subckt)
-                    .ok_or_else(|| SpiceError::UnknownSubckt {
-                        name: subckt.to_string(),
-                    })?;
+                let i = self.index[subckt];
                 if !self.flatten {
                     let def = &doc.subckts[i];
                     let ty = out.ty(TypeKey::Subckt(i), || {
@@ -325,17 +364,11 @@ impl<'d> Elaborator<'d> {
                     }
                     let pins: Vec<_> = nets.iter().map(|&n| out.net(s(n), g)).collect();
                     out.nl.add_device(name, ty, &pins)?;
-                    return Ok(None);
+                    return Ok(());
                 }
-                let Some(cell) = &self.cells[i] else {
-                    if self.open[i] {
-                        return Err(SpiceError::RecursiveSubckt {
-                            name: subckt.to_string(),
-                        });
-                    }
-                    return Ok(Some(i));
-                };
-                let bindings: Vec<_> = nets.iter().map(|&n| out.net(s(n), g)).collect();
+                let cell = self.cells[i].as_ref().expect("waits_on saw it elaborated");
+                self.bindings.clear();
+                self.bindings.extend(nets.iter().map(|&n| out.net(s(n), g)));
                 let devices = self.instantiated + cell.device_count() as u64;
                 if devices > MAX_INSTANTIATED_DEVICES {
                     return Err(SpiceError::ExpansionLimit {
@@ -343,15 +376,23 @@ impl<'d> Elaborator<'d> {
                         devices,
                     });
                 }
-                instantiate(&mut out.nl, cell, name, &bindings)?;
+                let bytes = self.minted + minted_name_bytes(cell, name);
+                if bytes > MAX_INSTANTIATED_NAME_BYTES {
+                    return Err(SpiceError::NameLimit {
+                        name: subckt.to_string(),
+                        bytes,
+                    });
+                }
+                instantiate(&mut out.nl, cell, name, &self.bindings)?;
                 self.instantiated = devices;
+                self.minted = bytes;
                 self.uses[i] -= 1;
                 if self.uses[i] == 0 {
                     self.cells[i] = None;
                 }
             }
         }
-        Ok(None)
+        Ok(())
     }
 }
 
@@ -361,8 +402,8 @@ impl SpiceDoc {
     /// # Errors
     ///
     /// Fails on unknown/recursive subcircuits, on flattening past
-    /// [`SpiceError::ExpansionLimit`]'s cap, or on netlist construction
-    /// problems.
+    /// [`SpiceError::ExpansionLimit`]'s or [`SpiceError::NameLimit`]'s
+    /// cap, or on netlist construction problems.
     ///
     /// # Examples
     ///
@@ -390,7 +431,7 @@ impl SpiceDoc {
             cell: None,
             cards: &self.top,
             next: 0,
-            out: Builder::new(nl),
+            out: Some(Box::new(Builder::new(nl))),
         })
     }
 
@@ -426,8 +467,8 @@ impl SpiceDoc {
     ///
     /// # Errors
     ///
-    /// As [`SpiceDoc::elaborate_top`]; the device cap counts the whole
-    /// library.
+    /// As [`SpiceDoc::elaborate_top`]; the device and name caps count
+    /// the whole library.
     ///
     /// # Examples
     ///
@@ -453,7 +494,7 @@ impl SpiceDoc {
         for &i in &order {
             if el.cells[i].is_none() {
                 let root = el.open_cell(i);
-                el.cells[i] = Some(el.run(root)?);
+                el.cells[i] = Some(Box::new(el.run(root)?));
             }
         }
         // A name defined twice resolves to its last definition both
@@ -467,11 +508,12 @@ impl SpiceDoc {
             .map(|&i| {
                 wanted[i] -= 1;
                 let cell = &mut el.cells[i];
-                if wanted[i] == 0 {
-                    cell.take().expect("elaborated above")
+                let cell = if wanted[i] == 0 {
+                    cell.take()
                 } else {
-                    cell.clone().expect("elaborated above")
-                }
+                    cell.clone()
+                };
+                *cell.expect("elaborated above")
             })
             .collect())
     }
@@ -659,6 +701,46 @@ R1 out 0 10k
         let lib = doc.elaborate_cells(&ElaborateOptions::default());
         assert_eq!(lib.unwrap_err(), err);
         // Hierarchical elaboration never flattens, so it is unaffected.
+        let hier = doc
+            .elaborate_top("chip", &ElaborateOptions::hierarchical())
+            .unwrap();
+        assert_eq!(hier.device_count(), 1);
+    }
+
+    #[test]
+    fn instance_names_past_the_cap_are_refused() {
+        // One instance of a 8,192-device cell under a 2^17-byte path
+        // would mint just over 2^30 bytes of names: refused before any
+        // is written, naming the subcircuit.
+        let mut deck = String::from(".subckt wide a y\n");
+        for k in 0..8_192 {
+            deck.push_str(&format!("m{k} y a gnd gnd nmos\n"));
+        }
+        deck.push_str(".ends\n");
+        let path = "x".repeat(1 << 17);
+        let doc = parse(&format!("{deck}{path} in out wide\n")).unwrap();
+        let err = doc
+            .elaborate_top("chip", &ElaborateOptions::default())
+            .unwrap_err();
+        let SpiceError::NameLimit { name, bytes } = &err else {
+            panic!("{err}");
+        };
+        assert_eq!(name, "wide");
+        let names: u64 = (0..8_192).map(|k| format!("m{k}").len() as u64).sum();
+        assert_eq!(*bytes, 8_192 * ((1 << 17) + 1) + names);
+        assert!(*bytes > MAX_INSTANTIATED_NAME_BYTES);
+        let text = err.to_string();
+        assert!(
+            text.contains("`wide`") && text.contains("past the cap of"),
+            "{text}"
+        );
+        // The library path counts the same way.
+        let lib = parse(&format!("{deck}.subckt top a y\n{path} a y wide\n.ends\n")).unwrap();
+        let err = lib
+            .elaborate_cells(&ElaborateOptions::default())
+            .unwrap_err();
+        assert!(matches!(err, SpiceError::NameLimit { ref name, .. } if name == "wide"));
+        // Hierarchical elaboration mints no names.
         let hier = doc
             .elaborate_top("chip", &ElaborateOptions::hierarchical())
             .unwrap();

@@ -3,10 +3,11 @@
 use std::collections::{HashMap, HashSet};
 
 use subgemini_netlist::{
-    instantiate, DeviceType, NetId, Netlist, TerminalSpec, MAX_INSTANTIATED_DEVICES,
+    instantiate, minted_name_bytes, DeviceType, NetId, Netlist, TerminalSpec,
+    MAX_INSTANTIATED_DEVICES, MAX_INSTANTIATED_NAME_BYTES,
 };
 
-use crate::ast::{is_primitive, Conns, Instance, Source};
+use crate::ast::{is_primitive, Conns, Instance, Module, Source};
 use crate::error::VerilogError;
 
 /// Elaboration options.
@@ -67,14 +68,60 @@ fn net(nl: &mut Netlist, globals: &HashSet<&str>, name: &str) -> NetId {
     id
 }
 
-/// One module on the worklist: its netlist so far and the next
-/// instance to add.
+/// An instance's connection nets in `def`'s port order, or the error
+/// its connections earn.
+fn port_order<'i>(inst: &'i Instance, def: &Module) -> Result<Vec<&'i str>, VerilogError> {
+    Ok(match &inst.conns {
+        Conns::Positional(nets) => {
+            if nets.len() != def.ports.len() {
+                return Err(VerilogError::PortCountMismatch {
+                    instance: inst.name.clone(),
+                    expected: def.ports.len(),
+                    got: nets.len(),
+                });
+            }
+            nets.iter().map(String::as_str).collect()
+        }
+        Conns::Named(pairs) => {
+            let map: HashMap<&str, &str> = pairs
+                .iter()
+                .map(|(p, n)| (p.as_str(), n.as_str()))
+                .collect();
+            for (p, _) in pairs {
+                if !def.ports.contains(p) {
+                    return Err(VerilogError::UnknownPort {
+                        instance: inst.name.clone(),
+                        port: p.clone(),
+                    });
+                }
+            }
+            if map.len() != def.ports.len() {
+                return Err(VerilogError::PortCountMismatch {
+                    instance: inst.name.clone(),
+                    expected: def.ports.len(),
+                    got: map.len(),
+                });
+            }
+            def.ports.iter().map(|p| map[p.as_str()]).collect()
+        }
+    })
+}
+
+/// One module on the worklist: the next instance to add, and the
+/// module's netlist once an instance has been added to it.
 struct Frame<'a> {
     /// Index of the module in `Source::modules`.
     module: usize,
+    next: usize,
+    /// Started when the first instance adds to it, so the frames of a
+    /// chain waiting on the modules below them hold no netlist.
+    out: Option<Box<Started<'a>>>,
+}
+
+/// A module's netlist under construction.
+struct Started<'a> {
     /// Its supply nets and the implicit globals.
     globals: HashSet<&'a str>,
-    next: usize,
     nl: Netlist,
 }
 
@@ -87,12 +134,19 @@ struct Elaborator<'a> {
     /// Module name → index of its first definition (the one
     /// [`Source::module`] finds).
     index: HashMap<&'a str, usize>,
-    /// Per module: its netlist once elaborated (flatten mode).
-    cells: Vec<Option<Netlist>>,
+    /// Per module: its netlist once elaborated (flatten mode), until
+    /// the last instance that can flatten it has. Boxed: a source may
+    /// define hundreds of thousands of modules.
+    cells: Vec<Option<Box<Netlist>>>,
+    /// Flatten mode, per module: instances in the source that name it
+    /// and have not been flattened yet.
+    uses: Vec<u32>,
     /// Per module: on the worklist now, so meeting it again is a cycle.
     open: Vec<bool>,
     /// Devices `instantiate` has created so far.
     instantiated: u64,
+    /// Name bytes `instantiate` has minted so far.
+    minted: u64,
 }
 
 impl<'a> Elaborator<'a> {
@@ -102,21 +156,43 @@ impl<'a> Elaborator<'a> {
             index.entry(m.name.as_str()).or_insert(i);
         }
         let n = src.modules.len();
+        let mut uses = vec![0u32; n];
+        if opts.flatten {
+            for inst in src.modules.iter().flat_map(|m| &m.instances) {
+                if is_primitive(&inst.module) {
+                    continue;
+                }
+                if let Some(&i) = index.get(inst.module.as_str()) {
+                    uses[i] += 1;
+                }
+            }
+        }
         Self {
             src,
             opts,
             index,
             cells: vec![None; n],
+            uses,
             open: vec![false; n],
             instantiated: 0,
+            minted: 0,
         }
     }
 
-    /// Starts module `i`: a fresh netlist with its ports, wires and
-    /// supplies declared.
+    /// Puts module `i` on the worklist.
     fn open_module(&mut self, i: usize) -> Frame<'a> {
-        let m = &self.src.modules[i];
         self.open[i] = true;
+        Frame {
+            module: i,
+            next: 0,
+            out: None,
+        }
+    }
+
+    /// Module `i`'s netlist as it starts: its ports, wires and supplies
+    /// declared.
+    fn start_module(&self, i: usize) -> Box<Started<'a>> {
+        let m = &self.src.modules[i];
         let globals: HashSet<&str> = m
             .supply0
             .iter()
@@ -137,12 +213,7 @@ impl<'a> Elaborator<'a> {
         {
             net(&mut nl, &globals, w);
         }
-        Frame {
-            module: i,
-            globals,
-            next: 0,
-            nl,
-        }
+        Box::new(Started { globals, nl })
     }
 
     /// Elaborates module `root`, first elaborating each module it
@@ -152,24 +223,27 @@ impl<'a> Elaborator<'a> {
         loop {
             let frame = stack.last_mut().expect("the root stays until it returns");
             if let Some(inst) = self.src.modules[frame.module].instances.get(frame.next) {
-                match self.add_instance(&mut frame.nl, &frame.globals, inst)? {
-                    None => frame.next += 1,
-                    Some(sub) => {
-                        let child = self.open_module(sub);
-                        stack.push(child);
-                    }
+                if let Some(sub) = self.waits_on(inst)? {
+                    let child = self.open_module(sub);
+                    stack.push(child);
+                    continue;
                 }
+                let module = frame.module;
+                let out = frame.out.get_or_insert_with(|| self.start_module(module));
+                self.add_instance(&mut out.nl, &out.globals, inst)?;
+                frame.next += 1;
                 continue;
             }
             let done = stack.pop().expect("checked above");
             self.open[done.module] = false;
+            let out = done.out.unwrap_or_else(|| self.start_module(done.module));
             // Wires may be declared but unused; match the SPICE
             // pipeline's normalization and drop them.
-            let nl = done.nl.compact();
+            let nl = out.nl.compact();
             if stack.is_empty() {
                 return Ok(nl);
             }
-            self.cells[done.module] = Some(nl);
+            self.cells[done.module] = Some(Box::new(nl));
         }
     }
 
@@ -177,19 +251,41 @@ impl<'a> Elaborator<'a> {
     fn cell(&mut self, i: usize) -> Result<&Netlist, VerilogError> {
         if self.cells[i].is_none() {
             let nl = self.run(i)?;
-            self.cells[i] = Some(nl);
+            self.cells[i] = Some(Box::new(nl));
         }
-        Ok(self.cells[i].as_ref().expect("elaborated above"))
+        Ok(self.cells[i].as_deref().expect("elaborated above"))
     }
 
-    /// Adds one instance to `nl`, or returns the module a flattened
-    /// instance needs elaborated first (the instance is then retried).
+    /// The module a flattened instance must wait for: one not elaborated
+    /// yet (the instance is retried once it is). Its port errors come
+    /// first, as when the instance is added.
+    fn waits_on(&self, inst: &Instance) -> Result<Option<usize>, VerilogError> {
+        if !self.opts.flatten || is_primitive(&inst.module) {
+            return Ok(None);
+        }
+        let Some(&sub) = self.index.get(inst.module.as_str()) else {
+            return Ok(None);
+        };
+        if self.cells[sub].is_some() {
+            return Ok(None);
+        }
+        port_order(inst, &self.src.modules[sub])?;
+        if self.open[sub] {
+            return Err(VerilogError::RecursiveModule {
+                name: inst.module.clone(),
+            });
+        }
+        Ok(Some(sub))
+    }
+
+    /// Adds one instance to `nl`; a flattened instance's module is
+    /// elaborated already ([`Elaborator::waits_on`]).
     fn add_instance(
         &mut self,
         nl: &mut Netlist,
         globals: &HashSet<&str>,
         inst: &Instance,
-    ) -> Result<Option<usize>, VerilogError> {
+    ) -> Result<(), VerilogError> {
         if is_primitive(&inst.module) {
             let Conns::Positional(nets) = &inst.conns else {
                 return Err(VerilogError::Parse {
@@ -221,8 +317,8 @@ impl<'a> Elaborator<'a> {
             }
             let ty = nl.add_type(primitive_type(&inst.module, nets.len() - 1))?;
             let pins: Vec<NetId> = nets.iter().map(|n| net(nl, globals, n)).collect();
-            nl.add_device(inst.name.clone(), ty, &pins)?;
-            return Ok(None);
+            nl.add_device(&inst.name, ty, &pins)?;
+            return Ok(());
         }
         let Some(&sub) = self.index.get(inst.module.as_str()) else {
             // Unknown module: with *named* connections we can still
@@ -242,58 +338,19 @@ impl<'a> Elaborator<'a> {
                     },
                 )?)?;
                 let pins: Vec<NetId> = pairs.iter().map(|(_, n)| net(nl, globals, n)).collect();
-                nl.add_device(inst.name.clone(), ty, &pins)?;
-                return Ok(None);
+                nl.add_device(&inst.name, ty, &pins)?;
+                return Ok(());
             }
             return Err(VerilogError::UnknownModule {
                 name: inst.module.clone(),
             });
         };
         let def = &self.src.modules[sub];
-        // Order the connection nets by the module's port order.
-        let ordered: Vec<&str> = match &inst.conns {
-            Conns::Positional(nets) => {
-                if nets.len() != def.ports.len() {
-                    return Err(VerilogError::PortCountMismatch {
-                        instance: inst.name.clone(),
-                        expected: def.ports.len(),
-                        got: nets.len(),
-                    });
-                }
-                nets.iter().map(String::as_str).collect()
-            }
-            Conns::Named(pairs) => {
-                let map: HashMap<&str, &str> = pairs
-                    .iter()
-                    .map(|(p, n)| (p.as_str(), n.as_str()))
-                    .collect();
-                for (p, _) in pairs {
-                    if !def.ports.contains(p) {
-                        return Err(VerilogError::UnknownPort {
-                            instance: inst.name.clone(),
-                            port: p.clone(),
-                        });
-                    }
-                }
-                if map.len() != def.ports.len() {
-                    return Err(VerilogError::PortCountMismatch {
-                        instance: inst.name.clone(),
-                        expected: def.ports.len(),
-                        got: map.len(),
-                    });
-                }
-                def.ports.iter().map(|p| map[p.as_str()]).collect()
-            }
-        };
+        let ordered = port_order(inst, def)?;
         if self.opts.flatten {
-            let Some(cell) = &self.cells[sub] else {
-                if self.open[sub] {
-                    return Err(VerilogError::RecursiveModule {
-                        name: inst.module.clone(),
-                    });
-                }
-                return Ok(Some(sub));
-            };
+            let cell = self.cells[sub]
+                .as_deref()
+                .expect("waits_on saw it elaborated");
             let devices = self.instantiated + cell.device_count() as u64;
             if devices > MAX_INSTANTIATED_DEVICES {
                 return Err(VerilogError::ExpansionLimit {
@@ -301,9 +358,21 @@ impl<'a> Elaborator<'a> {
                     devices,
                 });
             }
+            let bytes = self.minted + minted_name_bytes(cell, &inst.name);
+            if bytes > MAX_INSTANTIATED_NAME_BYTES {
+                return Err(VerilogError::NameLimit {
+                    name: inst.module.clone(),
+                    bytes,
+                });
+            }
             let bindings: Vec<NetId> = ordered.iter().map(|n| net(nl, globals, n)).collect();
             instantiate(nl, cell, &inst.name, &bindings)?;
             self.instantiated = devices;
+            self.minted = bytes;
+            self.uses[sub] -= 1;
+            if self.uses[sub] == 0 {
+                self.cells[sub] = None;
+            }
         } else {
             let terms: Vec<TerminalSpec> = def
                 .ports
@@ -317,9 +386,9 @@ impl<'a> Elaborator<'a> {
                 },
             )?)?;
             let pins: Vec<NetId> = ordered.iter().map(|n| net(nl, globals, n)).collect();
-            nl.add_device(inst.name.clone(), ty, &pins)?;
+            nl.add_device(&inst.name, ty, &pins)?;
         }
-        Ok(None)
+        Ok(())
     }
 }
 
@@ -330,7 +399,8 @@ impl Source {
     /// # Errors
     ///
     /// Unknown/recursive modules, port mismatches, flattening past
-    /// [`VerilogError::ExpansionLimit`]'s cap, netlist errors.
+    /// [`VerilogError::ExpansionLimit`]'s or [`VerilogError::NameLimit`]'s
+    /// cap, netlist errors.
     ///
     /// # Examples
     ///
@@ -373,7 +443,8 @@ impl Source {
     ///
     /// # Errors
     ///
-    /// As [`Source::elaborate`]; the device cap counts the whole source.
+    /// As [`Source::elaborate`]; the device and name caps count the
+    /// whole source.
     ///
     /// # Examples
     ///
@@ -391,6 +462,8 @@ impl Source {
     /// ```
     pub fn elaborate_cells(&self, opts: &VerilogOptions) -> Result<Vec<Netlist>, VerilogError> {
         let mut el = Elaborator::new(self, opts);
+        // Every module is also an output: keep them all.
+        el.uses.fill(u32::MAX);
         self.modules
             .iter()
             .map(|m| el.cell(el.index[m.name.as_str()]).cloned())
@@ -598,6 +671,43 @@ endmodule
             .elaborate(None, &VerilogOptions::hierarchical())
             .unwrap();
         assert_eq!(hier.device_count(), 2);
+    }
+
+    #[test]
+    fn instance_names_past_the_cap_are_refused() {
+        // One instance of a 8,192-gate module under a 2^17-byte name
+        // would mint just over 2^30 bytes of names: refused before any
+        // is written, naming the module.
+        let mut text = String::from("module wide(input a, output y);\n");
+        for k in 0..8_192 {
+            text.push_str(&format!("not g{k}(y, a);\n"));
+        }
+        let path = "u".repeat(1 << 17);
+        text.push_str(&format!(
+            "endmodule\nmodule top(input a, output y);\nwide {path}(a, y);\nendmodule\n"
+        ));
+        let src = parse(&text).unwrap();
+        let err = src.elaborate(None, &VerilogOptions::default()).unwrap_err();
+        let VerilogError::NameLimit { name, bytes } = &err else {
+            panic!("{err}");
+        };
+        assert_eq!(name, "wide");
+        let names: u64 = (0..8_192).map(|k| format!("g{k}").len() as u64).sum();
+        assert_eq!(*bytes, 8_192 * ((1 << 17) + 1) + names);
+        assert!(*bytes > MAX_INSTANTIATED_NAME_BYTES);
+        let text = err.to_string();
+        assert!(
+            text.contains("module `wide`") && text.contains("past the cap of"),
+            "{text}"
+        );
+        // The library path counts the same way.
+        let lib = src.elaborate_cells(&VerilogOptions::default()).unwrap_err();
+        assert_eq!(lib, err);
+        // Hierarchical elaboration mints no names.
+        let hier = src
+            .elaborate(None, &VerilogOptions::hierarchical())
+            .unwrap();
+        assert_eq!(hier.device_count(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use subgemini_netlist::{NetlistError, MAX_INSTANTIATED_DEVICES};
+use subgemini_netlist::{NetlistError, MAX_INSTANTIATED_DEVICES, MAX_INSTANTIATED_NAME_BYTES};
 
 /// Errors produced while parsing or elaborating a Verilog source.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,6 +64,15 @@ pub enum VerilogError {
         /// Devices the elaboration would have instantiated with it.
         devices: u64,
     },
+    /// Flattening would make `instantiate` write more bytes of instance
+    /// names in one elaboration than the fixed cap allows (a chain so
+    /// deep that its paths grow quadratically).
+    NameLimit {
+        /// The module whose instance would cross the cap.
+        name: String,
+        /// Name bytes the elaboration would have minted with it.
+        bytes: u64,
+    },
     /// An underlying netlist construction error.
     Netlist(NetlistError),
 }
@@ -102,6 +111,11 @@ impl fmt::Display for VerilogError {
                 f,
                 "instantiating module `{name}` would flatten to {devices} devices, \
                  past the cap of {MAX_INSTANTIATED_DEVICES}"
+            ),
+            VerilogError::NameLimit { name, bytes } => write!(
+                f,
+                "instantiating module `{name}` would write {bytes} bytes of instance \
+                 names, past the cap of {MAX_INSTANTIATED_NAME_BYTES}"
             ),
             VerilogError::Netlist(e) => write!(f, "netlist error: {e}"),
         }

@@ -402,7 +402,7 @@ pub fn mutate_cell(cell: &Netlist, variant: u64) -> Netlist {
             }
             _ => {}
         }
-        out.add_device(dev.name().to_string(), ty, &pins)
+        out.add_device(dev.name(), ty, &pins)
             .expect("copying preserves validity");
     }
     for &p in cell.ports() {

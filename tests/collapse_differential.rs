@@ -43,7 +43,7 @@ fn rebuild(
         let dev = main.device(d);
         let ty = out.add_type(main.device_type(dev.type_id()).clone())?;
         let pins: Vec<_> = dev.pins().iter().map(|&n| carry_net(&mut out, n)).collect();
-        out.add_device(dev.name().to_string(), ty, &pins)?;
+        out.add_device(dev.name(), ty, &pins)?;
     }
     let comp = out.add_type(ty.clone())?;
     for (name, pins) in composites {
