@@ -372,10 +372,10 @@ pub(crate) fn effort_of(stats: &crate::instance::Phase2Stats) -> u64 {
 /// Compiled only under `cfg(test)` or the `failpoints` cargo feature;
 /// in ordinary release builds every hook is a `const None` that the
 /// optimizer deletes (verified by the bench regression gate). Tests
-/// use [`configure`](failpoint::configure) to inject deterministic
-/// guess storms, stalls, or worker death at a named site, and must
-/// [`clear_all`](failpoint::clear_all) afterwards — the registry is
-/// process-global.
+/// use `failpoint::configure` to inject deterministic guess storms,
+/// stalls, or worker death at a named site, and must call
+/// `failpoint::clear_all` afterwards — the registry is process-global.
+/// Both exist only where the sites are compiled in.
 pub mod failpoint {
     /// What to inject at a site.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]

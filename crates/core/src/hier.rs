@@ -20,7 +20,7 @@
 //! through `X` instances whose device types carry naive terminal
 //! classes (each port its own class, named after the port). Extraction,
 //! however, replaces instances with composites built by
-//! [`composite_type`] — terminals classed by inferred port symmetry.
+//! `composite_type` — terminals classed by inferred port symmetry.
 //! Since label hashing mixes terminal class names, a pattern holding
 //! the naive type would never match a main circuit holding the
 //! canonical one. [`Hierarchizer::new`] therefore *normalizes* the

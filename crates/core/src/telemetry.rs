@@ -342,7 +342,8 @@ impl TelemetrySnapshot {
 
 /// Prometheus text-format v0.0.4 exposition.
 ///
-/// [`TextWriter`] guarantees the format invariants scrapers rely on:
+/// [`TextWriter`](prometheus::TextWriter) guarantees the format
+/// invariants scrapers rely on:
 /// one `# HELP`/`# TYPE` pair per metric family no matter how many
 /// labeled samples it gets, escaped label values, and the
 /// `_bucket`/`_sum`/`_count` triplet (with a final `+Inf` bucket whose

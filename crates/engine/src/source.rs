@@ -4,9 +4,9 @@
 //! parser; everything else is treated as SPICE (file loads resolve
 //! `.include`).
 
-use subgemini_netlist::Netlist;
-use subgemini_spice::{parse as sparse, parse_file, ElaborateOptions, SpiceDoc};
-use subgemini_verilog::{parse as vparse, Source, VerilogOptions};
+use subgemini_netlist::{ElaborateOptions, Netlist};
+use subgemini_spice::{parse as sparse, parse_file, SpiceDoc};
+use subgemini_verilog::{parse as vparse, Source};
 
 /// Which parser a source goes through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,7 +122,7 @@ pub fn main_from_doc(doc: &Doc, top_name: &str, label: &str) -> Result<Netlist, 
             }
         }
         Doc::Verilog(src) => src
-            .elaborate(None, &VerilogOptions::default())
+            .elaborate(None, &ElaborateOptions::default())
             .map_err(|e| format!("{label}: {e}")),
     }
 }
@@ -148,28 +148,22 @@ pub enum CellMode {
 }
 
 impl CellMode {
-    fn spice(self) -> ElaborateOptions {
-        match self {
-            CellMode::Flat => ElaborateOptions::default(),
-            CellMode::Hierarchical => ElaborateOptions::hierarchical(),
-        }
-    }
-
-    fn verilog(self) -> VerilogOptions {
-        match self {
-            CellMode::Flat => VerilogOptions::default(),
-            CellMode::Hierarchical => VerilogOptions::hierarchical(),
+    /// The elaboration options this mode stands for, in either format.
+    fn options(self) -> ElaborateOptions {
+        ElaborateOptions {
+            flatten: self == CellMode::Flat,
         }
     }
 }
 
 fn load_cell_as(doc: &Doc, name: &str, mode: CellMode, label: &str) -> Result<Netlist, String> {
+    let opts = mode.options();
     match doc {
         Doc::Spice(d) => d
-            .elaborate_cell(name, &mode.spice())
+            .elaborate_cell(name, &opts)
             .map_err(|e| format!("{label}: {e}")),
         Doc::Verilog(s) => s
-            .elaborate(Some(name), &mode.verilog())
+            .elaborate(Some(name), &opts)
             .map_err(|e| format!("{label}: {e}")),
     }
 }
@@ -205,12 +199,13 @@ pub fn load_cell_hierarchical(doc: &Doc, name: &str, label: &str) -> Result<Netl
 ///
 /// The first cell's elaboration problem, prefixed with `label`.
 pub fn load_cells(doc: &Doc, mode: CellMode, label: &str) -> Result<Vec<Netlist>, String> {
+    let opts = mode.options();
     match doc {
         Doc::Spice(d) => d
-            .elaborate_cells(&mode.spice())
+            .elaborate_cells(&opts)
             .map_err(|e| format!("{label}: {e}")),
         Doc::Verilog(s) => s
-            .elaborate_cells(&mode.verilog())
+            .elaborate_cells(&opts)
             .map_err(|e| format!("{label}: {e}")),
     }
 }

@@ -90,10 +90,13 @@ pub(crate) struct RawParts {
 /// An owned, immutable, query-optimized bipartite snapshot of a
 /// netlist.
 ///
-/// Unlike [`CircuitGraph`](crate::CircuitGraph) (now a thin borrowing
-/// shim over this type), a `CompiledCircuit` does not borrow the
-/// netlist: wrap it in an [`Arc`] and share it across threads and
-/// repeated searches.
+/// A `CompiledCircuit` does not borrow the netlist: wrap it in an
+/// [`Arc`] and share it across threads and repeated searches.
+///
+/// Representing nets as first-class vertices (rather than cliques of
+/// device-device edges) is the paper's §II modeling decision: it
+/// reduces `N(N−1)/2` edges to `N` and exposes net structure to
+/// partitioning.
 ///
 /// # Examples
 ///
@@ -639,6 +642,85 @@ mod tests {
         assert_eq!(g.find_global("a"), None);
         assert_eq!(g.ports(), nl.ports());
         assert_eq!(g.globals().len(), 2);
+    }
+
+    #[test]
+    fn initial_labels_partition_types_and_degrees() {
+        let nl = inverter(false);
+        let g = CompiledCircuit::compile(&nl);
+        let mp = nl.find_device("mp").unwrap();
+        let mn = nl.find_device("mn").unwrap();
+        assert_ne!(
+            g.initial_device_label(mp),
+            g.initial_device_label(mn),
+            "pmos vs nmos must partition apart"
+        );
+        let a = nl.find_net("a").unwrap();
+        let y = nl.find_net("y").unwrap();
+        // Both degree 2 => same initial partition.
+        assert_eq!(g.initial_net_label(a), g.initial_net_label(y));
+        // Globals are labeled by name, not degree.
+        let nl = inverter(true);
+        let g = CompiledCircuit::compile(&nl);
+        let (vdd, gnd) = (nl.find_net("vdd").unwrap(), nl.find_net("gnd").unwrap());
+        assert_ne!(g.initial_net_label(vdd), g.initial_net_label(gnd));
+    }
+
+    #[test]
+    fn contribs_respect_skip_and_symmetry() {
+        let nl = inverter(false);
+        let g = CompiledCircuit::compile(&nl);
+        let mp = nl.find_device("mp").unwrap();
+        let all = g.device_contribs(mp, |_| Some(5));
+        assert_eq!(all.used, 3);
+        assert_eq!(all.skipped, 0);
+        let none = g.device_contribs(mp, |_| None);
+        assert_eq!(none.used, 0);
+        assert_eq!(none.skipped, 3);
+        assert_eq!(none.sum, 0);
+    }
+
+    #[test]
+    fn source_drain_swap_leaves_contribs_unchanged() {
+        // Two transistors listing source/drain in opposite orders must
+        // accumulate identical device contributions.
+        let mk = |swap: bool| {
+            let mut nl = Netlist::new("inv");
+            let MosTypes { nmos, .. } = nl.add_mos_types();
+            let (a, y, gnd) = (nl.net("a"), nl.net("y"), nl.net("gnd"));
+            let pins = if swap { [a, y, gnd] } else { [a, gnd, y] };
+            nl.add_device("mn", nmos, &pins).unwrap();
+            nl
+        };
+        let (nl1, nl2) = (mk(false), mk(true));
+        let (g1, g2) = (
+            CompiledCircuit::compile(&nl1),
+            CompiledCircuit::compile(&nl2),
+        );
+        let d = DeviceId::new(0);
+        // Feed the same per-net labels keyed by net name.
+        let label = |nl: &Netlist, n: NetId| match nl.net_ref(n).name() {
+            "a" => Some(11),
+            "y" => Some(22),
+            "gnd" => Some(33),
+            _ => None,
+        };
+        let c1 = g1.device_contribs(d, |n| label(&nl1, n));
+        let c2 = g2.device_contribs(d, |n| label(&nl2, n));
+        assert_eq!(c1.sum, c2.sum);
+    }
+
+    #[test]
+    fn net_contribs_weighted_by_terminal_class() {
+        let nl = inverter(false);
+        let g = CompiledCircuit::compile(&nl);
+        let a = nl.find_net("a").unwrap(); // two gate pins
+        let y = nl.find_net("y").unwrap(); // two drain pins
+        let ca = g.net_contribs(a, |_| Some(7));
+        let cy = g.net_contribs(y, |_| Some(7));
+        // Gate class multiplier differs from source/drain class, so the
+        // sums must differ even with equal device labels.
+        assert_ne!(ca.sum, cy.sum);
     }
 
     #[test]

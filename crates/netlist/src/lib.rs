@@ -8,15 +8,14 @@
 //!   with precomputed labeling material (initial labels, per-pin class
 //!   multipliers, global/port flags), compiled from a netlist in one
 //!   pass and reused across patterns, threads, and extraction passes.
-//! * [`CircuitGraph`] — a thin borrowed shim over [`CompiledCircuit`]
-//!   keeping the legacy view API.
 //! * [`artifact`] — a versioned, checksummed, dependency-free binary
 //!   format (`.sgc`) persisting a compiled circuit together with its
 //!   [`FingerprintIndex`] for warm starts across processes.
 //! * [`hashing`] — the 64-bit labeling primitives implementing the
 //!   relabeling function of the paper's Fig. 3.
-//! * [`instantiate`] — hierarchical composition for generators and the
-//!   SPICE flattener.
+//! * [`instantiate`] — hierarchical composition for generators, and
+//!   the one flattener the SPICE and Verilog front ends elaborate
+//!   through ([`FrontEnd`], [`flatten_top`]).
 //!
 //! The model follows §II of the paper: a circuit is an undirected
 //! bipartite graph with device vertices and net vertices; device
@@ -29,7 +28,7 @@
 //! Build a CMOS inverter and inspect its graph:
 //!
 //! ```
-//! use subgemini_netlist::{CircuitGraph, Netlist, NetlistStats};
+//! use subgemini_netlist::{CompiledCircuit, Netlist, NetlistStats};
 //!
 //! # fn main() -> Result<(), subgemini_netlist::NetlistError> {
 //! let mut nl = Netlist::new("inverter");
@@ -43,8 +42,9 @@
 //! nl.add_device("mp", mos.pmos, &[a, vdd, y])?;
 //! nl.add_device("mn", mos.nmos, &[a, gnd, y])?;
 //!
-//! let graph = CircuitGraph::new(&nl);
+//! let graph = CompiledCircuit::compile(&nl);
 //! assert_eq!(graph.device_count(), 2);
+//! assert_eq!(graph.net_degree(y), 2);
 //! assert_eq!(NetlistStats::of(&nl).pins, 6);
 //! # Ok(())
 //! # }
@@ -59,7 +59,6 @@ mod compose;
 mod dot;
 mod error;
 mod fingerprint;
-mod graph;
 pub mod hashing;
 mod id;
 mod idmap;
@@ -70,15 +69,15 @@ mod stats;
 mod types;
 
 pub use artifact::{structural_digest, Artifact, ArtifactError};
-pub use compiled::CompiledCircuit;
+pub use compiled::{CompiledCircuit, Contribs};
 pub use compose::{
-    instantiate, minted_name_bytes, InstantiateReport, MAX_INSTANTIATED_DEVICES,
-    MAX_INSTANTIATED_NAME_BYTES,
+    flatten_cell, flatten_cells, flatten_top, instantiate, minted_name_bytes, Builder,
+    ElaborateOptions, FlattenError, FrontEnd, GlobalNames, InstantiateReport,
+    MAX_INSTANTIATED_DEVICES, MAX_INSTANTIATED_NAME_BYTES,
 };
 pub use dot::to_dot;
 pub use error::NetlistError;
 pub use fingerprint::{FingerprintIndex, HOP2_CAP};
-pub use graph::{CircuitGraph, Contribs};
 pub use id::{DeviceId, DeviceTypeId, NetId, Vertex};
 pub use merge::{merge_parallel, MergeReport};
 pub use netlist::{Device, MosTypes, Net, Netlist, Pin};

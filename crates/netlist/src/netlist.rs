@@ -651,8 +651,12 @@ impl Netlist {
     /// Device `i`'s nets, in terminal order.
     #[inline]
     fn device_pins(&self, i: usize) -> &[NetId] {
-        let start = i.checked_sub(1).map_or(0, |p| self.dev_pin_end[p] as usize);
-        &self.dev_pins[start..self.dev_pin_end[i] as usize]
+        &self.dev_pins[self.pin_start(i)..self.dev_pin_end[i] as usize]
+    }
+
+    /// Where device `i`'s nets start in `dev_pins`.
+    fn pin_start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |p| self.dev_pin_end[p] as usize)
     }
 
     /// The device type of device `id`.
@@ -988,6 +992,21 @@ impl Netlist {
     /// Returns [`NetlistError::Inconsistent`] describing the first
     /// violation found.
     pub fn validate(&self) -> Result<(), NetlistError> {
+        // Which device pins their net lists, marked in one pass over the
+        // net side: `covered[i]` for the device pin at `dev_pins[i]`.
+        let mut covered = vec![false; self.dev_pins.len()];
+        for n in self.net_ids() {
+            for pin in self.net_ref(n).pins() {
+                let d = pin.device.index();
+                if d >= self.device_count() {
+                    continue;
+                }
+                let t = pin.terminal as usize;
+                if self.device_pins(d).get(t) == Some(&n) {
+                    covered[self.pin_start(d) + t] = true;
+                }
+            }
+        }
         for d in self.device_ids() {
             let dev = self.device(d);
             let ty = self.device_type_of(d);
@@ -1011,16 +1030,11 @@ impl Netlist {
                         ),
                     });
                 }
-                let back = Pin {
-                    device: d,
-                    terminal: ti as u16,
-                };
-                let netrec = self.net_ref(net);
-                if !netrec.pins().contains(&back) {
+                if !covered[self.pin_start(d.index()) + ti] {
                     return Err(NetlistError::Inconsistent {
                         detail: format!(
                             "net `{}` lacks back-reference to device `{}` terminal {ti}",
-                            netrec.name(),
+                            self.net_ref(net).name(),
                             dev.name()
                         ),
                     });

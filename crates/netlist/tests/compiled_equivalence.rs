@@ -1,14 +1,13 @@
-//! Equivalence of the compiled CSR snapshot and the legacy
-//! [`CircuitGraph`] view: on seeded random netlists the two must agree
-//! on every query the labeling engine and the matcher rely on —
-//! initial labels, degrees, neighbor multisets (with class
-//! multipliers), global/port flags, and contribution sums. The shim is
-//! also checked to delegate to the shared snapshot bit-for-bit.
+//! Equivalence of the compiled CSR snapshot and the netlist it was
+//! compiled from: on seeded random netlists, every query the labeling
+//! engine and the matcher rely on — initial labels, degrees, neighbors
+//! in pin order with their class multipliers, global/port flags, and
+//! contribution sums — must answer what the netlist's own pins, terminal
+//! classes and flags say.
 
-use std::sync::Arc;
-
+use subgemini_netlist::hashing::{global_net_label, net_degree_label};
 use subgemini_netlist::rng::Rng64;
-use subgemini_netlist::{CircuitGraph, CompiledCircuit, DeviceType, NetId, Netlist};
+use subgemini_netlist::{CompiledCircuit, DeviceType, NetId, Netlist};
 
 /// Builds a random netlist (mos + resistor soup) with some nets marked
 /// port and/or global, following the prop_labeling generator idiom.
@@ -50,71 +49,84 @@ fn random_netlist(rng: &mut Rng64) -> Netlist {
     nl
 }
 
+/// `(neighbor, class multiplier)` pairs: weighted sum, used count.
+fn expected_contribs(pairs: &[(u32, u64)], label: impl Fn(u32) -> u64) -> (u64, usize) {
+    let sum = pairs.iter().fold(0u64, |acc, &(v, mult)| {
+        acc.wrapping_add(mult.wrapping_mul(label(v)))
+    });
+    (sum, pairs.len())
+}
+
 #[test]
-fn compiled_agrees_with_circuit_graph_on_all_queries() {
+fn compiled_agrees_with_the_netlist_on_all_queries() {
     for case in 0..64u64 {
         let mut rng = Rng64::new(0xc0de_5000 + case);
         let nl = random_netlist(&mut rng);
-        let legacy = CircuitGraph::new(&nl);
         let compiled = CompiledCircuit::compile(&nl);
 
-        assert_eq!(
-            compiled.device_count(),
-            legacy.device_count(),
-            "case {case}"
-        );
-        assert_eq!(compiled.net_count(), legacy.net_count(), "case {case}");
+        assert_eq!(compiled.device_count(), nl.device_count(), "case {case}");
+        assert_eq!(compiled.net_count(), nl.net_count(), "case {case}");
         assert_eq!(compiled.pin_count(), nl.pin_count(), "case {case}");
 
         for d in nl.device_ids() {
+            let dev = nl.device(d);
+            let ty = nl.device_type_of(d);
             assert_eq!(
                 compiled.initial_device_label(d),
-                legacy.initial_device_label(d),
+                ty.initial_label(),
                 "case {case}: device {d:?} initial label"
             );
-            assert_eq!(
-                compiled.device_degree(d),
-                nl.device(d).pins().len(),
-                "case {case}"
-            );
-            // Neighbor multisets with class multipliers.
-            let mut a: Vec<(u32, u64)> = compiled
+            assert_eq!(compiled.device_degree(d), dev.pins().len(), "case {case}");
+            // Neighbors in terminal order, each with its class multiplier.
+            let want: Vec<(u32, u64)> = dev
+                .pins()
+                .iter()
+                .enumerate()
+                .map(|(t, n)| (n.raw(), ty.class_multiplier(t)))
+                .collect();
+            let got: Vec<(u32, u64)> = compiled
                 .device_neighbors(d)
                 .map(|(n, w)| (n.raw(), w))
                 .collect();
-            let mut b: Vec<(u32, u64)> = legacy
-                .device_neighbors(d)
-                .map(|(n, w)| (n.raw(), w))
-                .collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "case {case}: device {d:?} neighbors");
-            let ca = compiled.device_contribs(d, |n| Some(n.raw() as u64 + 1));
-            let cb = legacy.device_contribs(d, |n| Some(n.raw() as u64 + 1));
-            assert_eq!((ca.sum, ca.used, ca.skipped), (cb.sum, cb.used, cb.skipped));
+            assert_eq!(got, want, "case {case}: device {d:?} neighbors");
+            let c = compiled.device_contribs(d, |n| Some(n.raw() as u64 + 1));
+            let (sum, used) = expected_contribs(&want, |n| n as u64 + 1);
+            assert_eq!((c.sum, c.used, c.skipped), (sum, used, 0), "case {case}");
         }
 
         for n in nl.net_ids() {
+            let net = nl.net_ref(n);
+            let label = if net.is_global() {
+                global_net_label(net.name())
+            } else {
+                net_degree_label(net.degree())
+            };
             assert_eq!(
                 compiled.initial_net_label(n),
-                legacy.initial_net_label(n),
+                label,
                 "case {case}: net {n:?} initial label"
             );
-            assert_eq!(compiled.net_degree(n), legacy.net_degree(n), "case {case}");
-            assert_eq!(compiled.is_global(n), nl.net_ref(n).is_global());
-            assert_eq!(compiled.is_port(n), nl.net_ref(n).is_port());
-            let mut a: Vec<(u32, u64)> = compiled
+            assert_eq!(compiled.net_degree(n), net.degree(), "case {case}");
+            assert_eq!(compiled.is_global(n), net.is_global());
+            assert_eq!(compiled.is_port(n), net.is_port());
+            // Neighbors in (device, terminal) order, as the netlist
+            // lists the net's pins.
+            let want: Vec<(u32, u64)> = net
+                .pins()
+                .iter()
+                .map(|p| {
+                    let ty = nl.device_type_of(p.device);
+                    (p.device.raw(), ty.class_multiplier(p.terminal as usize))
+                })
+                .collect();
+            let got: Vec<(u32, u64)> = compiled
                 .net_neighbors(n)
                 .map(|(d, w)| (d.raw(), w))
                 .collect();
-            let mut b: Vec<(u32, u64)> =
-                legacy.net_neighbors(n).map(|(d, w)| (d.raw(), w)).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "case {case}: net {n:?} neighbors");
-            let ca = compiled.net_contribs(n, |d| Some(d.raw() as u64 * 3 + 7));
-            let cb = legacy.net_contribs(n, |d| Some(d.raw() as u64 * 3 + 7));
-            assert_eq!((ca.sum, ca.used, ca.skipped), (cb.sum, cb.used, cb.skipped));
+            assert_eq!(got, want, "case {case}: net {n:?} neighbors");
+            let c = compiled.net_contribs(n, |d| Some(d.raw() as u64 * 3 + 7));
+            let (sum, used) = expected_contribs(&want, |d| d as u64 * 3 + 7);
+            assert_eq!((c.sum, c.used, c.skipped), (sum, used, 0), "case {case}");
         }
 
         // Global directory agrees with the netlist.
@@ -131,31 +143,17 @@ fn compiled_agrees_with_circuit_graph_on_all_queries() {
                 assert_eq!(compiled.find_global(net.name()), None, "case {case}");
             }
         }
-        assert_eq!(
-            compiled.ports().len(),
-            nl.net_ids().filter(|&n| nl.net_ref(n).is_port()).count(),
-            "case {case}"
-        );
+        assert_eq!(compiled.ports(), nl.ports(), "case {case}");
     }
 }
 
 #[test]
-fn shim_and_direct_compilation_share_results() {
+fn repeated_compilation_is_identical() {
     for case in 0..16u64 {
         let mut rng = Rng64::new(0xc0de_6000 + case);
         let nl = random_netlist(&mut rng);
-        let shim = CircuitGraph::new(&nl);
-        let direct = Arc::new(CompiledCircuit::compile(&nl));
-        let wrapped = CircuitGraph::from_compiled(&nl, Arc::clone(&direct));
-        for n in nl.net_ids() {
-            assert_eq!(shim.initial_net_label(n), direct.initial_net_label(n));
-            assert_eq!(wrapped.net_degree(n), shim.net_degree(n));
-        }
-        for d in nl.device_ids() {
-            assert_eq!(
-                shim.initial_device_label(d),
-                wrapped.initial_device_label(d)
-            );
-        }
+        let once = CompiledCircuit::compile(&nl);
+        assert_eq!(once, CompiledCircuit::compile(&nl), "case {case}");
+        assert_eq!(*CompiledCircuit::compile_shared(&nl), once, "case {case}");
     }
 }

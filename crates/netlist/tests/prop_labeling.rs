@@ -4,7 +4,7 @@
 //! same (reproducible) sample of the input space.
 
 use subgemini_netlist::rng::Rng64;
-use subgemini_netlist::{CircuitGraph, DeviceType, NetId, Netlist};
+use subgemini_netlist::{CompiledCircuit, DeviceType, NetId, Netlist};
 
 /// Builds a random netlist from an opcode stream: `n_nets` wires plus
 /// devices whose pins are chosen by the `picks` values.
@@ -95,7 +95,7 @@ fn swap_sd(nl: &Netlist) -> Netlist {
 /// Runs `k` full Jacobi relabel rounds and returns the sorted label
 /// multiset (device labels then net labels).
 fn labels_after(nl: &Netlist, k: usize) -> (Vec<u64>, Vec<u64>) {
-    let g = CircuitGraph::new(nl);
+    let g = CompiledCircuit::compile(nl);
     let mut dev: Vec<u64> = nl.device_ids().map(|d| g.initial_device_label(d)).collect();
     let mut net: Vec<u64> = nl.net_ids().map(|n| g.initial_net_label(n)).collect();
     for _ in 0..k {

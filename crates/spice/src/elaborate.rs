@@ -1,55 +1,23 @@
 //! Elaboration: turning a parsed [`SpiceDoc`] into [`Netlist`]s.
 //!
-//! Cells elaborate from an explicit worklist rather than by recursion,
-//! so nesting depth costs heap, not stack. The visiting order is the
-//! depth-first order a recursive walk would take, and only cells
-//! reachable from what is being elaborated are visited.
+//! A deck elaborates through the one flattener in `subgemini-netlist`
+//! ([`flatten_top`], [`flatten_cell`], [`flatten_cells`]); this module
+//! supplies what is SPICE's own: a name resolves to its last
+//! `.subckt`, the global nets, and how each card is added.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use subgemini_netlist::{
-    instantiate, minted_name_bytes, DeviceType, DeviceTypeId, NetId, Netlist, TerminalSpec,
-    MAX_INSTANTIATED_DEVICES, MAX_INSTANTIATED_NAME_BYTES,
+    flatten_cell, flatten_cells, flatten_top, Builder, DeviceType, ElaborateOptions, FlattenError,
+    FrontEnd, Netlist, TerminalSpec,
 };
 
-use crate::card::{Card, Span};
+use crate::card::Card;
 use crate::error::SpiceError;
 use crate::parse::SpiceDoc;
 
-/// Elaboration options.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ElaborateOptions {
-    /// If `true` (default), `X` instances are flattened recursively down
-    /// to primitive devices. If `false`, each `X` instance becomes a
-    /// composite device whose type is the subcircuit name and whose
-    /// terminals are its ports (each port its own equivalence class).
-    pub flatten: bool,
-    /// Additional net names treated as global even without `.global`
-    /// (defaults: `vdd`, `vss`, `gnd`, `vcc`, `0`).
-    pub implicit_globals: Vec<String>,
-}
-
-impl Default for ElaborateOptions {
-    fn default() -> Self {
-        Self {
-            flatten: true,
-            implicit_globals: ["vdd", "vss", "gnd", "vcc", "0"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        }
-    }
-}
-
-impl ElaborateOptions {
-    /// Hierarchical (non-flattening) elaboration.
-    pub fn hierarchical() -> Self {
-        Self {
-            flatten: false,
-            ..Self::default()
-        }
-    }
-}
+/// Net names global in every deck, without `.global`.
+const IMPLICIT_GLOBALS: [&str; 5] = ["vdd", "vss", "gnd", "vcc", "0"];
 
 /// What decides a card's device type: equal keys mean equal types.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -63,93 +31,11 @@ enum TypeKey<'d> {
     Subckt(usize),
 }
 
-/// A netlist under construction, with what this elaborator has already
-/// established about it.
-struct Builder<'d> {
-    nl: Netlist,
-    /// Types registered so far. Only the first card of a type goes
-    /// through `Netlist::add_type` (so its errors are unchanged); later
-    /// ones reuse the id.
-    types: Vec<(TypeKey<'d>, DeviceTypeId)>,
-    /// Per net id: already checked against the global set.
-    checked: Vec<bool>,
-}
-
-impl<'d> Builder<'d> {
-    fn new(nl: Netlist) -> Self {
-        Self {
-            nl,
-            types: Vec::new(),
-            checked: Vec::new(),
-        }
-    }
-
-    fn ty(
-        &mut self,
-        key: TypeKey<'d>,
-        make: impl FnOnce() -> Result<DeviceType, SpiceError>,
-    ) -> Result<DeviceTypeId, SpiceError> {
-        if let Some(&(_, id)) = self.types.iter().find(|(k, _)| *k == key) {
-            return Ok(id);
-        }
-        let id = self.nl.add_type(make()?)?;
-        self.types.push((key, id));
-        Ok(id)
-    }
-
-    /// The net named `name`, created if new, marked global the first
-    /// time this elaborator sees it if the name is global.
-    fn net(&mut self, name: &str, globals: &HashSet<String>) -> NetId {
-        let id = self.nl.net(name);
-        let i = id.index();
-        if i >= self.checked.len() {
-            self.checked.resize(i + 1, false);
-        }
-        if !self.checked[i] {
-            self.checked[i] = true;
-            if globals.contains(name) {
-                self.nl.mark_global(id);
-            }
-        }
-        id
-    }
-}
-
-/// One netlist on the worklist: its cards and how far it has got.
-struct Frame<'d> {
-    /// The subcircuit being elaborated; `None` for the top level.
-    cell: Option<usize>,
-    cards: &'d [Card],
-    next: usize,
-    /// Started when the first card adds to it, so the frames of a chain
-    /// waiting on the cells below them hold no netlist.
-    out: Option<Box<Builder<'d>>>,
-}
-
-struct Elaborator<'d> {
+/// A deck as the flattener sees it.
+struct Spice<'g, 'd> {
     doc: &'d SpiceDoc,
-    /// `ElaborateOptions::flatten`.
-    flatten: bool,
-    /// Subcircuit name → index in `doc.subckts`; of two definitions of
-    /// one name, the later wins.
-    index: HashMap<&'d str, usize>,
-    globals: HashSet<String>,
-    /// Flatten mode, per subcircuit: its netlist once elaborated, until
-    /// the last `X` card that can instantiate it has. Boxed: a deck may
-    /// define hundreds of thousands of subcircuits.
-    cells: Vec<Option<Box<Netlist>>>,
-    /// Flatten mode, per subcircuit: `X` cards in the deck that name it
-    /// and have not been elaborated yet.
-    uses: Vec<u32>,
-    /// Per subcircuit: on the worklist now, so meeting it again is a
-    /// cycle.
-    open: Vec<bool>,
-    /// Devices `instantiate` has created so far.
-    instantiated: u64,
-    /// Name bytes `instantiate` has minted so far.
-    minted: u64,
-    /// An `X` card's nets, reused from card to card.
-    bindings: Vec<NetId>,
+    /// `.global` nets and the implicit ones.
+    globals: &'g HashSet<String>,
 }
 
 fn mos_type_name(model: &str) -> &'static str {
@@ -168,131 +54,68 @@ fn bjt_type_name(model: &str) -> &'static str {
     }
 }
 
-impl<'d> Elaborator<'d> {
-    fn new(doc: &'d SpiceDoc, opts: &ElaborateOptions) -> Self {
-        let mut globals: HashSet<String> =
-            doc.globals.iter().map(|s| s.to_ascii_lowercase()).collect();
-        globals.extend(opts.implicit_globals.iter().map(|s| s.to_ascii_lowercase()));
-        let index: HashMap<&str, usize> = doc
-            .subckts
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.name.as_str(), i))
-            .collect();
-        let n = doc.subckts.len();
-        let mut uses = vec![0u32; n];
-        if opts.flatten {
-            let bodies = doc.subckts.iter().flat_map(|d| &d.cards);
-            for card in doc.top.iter().chain(bodies) {
-                if let Card::Instance { subckt, .. } = *card {
-                    if let Some(&i) = index.get(doc.str(subckt)) {
-                        uses[i] += 1;
-                    }
-                }
-            }
-        }
-        Self {
-            doc,
-            flatten: opts.flatten,
-            index,
-            globals,
-            cells: vec![None; n],
-            uses,
-            open: vec![false; n],
-            instantiated: 0,
-            minted: 0,
-            bindings: Vec::new(),
-        }
+// The hooks the flattener calls per card are `#[inline]`, as the
+// builder's methods are (see `Builder`).
+impl<'g, 'd> FrontEnd<'d> for Spice<'g, 'd> {
+    type Item = Card;
+    type Key = TypeKey<'d>;
+    type Globals = &'g HashSet<String>;
+    type Error = SpiceError;
+    const LAST_DEFINITION_WINS: bool = true;
+
+    fn cell_count(&self) -> usize {
+        self.doc.subckts.len()
     }
 
-    /// Puts subcircuit `i` on the worklist.
-    fn open_cell(&mut self, i: usize) -> Frame<'d> {
-        self.open[i] = true;
-        Frame {
-            cell: Some(i),
-            cards: &self.doc.subckts[i].cards,
-            next: 0,
-            out: None,
-        }
+    fn cell_name(&self, cell: usize) -> &'d str {
+        &self.doc.subckts[cell].name
     }
 
-    /// Subcircuit `i`'s netlist as it starts: its ports, marked.
-    fn start_cell(&self, i: usize) -> Box<Builder<'d>> {
-        let def = &self.doc.subckts[i];
-        let mut out = Builder::new(Netlist::new(def.name.clone()));
-        for p in &def.ports {
-            let id = out.net(p, &self.globals);
-            out.nl.mark_port(id);
-        }
-        Box::new(out)
+    fn body(&self, cell: usize) -> &'d [Card] {
+        &self.doc.subckts[cell].cards
     }
 
-    /// Elaborates `root`, first elaborating each cell it reaches the
-    /// first time one of its `X` cards needs it.
-    fn run(&mut self, root: Frame<'d>) -> Result<Netlist, SpiceError> {
-        let mut stack = vec![root];
-        loop {
-            let frame = stack.last_mut().expect("the root stays until it returns");
-            if let Some(card) = frame.cards.get(frame.next) {
-                if let Some(sub) = self.waits_on(card)? {
-                    let child = self.open_cell(sub);
-                    stack.push(child);
-                    continue;
-                }
-                let cell = frame.cell;
-                let out = frame.out.get_or_insert_with(|| {
-                    self.start_cell(cell.expect("the top level starts with its netlist"))
-                });
-                self.add_card(out, card)?;
-                frame.next += 1;
-                continue;
-            }
-            let done = stack.pop().expect("checked above");
-            let cell = done.cell;
-            let out = done.out.unwrap_or_else(|| {
-                self.start_cell(cell.expect("the top level starts with its netlist"))
-            });
-            let nl = out.nl;
-            if let Some(i) = done.cell {
-                self.open[i] = false;
-            }
-            match (stack.is_empty(), done.cell) {
-                (false, Some(i)) => self.cells[i] = Some(Box::new(nl)),
-                _ => return Ok(nl),
-            }
-        }
+    fn top(&self) -> &'d [Card] {
+        &self.doc.top
     }
 
-    /// The subcircuit an `X` card must wait for: one it flattens that is
-    /// not elaborated yet (the card is retried once it is).
-    fn waits_on(&self, card: &Card) -> Result<Option<usize>, SpiceError> {
-        let Card::Instance { subckt, .. } = *card else {
-            return Ok(None);
-        };
-        let subckt = self.doc.str(subckt);
-        let &i = self
-            .index
-            .get(subckt)
-            .ok_or_else(|| SpiceError::UnknownSubckt {
-                name: subckt.to_string(),
-            })?;
-        if !self.flatten || self.cells[i].is_some() {
-            return Ok(None);
-        }
-        if self.open[i] {
-            return Err(SpiceError::RecursiveSubckt {
-                name: subckt.to_string(),
-            });
-        }
-        Ok(Some(i))
-    }
-
-    /// Adds one card to `out`; an `X` card's subcircuit is elaborated
-    /// already when it flattens ([`Elaborator::waits_on`]).
-    fn add_card(&mut self, out: &mut Builder<'d>, card: &Card) -> Result<(), SpiceError> {
+    #[inline]
+    fn target(&self, card: &'d Card) -> Option<&'d str> {
         let doc = self.doc;
-        let s = |t: Span| doc.str(t);
-        let g = &self.globals;
+        match *card {
+            Card::Instance { subckt, .. } => Some(doc.str(subckt)),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn check(&self, card: &'d Card, cell: Option<usize>) -> Result<(), SpiceError> {
+        match (card, cell) {
+            (&Card::Instance { subckt, .. }, None) => Err(SpiceError::UnknownSubckt {
+                name: self.doc.str(subckt).to_string(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    fn start(&self, cell: usize) -> Builder<TypeKey<'d>, &'g HashSet<String>> {
+        let def = &self.doc.subckts[cell];
+        let mut out = Builder::new(Netlist::new(def.name.clone()), self.globals);
+        for p in &def.ports {
+            out.port(p);
+        }
+        out
+    }
+
+    #[inline]
+    fn add(
+        &self,
+        out: &mut Builder<TypeKey<'d>, &'g HashSet<String>>,
+        card: &'d Card,
+        cell: Option<usize>,
+    ) -> Result<(), SpiceError> {
+        let doc = self.doc;
+        let s = |t| doc.str(t);
         let name = s(card.name());
         match *card {
             Card::Mos {
@@ -303,100 +126,98 @@ impl<'d> Elaborator<'d> {
                 ..
             } => {
                 let tyname = mos_type_name(s(model));
-                let ty = out.ty(TypeKey::Mos(tyname), || Ok(DeviceType::mos(tyname)))?;
-                let pins = [
-                    out.net(s(gate), g),
-                    out.net(s(source), g),
-                    out.net(s(drain), g),
-                ];
-                out.nl.add_device(name, ty, &pins)?;
+                let ty = out.ty(TypeKey::Mos(tyname), || DeviceType::mos(tyname))?;
+                out.device(name, ty, [s(gate), s(source), s(drain)])?;
             }
             Card::TwoTerminal { kind, a, b, .. } => {
                 let ty = out.ty(TypeKey::TwoTerminal(kind), || {
-                    Ok(DeviceType::two_terminal(kind))
+                    DeviceType::two_terminal(kind)
                 })?;
-                let pins = [out.net(s(a), g), out.net(s(b), g)];
-                out.nl.add_device(name, ty, &pins)?;
+                out.device(name, ty, [s(a), s(b)])?;
             }
             Card::Diode { p, n, model, .. } => {
                 let model = s(model);
                 let ty = out.ty(TypeKey::Diode(model), || {
-                    Ok(DeviceType::polarized(if model.is_empty() {
+                    DeviceType::polarized(if model.is_empty() {
                         "diode".to_string()
                     } else {
                         format!("diode:{model}")
-                    }))
+                    })
                 })?;
-                let pins = [out.net(s(p), g), out.net(s(n), g)];
-                out.nl.add_device(name, ty, &pins)?;
+                out.device(name, ty, [s(p), s(n)])?;
             }
             Card::Bjt { c, b, e, model, .. } => {
                 let tyname = bjt_type_name(s(model));
-                let ty = out.ty(TypeKey::Bjt(tyname), || Ok(DeviceType::bjt(tyname)))?;
-                let pins = [out.net(s(c), g), out.net(s(b), g), out.net(s(e), g)];
-                out.nl.add_device(name, ty, &pins)?;
+                let ty = out.ty(TypeKey::Bjt(tyname), || DeviceType::bjt(tyname))?;
+                out.device(name, ty, [s(c), s(b), s(e)])?;
             }
-            Card::Instance { nets, subckt, .. } => {
+            Card::Instance { nets, .. } => {
+                // Not flattening: a composite device of the subcircuit.
+                let i = cell.expect("check refused unknown subcircuits");
+                let def = &doc.subckts[i];
+                let ty = out.try_ty(TypeKey::Subckt(i), || {
+                    let terms = def
+                        .ports
+                        .iter()
+                        .map(|p| TerminalSpec::new(p.clone(), p.clone()))
+                        .collect();
+                    DeviceType::try_new(def.name.clone(), terms)
+                        .map_err(|detail| SpiceError::Parse { line: 0, detail })
+                })?;
                 let nets = doc.instance_nets(nets);
-                let subckt = s(subckt);
-                let i = self.index[subckt];
-                if !self.flatten {
-                    let def = &doc.subckts[i];
-                    let ty = out.ty(TypeKey::Subckt(i), || {
-                        let terms = def
-                            .ports
-                            .iter()
-                            .map(|p| TerminalSpec::new(p.clone(), p.clone()))
-                            .collect();
-                        DeviceType::try_new(def.name.clone(), terms)
-                            .map_err(|detail| SpiceError::Parse { line: 0, detail })
-                    })?;
-                    if nets.len() != def.ports.len() {
-                        return Err(SpiceError::Parse {
-                            line: 0,
-                            detail: format!(
-                                "instance `{name}` has {} nets, subckt `{}` has {} ports",
-                                nets.len(),
-                                def.name,
-                                def.ports.len()
-                            ),
-                        });
-                    }
-                    let pins: Vec<_> = nets.iter().map(|&n| out.net(s(n), g)).collect();
-                    out.nl.add_device(name, ty, &pins)?;
-                    return Ok(());
-                }
-                let cell = self.cells[i].as_ref().expect("waits_on saw it elaborated");
-                self.bindings.clear();
-                self.bindings.extend(nets.iter().map(|&n| out.net(s(n), g)));
-                let devices = self.instantiated + cell.device_count() as u64;
-                if devices > MAX_INSTANTIATED_DEVICES {
-                    return Err(SpiceError::ExpansionLimit {
-                        name: subckt.to_string(),
-                        devices,
+                if nets.len() != def.ports.len() {
+                    return Err(SpiceError::Parse {
+                        line: 0,
+                        detail: format!(
+                            "instance `{name}` has {} nets, subckt `{}` has {} ports",
+                            nets.len(),
+                            def.name,
+                            def.ports.len()
+                        ),
                     });
                 }
-                let bytes = self.minted + minted_name_bytes(cell, name);
-                if bytes > MAX_INSTANTIATED_NAME_BYTES {
-                    return Err(SpiceError::NameLimit {
-                        name: subckt.to_string(),
-                        bytes,
-                    });
-                }
-                instantiate(&mut out.nl, cell, name, &self.bindings)?;
-                self.instantiated = devices;
-                self.minted = bytes;
-                self.uses[i] -= 1;
-                if self.uses[i] == 0 {
-                    self.cells[i] = None;
-                }
+                out.device(name, ty, nets.iter().map(|&n| s(n)))?;
             }
         }
         Ok(())
     }
+
+    fn bind(
+        &self,
+        out: &mut Builder<TypeKey<'d>, &'g HashSet<String>>,
+        card: &'d Card,
+        _cell: usize,
+    ) -> Result<&'d str, SpiceError> {
+        let doc = self.doc;
+        let Card::Instance { name, nets, .. } = *card else {
+            unreachable!("only `X` cards name subcircuits");
+        };
+        out.bind(doc.instance_nets(nets).iter().map(|&n| doc.str(n)));
+        Ok(doc.str(name))
+    }
+}
+
+impl From<FlattenError> for SpiceError {
+    fn from(e: FlattenError) -> Self {
+        match e {
+            FlattenError::Recursive { name } => SpiceError::RecursiveSubckt { name },
+            FlattenError::Devices { name, devices } => SpiceError::ExpansionLimit { name, devices },
+            FlattenError::Names { name, bytes } => SpiceError::NameLimit { name, bytes },
+        }
+    }
 }
 
 impl SpiceDoc {
+    /// `f` of this deck as the flattener sees it.
+    fn flatten<T>(&self, f: impl FnOnce(&Spice<'_, '_>) -> T) -> T {
+        let declared = self.globals.iter().map(|s| s.to_ascii_lowercase());
+        let globals = declared.chain(IMPLICIT_GLOBALS.map(String::from)).collect();
+        f(&Spice {
+            doc: self,
+            globals: &globals,
+        })
+    }
+
     /// Elaborates the top-level cards into a netlist named `name`.
     ///
     /// # Errors
@@ -421,18 +242,12 @@ impl SpiceDoc {
         name: &str,
         opts: &ElaborateOptions,
     ) -> Result<Netlist, SpiceError> {
-        let mut el = Elaborator::new(self, opts);
         let mut nl = Netlist::new(name);
         // Exact for a flat deck. Nets are not reserved: they number
         // about half the cards, and an oversized name map would be
         // copied into every clone of the netlist.
         nl.reserve_devices(self.top.len());
-        el.run(Frame {
-            cell: None,
-            cards: &self.top,
-            next: 0,
-            out: Some(Box::new(Builder::new(nl))),
-        })
+        self.flatten(|spice| flatten_top(spice, opts, Builder::new(nl, spice.globals)))
     }
 
     /// Elaborates the subcircuit `name` into a standalone cell netlist
@@ -448,15 +263,13 @@ impl SpiceDoc {
         name: &str,
         opts: &ElaborateOptions,
     ) -> Result<Netlist, SpiceError> {
-        if self.subckt(name).is_none() {
+        let lower = name.to_ascii_lowercase();
+        let Some(cell) = self.subckts.iter().rposition(|s| s.name == lower) else {
             return Err(SpiceError::UnknownCell {
                 name: name.to_string(),
             });
-        }
-        let mut el = Elaborator::new(self, opts);
-        let i = el.index[name.to_ascii_lowercase().as_str()];
-        let root = el.open_cell(i);
-        el.run(root)
+        };
+        self.flatten(|spice| flatten_cell(spice, opts, cell))
     }
 
     /// Elaborates every subcircuit, in definition order, through one
@@ -483,39 +296,7 @@ impl SpiceDoc {
     /// # Ok::<(), subgemini_spice::SpiceError>(())
     /// ```
     pub fn elaborate_cells(&self, opts: &ElaborateOptions) -> Result<Vec<Netlist>, SpiceError> {
-        let mut el = Elaborator::new(self, opts);
-        // Every cell is also an output: keep them all.
-        el.uses.fill(u32::MAX);
-        let order: Vec<usize> = self
-            .subckts
-            .iter()
-            .map(|d| el.index[d.name.as_str()])
-            .collect();
-        for &i in &order {
-            if el.cells[i].is_none() {
-                let root = el.open_cell(i);
-                el.cells[i] = Some(Box::new(el.run(root)?));
-            }
-        }
-        // A name defined twice resolves to its last definition both
-        // times: clone for all but the last position that wants it.
-        let mut wanted = vec![0usize; self.subckts.len()];
-        for &i in &order {
-            wanted[i] += 1;
-        }
-        Ok(order
-            .iter()
-            .map(|&i| {
-                wanted[i] -= 1;
-                let cell = &mut el.cells[i];
-                let cell = if wanted[i] == 0 {
-                    cell.take()
-                } else {
-                    cell.clone()
-                };
-                *cell.expect("elaborated above")
-            })
-            .collect())
+        self.flatten(|spice| flatten_cells(spice, opts))
     }
 }
 
@@ -523,6 +304,7 @@ impl SpiceDoc {
 mod tests {
     use super::*;
     use crate::parse::parse;
+    use subgemini_netlist::{MAX_INSTANTIATED_DEVICES, MAX_INSTANTIATED_NAME_BYTES};
 
     const DECK: &str = "\
 .global vdd gnd

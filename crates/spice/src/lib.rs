@@ -42,8 +42,8 @@ mod parse;
 mod write;
 
 pub use card::SubcktDef;
-pub use elaborate::ElaborateOptions;
 pub use error::SpiceError;
 pub use include::parse_file;
 pub use parse::{parse, SpiceDoc};
+pub use subgemini_netlist::ElaborateOptions;
 pub use write::{write_hierarchical, write_netlist};

@@ -194,8 +194,8 @@ fn device_card(netlist: &Netlist, d: DeviceId) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elaborate::ElaborateOptions;
     use crate::parse::parse;
+    use crate::ElaborateOptions;
     use subgemini_netlist::{DeviceType, NetlistStats, TerminalSpec};
 
     fn mixed_netlist() -> Netlist {

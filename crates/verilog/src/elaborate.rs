@@ -1,47 +1,23 @@
 //! Elaboration: turning parsed Verilog into [`Netlist`]s.
+//!
+//! A source elaborates through the one flattener in `subgemini-netlist`
+//! ([`flatten_cell`], [`flatten_cells`]); this module supplies what is
+//! Verilog's own: a name resolves to its first module, each module's
+//! supplies are its global nets, how each instance is added, and a
+//! finished module drops the wires nothing connects.
 
 use std::collections::{HashMap, HashSet};
 
 use subgemini_netlist::{
-    instantiate, minted_name_bytes, DeviceType, NetId, Netlist, TerminalSpec,
-    MAX_INSTANTIATED_DEVICES, MAX_INSTANTIATED_NAME_BYTES,
+    flatten_cell, flatten_cells, Builder, DeviceType, ElaborateOptions, FlattenError, FrontEnd,
+    Netlist, TerminalSpec,
 };
 
 use crate::ast::{is_primitive, Conns, Instance, Module, Source};
 use crate::error::VerilogError;
 
-/// Elaboration options.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VerilogOptions {
-    /// Flatten module instances recursively (default) or keep them as
-    /// composite devices.
-    pub flatten: bool,
-    /// Net names treated as global even without `supply0`/`supply1`
-    /// declarations.
-    pub implicit_globals: Vec<String>,
-}
-
-impl Default for VerilogOptions {
-    fn default() -> Self {
-        Self {
-            flatten: true,
-            implicit_globals: ["vdd", "vss", "gnd", "vcc"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        }
-    }
-}
-
-impl VerilogOptions {
-    /// Hierarchical (non-flattening) elaboration.
-    pub fn hierarchical() -> Self {
-        Self {
-            flatten: false,
-            ..Self::default()
-        }
-    }
-}
+/// Net names global in every module, without a supply declaration.
+const IMPLICIT_GLOBALS: [&str; 4] = ["vdd", "vss", "gnd", "vcc"];
 
 /// The device type for a gate primitive of the given input arity:
 /// output terminal `y` in its own class, inputs `i1…iN` in a shared
@@ -56,16 +32,6 @@ pub fn primitive_type(gate: &str, inputs: usize) -> DeviceType {
         terms.push(TerminalSpec::new(format!("i{i}"), "i"));
     }
     DeviceType::new(name, terms)
-}
-
-/// The net named `name`, created if new and marked global if `globals`
-/// names it.
-fn net(nl: &mut Netlist, globals: &HashSet<&str>, name: &str) -> NetId {
-    let id = nl.net(name);
-    if globals.contains(name) {
-        nl.mark_global(id);
-    }
-    id
 }
 
 /// An instance's connection nets in `def`'s port order, or the error
@@ -107,184 +73,73 @@ fn port_order<'i>(inst: &'i Instance, def: &Module) -> Result<Vec<&'i str>, Veri
     })
 }
 
-/// One module on the worklist: the next instance to add, and the
-/// module's netlist once an instance has been added to it.
-struct Frame<'a> {
-    /// Index of the module in `Source::modules`.
-    module: usize,
-    next: usize,
-    /// Started when the first instance adds to it, so the frames of a
-    /// chain waiting on the modules below them hold no netlist.
-    out: Option<Box<Started<'a>>>,
+/// What decides an instance's device type: equal keys mean equal types.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum TypeKey<'d> {
+    /// A gate primitive and its input count.
+    Gate(&'d str, usize),
+    /// A composite device: the module's index.
+    Module(usize),
 }
 
-/// A module's netlist under construction.
-struct Started<'a> {
-    /// Its supply nets and the implicit globals.
-    globals: HashSet<&'a str>,
-    nl: Netlist,
+/// A source as the flattener sees it.
+struct Verilog<'d> {
+    src: &'d Source,
 }
 
-/// Modules elaborate from an explicit worklist rather than by
-/// recursion, so hierarchy depth costs heap, not stack; the visiting
-/// order is the depth-first order a recursive walk would take.
-struct Elaborator<'a> {
-    src: &'a Source,
-    opts: &'a VerilogOptions,
-    /// Module name → index of its first definition (the one
-    /// [`Source::module`] finds).
-    index: HashMap<&'a str, usize>,
-    /// Per module: its netlist once elaborated (flatten mode), until
-    /// the last instance that can flatten it has. Boxed: a source may
-    /// define hundreds of thousands of modules.
-    cells: Vec<Option<Box<Netlist>>>,
-    /// Flatten mode, per module: instances in the source that name it
-    /// and have not been flattened yet.
-    uses: Vec<u32>,
-    /// Per module: on the worklist now, so meeting it again is a cycle.
-    open: Vec<bool>,
-    /// Devices `instantiate` has created so far.
-    instantiated: u64,
-    /// Name bytes `instantiate` has minted so far.
-    minted: u64,
-}
+type Started<'d> = Builder<TypeKey<'d>, HashSet<&'d str>>;
 
-impl<'a> Elaborator<'a> {
-    fn new(src: &'a Source, opts: &'a VerilogOptions) -> Self {
-        let mut index = HashMap::new();
-        for (i, m) in src.modules.iter().enumerate() {
-            index.entry(m.name.as_str()).or_insert(i);
-        }
-        let n = src.modules.len();
-        let mut uses = vec![0u32; n];
-        if opts.flatten {
-            for inst in src.modules.iter().flat_map(|m| &m.instances) {
-                if is_primitive(&inst.module) {
-                    continue;
-                }
-                if let Some(&i) = index.get(inst.module.as_str()) {
-                    uses[i] += 1;
-                }
-            }
-        }
-        Self {
-            src,
-            opts,
-            index,
-            cells: vec![None; n],
-            uses,
-            open: vec![false; n],
-            instantiated: 0,
-            minted: 0,
+impl<'d> FrontEnd<'d> for Verilog<'d> {
+    type Item = Instance;
+    type Key = TypeKey<'d>;
+    type Globals = HashSet<&'d str>;
+    type Error = VerilogError;
+    const LAST_DEFINITION_WINS: bool = false;
+
+    fn cell_count(&self) -> usize {
+        self.src.modules.len()
+    }
+
+    fn cell_name(&self, cell: usize) -> &'d str {
+        &self.src.modules[cell].name
+    }
+
+    fn body(&self, cell: usize) -> &'d [Instance] {
+        &self.src.modules[cell].instances
+    }
+
+    fn target(&self, inst: &'d Instance) -> Option<&'d str> {
+        (!is_primitive(&inst.module)).then_some(inst.module.as_str())
+    }
+
+    fn check(&self, inst: &'d Instance, cell: Option<usize>) -> Result<(), VerilogError> {
+        match cell {
+            Some(cell) => port_order(inst, &self.src.modules[cell]).map(drop),
+            None => Ok(()),
         }
     }
 
-    /// Puts module `i` on the worklist.
-    fn open_module(&mut self, i: usize) -> Frame<'a> {
-        self.open[i] = true;
-        Frame {
-            module: i,
-            next: 0,
-            out: None,
-        }
-    }
-
-    /// Module `i`'s netlist as it starts: its ports, wires and supplies
-    /// declared.
-    fn start_module(&self, i: usize) -> Box<Started<'a>> {
-        let m = &self.src.modules[i];
-        let globals: HashSet<&str> = m
-            .supply0
-            .iter()
-            .chain(m.supply1.iter())
-            .map(String::as_str)
-            .chain(self.opts.implicit_globals.iter().map(String::as_str))
-            .collect();
-        let mut nl = Netlist::new(m.name.clone());
+    /// Module `cell`'s netlist as it starts: its ports, wires and
+    /// supplies declared.
+    fn start(&self, cell: usize) -> Started<'d> {
+        let m = &self.src.modules[cell];
+        let supplies = m.supply0.iter().chain(&m.supply1).map(String::as_str);
+        let globals = supplies.clone().chain(IMPLICIT_GLOBALS).collect();
+        let mut out = Builder::new(Netlist::new(m.name.clone()), globals);
         for p in &m.ports {
-            let id = net(&mut nl, &globals, p);
-            nl.mark_port(id);
+            out.port(p);
         }
-        for w in m
-            .wires
-            .iter()
-            .chain(m.supply0.iter())
-            .chain(m.supply1.iter())
-        {
-            net(&mut nl, &globals, w);
+        for w in m.wires.iter().map(String::as_str).chain(supplies) {
+            out.net(w);
         }
-        Box::new(Started { globals, nl })
+        out
     }
 
-    /// Elaborates module `root`, first elaborating each module it
-    /// flattens the first time one of its instances needs it.
-    fn run(&mut self, root: usize) -> Result<Netlist, VerilogError> {
-        let mut stack = vec![self.open_module(root)];
-        loop {
-            let frame = stack.last_mut().expect("the root stays until it returns");
-            if let Some(inst) = self.src.modules[frame.module].instances.get(frame.next) {
-                if let Some(sub) = self.waits_on(inst)? {
-                    let child = self.open_module(sub);
-                    stack.push(child);
-                    continue;
-                }
-                let module = frame.module;
-                let out = frame.out.get_or_insert_with(|| self.start_module(module));
-                self.add_instance(&mut out.nl, &out.globals, inst)?;
-                frame.next += 1;
-                continue;
-            }
-            let done = stack.pop().expect("checked above");
-            self.open[done.module] = false;
-            let out = done.out.unwrap_or_else(|| self.start_module(done.module));
-            // Wires may be declared but unused; match the SPICE
-            // pipeline's normalization and drop them.
-            let nl = out.nl.compact();
-            if stack.is_empty() {
-                return Ok(nl);
-            }
-            self.cells[done.module] = Some(Box::new(nl));
-        }
-    }
-
-    /// Module `i`'s netlist, elaborated on first use and memoized.
-    fn cell(&mut self, i: usize) -> Result<&Netlist, VerilogError> {
-        if self.cells[i].is_none() {
-            let nl = self.run(i)?;
-            self.cells[i] = Some(Box::new(nl));
-        }
-        Ok(self.cells[i].as_deref().expect("elaborated above"))
-    }
-
-    /// The module a flattened instance must wait for: one not elaborated
-    /// yet (the instance is retried once it is). Its port errors come
-    /// first, as when the instance is added.
-    fn waits_on(&self, inst: &Instance) -> Result<Option<usize>, VerilogError> {
-        if !self.opts.flatten || is_primitive(&inst.module) {
-            return Ok(None);
-        }
-        let Some(&sub) = self.index.get(inst.module.as_str()) else {
-            return Ok(None);
-        };
-        if self.cells[sub].is_some() {
-            return Ok(None);
-        }
-        port_order(inst, &self.src.modules[sub])?;
-        if self.open[sub] {
-            return Err(VerilogError::RecursiveModule {
-                name: inst.module.clone(),
-            });
-        }
-        Ok(Some(sub))
-    }
-
-    /// Adds one instance to `nl`; a flattened instance's module is
-    /// elaborated already ([`Elaborator::waits_on`]).
-    fn add_instance(
-        &mut self,
-        nl: &mut Netlist,
-        globals: &HashSet<&str>,
-        inst: &Instance,
+    fn add(
+        &self,
+        out: &mut Started<'d>,
+        inst: &'d Instance,
+        cell: Option<usize>,
     ) -> Result<(), VerilogError> {
         if is_primitive(&inst.module) {
             let Conns::Positional(nets) = &inst.conns else {
@@ -296,99 +151,93 @@ impl<'a> Elaborator<'a> {
                     ),
                 });
             };
-            let min = if matches!(inst.module.as_str(), "not" | "buf") {
-                2
-            } else {
-                3
-            };
-            if nets.len() < min {
+            let unary = matches!(inst.module.as_str(), "not" | "buf");
+            let min = if unary { 2 } else { 3 };
+            if nets.len() < min || (unary && nets.len() != 2) {
                 return Err(VerilogError::PortCountMismatch {
                     instance: inst.name.clone(),
                     expected: min,
                     got: nets.len(),
                 });
             }
-            if matches!(inst.module.as_str(), "not" | "buf") && nets.len() != 2 {
-                return Err(VerilogError::PortCountMismatch {
-                    instance: inst.name.clone(),
-                    expected: 2,
-                    got: nets.len(),
-                });
-            }
-            let ty = nl.add_type(primitive_type(&inst.module, nets.len() - 1))?;
-            let pins: Vec<NetId> = nets.iter().map(|n| net(nl, globals, n)).collect();
-            nl.add_device(&inst.name, ty, &pins)?;
+            let inputs = nets.len() - 1;
+            let ty = out.ty(TypeKey::Gate(&inst.module, inputs), || {
+                primitive_type(&inst.module, inputs)
+            })?;
+            out.device(&inst.name, ty, nets.iter().map(String::as_str))?;
             return Ok(());
         }
-        let Some(&sub) = self.index.get(inst.module.as_str()) else {
+        let Some(cell) = cell else {
             // Unknown module: with *named* connections we can still
             // synthesize a composite device type from the port names —
             // this lets a single gate-level module (as written by
             // [`write_module`](crate::write_module)) stand alone
-            // without leaf definitions.
-            if let Conns::Named(pairs) = &inst.conns {
-                let terms: Vec<TerminalSpec> = pairs
-                    .iter()
-                    .map(|(p, _)| TerminalSpec::new(p.clone(), p.clone()))
-                    .collect();
-                let ty = nl.add_type(DeviceType::try_new(inst.module.clone(), terms).map_err(
-                    |detail| VerilogError::Parse {
-                        line: inst.line,
-                        detail,
-                    },
-                )?)?;
-                let pins: Vec<NetId> = pairs.iter().map(|(_, n)| net(nl, globals, n)).collect();
-                nl.add_device(&inst.name, ty, &pins)?;
-                return Ok(());
-            }
-            return Err(VerilogError::UnknownModule {
-                name: inst.module.clone(),
-            });
+            // without leaf definitions. The type follows this
+            // instance's connection order, so it is registered every
+            // time: two orders conflict.
+            let Conns::Named(pairs) = &inst.conns else {
+                return Err(VerilogError::UnknownModule {
+                    name: inst.module.clone(),
+                });
+            };
+            let terms = pairs
+                .iter()
+                .map(|(p, _)| TerminalSpec::new(p.clone(), p.clone()))
+                .collect();
+            let ty = DeviceType::try_new(inst.module.clone(), terms).map_err(|detail| {
+                VerilogError::Parse {
+                    line: inst.line,
+                    detail,
+                }
+            })?;
+            let ty = out.add_type(ty)?;
+            out.device(&inst.name, ty, pairs.iter().map(|(_, n)| n.as_str()))?;
+            return Ok(());
         };
-        let def = &self.src.modules[sub];
+        // Not flattening: a composite device of the module.
+        let def = &self.src.modules[cell];
         let ordered = port_order(inst, def)?;
-        if self.opts.flatten {
-            let cell = self.cells[sub]
-                .as_deref()
-                .expect("waits_on saw it elaborated");
-            let devices = self.instantiated + cell.device_count() as u64;
-            if devices > MAX_INSTANTIATED_DEVICES {
-                return Err(VerilogError::ExpansionLimit {
-                    name: inst.module.clone(),
-                    devices,
-                });
-            }
-            let bytes = self.minted + minted_name_bytes(cell, &inst.name);
-            if bytes > MAX_INSTANTIATED_NAME_BYTES {
-                return Err(VerilogError::NameLimit {
-                    name: inst.module.clone(),
-                    bytes,
-                });
-            }
-            let bindings: Vec<NetId> = ordered.iter().map(|n| net(nl, globals, n)).collect();
-            instantiate(nl, cell, &inst.name, &bindings)?;
-            self.instantiated = devices;
-            self.minted = bytes;
-            self.uses[sub] -= 1;
-            if self.uses[sub] == 0 {
-                self.cells[sub] = None;
-            }
-        } else {
-            let terms: Vec<TerminalSpec> = def
+        let ty = out.try_ty(TypeKey::Module(cell), || {
+            let terms = def
                 .ports
                 .iter()
                 .map(|p| TerminalSpec::new(p.clone(), p.clone()))
                 .collect();
-            let ty = nl.add_type(DeviceType::try_new(def.name.clone(), terms).map_err(
-                |detail| VerilogError::Parse {
-                    line: inst.line,
-                    detail,
-                },
-            )?)?;
-            let pins: Vec<NetId> = ordered.iter().map(|n| net(nl, globals, n)).collect();
-            nl.add_device(&inst.name, ty, &pins)?;
-        }
+            DeviceType::try_new(def.name.clone(), terms).map_err(|detail| VerilogError::Parse {
+                line: inst.line,
+                detail,
+            })
+        })?;
+        out.device(&inst.name, ty, ordered)?;
         Ok(())
+    }
+
+    fn bind(
+        &self,
+        out: &mut Started<'d>,
+        inst: &'d Instance,
+        cell: usize,
+    ) -> Result<&'d str, VerilogError> {
+        out.bind(port_order(inst, &self.src.modules[cell])?);
+        Ok(&inst.name)
+    }
+
+    /// Wires may be declared but unused; match the SPICE pipeline's
+    /// normalization and drop them.
+    fn finish(&self, nl: Netlist) -> Netlist {
+        nl.compact()
+    }
+}
+
+impl From<FlattenError> for VerilogError {
+    fn from(e: FlattenError) -> Self {
+        match e {
+            FlattenError::Recursive { name } => VerilogError::RecursiveModule { name },
+            FlattenError::Devices { name, devices } => {
+                VerilogError::ExpansionLimit { name, devices }
+            }
+            FlattenError::Names { name, bytes } => VerilogError::NameLimit { name, bytes },
+        }
     }
 }
 
@@ -405,7 +254,7 @@ impl Source {
     /// # Examples
     ///
     /// ```
-    /// use subgemini_verilog::{parse, VerilogOptions};
+    /// use subgemini_verilog::{parse, ElaborateOptions};
     ///
     /// let src = parse(
     ///     "module top(input a, output y);\n\
@@ -414,14 +263,14 @@ impl Source {
     ///        not g2(y, w);\n\
     ///      endmodule\n",
     /// )?;
-    /// let nl = src.elaborate(None, &VerilogOptions::default())?;
+    /// let nl = src.elaborate(None, &ElaborateOptions::default())?;
     /// assert_eq!(nl.device_count(), 2);
     /// # Ok::<(), subgemini_verilog::VerilogError>(())
     /// ```
     pub fn elaborate(
         &self,
         name: Option<&str>,
-        opts: &VerilogOptions,
+        opts: &ElaborateOptions,
     ) -> Result<Netlist, VerilogError> {
         let module = match name {
             Some(n) => self.module(n).ok_or_else(|| VerilogError::UnknownTop {
@@ -431,8 +280,13 @@ impl Source {
                 name: "<inferred top>".to_string(),
             })?,
         };
-        let mut el = Elaborator::new(self, opts);
-        el.run(el.index[module.name.as_str()])
+        // The first definition of its name, as every name resolves.
+        let cell = self
+            .modules
+            .iter()
+            .position(|m| m.name == module.name)
+            .expect("found above");
+        flatten_cell(&Verilog { src: self }, opts, cell)
     }
 
     /// Elaborates every module, in definition order, through one memo:
@@ -449,25 +303,19 @@ impl Source {
     /// # Examples
     ///
     /// ```
-    /// use subgemini_verilog::{parse, VerilogOptions};
+    /// use subgemini_verilog::{parse, ElaborateOptions};
     ///
     /// let src = parse(
     ///     "module inv(input a, output y);\nnot g(y, a);\nendmodule\n\
     ///      module buf2(input a, output y);\nwire m;\ninv u1(a, m);\ninv u2(m, y);\nendmodule\n",
     /// )?;
-    /// let cells = src.elaborate_cells(&VerilogOptions::default())?;
+    /// let cells = src.elaborate_cells(&ElaborateOptions::default())?;
     /// let sizes: Vec<usize> = cells.iter().map(|c| c.device_count()).collect();
     /// assert_eq!(sizes, [1, 2]);
     /// # Ok::<(), subgemini_verilog::VerilogError>(())
     /// ```
-    pub fn elaborate_cells(&self, opts: &VerilogOptions) -> Result<Vec<Netlist>, VerilogError> {
-        let mut el = Elaborator::new(self, opts);
-        // Every module is also an output: keep them all.
-        el.uses.fill(u32::MAX);
-        self.modules
-            .iter()
-            .map(|m| el.cell(el.index[m.name.as_str()]).cloned())
-            .collect()
+    pub fn elaborate_cells(&self, opts: &ElaborateOptions) -> Result<Vec<Netlist>, VerilogError> {
+        flatten_cells(&Verilog { src: self }, opts)
     }
 }
 
@@ -475,6 +323,7 @@ impl Source {
 mod tests {
     use super::*;
     use crate::parse::parse;
+    use subgemini_netlist::{MAX_INSTANTIATED_DEVICES, MAX_INSTANTIATED_NAME_BYTES};
 
     const SRC: &str = "\
 module inv(input a, output y);
@@ -493,7 +342,7 @@ endmodule
     #[test]
     fn flatten_resolves_hierarchy_and_primitives() {
         let src = parse(SRC).unwrap();
-        let nl = src.elaborate(None, &VerilogOptions::default()).unwrap();
+        let nl = src.elaborate(None, &ElaborateOptions::default()).unwrap();
         assert_eq!(nl.name(), "top");
         assert_eq!(nl.device_count(), 3); // nand + 2 flattened not-gates
         assert!(nl.find_device("u1.g").is_some());
@@ -507,7 +356,7 @@ endmodule
     fn hierarchical_keeps_composites() {
         let src = parse(SRC).unwrap();
         let nl = src
-            .elaborate(Some("top"), &VerilogOptions::hierarchical())
+            .elaborate(Some("top"), &ElaborateOptions::hierarchical())
             .unwrap();
         assert_eq!(nl.device_count(), 3); // nand primitive + 2 inv composites
         let u1 = nl.find_device("u1").unwrap();
@@ -531,7 +380,7 @@ endmodule
         )
         .unwrap();
         let err = src
-            .elaborate(Some("top"), &VerilogOptions::default())
+            .elaborate(Some("top"), &ElaborateOptions::default())
             .unwrap_err();
         assert!(matches!(err, VerilogError::UnknownPort { .. }));
     }
@@ -544,7 +393,7 @@ endmodule
         )
         .unwrap();
         let err = src
-            .elaborate(Some("top"), &VerilogOptions::default())
+            .elaborate(Some("top"), &ElaborateOptions::default())
             .unwrap_err();
         assert!(matches!(err, VerilogError::PortCountMismatch { .. }));
     }
@@ -557,17 +406,17 @@ endmodule
         )
         .unwrap();
         let err = src
-            .elaborate(Some("top"), &VerilogOptions::default())
+            .elaborate(Some("top"), &ElaborateOptions::default())
             .unwrap_err();
         assert_eq!(err, VerilogError::RecursiveModule { name: "a".into() });
         // A module instantiating itself.
         let src = parse("module a(input x);\na u(x);\nendmodule\n").unwrap();
-        let err = src.elaborate(Some("a"), &VerilogOptions::default());
+        let err = src.elaborate(Some("a"), &ElaborateOptions::default());
         assert_eq!(
             err.unwrap_err(),
             VerilogError::RecursiveModule { name: "a".into() }
         );
-        let err = src.elaborate_cells(&VerilogOptions::default());
+        let err = src.elaborate_cells(&ElaborateOptions::default());
         assert_eq!(
             err.unwrap_err(),
             VerilogError::RecursiveModule { name: "a".into() }
@@ -578,7 +427,7 @@ endmodule
     fn supplies_become_globals() {
         let src = parse(SRC).unwrap();
         let inv = src
-            .elaborate(Some("inv"), &VerilogOptions::default())
+            .elaborate(Some("inv"), &ElaborateOptions::default())
             .unwrap();
         // not-gate doesn't touch the rails, so compact() drops them; but
         // an instance netlist that *uses* them keeps the global flag.
@@ -586,7 +435,7 @@ endmodule
         let src2 =
             parse("module m(input a, output y);\nsupply0 gnd;\nnand g(y, a, gnd);\nendmodule\n")
                 .unwrap();
-        let m = src2.elaborate(None, &VerilogOptions::default()).unwrap();
+        let m = src2.elaborate(None, &ElaborateOptions::default()).unwrap();
         let gnd = m.find_net("gnd").unwrap();
         assert!(m.net_ref(gnd).is_global());
     }
@@ -639,7 +488,7 @@ endmodule
         // not hold 2,000 of them.
         let worker = std::thread::Builder::new()
             .stack_size(256 * 1024)
-            .spawn(move || src.elaborate(None, &VerilogOptions::default()))
+            .spawn(move || src.elaborate(None, &ElaborateOptions::default()))
             .unwrap();
         let top = worker.join().unwrap().unwrap();
         assert_eq!(top.name(), "c2000");
@@ -652,7 +501,9 @@ endmodule
     fn doubling_source_hits_the_expansion_cap() {
         // c_k instantiates c_{k-1} twice: c40 would flatten to 2^40.
         let src = parse(&chain(40, 2)).unwrap();
-        let err = src.elaborate(None, &VerilogOptions::default()).unwrap_err();
+        let err = src
+            .elaborate(None, &ElaborateOptions::default())
+            .unwrap_err();
         // With the cap at 2^b, c1..c(b-1) instantiate 2^b - 2 devices;
         // cb's first copy of c(b-1) (2^(b-1) devices) crosses the cap.
         let cap = MAX_INSTANTIATED_DEVICES;
@@ -664,11 +515,11 @@ endmodule
         assert!(err.to_string().contains("module `c"), "{err}");
         assert!(err.to_string().contains(&cap.to_string()), "{err}");
         // The library path counts the same way.
-        let lib = src.elaborate_cells(&VerilogOptions::default());
+        let lib = src.elaborate_cells(&ElaborateOptions::default());
         assert_eq!(lib.unwrap_err(), err);
         // Hierarchical elaboration never flattens, so it is unaffected.
         let hier = src
-            .elaborate(None, &VerilogOptions::hierarchical())
+            .elaborate(None, &ElaborateOptions::hierarchical())
             .unwrap();
         assert_eq!(hier.device_count(), 2);
     }
@@ -687,7 +538,9 @@ endmodule
             "endmodule\nmodule top(input a, output y);\nwide {path}(a, y);\nendmodule\n"
         ));
         let src = parse(&text).unwrap();
-        let err = src.elaborate(None, &VerilogOptions::default()).unwrap_err();
+        let err = src
+            .elaborate(None, &ElaborateOptions::default())
+            .unwrap_err();
         let VerilogError::NameLimit { name, bytes } = &err else {
             panic!("{err}");
         };
@@ -701,11 +554,13 @@ endmodule
             "{text}"
         );
         // The library path counts the same way.
-        let lib = src.elaborate_cells(&VerilogOptions::default()).unwrap_err();
+        let lib = src
+            .elaborate_cells(&ElaborateOptions::default())
+            .unwrap_err();
         assert_eq!(lib, err);
         // Hierarchical elaboration mints no names.
         let hier = src
-            .elaborate(None, &VerilogOptions::hierarchical())
+            .elaborate(None, &ElaborateOptions::hierarchical())
             .unwrap();
         assert_eq!(hier.device_count(), 1);
     }
@@ -718,7 +573,10 @@ endmodule
             chain(3, 1)
         );
         let src = parse(&text).unwrap();
-        for opts in [VerilogOptions::default(), VerilogOptions::hierarchical()] {
+        for opts in [
+            ElaborateOptions::default(),
+            ElaborateOptions::hierarchical(),
+        ] {
             let all = src.elaborate_cells(&opts).unwrap();
             assert_eq!(all.len(), src.modules.len());
             for (cell, m) in all.iter().zip(&src.modules) {
@@ -727,7 +585,7 @@ endmodule
             }
         }
         // `inv` is defined twice: both positions get the first body.
-        let all = src.elaborate_cells(&VerilogOptions::default()).unwrap();
+        let all = src.elaborate_cells(&ElaborateOptions::default()).unwrap();
         assert_eq!(canonical(&all[4]), canonical(&all[6]));
         assert!(all[6].find_device("g").is_some());
         assert_eq!(all[6].device_types()[0].name(), "$not");
@@ -739,7 +597,8 @@ endmodule
         )
         .unwrap();
         assert_eq!(
-            bad.elaborate_cells(&VerilogOptions::default()).unwrap_err(),
+            bad.elaborate_cells(&ElaborateOptions::default())
+                .unwrap_err(),
             VerilogError::UnknownModule {
                 name: "nosuch".into()
             }

@@ -20,7 +20,7 @@
 //! # Examples
 //!
 //! ```
-//! use subgemini_verilog::{parse, VerilogOptions};
+//! use subgemini_verilog::{parse, ElaborateOptions};
 //!
 //! let src = parse(
 //!     "module majority(input a, b, c, output y);\n\
@@ -31,7 +31,7 @@
 //!        nand g4(y, w1, w2, w3);\n\
 //!      endmodule\n",
 //! )?;
-//! let nl = src.elaborate(None, &VerilogOptions::default())?;
+//! let nl = src.elaborate(None, &ElaborateOptions::default())?;
 //! assert_eq!(nl.device_count(), 4);
 //! # Ok::<(), subgemini_verilog::VerilogError>(())
 //! ```
@@ -47,7 +47,8 @@ mod parse;
 mod write;
 
 pub use ast::{Conns, Dir, Instance, Module, Source, GATE_PRIMITIVES};
-pub use elaborate::{primitive_type, VerilogOptions};
+pub use elaborate::primitive_type;
 pub use error::VerilogError;
 pub use parse::parse;
+pub use subgemini_netlist::ElaborateOptions;
 pub use write::{write_design, write_module};

@@ -18,15 +18,15 @@ use subgemini_netlist::Netlist;
 ///
 /// ```
 /// use subgemini_netlist::Netlist;
-/// use subgemini_verilog::{parse, write_module, VerilogOptions};
+/// use subgemini_verilog::{parse, write_module, ElaborateOptions};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let src = parse(
 ///     "module top(input a, output y);\nwire w;\nnand g1(w, a, a);\nnot g2(y, w);\nendmodule\n",
 /// )?;
-/// let nl = src.elaborate(None, &VerilogOptions::default())?;
+/// let nl = src.elaborate(None, &ElaborateOptions::default())?;
 /// let text = write_module(&nl);
-/// let back = parse(&text)?.elaborate(None, &VerilogOptions::default())?;
+/// let back = parse(&text)?.elaborate(None, &ElaborateOptions::default())?;
 /// assert_eq!(back.device_count(), 2);
 /// # Ok(())
 /// # }
@@ -119,8 +119,8 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elaborate::VerilogOptions;
     use crate::parse::parse;
+    use crate::ElaborateOptions;
 
     #[test]
     fn roundtrip_preserves_structure() {
@@ -129,11 +129,11 @@ mod tests {
              nand g1(w, a, b);\nxor g2(y, w, gnd);\nendmodule\n",
         )
         .unwrap();
-        let nl = src.elaborate(None, &VerilogOptions::default()).unwrap();
+        let nl = src.elaborate(None, &ElaborateOptions::default()).unwrap();
         let text = write_module(&nl);
         let back = parse(&text)
             .unwrap()
-            .elaborate(None, &VerilogOptions::default())
+            .elaborate(None, &ElaborateOptions::default())
             .unwrap();
         assert_eq!(nl.device_count(), back.device_count());
         assert_eq!(nl.net_count(), back.net_count());
@@ -151,7 +151,7 @@ mod tests {
         )
         .unwrap();
         let hier = src
-            .elaborate(Some("top"), &VerilogOptions::hierarchical())
+            .elaborate(Some("top"), &ElaborateOptions::hierarchical())
             .unwrap();
         let text = write_module(&hier);
         assert!(text.contains("inv u1(.a(x), .y(z));"), "{text}");
@@ -165,16 +165,16 @@ mod tests {
         )
         .unwrap();
         let inv = src
-            .elaborate(Some("inv"), &VerilogOptions::default())
+            .elaborate(Some("inv"), &ElaborateOptions::default())
             .unwrap();
         let top = src
-            .elaborate(Some("top"), &VerilogOptions::hierarchical())
+            .elaborate(Some("top"), &ElaborateOptions::hierarchical())
             .unwrap();
         let design = write_design(&top, &[inv]);
         let back = parse(&design).unwrap();
         assert_eq!(back.modules.len(), 2);
         let flat = back
-            .elaborate(Some("top"), &VerilogOptions::default())
+            .elaborate(Some("top"), &ElaborateOptions::default())
             .unwrap();
         assert_eq!(flat.device_count(), 1);
     }

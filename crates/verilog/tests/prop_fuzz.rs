@@ -3,7 +3,7 @@
 //! reproducible corpus.
 
 use subgemini_netlist::rng::Rng64;
-use subgemini_verilog::VerilogOptions;
+use subgemini_verilog::ElaborateOptions;
 
 #[test]
 fn parser_never_panics_on_garbage() {
@@ -45,9 +45,9 @@ fn parser_never_panics_on_tokens() {
         let words: Vec<&str> = (0..n).map(|_| TOKENS[rng.index(TOKENS.len())]).collect();
         let text = words.join(" ");
         if let Ok(src) = subgemini_verilog::parse(&text) {
-            let _ = src.elaborate(None, &VerilogOptions::default());
+            let _ = src.elaborate(None, &ElaborateOptions::default());
             for m in &src.modules {
-                let _ = src.elaborate(Some(&m.name), &VerilogOptions::hierarchical());
+                let _ = src.elaborate(Some(&m.name), &ElaborateOptions::hierarchical());
             }
         }
     }
@@ -64,7 +64,7 @@ fn minimal_valid_modules_elaborate() {
         }
         let text = format!("module t(input {a}, output {y});\nnot g({y}, {a});\nendmodule\n");
         let src = subgemini_verilog::parse(&text).unwrap();
-        let nl = src.elaborate(None, &VerilogOptions::default()).unwrap();
+        let nl = src.elaborate(None, &ElaborateOptions::default()).unwrap();
         assert_eq!(nl.device_count(), 1, "case {case}: {text}");
     }
 }

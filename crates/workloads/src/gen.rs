@@ -3,7 +3,7 @@
 //! Each generator returns a [`Generated`] bundle: the flat
 //! transistor-level netlist plus the exact number of instances planted
 //! per library cell. All randomness is seeded
-//! ([`Rng64`](subgemini_netlist::rng::Rng64)), so a given call is
+//! ([`Rng64`]), so a given call is
 //! bit-reproducible.
 //!
 //! Note on ground truth: the counts record *planted* cells. Larger
@@ -729,7 +729,7 @@ fn ref_pipeline_stage() -> Netlist {
 /// (`inv`/`nand2`/`nor2`), level 2 adds `xor_nand`/`mux_nand` built
 /// over NAND2/inv references, level 3 adds `pipeline_stage` over the
 /// level-2 blocks. Upper cells reference lower ones through naive
-/// composite types ([`naive_composite`]'s shape), matching what a
+/// composite types (`naive_composite`'s shape), matching what a
 /// parsed hierarchical SPICE deck provides.
 pub fn hierarchical_library(levels: usize) -> Vec<Netlist> {
     let levels = levels.clamp(1, 3);

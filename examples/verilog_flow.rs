@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example verilog_flow`
 
 use subgemini::{Extractor, Matcher};
-use subgemini_verilog::{parse, write_module, VerilogOptions};
+use subgemini_verilog::{parse, write_module, ElaborateOptions};
 use subgemini_workloads::{cells, gen};
 
 const DESIGN: &str = "\
@@ -22,7 +22,7 @@ endmodule
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- 1. Parse and inspect a gate-level design. ----
     let src = parse(DESIGN)?;
-    let chip = src.elaborate(None, &VerilogOptions::default())?;
+    let chip = src.elaborate(None, &ElaborateOptions::default())?;
     println!(
         "parsed `{}`: {} gates, {} nets",
         chip.name(),
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
            not g2(y, w);\n\
          endmodule\n",
     )?
-    .elaborate(None, &VerilogOptions::default())?;
+    .elaborate(None, &ElaborateOptions::default())?;
     let found = Matcher::new(&pat, &chip).find_all();
     println!("xnor shapes found: {}", found.count());
     assert_eq!(found.count(), 2);
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The emitted module stands alone: named connections let the parser
     // synthesize the composite types.
-    let back = parse(&verilog)?.elaborate(None, &VerilogOptions::hierarchical())?;
+    let back = parse(&verilog)?.elaborate(None, &ElaborateOptions::hierarchical())?;
     assert_eq!(back.device_count(), 2);
     println!("reparsed: {} composite gate(s)", back.device_count());
     Ok(())

@@ -7,7 +7,9 @@
 //! so an edit inside one cell flags exactly that cell.
 
 use subgemini_gemini::{compare, GeminiOutcome};
-use subgemini_spice::{ElaborateOptions, SpiceDoc, SpiceError};
+use subgemini_netlist::{ElaborateOptions, Netlist};
+use subgemini_spice::{SpiceDoc, SpiceError};
+use subgemini_verilog::{Source, VerilogError};
 
 /// Outcome for one named cell (or the top level).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,39 +72,12 @@ impl HierReport {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn compare_docs(a: &SpiceDoc, b: &SpiceDoc) -> Result<HierReport, SpiceError> {
-    let flat = ElaborateOptions::default();
-    let mut names: Vec<String> = a.subckts.iter().map(|s| s.name.clone()).collect();
-    for s in &b.subckts {
-        if !names.contains(&s.name) {
-            names.push(s.name.clone());
-        }
-    }
-    names.sort();
-    let mut report = HierReport::default();
-    for name in names {
-        let outcome = match (a.subckt(&name), b.subckt(&name)) {
-            (Some(_), Some(_)) => {
-                let ca = a.elaborate_cell(&name, &flat)?;
-                let cb = b.elaborate_cell(&name, &flat)?;
-                match compare(&ca, &cb) {
-                    GeminiOutcome::Isomorphic(_) => CellOutcome::Matches,
-                    GeminiOutcome::Mismatch(m) => CellOutcome::Differs(m.to_string()),
-                }
-            }
-            (Some(_), None) => CellOutcome::OnlyInFirst,
-            (None, Some(_)) => CellOutcome::OnlyInSecond,
-            (None, None) => unreachable!("name collected from one deck"),
-        };
-        report.cells.push((name, outcome));
-    }
-    let hier = ElaborateOptions::hierarchical();
-    let ta = a.elaborate_top("top", &hier)?;
-    let tb = b.elaborate_top("top", &hier)?;
-    report.top = Some(match compare(&ta, &tb) {
-        GeminiOutcome::Isomorphic(_) => CellOutcome::Matches,
-        GeminiOutcome::Mismatch(m) => CellOutcome::Differs(m.to_string()),
-    });
-    Ok(report)
+    let decks = [a, b];
+    compare_hierarchically(
+        decks.map(|d| d.subckts.iter().map(|s| s.name.as_str()).collect()),
+        |side, name| decks[side].elaborate_cell(name, &ElaborateOptions::default()),
+        |side| decks[side].elaborate_top("top", &ElaborateOptions::hierarchical()),
+    )
 }
 
 /// Compares two structural Verilog sources hierarchically:
@@ -125,44 +100,51 @@ pub fn compare_docs(a: &SpiceDoc, b: &SpiceDoc) -> Result<HierReport, SpiceError
 /// assert!(compare_verilog(&a, &b)?.is_clean());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn compare_verilog(
-    a: &subgemini_verilog::Source,
-    b: &subgemini_verilog::Source,
-) -> Result<HierReport, subgemini_verilog::VerilogError> {
-    use subgemini_verilog::VerilogOptions;
-    let flat = VerilogOptions::default();
-    let mut names: Vec<String> = a.modules.iter().map(|m| m.name.clone()).collect();
-    for m in &b.modules {
-        if !names.contains(&m.name) {
-            names.push(m.name.clone());
+pub fn compare_verilog(a: &Source, b: &Source) -> Result<HierReport, VerilogError> {
+    let sources = [a, b];
+    compare_hierarchically(
+        sources.map(|s| s.modules.iter().map(|m| m.name.as_str()).collect()),
+        |side, name| sources[side].elaborate(Some(name), &ElaborateOptions::default()),
+        |side| sources[side].elaborate(None, &ElaborateOptions::hierarchical()),
+    )
+}
+
+/// The one hierarchical comparison: every cell name of either side
+/// (`names`, in definition order, lowercased for SPICE), sorted; each
+/// cell both sides define compared flat, the first side's elaborated
+/// first; then the two tops, unflattened. `cell(side, name)` and
+/// `top(side)` elaborate side 0 (the first deck) or side 1.
+fn compare_hierarchically<E>(
+    names: [Vec<&str>; 2],
+    cell: impl Fn(usize, &str) -> Result<Netlist, E>,
+    top: impl Fn(usize) -> Result<Netlist, E>,
+) -> Result<HierReport, E> {
+    let mut all = names[0].clone();
+    for &name in &names[1] {
+        if !all.contains(&name) {
+            all.push(name);
         }
     }
-    names.sort();
+    all.sort_unstable();
     let mut report = HierReport::default();
-    for name in names {
-        let outcome = match (a.module(&name), b.module(&name)) {
-            (Some(_), Some(_)) => {
-                let ca = a.elaborate(Some(&name), &flat)?;
-                let cb = b.elaborate(Some(&name), &flat)?;
-                match compare(&ca, &cb) {
-                    GeminiOutcome::Isomorphic(_) => CellOutcome::Matches,
-                    GeminiOutcome::Mismatch(m) => CellOutcome::Differs(m.to_string()),
-                }
-            }
-            (Some(_), None) => CellOutcome::OnlyInFirst,
-            (None, Some(_)) => CellOutcome::OnlyInSecond,
-            (None, None) => unreachable!("name collected from one source"),
+    for name in all {
+        let outcome = match (names[0].contains(&name), names[1].contains(&name)) {
+            (true, true) => outcome(&cell(0, name)?, &cell(1, name)?),
+            (true, false) => CellOutcome::OnlyInFirst,
+            (false, true) => CellOutcome::OnlyInSecond,
+            (false, false) => unreachable!("name collected from one side"),
         };
-        report.cells.push((name, outcome));
+        report.cells.push((name.to_string(), outcome));
     }
-    let hier = VerilogOptions::hierarchical();
-    let ta = a.elaborate(None, &hier)?;
-    let tb = b.elaborate(None, &hier)?;
-    report.top = Some(match compare(&ta, &tb) {
+    report.top = Some(outcome(&top(0)?, &top(1)?));
+    Ok(report)
+}
+
+fn outcome(a: &Netlist, b: &Netlist) -> CellOutcome {
+    match compare(a, b) {
         GeminiOutcome::Isomorphic(_) => CellOutcome::Matches,
         GeminiOutcome::Mismatch(m) => CellOutcome::Differs(m.to_string()),
-    });
-    Ok(report)
+    }
 }
 
 #[cfg(test)]

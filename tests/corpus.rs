@@ -117,18 +117,18 @@ fn broken_deck_reports_line() {
 
 #[test]
 fn verilog_alu_corpus_matches_slices() {
-    use subgemini_verilog::{parse as vparse, VerilogOptions};
+    use subgemini_verilog::{parse as vparse, ElaborateOptions};
     let path = format!("{}/testdata/alu_bitslice.v", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap();
     let src = vparse(&text).unwrap();
     // Flatten the 2-bit ALU and find both slices with the slice module
     // itself as the pattern.
     let chip = src
-        .elaborate(Some("alu2"), &VerilogOptions::default())
+        .elaborate(Some("alu2"), &ElaborateOptions::default())
         .unwrap();
     assert_eq!(chip.device_count(), 2 * 9);
     let slice = src
-        .elaborate(Some("alu_slice"), &VerilogOptions::default())
+        .elaborate(Some("alu_slice"), &ElaborateOptions::default())
         .unwrap();
     let found = subgemini::Matcher::new(&slice, &chip).find_all();
     assert_eq!(found.count(), 2);
@@ -143,7 +143,7 @@ fn verilog_alu_corpus_matches_slices() {
          endmodule\n",
     )
     .unwrap()
-    .elaborate(None, &VerilogOptions::default())
+    .elaborate(None, &ElaborateOptions::default())
     .unwrap();
     let found = subgemini::Matcher::new(&tri, &chip).find_all();
     assert_eq!(found.count(), 4);

@@ -3,7 +3,7 @@
 
 use subgemini::{Extractor, Matcher};
 use subgemini_gemini::compare;
-use subgemini_verilog::{parse as vparse, write_design, write_module, VerilogOptions};
+use subgemini_verilog::{parse as vparse, write_design, write_module, ElaborateOptions};
 use subgemini_workloads::{cells, gen};
 
 fn extract_all(
@@ -40,7 +40,7 @@ fn transistors_to_verilog_and_back() {
     let text = write_module(&gates);
     let src = vparse(&text).unwrap_or_else(|e| panic!("writer output must parse: {e}\n{text}"));
     let back = src
-        .elaborate(None, &VerilogOptions::hierarchical())
+        .elaborate(None, &ElaborateOptions::hierarchical())
         .unwrap();
     // Composite devices survive as instances with identical counts.
     let s1 = subgemini_netlist::NetlistStats::of(&gates);
@@ -76,7 +76,7 @@ fn gate_level_verilog_matches_primitive_patterns() {
          endmodule\n",
     )
     .unwrap();
-    let main = src.elaborate(None, &VerilogOptions::default()).unwrap();
+    let main = src.elaborate(None, &ElaborateOptions::default()).unwrap();
 
     // Pattern: NAND followed by NOT — an AND in disguise.
     let psrc = vparse(
@@ -87,7 +87,7 @@ fn gate_level_verilog_matches_primitive_patterns() {
          endmodule\n",
     )
     .unwrap();
-    let pat = psrc.elaborate(None, &VerilogOptions::default()).unwrap();
+    let pat = psrc.elaborate(None, &ElaborateOptions::default()).unwrap();
     let found = Matcher::new(&pat, &main).find_all();
     assert_eq!(found.count(), 1);
     // The matched pair is g3/g4 (w3 is the only nand output feeding a
@@ -107,7 +107,7 @@ fn primitive_input_permutation_is_matching_invariant() {
             format!("module top(input a, b, c, output y);\nnand g(y, {order});\nendmodule\n");
         vparse(&text)
             .unwrap()
-            .elaborate(None, &VerilogOptions::default())
+            .elaborate(None, &ElaborateOptions::default())
             .unwrap()
     };
     let m1 = build("a, b, c");
@@ -133,7 +133,7 @@ module pmos(g, s, d);\ninout g, s, d;\nendmodule\n";
     let text = format!("{leaves}{design}");
     let src = vparse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
     let flat = src
-        .elaborate(Some(top.name()), &VerilogOptions::hierarchical())
+        .elaborate(Some(top.name()), &ElaborateOptions::hierarchical())
         .unwrap();
     assert_eq!(flat.device_count(), 4); // four sram6t composites
 }

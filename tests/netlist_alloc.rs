@@ -178,3 +178,17 @@ fn spice_elaboration_allocates_only_as_arrays_grow() {
         counts[1].0
     );
 }
+
+#[test]
+fn validation_is_linear_in_net_degree() {
+    // Two rails of 50,000 pins each. Checking every device pin against
+    // its net's whole pin list made validation quadratic in net degree:
+    // this chain took seconds in a release build, minutes in a debug
+    // one.
+    let (nl, _) = build(100_000, false);
+    for rail in ["vdd", "gnd"] {
+        let rail = nl.find_net(rail).unwrap();
+        assert_eq!(nl.net_ref(rail).degree(), 50_000);
+    }
+    nl.validate().unwrap();
+}

@@ -81,7 +81,7 @@ fn spice_roundtrip_is_isomorphic() {
 /// (primitive gates only).
 #[test]
 fn verilog_roundtrip_is_isomorphic() {
-    use subgemini_verilog::{parse, primitive_type, write_module, VerilogOptions};
+    use subgemini_verilog::{parse, primitive_type, write_module, ElaborateOptions};
     for case in 0..48u64 {
         let mut rng = Rng64::new(0xf0_2000 + case);
         let n_nets = rng.range(2, 8);
@@ -114,7 +114,7 @@ fn verilog_roundtrip_is_isomorphic() {
         let text = write_module(&nl);
         let src = parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
         let back = src
-            .elaborate(None, &VerilogOptions::default())
+            .elaborate(None, &ElaborateOptions::default())
             .unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
         let outcome = compare(&nl, &back);
         assert!(
