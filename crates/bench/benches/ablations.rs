@@ -1,12 +1,9 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
-//!
-//! * `port_spreading` — Phase II with and without spreading from
-//!   matched port images (the shared-clock scaling fix).
-//! * `key_policy` — Phase I key selection: the paper's smallest
-//!   partition vs first-valid vs the adversarial largest partition.
+//! Ablation bench for a design choice called out in DESIGN.md:
+//! `port_spreading` — Phase II with and without spreading from matched
+//! port images (the shared-clock scaling fix).
 
 use std::hint::black_box;
-use subgemini::{KeyPolicy, MatchOptions, Matcher};
+use subgemini::{MatchOptions, Matcher};
 use subgemini_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use subgemini_workloads::{cells, gen};
 
@@ -33,30 +30,5 @@ fn port_spreading(c: &mut Criterion) {
     group.finish();
 }
 
-fn key_policy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/key_policy");
-    let soup = gen::random_soup(1993, 120);
-    let nand = cells::nand2();
-    for (label, policy) in [
-        ("smallest", KeyPolicy::SmallestPartition),
-        ("first_valid", KeyPolicy::FirstValid),
-        ("largest", KeyPolicy::LargestPartition),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &policy, |b, &policy| {
-            b.iter(|| {
-                black_box(
-                    Matcher::new(&nand, black_box(&soup.netlist))
-                        .options(MatchOptions {
-                            key_policy: policy,
-                            ..MatchOptions::default()
-                        })
-                        .find_all(),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, port_spreading, key_policy);
+criterion_group!(benches, port_spreading);
 criterion_main!(benches);

@@ -21,7 +21,6 @@ const SWITCHES: &[&str] = &[
     "--csv",
     "--builtin-lib",
     "--hierarchical",
-    "--verbose",
     "--explain",
     "--json",
     "--fail-fast",
@@ -43,7 +42,6 @@ const OPTIONS: &[&str] = &[
     "--max-effort",
     "--out",
     "--pattern",
-    "--prune",
     "--report",
     "--rules",
     "--slow-keep",
@@ -139,16 +137,18 @@ mod tests {
     #[test]
     fn every_option_a_subcommand_reads_is_known() {
         let source = include_str!("commands.rs");
-        let read: Vec<&str> = source
-            .split("option(\"")
-            .skip(1)
-            .filter_map(|rest| rest.split('"').next())
-            .collect();
-        for key in &read {
-            assert!(OPTIONS.contains(key), "{key} is read but not in OPTIONS");
-        }
-        for key in OPTIONS {
-            assert!(read.contains(key), "{key} is in OPTIONS but never read");
+        for (reader, known) in [("option(\"", OPTIONS), ("switch(\"", SWITCHES)] {
+            let read: Vec<&str> = source
+                .split(reader)
+                .skip(1)
+                .filter_map(|rest| rest.split('"').next())
+                .collect();
+            for key in &read {
+                assert!(known.contains(key), "{key} is read but not known");
+            }
+            for key in known {
+                assert!(read.contains(key), "{key} is known but never read");
+            }
         }
     }
 

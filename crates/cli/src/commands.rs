@@ -12,7 +12,9 @@
 use std::fs;
 
 use subgemini::{MatchOptions, Matcher};
-use subgemini_engine::source::{load_cell, load_cells, load_doc, load_main, CellMode};
+use subgemini_engine::source::{
+    check_patterns, load_cell, load_cells, load_doc, load_library, load_main, CellMode,
+};
 use subgemini_engine::{
     CircuitSource, Engine, ExplainRequest, FindRequest, HierarchizeRequest, LibrarySource,
     PatternSource, RequestOptions, SurveyRequest,
@@ -26,8 +28,9 @@ use crate::args::Args;
 fn pattern_from(args: &Args, main_path: &str) -> Result<Netlist, String> {
     let name = args.option("--pattern").ok_or("missing --pattern <cell>")?;
     let lib_path = args.option("--lib").unwrap_or(main_path);
-    let doc = load_doc(lib_path)?;
-    load_cell(&doc, name, lib_path)
+    let pattern = load_cell(&load_doc(lib_path)?, name, lib_path)?;
+    check_patterns(std::slice::from_ref(&pattern), lib_path)?;
+    Ok(pattern)
 }
 
 fn library_from(args: &Args) -> Result<Vec<Netlist>, String> {
@@ -38,11 +41,7 @@ fn library_from(args: &Args) -> Result<Vec<Netlist>, String> {
         .option("--lib")
         .or_else(|| args.option("--library"))
         .ok_or("pass --lib <cells.sp> (or --library <cells.sp>) or --builtin-lib")?;
-    let cells = load_cells(&load_doc(path)?, CellMode::Flat, path)?;
-    if cells.is_empty() {
-        return Err(format!("{path}: no cell definitions"));
-    }
-    Ok(cells)
+    load_library(&load_doc(path)?, CellMode::Flat, path)
 }
 
 /// Maps command-line flags onto engine [`RequestOptions`]. The engine's
@@ -92,18 +91,6 @@ fn request_options(args: &Args) -> Result<RequestOptions, String> {
     }
     if !budget.is_unlimited() {
         opts.budget = Some(budget);
-    }
-    if let Some(p) = args.option("--prune") {
-        opts.prune = match p {
-            "auto" => subgemini::PrunePolicy::Auto,
-            "always" => subgemini::PrunePolicy::Always,
-            "never" => subgemini::PrunePolicy::Never,
-            other => {
-                return Err(format!(
-                    "--prune: `{other}` is not a policy (expected `auto`, `always` or `never`)"
-                ))
-            }
-        };
     }
     opts.artifact = args.option("--artifact").map(str::to_string);
     Ok(opts)
@@ -419,6 +406,7 @@ pub fn check(args: &Args) -> Result<u8, String> {
     let doc = load_doc(rules_path)?;
     let mut checker = subgemini::RuleChecker::new();
     let patterns = load_cells(&doc, CellMode::Flat, rules_path)?;
+    check_patterns(&patterns, rules_path)?;
     for (name, pattern) in doc.cell_names().into_iter().zip(patterns) {
         checker.add_rule(name.clone(), format!("pattern `{name}`"), pattern);
     }
@@ -544,11 +532,7 @@ fn hierarchize_library(args: &Args) -> Result<Vec<Netlist>, String> {
         .option("--library")
         .or_else(|| args.option("--lib"))
         .ok_or("pass --library <cells.sp> or --builtin-lib")?;
-    let cells = load_cells(&load_doc(path)?, CellMode::Hierarchical, path)?;
-    if cells.is_empty() {
-        return Err(format!("{path}: no cell definitions"));
-    }
-    Ok(cells)
+    load_library(&load_doc(path)?, CellMode::Hierarchical, path)
 }
 
 /// `subg hierarchize`: iterative bottom-up hierarchy reconstruction —

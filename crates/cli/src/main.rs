@@ -5,7 +5,7 @@
 //!           [--report json|text] [--threads <n>] [--trace-out <trace.json>]
 //!           [--events-out <events.ndjson>] [--explain]
 //!           [--max-effort <n>] [--deadline-ms <ms>] [--fail-fast]
-//!           [--artifact <main.sgc>] [--prune auto|always|never]
+//!           [--artifact <main.sgc>]
 //! subg explain <main.sp> --pattern <cell> [--lib <cells.sp>] [--json]
 //! subg candidates <main.sp> --pattern <cell> [--lib <cells.sp>]
 //! subg compile <main.sp> [--out <main.sgc>]
@@ -14,9 +14,11 @@
 //! subg check <main.sp> --rules <rules.sp>
 //! subg map <main.sp> [--lib <cells.sp> | --builtin-lib]
 //! subg survey <main.sp> [--lib <cells.sp> | --builtin-lib] [--artifact <main.sgc>]
+//! subg trace <main.sp> --pattern <cell> [--lib <cells.sp>]
 //! subg compare <a.sp> <b.sp> [--cell <name>] [--hierarchical]
 //! subg stats <file.sp>
 //! subg dot <file.sp> [--out <file.dot>]
+//! subg fingerprint <cells.sp|cells.v>
 //! subg serve [<main.sp>...] [--addr <host:port>] [--workers <n>] [--access-log <path|->]
 //!           [--slow-ms <ms>] [--slow-keep <n>]
 //! ```
@@ -38,7 +40,7 @@ USAGE:
             [--report json|text] [--threads <n>] [--trace-out <trace.json>]
             [--events-out <events.ndjson>] [--explain]
             [--max-effort <n>] [--deadline-ms <ms>] [--fail-fast]
-            [--artifact <main.sgc>] [--prune auto|always|never]
+            [--artifact <main.sgc>]
   subg explain <main.sp> --pattern <cell> [--lib <cells.sp>] [--json]
   subg candidates <main.sp> --pattern <cell> [--lib <cells.sp>]
   subg compile <main.sp> [--out <main.sgc>]

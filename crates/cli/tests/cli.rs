@@ -798,10 +798,9 @@ fn compile_writes_an_artifact_and_warm_find_matches_cold() {
     assert!(stdout.contains("digest "), "{stdout}");
     assert!(dir.join("chip.sgc").exists());
 
-    // With pruning off, a warm find must print exactly what the cold
-    // find prints; with the default `--prune auto` the warm index may
-    // legitimately shrink the Phase II stats line, but the instance
-    // lines must not move.
+    // The warm index may legitimately shrink the Phase II stats, but
+    // the instance lines and Phase I's `|CV|=` and `iters=` must not
+    // move.
     let cold = subg(
         &dir,
         &["find", "chip.sp", "--pattern", "inv", "--lib", "cells.sp"],
@@ -817,26 +816,9 @@ fn compile_writes_an_artifact_and_warm_find_matches_cold() {
             "cells.sp",
             "--artifact",
             "chip.sgc",
-            "--prune",
-            "never",
         ],
     );
     assert!(warm.status.success());
-    assert_eq!(cold.stdout, warm.stdout, "warm output diverges from cold");
-    let warm_auto = subg(
-        &dir,
-        &[
-            "find",
-            "chip.sp",
-            "--pattern",
-            "inv",
-            "--lib",
-            "cells.sp",
-            "--artifact",
-            "chip.sgc",
-        ],
-    );
-    assert!(warm_auto.status.success());
     let instances = |out: &Output| -> Vec<String> {
         String::from_utf8_lossy(&out.stdout)
             .lines()
@@ -846,9 +828,19 @@ fn compile_writes_an_artifact_and_warm_find_matches_cold() {
     };
     assert_eq!(
         instances(&cold),
-        instances(&warm_auto),
+        instances(&warm),
         "pruning moved the instance list"
     );
+    let phase1 = |out: &Output| -> String {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("phase1:"))
+            .expect("a phase line");
+        line.split(';').next().unwrap().to_owned()
+    };
+    assert!(phase1(&cold).contains("|CV|="), "{}", phase1(&cold));
+    assert_eq!(phase1(&cold), phase1(&warm), "Phase I diverged");
 }
 
 #[test]
@@ -962,8 +954,47 @@ fn survey_accepts_a_warm_artifact() {
 }
 
 #[test]
-fn find_rejects_an_unknown_prune_policy() {
-    let dir = scratch("prune_bad");
+fn searching_commands_refuse_a_pattern_with_an_isolated_net() {
+    let dir = scratch("isolated");
+    write_files(&dir);
+    // `unused` is a port no card connects.
+    let loose = ".subckt loose a y unused\nmp y a vdd vdd pmos\nmn y a gnd gnd nmos\n.ends\n";
+    fs::write(dir.join("loose.sp"), format!("{CHIP}{loose}")).unwrap();
+    let searches: [&[&str]; 5] = [
+        &["find", "loose.sp", "--pattern", "loose"],
+        &["trace", "loose.sp", "--pattern", "loose"],
+        &["extract", "loose.sp", "--lib", "loose.sp"],
+        &["survey", "loose.sp", "--lib", "loose.sp"],
+        &["check", "loose.sp", "--rules", "loose.sp"],
+    ];
+    for args in searches {
+        let out = subg(&dir, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = "loose.sp: pattern `loose`: net `unused` is isolated";
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
+    // Commands that only describe a deck keep accepting it.
+    let describes: [&[&str]; 4] = [
+        &["stats", "loose.sp"],
+        &["dot", "loose.sp"],
+        &["fingerprint", "loose.sp"],
+        &["compare", "loose.sp", "loose.sp", "--cell", "loose"],
+    ];
+    for args in describes {
+        let out = subg(&dir, args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn find_refuses_the_retired_prune_flag() {
+    let dir = scratch("prune_retired");
     write_files(&dir);
     let out = subg(
         &dir,
@@ -975,10 +1006,11 @@ fn find_rejects_an_unknown_prune_policy() {
             "--lib",
             "cells.sp",
             "--prune",
-            "sometimes",
+            "never",
         ],
     );
     assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no search ran");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("--prune"),
         "{}",

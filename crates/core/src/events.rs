@@ -228,11 +228,11 @@ pub enum EventKind {
         /// The key vertex in the pattern.
         key_vertex: Vertex,
     },
-    /// The candidate vector was intersected against the k-hop
-    /// fingerprint index (warm start or `PrunePolicy::Always`):
-    /// `pruned` candidates were proven non-isomorphic and will be
-    /// skipped, `admitted` proceed to Phase II. Emitted once, in the
-    /// Phase I scope, right after `CvSelected`.
+    /// The candidate vector was intersected against the warm handle's
+    /// k-hop fingerprint index: `pruned` candidates were proven
+    /// non-isomorphic and will be skipped, `admitted` proceed to
+    /// Phase II. Emitted once, in the Phase I scope, right after
+    /// `CvSelected`.
     CvPruned {
         /// Candidates eliminated by fingerprint mismatch.
         pruned: u64,

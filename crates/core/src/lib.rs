@@ -80,7 +80,7 @@ pub use extract::{ExtractReport, ExtractedInstance, Extractor};
 pub use instance::{MatchOutcome, Phase1Stats, Phase2Stats, SubMatch};
 pub use matcher::{find_all, find_all_many, Matcher};
 pub use metrics::{Counters, Histogram, MetricsReport};
-pub use options::{KeyPolicy, MatchOptions, OverlapPolicy, PrunePolicy, WarmMain};
+pub use options::{MatchOptions, OverlapPolicy, WarmMain};
 pub use rules::{RuleChecker, RuleViolation};
 pub use symmetry::port_symmetry_classes;
 pub use techmap::{CoverCandidate, CoverResult, TechMapper};
@@ -171,7 +171,7 @@ pub mod candidates {
             .collect();
         let refs: Vec<&CompiledCircuit> = compiled.iter().collect();
         let g = Arc::new(CompiledCircuit::compile(main));
-        crate::phase1::run_many(&refs, &g, crate::KeyPolicy::SmallestPartition)
+        crate::phase1::run_many(&refs, &g)
             .into_iter()
             .map(|out| CandidateVector {
                 key: out.key,

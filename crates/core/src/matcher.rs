@@ -22,7 +22,7 @@ use crate::budget::{failpoint, Completeness, Governor, SharedGovernor, Truncatio
 use crate::events::{EventBuffer, EventJournal, EventKind, RejectTally};
 use crate::instance::{MatchOutcome, Phase2Stats, SubMatch};
 use crate::metrics::{MetricsReport, PhaseTimer};
-use crate::options::{MatchOptions, OverlapPolicy, PrunePolicy};
+use crate::options::{MatchOptions, OverlapPolicy};
 use crate::phase1::GTrace;
 use crate::phase2::{BaseState, Phase2Runner};
 use crate::scheduler::{
@@ -110,20 +110,20 @@ impl<'a> Matcher<'a> {
 
 /// The main circuit of one or more searches, prepared once: de-globaled
 /// when globals are ignored, compiled to CSR or adopted from a warm
-/// handle, with its Phase I label trace and, when pruning can use one,
-/// its fingerprint index. It owns all of it, so the extractor can keep
-/// it across rounds without borrowing the netlist it later collapses;
-/// each search passes that netlist back in.
+/// handle, with its Phase I label trace and, when adopted, the handle's
+/// fingerprint index. It owns all of it, so the extractor can keep it
+/// across rounds without borrowing the netlist it later collapses; each
+/// search passes that netlist back in.
 pub(crate) struct PreparedMain {
     /// De-globaled copy, present only when `respect_globals` is off.
     stripped: Option<Netlist>,
     compiled: Arc<CompiledCircuit>,
     trace: GTrace,
-    /// Fingerprint index for candidate pruning: the warm handle's, or
-    /// freshly built under [`PrunePolicy::Always`].
+    /// The adopted warm handle's fingerprint index: present exactly
+    /// when the search prunes.
     index: Option<Arc<FingerprintIndex>>,
     /// Preparation's share of the first search's metrics: the main
-    /// compile's time and the artifact and index counters. That search
+    /// compile's time and the artifact counters. That search
     /// takes it; later ones count a cache hit instead.
     unreported: Option<MetricsReport>,
 }
@@ -133,7 +133,7 @@ impl PreparedMain {
     /// Phase I steps, when globals are respected (stripping rewrites the
     /// circuit) and the handle is tied to this exact netlist
     /// (`WarmMain::adopts`). Otherwise the main is compiled cold and gets
-    /// a private trace.
+    /// a private trace and no index.
     pub(crate) fn new(main: &Netlist, options: &MatchOptions) -> Self {
         let warm = options
             .warm_main
@@ -158,19 +158,11 @@ impl PreparedMain {
         let stripped = (!options.respect_globals).then(|| strip_globals(main, false));
         let compiled = Arc::new(CompiledCircuit::compile(stripped.as_ref().unwrap_or(main)));
         prep.compile_ns = timer.map_or(0, |t| t.elapsed_ns());
-        // `Always` wants pruning even on a cold start: build the index
-        // here, once per prepared main, so a pattern library shares it.
-        let timer = options.collect_metrics.then(PhaseTimer::start);
-        let index = (options.prune == PrunePolicy::Always)
-            .then(|| Arc::new(FingerprintIndex::build(&compiled)));
-        if let (Some(_), Some(t)) = (&index, timer) {
-            prep.counters.bump("index.build_ns", t.elapsed_ns());
-        }
         PreparedMain {
             stripped,
             trace: GTrace::new(Arc::clone(&compiled)),
             compiled,
-            index,
+            index: None,
             unreported: Some(prep),
         }
     }
@@ -397,7 +389,6 @@ impl<'a> Search<'a> {
         let (p1, timing) = crate::phase1::run_governed(
             s,
             trace,
-            options.key_policy,
             options.collect_metrics,
             self.events.as_mut(),
             self.governor.as_ref(),
@@ -422,10 +413,10 @@ impl<'a> Search<'a> {
     }
 
     /// Fingerprint pruning: a sound serial pre-filter on the candidate
-    /// vector. When the key is a device and an index is available (warm
-    /// start, or built under `PrunePolicy::Always`), candidates whose
-    /// fingerprint cannot cover the pattern-derived mask are marked — a
-    /// fingerprint mismatch proves no isomorphism (DESIGN.md §3f).
+    /// vector. When the key is a device and the search adopted a warm
+    /// handle's index, candidates whose fingerprint cannot cover the
+    /// pattern-derived mask are marked — a fingerprint mismatch proves
+    /// no isomorphism (DESIGN.md §3f).
     /// Workers and the merge both skip marked candidates the same way
     /// claim-skips work: no slot is ever written or awaited for them.
     /// The mask exists before any worker spawns, so pruning — like
@@ -438,7 +429,7 @@ impl<'a> Search<'a> {
         key: Vertex,
         candidates: &[Vertex],
     ) -> Option<Vec<bool>> {
-        let index = index.filter(|_| self.options.prune != PrunePolicy::Never)?;
+        let index = index?;
         let mask = FingerprintIndex::pattern_mask(s, key.as_device()?);
         let pruned: Vec<bool> = candidates
             .iter()

@@ -21,38 +21,6 @@ pub enum OverlapPolicy {
     ClaimDevices,
 }
 
-/// How Phase I picks the key vertex / candidate vector among the valid
-/// pattern partitions (ablation knob; see DESIGN.md).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KeyPolicy {
-    /// The paper's rule: the smallest corresponding main-graph
-    /// partition, minimizing Phase II work.
-    #[default]
-    SmallestPartition,
-    /// The first valid pattern vertex in id order (devices before
-    /// nets) — what a naive implementation would do.
-    FirstValid,
-    /// The *largest* main-graph partition — the adversarial choice,
-    /// included to quantify how much the paper's rule matters.
-    LargestPartition,
-}
-
-/// When to intersect Phase I's candidate vector against the k-hop
-/// fingerprint index before Phase II (a sound prune: a fingerprint
-/// mismatch proves no isomorphism; see DESIGN.md §3f).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PrunePolicy {
-    /// Prune only when a prebuilt index is already available (i.e. the
-    /// search was warm-started from an artifact). A cold run stays
-    /// byte-identical to one without the index subsystem.
-    #[default]
-    Auto,
-    /// Always prune, building the index on the fly if needed.
-    Always,
-    /// Never prune, even when an index is available.
-    Never,
-}
-
 /// A warm-start handle: the compiled main circuit and its fingerprint
 /// index, typically loaded from a `.sgc` artifact, shared by reference
 /// across every pattern in a run.
@@ -200,8 +168,6 @@ pub struct MatchOptions {
     /// the algorithm normally terminates by progress detection long
     /// before this).
     pub max_passes_per_candidate: usize,
-    /// Phase I key-vertex selection policy.
-    pub key_policy: KeyPolicy,
     /// Worker threads for Phase II candidate verification (candidates
     /// are independent). `1` (default) runs serially; `0` uses the
     /// machine's available parallelism. Parallel workers claim
@@ -267,13 +233,11 @@ pub struct MatchOptions {
     /// fingerprint index (usually loaded from a `.sgc` artifact). Used
     /// — and shared across a whole pattern library — whenever its
     /// source digest matches the main netlist and `respect_globals` is
-    /// on; otherwise the run falls back to a fresh compile. `None`
-    /// (default) always compiles.
+    /// on; otherwise the run falls back to a fresh compile. A search
+    /// that adopts the handle prunes its candidate vector against the
+    /// handle's index, and only such a search prunes (DESIGN.md §3f).
+    /// `None` (default) always compiles.
     pub warm_main: Option<WarmMain>,
-    /// Fingerprint-based candidate pruning policy. The default
-    /// ([`PrunePolicy::Auto`]) prunes exactly when `warm_main` supplied
-    /// an index, so cold runs are byte-identical to earlier releases.
-    pub prune: PrunePolicy,
     /// Session-layer request id, stamped verbatim onto
     /// [`MatchOutcome::request_id`](crate::MatchOutcome) for
     /// correlation across reports, journals, and logs. Pure metadata —
@@ -290,7 +254,6 @@ impl Default for MatchOptions {
             max_instances: 0,
             max_guesses_per_candidate: 256,
             max_passes_per_candidate: 10_000,
-            key_policy: KeyPolicy::default(),
             threads: 1,
             seed: 0x5b6e_1347,
             record_trace: false,
@@ -301,7 +264,6 @@ impl Default for MatchOptions {
             budget: None,
             cancel: None,
             warm_main: None,
-            prune: PrunePolicy::default(),
             request_id: None,
         }
     }
@@ -351,7 +313,6 @@ mod tests {
         assert_eq!(o.budget, None, "searches are unbudgeted by default");
         assert_eq!(o.cancel, None, "searches are uncancellable by default");
         assert_eq!(o.warm_main, None, "cold start by default");
-        assert_eq!(o.prune, PrunePolicy::Auto);
     }
 
     #[test]

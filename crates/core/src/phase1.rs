@@ -35,7 +35,7 @@ use subgemini_netlist::{hashing, CompiledCircuit, DeviceId, NetId, Vertex};
 
 use crate::events::{EventBuffer, EventKind};
 use crate::instance::Phase1Stats;
-use crate::options::{KeyPolicy, WarmMain};
+use crate::options::WarmMain;
 
 /// Output of Phase I.
 #[derive(Clone, Debug)]
@@ -364,25 +364,20 @@ pub struct Phase1Timing {
     pub select_ns: u64,
 }
 
-/// Runs Phase I with the paper's smallest-partition key policy.
+/// Runs Phase I.
 pub fn run(s: &CompiledCircuit, g: &Arc<CompiledCircuit>) -> Phase1Output {
-    let mut trace = GTrace::new(Arc::clone(g));
-    run_with_trace(s, &mut trace, KeyPolicy::SmallestPartition)
+    run_many(&[s], g).pop().expect("one output per pattern")
 }
 
 /// Runs Phase I for many patterns against one main circuit, relabeling
 /// the main graph only once: its Phase I labels do not depend on the
 /// pattern, so the per-pattern cost drops from `O(|G|·iters)` to the
 /// pattern-side work after the first call.
-pub fn run_many(
-    patterns: &[&CompiledCircuit],
-    g: &Arc<CompiledCircuit>,
-    policy: KeyPolicy,
-) -> Vec<Phase1Output> {
+pub fn run_many(patterns: &[&CompiledCircuit], g: &Arc<CompiledCircuit>) -> Vec<Phase1Output> {
     let mut trace = GTrace::new(Arc::clone(g));
     patterns
         .iter()
-        .map(|s| run_with_trace(s, &mut trace, policy))
+        .map(|s| run_governed(s, &mut trace, false, None, None).0)
         .collect()
 }
 
@@ -393,11 +388,6 @@ pub fn run_many(
 /// are excluded from candidate-vector selection: with special-net
 /// semantics they are pre-matched by name, so anchoring Phase II on them
 /// would be useless.
-pub fn run_with_trace(s: &CompiledCircuit, trace: &mut GTrace, policy: KeyPolicy) -> Phase1Output {
-    run_governed(s, trace, policy, false, None, None).0
-}
-
-/// Fully instrumented form of [`run_with_trace`]:
 ///
 /// * `collect` times refinement and selection separately (no clock
 ///   reads when unset). Refinement includes building any `G` step the
@@ -413,7 +403,6 @@ pub fn run_with_trace(s: &CompiledCircuit, trace: &mut GTrace, policy: KeyPolicy
 pub(crate) fn run_governed(
     s: &CompiledCircuit,
     trace: &mut GTrace,
-    policy: KeyPolicy,
     collect: bool,
     mut events: Option<&mut EventBuffer>,
     governor: Option<&crate::budget::Governor>,
@@ -433,7 +422,7 @@ pub(crate) fn run_governed(
         },
         Ok(refined) => {
             let timer = collect.then(crate::metrics::PhaseTimer::start);
-            let out = select(s, trace, policy, refined, events);
+            let out = select(s, trace, refined, events);
             if let Some(t) = &timer {
                 timing.select_ns = t.elapsed_ns();
             }
@@ -605,12 +594,12 @@ fn valid_runs(labels: &[u64], keep: impl Fn(usize) -> bool) -> Vec<(u64, u32, u3
     runs
 }
 
-/// Candidate-vector selection: picks the key vertex per policy from the
-/// refined partitions and materializes its candidate images.
+/// Candidate-vector selection: the key vertex comes from the smallest
+/// viable `G` partition of the refined ones, and its candidate images
+/// are materialized.
 fn select(
     s: &CompiledCircuit,
     trace: &mut GTrace,
-    policy: KeyPolicy,
     refined: Refined,
     mut events: Option<&mut EventBuffer>,
 ) -> Phase1Output {
@@ -659,8 +648,9 @@ fn select(
         .collect();
 
     // Enumerate viable (G-partition size, side, label, first S index)
-    // choices, verifying |P_g| >= |P_s| one last time, then pick per
-    // policy. Tie-breaking is deterministic by (size, side, label).
+    // choices, verifying |P_g| >= |P_s| one last time, then pick the
+    // smallest: the paper's rule, minimizing Phase II work. Tie-breaking
+    // is deterministic by (size, side, label).
     let mut viable: Vec<(usize, u8, u64, u32)> = Vec::new();
     for &(l, sc, first) in &s_dev_runs {
         let gp = data.dev.count(l);
@@ -692,20 +682,10 @@ fn select(
         }
         viable.push((gp, 1u8, l, first));
     }
-    let best = match policy {
-        KeyPolicy::SmallestPartition => viable
-            .iter()
-            .min_by_key(|&&(gp, side, l, _)| (gp, side, l))
-            .copied(),
-        KeyPolicy::LargestPartition => viable
-            .iter()
-            .max_by_key(|&&(gp, side, l, _)| (gp, side, l))
-            .copied(),
-        KeyPolicy::FirstValid => viable
-            .iter()
-            .min_by_key(|&&(_, side, _, first)| (side, first))
-            .copied(),
-    };
+    let best = viable
+        .iter()
+        .min_by_key(|&&(gp, side, l, _)| (gp, side, l))
+        .copied();
     let Some((size, side, label, first)) = best else {
         // No valid vertices at all (pattern without devices): nothing to
         // anchor on.
@@ -972,7 +952,7 @@ mod tests {
         let g = compile(&chip);
         let compiled: Vec<Arc<CompiledCircuit>> = pats.iter().map(compile).collect();
         let refs: Vec<&CompiledCircuit> = compiled.iter().map(|c| c.as_ref()).collect();
-        let many = run_many(&refs, &g, KeyPolicy::SmallestPartition);
+        let many = run_many(&refs, &g);
         for (s, out) in refs.iter().zip(&many) {
             let solo = run(s, &g);
             assert_eq!(solo.key, out.key);

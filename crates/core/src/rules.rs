@@ -26,7 +26,6 @@ struct Rule {
     name: String,
     description: String,
     pattern: Netlist,
-    options: MatchOptions,
 }
 
 /// A library of rules, each a pattern netlist with a description.
@@ -73,30 +72,17 @@ impl RuleChecker {
         Self::default()
     }
 
-    /// Adds a rule with default matching options.
+    /// Adds a rule, matched with default options.
     pub fn add_rule(
         &mut self,
         name: impl Into<String>,
         description: impl Into<String>,
         pattern: Netlist,
     ) -> &mut Self {
-        self.add_rule_with_options(name, description, pattern, MatchOptions::default())
-    }
-
-    /// Adds a rule with explicit matching options (e.g. a rule that
-    /// must ignore special nets).
-    pub fn add_rule_with_options(
-        &mut self,
-        name: impl Into<String>,
-        description: impl Into<String>,
-        pattern: Netlist,
-        options: MatchOptions,
-    ) -> &mut Self {
         self.rules.push(Rule {
             name: name.into(),
             description: description.into(),
             pattern,
-            options,
         });
         self
     }
@@ -110,8 +96,9 @@ impl RuleChecker {
     /// rule order.
     pub fn check(&self, main: &Netlist) -> Vec<RuleViolation> {
         let mut out = Vec::new();
+        let options = MatchOptions::default();
         for rule in &self.rules {
-            let found = find_all(&rule.pattern, main, &rule.options);
+            let found = find_all(&rule.pattern, main, &options);
             for m in &found.instances {
                 out.push(RuleViolation {
                     rule: rule.name.clone(),

@@ -324,34 +324,6 @@ fn find_first_returns_one() {
 }
 
 #[test]
-fn key_policy_never_changes_results() {
-    use subgemini::KeyPolicy;
-    let chip = mixed_chip(5, 3, 2);
-    for cell in [inverter_cell(), nand2_cell(), dff_like_cell()] {
-        let reference = Matcher::new(&cell, &chip).find_all();
-        for policy in [KeyPolicy::FirstValid, KeyPolicy::LargestPartition] {
-            let alt = Matcher::new(&cell, &chip)
-                .options(MatchOptions {
-                    key_policy: policy,
-                    ..MatchOptions::default()
-                })
-                .find_all();
-            let sets = |o: &subgemini::MatchOutcome| {
-                let mut v: Vec<_> = o.instances.iter().map(|m| m.device_set()).collect();
-                v.sort();
-                v
-            };
-            assert_eq!(
-                sets(&reference),
-                sets(&alt),
-                "{}: policy {policy:?} changed the result",
-                cell.name()
-            );
-        }
-    }
-}
-
-#[test]
 fn port_spreading_mode_never_changes_results() {
     let chip = mixed_chip(4, 2, 2);
     for cell in [inverter_cell(), nand2_cell(), dff_like_cell()] {

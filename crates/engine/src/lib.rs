@@ -15,9 +15,10 @@
 //!   [`subgemini::find_all_many`] amortizes it across a library sweep.
 //! * Typed requests ([`FindRequest`], [`SurveyRequest`],
 //!   [`ExplainRequest`]) — every request carries its *own*
-//!   [`RequestOptions`]: work budget/deadline, prune mode, thread
-//!   count, cancellation token, and event-journal capture. Nothing is process-global; two concurrent requests with
-//!   different QoS coexist on one registry entry.
+//!   [`RequestOptions`]: work budget/deadline, thread count,
+//!   cancellation token, and event-journal capture. Nothing is
+//!   process-global; two concurrent requests with different QoS coexist
+//!   on one registry entry.
 //! * [`RequestOptions::lower`] — the one place that turns request
 //!   options into core [`MatchOptions`], including the artifact-load /
 //!   digest-check / warm-main wiring the CLI used to repeat per
@@ -48,8 +49,8 @@ use std::time::Instant;
 
 use subgemini::hier::{Hierarchizer, HierarchyReport};
 use subgemini::{
-    find_all, find_all_many, CancelToken, ExplainReport, MatchOptions, MatchOutcome, PrunePolicy,
-    RequestSample, Telemetry, TelemetrySnapshot, WarmMain, WorkBudget,
+    find_all, find_all_many, CancelToken, ExplainReport, MatchOptions, MatchOutcome, RequestSample,
+    Telemetry, TelemetrySnapshot, WarmMain, WorkBudget,
 };
 use subgemini_netlist::{structural_digest, Artifact, Netlist};
 
@@ -113,8 +114,6 @@ pub struct RequestOptions {
     /// unlimited budget is treated as `None`, so plain requests stay
     /// governor-free.
     pub budget: Option<WorkBudget>,
-    /// Fingerprint-prune policy.
-    pub prune: PrunePolicy,
     /// Cooperative cancellation flag for this request.
     pub cancel: Option<CancelToken>,
     /// Path to a `.sgc` artifact to warm-start from (the CLI
@@ -140,7 +139,6 @@ impl Default for RequestOptions {
             collect_metrics: false,
             trace_events: false,
             budget: None,
-            prune: PrunePolicy::default(),
             cancel: None,
             artifact: None,
             request_id: None,
@@ -178,7 +176,6 @@ impl RequestOptions {
             threads: self.threads,
             collect_metrics: self.collect_metrics,
             trace_events: self.trace_events,
-            prune: self.prune,
             ..MatchOptions::default()
         };
         opts.budget = self.budget.clone().filter(|b| !b.is_unlimited());
@@ -270,9 +267,9 @@ pub struct SurveyRequest<'a> {
 /// circuit by running extraction bottom-up, level by level, to a
 /// fixpoint (paper §I; `subgemini::hier`). The request options lower
 /// through the same [`RequestOptions::lower`] path as every other
-/// request; budget, deadline, and prune settings apply to each
-/// round's searches independently (the budget is declarative, so every
-/// round starts it fresh).
+/// request; budget and deadline apply to each round's searches
+/// independently (the budget is declarative, so every round starts it
+/// fresh).
 #[derive(Debug)]
 pub struct HierarchizeRequest<'a> {
     /// The flat main circuit.
@@ -727,7 +724,7 @@ impl Engine {
     }
 
     /// Mints the next request id (monotone from 1, engine-local).
-    pub fn mint_request_id(&self) -> u64 {
+    fn mint_request_id(&self) -> u64 {
         self.next_request_id.fetch_add(1, Ordering::Relaxed)
     }
 

@@ -210,6 +210,43 @@ pub fn load_cells(doc: &Doc, mode: CellMode, label: &str) -> Result<Vec<Netlist>
     }
 }
 
+/// Elaborates a deck's cells as a library to search with: [`load_cells`]
+/// on a deck that defines at least one cell, each checked by
+/// [`check_patterns`].
+///
+/// # Errors
+///
+/// Elaboration problems, an empty deck, or an isolated net.
+pub fn load_library(doc: &Doc, mode: CellMode, label: &str) -> Result<Vec<Netlist>, String> {
+    let cells = load_cells(doc, mode, label)?;
+    if cells.is_empty() {
+        return Err(format!("{label}: no cell definitions"));
+    }
+    check_patterns(&cells, label)?;
+    Ok(cells)
+}
+
+/// Checks cells about to be searched for (patterns, library cells,
+/// rules): a net no device connects can be anchored by neither phase,
+/// and the search would panic on it. Loaders that only describe a deck
+/// (`stats`, `dot`, `fingerprint`, `compare`) skip this check.
+///
+/// # Errors
+///
+/// The first such net, naming its cell, prefixed with `label`.
+pub fn check_patterns(cells: &[Netlist], label: &str) -> Result<(), String> {
+    for cell in cells {
+        if let Some(n) = cell.net_ids().find(|&n| cell.net_ref(n).degree() == 0) {
+            return Err(format!(
+                "{label}: pattern `{}`: net `{}` is isolated (no device connects it)",
+                cell.name(),
+                cell.net_ref(n).name()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The default circuit name for a path: the file stem, without SPICE
 /// extensions.
 pub fn main_name(path: &str) -> &str {

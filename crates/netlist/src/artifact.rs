@@ -138,16 +138,6 @@ impl Artifact {
         }
     }
 
-    /// Packages an already-compiled circuit.
-    pub fn from_compiled(circuit: CompiledCircuit, source_digest: u64) -> Self {
-        let index = FingerprintIndex::build(&circuit);
-        Artifact {
-            circuit,
-            index,
-            source_digest,
-        }
-    }
-
     /// Serializes to the `.sgc` byte format.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();

@@ -390,13 +390,16 @@ pub trait FrontEnd<'d> {
         item: &'d Self::Item,
         cell: Option<usize>,
     ) -> Result<(), Self::Error>;
-    /// Binds the nets of `item`, an instance of `cell`, in the cell's
-    /// port order ([`Builder::bind`]); returns the instance name.
+    /// Binds the nets of `item`, an instance of `cell`, to the ports of
+    /// `child`, the cell's netlist as [`FrontEnd::finish`] handed it
+    /// out, in their order ([`Builder::bind`]); returns the instance
+    /// name.
     fn bind(
         &self,
         out: &mut Builder<Self::Key, Self::Globals>,
         item: &'d Self::Item,
         cell: usize,
+        child: &Netlist,
     ) -> Result<&'d str, Self::Error>;
     /// A finished netlist as the front end hands it out.
     fn finish(&self, nl: Netlist) -> Netlist {
@@ -629,10 +632,10 @@ impl<'f, 'd, F: FrontEnd<'d>> Flattener<'f, 'd, F> {
         item: &'d F::Item,
         cell: usize,
     ) -> Result<(), F::Error> {
-        let prefix = self.fe.bind(out, item, cell)?;
         let nl = self.memo[cell]
             .as_deref()
             .expect("a cell is elaborated before its instances");
+        let prefix = self.fe.bind(out, item, cell, nl)?;
         let name = || self.fe.cell_name(cell).to_string();
         let devices = self.instantiated + nl.device_count() as u64;
         if devices > MAX_INSTANTIATED_DEVICES {

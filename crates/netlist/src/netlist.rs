@@ -466,13 +466,6 @@ impl Netlist {
         }
     }
 
-    /// Alias for [`Netlist::net_ref`], reads better at call sites that
-    /// already hold an id.
-    #[inline]
-    pub fn net_by_id(&self, id: NetId) -> Net<'_> {
-        self.net_ref(id)
-    }
-
     /// Every net's pins, transposed from the device pins on first use.
     fn net_pins(&self) -> &NetPins {
         self.net_pins.get_or_init(|| NetPins::transpose(self))

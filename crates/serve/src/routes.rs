@@ -26,11 +26,12 @@
 //! inline source (`{"source": "<deck>", "cell": "inv"}`). The optional
 //! `"options"` object maps one-to-one onto the CLI flags:
 //! `ignore_globals`, `max_instances`, `threads`, `metrics`, `events`,
-//! `max_effort`, `deadline_ms`, `prune`. Any other key answers 400.
-//! Every
+//! `max_effort`, `deadline_ms`. Any other key answers 400. Every
 //! request carries its own budget and cancel token — a deadline that
 //! expires mid-search answers 200 with `"completeness": "truncated"`,
-//! exactly like the CLI.
+//! exactly like the CLI. A search on a registered circuit prunes its
+//! candidates against the circuit's fingerprint index; an inline one
+//! does not.
 //!
 //! `u64` digests are emitted as 16-digit hex strings: the JSON number
 //! type (f64) cannot carry them exactly.
@@ -43,7 +44,7 @@ use subgemini::metrics::{outcome_to_json, REPORT_SCHEMA_VERSION};
 use subgemini::telemetry::prometheus::TextWriter;
 use subgemini::CancelToken;
 use subgemini_engine::source::{
-    load_cell, load_cells, main_from_doc, parse_text, CellMode, SourceKind,
+    check_patterns, load_cell, load_library, main_from_doc, parse_text, CellMode, SourceKind,
 };
 use subgemini_engine::{
     CircuitSource, Engine, EngineError, ExplainRequest, FindRequest, HierarchizeRequest,
@@ -413,25 +414,13 @@ fn register_circuit(engine: &Engine, req: &Request, name: &str) -> Response {
     }
 }
 
-fn cells_from_deck(
-    text: &str,
-    kind: SourceKind,
-    label: &str,
-    mode: CellMode,
-) -> Result<Vec<Netlist>, String> {
-    let cells = load_cells(&parse_text(text, kind, label)?, mode, label)?;
-    if cells.is_empty() {
-        return Err(format!("{label}: no cell definitions"));
-    }
-    Ok(cells)
-}
-
 fn register_library(engine: &Engine, req: &Request, name: &str) -> Response {
     if name.is_empty() || name.contains('/') {
         return Response::error(400, "library name must be a single non-empty path segment");
     }
-    let parsed =
-        body_deck(req).and_then(|(text, kind)| cells_from_deck(text, kind, name, CellMode::Flat));
+    let parsed = body_deck(req)
+        .and_then(|(text, kind)| parse_text(text, kind, name))
+        .and_then(|doc| load_library(&doc, CellMode::Flat, name));
     match parsed {
         Ok(cells) => {
             let info = engine.register_library(name, cells);
@@ -521,8 +510,9 @@ fn pattern_from(body: &Value) -> Result<BodyPattern, String> {
             .and_then(Value::as_str)
             .ok_or("pattern.cell: expected a string")?;
         let kind = deck_format("pattern.format", spec.get("format").map(Value::as_str))?;
-        let doc = parse_text(text, kind, "pattern")?;
-        return load_cell(&doc, cell, "pattern").map(|n| BodyPattern::Inline(Box::new(n)));
+        let pattern = load_cell(&parse_text(text, kind, "pattern")?, cell, "pattern")?;
+        check_patterns(std::slice::from_ref(&pattern), "pattern")?;
+        return Ok(BodyPattern::Inline(Box::new(pattern)));
     }
     Err("pattern needs `library`+`cell` or `source`+`cell`".into())
 }
@@ -557,19 +547,6 @@ fn options_from(body: &Value) -> Result<RequestOptions, String> {
             "events" => opts.trace_events = expect_bool(key, v)?,
             "max_effort" => budget.max_effort = Some(expect_count(key, v)?),
             "deadline_ms" => budget.deadline_ms = Some(expect_count(key, v)?),
-            "prune" => {
-                let name = v.as_str().ok_or("options.prune: expected a string")?;
-                opts.prune = match name {
-                    "auto" => subgemini::PrunePolicy::Auto,
-                    "always" => subgemini::PrunePolicy::Always,
-                    "never" => subgemini::PrunePolicy::Never,
-                    other => {
-                        return Err(format!(
-                            "options.prune: `{other}` is not a policy (expected `auto`, `always` or `never`)"
-                        ))
-                    }
-                };
-            }
             other => return Err(format!("options: unknown key `{other}`")),
         }
     }
@@ -658,7 +635,8 @@ fn library_from(body: &Value, mode: CellMode) -> Result<BodyLibrary, String> {
     if let Some(src) = spec.get("source") {
         let text = src.as_str().ok_or("library.source: expected a string")?;
         let kind = deck_format("library.format", spec.get("format").map(Value::as_str))?;
-        return cells_from_deck(text, kind, "library", mode).map(BodyLibrary::Inline);
+        let doc = parse_text(text, kind, "library")?;
+        return load_library(&doc, mode, "library").map(BodyLibrary::Inline);
     }
     Err("library needs a registered name or a `source` deck".into())
 }

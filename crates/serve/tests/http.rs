@@ -10,7 +10,7 @@ use std::thread;
 use std::time::Duration;
 
 use subgemini::metrics::{json, outcome_to_json};
-use subgemini::{find_all, MatchOptions};
+use subgemini::{find_all, MatchOptions, WarmMain};
 use subgemini_engine::Engine;
 use subgemini_serve::{DrainReport, ServeConfig, Server};
 
@@ -222,7 +222,9 @@ fn eight_concurrent_finds_are_byte_identical_to_direct_find_all() {
     let (status, _) = call(addr, "POST", "/v1/libraries/cells", CELLS);
     assert_eq!(status, 200);
 
-    // The serial baseline: the same v1 report a cold CLI run prints.
+    // The serial baseline: the same v1 report `subg find --artifact`
+    // prints. A registered circuit prunes off its index, and so does a
+    // search warm off an artifact of the same netlist.
     let main = subgemini_engine::source::parse_text(
         CHIP,
         subgemini_engine::source::SourceKind::Spice,
@@ -242,14 +244,17 @@ fn eight_concurrent_finds_are_byte_identical_to_direct_find_all() {
         &main,
         &MatchOptions {
             collect_metrics: true,
-            prune: subgemini::PrunePolicy::Never,
+            warm_main: Some(WarmMain::from_artifact(
+                subgemini_netlist::Artifact::build(&main),
+                0,
+            )),
             ..MatchOptions::default()
         },
     );
     let baseline_doc = outcome_to_json(&baseline);
     assert!(baseline.count() == 2);
 
-    let request = r#"{"circuit": "chip", "pattern": {"library": "cells", "cell": "inv"}, "options": {"metrics": true, "prune": "never"}}"#;
+    let request = r#"{"circuit": "chip", "pattern": {"library": "cells", "cell": "inv"}, "options": {"metrics": true}}"#;
     let responses: Vec<String> = thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| scope.spawn(|| call(addr, "POST", "/v1/find", request)))
@@ -341,8 +346,13 @@ fn unknown_names_and_bad_bodies_map_to_http_errors() {
             assert_eq!(status, 405, "{method} {path}: {body}");
         }
     }
-    // Removed dispatch options are unknown keys, not silently ignored.
-    for (key, value) in [("shards", "2"), ("scheduler", r#""static""#)] {
+    // Removed dispatch and prune options are unknown keys, not
+    // silently ignored.
+    for (key, value) in [
+        ("shards", "2"),
+        ("scheduler", r#""static""#),
+        ("prune", r#""never""#),
+    ] {
         let body = format!(
             r#"{{"circuit": "ghost", "pattern": {{"library": "none", "cell": "x"}},
                 "options": {{"{key}": {value}}}}}"#
@@ -357,6 +367,36 @@ fn unknown_names_and_bad_bodies_map_to_http_errors() {
             .to_string();
         assert_eq!(error, format!("options: unknown key `{key}`"));
     }
+    let (status, _) = call(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn a_pattern_with_an_isolated_net_answers_400() {
+    let (addr, join, shutdown) = start_server(Arc::new(Engine::new()), 2);
+    let (status, _) = call(addr, "POST", "/v1/circuits/chip", CHIP);
+    assert_eq!(status, 200);
+    // `unused` is a port no card connects.
+    let loose = ".subckt loose a y unused\\nmp y a vdd vdd pmos\\nmn y a gnd gnd nmos\\n.ends\\n";
+    let want = "pattern `loose`: net `unused` is isolated";
+    let find =
+        format!(r#"{{"circuit": "chip", "pattern": {{"source": "{loose}", "cell": "loose"}}}}"#);
+    let survey = format!(r#"{{"circuit": "chip", "library": {{"source": "{loose}"}}}}"#);
+    for (path, body) in [("/v1/find", find), ("/v1/survey", survey)] {
+        let (status, body) = call(addr, "POST", path, &body);
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains(want), "{path}: {body}");
+    }
+    let (status, body) = call(
+        addr,
+        "POST",
+        "/v1/libraries/loose",
+        &loose.replace("\\n", "\n"),
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains(want), "{body}");
     let (status, _) = call(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
     shutdown();

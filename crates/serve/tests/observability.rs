@@ -12,6 +12,7 @@ use std::thread;
 use std::time::Duration;
 
 use subgemini::metrics::json;
+use subgemini_engine::source::{load_cell, parse_text, SourceKind};
 use subgemini_engine::Engine;
 use subgemini_serve::{DrainReport, ServeConfig, Server};
 
@@ -31,9 +32,10 @@ mq2p w1 w0 vdd vdd pmos
 mq2n w1 w0 gnd gnd nmos
 ";
 
-/// A pattern whose cell has a port net no device touches: compiling it
-/// is fine, but `find_all` asserts patterns are fully connected, so a
-/// find request over it panics inside the handler.
+/// A pattern whose cell has a port net no device touches. The daemon's
+/// loaders refuse it (400), but a library registered through the engine
+/// API is not checked, and `find_all` asserts patterns are fully
+/// connected, so a find request over it panics inside the handler.
 const ISOLATED_NET_CELL: &str = "\
 .subckt bad a y z
 mp y a vdd vdd pmos
@@ -224,7 +226,10 @@ fn prometheus_label_values_are_escaped() {
 
 #[test]
 fn status_classes_count_and_panicking_route_answers_500() {
-    let (addr, join, shutdown) = start_with(Arc::new(Engine::new()), ephemeral());
+    let engine = Arc::new(Engine::new());
+    let bad = parse_text(ISOLATED_NET_CELL, SourceKind::Spice, "bad").unwrap();
+    engine.register_library("bad", vec![load_cell(&bad, "bad", "bad").unwrap()]);
+    let (addr, join, shutdown) = start_with(engine, ephemeral());
     register_chip_and_cells(addr);
     let (status, _) = call(addr, "GET", "/healthz", ""); // 2xx
     assert_eq!(status, 200);
@@ -238,7 +243,7 @@ fn status_classes_count_and_panicking_route_answers_500() {
         (
             "pattern".into(),
             json::Value::Obj(vec![
-                ("source".into(), json::Value::Str(ISOLATED_NET_CELL.into())),
+                ("library".into(), json::Value::Str("bad".into())),
                 ("cell".into(), json::Value::Str("bad".into())),
             ]),
         ),
@@ -590,7 +595,7 @@ fn instrumented_daemon_answers_the_same_bytes_as_a_plain_one() {
         register_chip_and_cells(addr);
     }
     // Deterministic options so the reports carry comparable fields.
-    let req = r#"{"circuit": "chip", "pattern": {"library": "cells", "cell": "inv"}, "options": {"threads": 2, "prune": "never"}}"#;
+    let req = r#"{"circuit": "chip", "pattern": {"library": "cells", "cell": "inv"}, "options": {"threads": 2}}"#;
     let (status_a, body_a) = call(plain_addr, "POST", "/v1/find", req);
     let (status_b, body_b) = call(inst_addr, "POST", "/v1/find", req);
     assert_eq!((status_a, status_b), (200, 200));

@@ -187,6 +187,7 @@ impl<'g, 'd> FrontEnd<'d> for Spice<'g, 'd> {
         out: &mut Builder<TypeKey<'d>, &'g HashSet<String>>,
         card: &'d Card,
         _cell: usize,
+        _child: &Netlist,
     ) -> Result<&'d str, SpiceError> {
         let doc = self.doc;
         let Card::Instance { name, nets, .. } = *card else {

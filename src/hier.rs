@@ -6,6 +6,8 @@
 //! definition-by-definition and the top level is compared unflattened,
 //! so an edit inside one cell flags exactly that cell.
 
+use std::collections::HashMap;
+
 use subgemini_gemini::{compare, GeminiOutcome};
 use subgemini_netlist::{ElaborateOptions, Netlist};
 use subgemini_spice::{SpiceDoc, SpiceError};
@@ -54,7 +56,9 @@ impl HierReport {
 ///
 /// # Errors
 ///
-/// Propagates elaboration failures (unknown/recursive subcircuits).
+/// Propagates elaboration failures (unknown/recursive subcircuits): the
+/// first in definition order, the first deck's before the second's,
+/// whether or not the other deck defines that cell.
 ///
 /// # Examples
 ///
@@ -73,9 +77,10 @@ impl HierReport {
 /// ```
 pub fn compare_docs(a: &SpiceDoc, b: &SpiceDoc) -> Result<HierReport, SpiceError> {
     let decks = [a, b];
+    let flat = ElaborateOptions::default();
     compare_hierarchically(
         decks.map(|d| d.subckts.iter().map(|s| s.name.as_str()).collect()),
-        |side, name| decks[side].elaborate_cell(name, &ElaborateOptions::default()),
+        [a.elaborate_cells(&flat)?, b.elaborate_cells(&flat)?],
         |side| decks[side].elaborate_top("top", &ElaborateOptions::hierarchical()),
     )
 }
@@ -85,7 +90,8 @@ pub fn compare_docs(a: &SpiceDoc, b: &SpiceDoc) -> Result<HierReport, SpiceError
 ///
 /// # Errors
 ///
-/// Propagates elaboration failures.
+/// Propagates elaboration failures, in the order [`compare_docs`]
+/// reports them.
 ///
 /// # Examples
 ///
@@ -102,37 +108,39 @@ pub fn compare_docs(a: &SpiceDoc, b: &SpiceDoc) -> Result<HierReport, SpiceError
 /// ```
 pub fn compare_verilog(a: &Source, b: &Source) -> Result<HierReport, VerilogError> {
     let sources = [a, b];
+    let flat = ElaborateOptions::default();
     compare_hierarchically(
         sources.map(|s| s.modules.iter().map(|m| m.name.as_str()).collect()),
-        |side, name| sources[side].elaborate(Some(name), &ElaborateOptions::default()),
+        [a.elaborate_cells(&flat)?, b.elaborate_cells(&flat)?],
         |side| sources[side].elaborate(None, &ElaborateOptions::hierarchical()),
     )
 }
 
-/// The one hierarchical comparison: every cell name of either side
-/// (`names`, in definition order, lowercased for SPICE), sorted; each
-/// cell both sides define compared flat, the first side's elaborated
-/// first; then the two tops, unflattened. `cell(side, name)` and
-/// `top(side)` elaborate side 0 (the first deck) or side 1.
+/// The one hierarchical comparison: every cell name of either side,
+/// sorted; each cell both sides define compared flat; then the two
+/// tops, unflattened. Side 0 is the first deck, side 1 the second:
+/// `names[side]` are its cell names in definition order (lowercased for
+/// SPICE), `cells[side]` its cells flattened in that order through one
+/// memo, and `top(side)` elaborates its top.
 fn compare_hierarchically<E>(
     names: [Vec<&str>; 2],
-    cell: impl Fn(usize, &str) -> Result<Netlist, E>,
+    cells: [Vec<Netlist>; 2],
     top: impl Fn(usize) -> Result<Netlist, E>,
 ) -> Result<HierReport, E> {
-    let mut all = names[0].clone();
-    for &name in &names[1] {
-        if !all.contains(&name) {
-            all.push(name);
-        }
-    }
+    let [a, b]: [HashMap<&str, &Netlist>; 2] = [0, 1].map(|side| {
+        let named = names[side].iter().copied().zip(&cells[side]);
+        named.collect()
+    });
+    let mut all: Vec<&str> = a.keys().chain(b.keys()).copied().collect();
     all.sort_unstable();
+    all.dedup();
     let mut report = HierReport::default();
     for name in all {
-        let outcome = match (names[0].contains(&name), names[1].contains(&name)) {
-            (true, true) => outcome(&cell(0, name)?, &cell(1, name)?),
-            (true, false) => CellOutcome::OnlyInFirst,
-            (false, true) => CellOutcome::OnlyInSecond,
-            (false, false) => unreachable!("name collected from one side"),
+        let outcome = match (a.get(name), b.get(name)) {
+            (Some(x), Some(y)) => outcome(x, y),
+            (Some(_), None) => CellOutcome::OnlyInFirst,
+            (None, Some(_)) => CellOutcome::OnlyInSecond,
+            (None, None) => unreachable!("name collected from one side"),
         };
         report.cells.push((name.to_string(), outcome));
     }
@@ -238,6 +246,33 @@ Xg1 w en out nand2
             .cells
             .iter()
             .any(|(n, o)| n == "nand2" && *o == CellOutcome::OnlyInFirst));
+    }
+
+    #[test]
+    fn the_first_cell_error_fails_the_compare_first_deck_first() {
+        // Definition order, not name order, and whether or not the other
+        // deck defines the broken cell.
+        let broken = |cells: &[(&str, &str)]| {
+            let mut text = DECK.to_string();
+            for (cell, missing) in cells {
+                text.push_str(&format!(".subckt {cell} x\nxq x {missing}\n.ends\n"));
+            }
+            subgemini_spice::parse(&text).unwrap()
+        };
+        let a = broken(&[("zbad", "nosuch1"), ("abad", "nosuch2")]);
+        let b = broken(&[("bbad", "nosuch3")]);
+        let clean = broken(&[]);
+        let err = |x, y| compare_docs(x, y).unwrap_err().to_string();
+        assert!(err(&a, &b).contains("nosuch1"), "{}", err(&a, &b));
+        assert!(err(&b, &a).contains("nosuch3"), "{}", err(&b, &a));
+        assert!(err(&clean, &a).contains("nosuch1"), "{}", err(&clean, &a));
+        let v = |text: &str| subgemini_verilog::parse(text).unwrap();
+        let good = "module inv(input a, output y);\nnot g(y, a);\nendmodule\n";
+        let bad = v(&format!(
+            "{good}module zbad(input x);\nnosuch u(x);\nendmodule\n"
+        ));
+        let err = compare_verilog(&v(good), &bad).unwrap_err().to_string();
+        assert!(err.contains("nosuch"), "{err}");
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Concurrent engine requests over one shared registry entry must be
-//! byte-identical to serial cold runs: same instance sets, same
+//! byte-identical to serial runs: same instance sets, same
 //! completeness, same reject tallies, same event journals. This is the
 //! sharing contract of DESIGN §3g — the daemon's whole correctness
 //! story is that N threads on one `Arc<CompiledCircuit>` + index
-//! answer exactly what N serial CLI invocations would.
+//! answer exactly what N serial CLI invocations would. A registered
+//! search prunes off the entry's index, so each serial baseline runs
+//! warm off an artifact of the same netlist, as `subg find --artifact`
+//! does.
 
 use std::sync::Barrier;
 use std::thread;
 
-use subgemini::{find_all, MatchOutcome, PrunePolicy, WorkBudget};
+use subgemini::{find_all, MatchOutcome, WarmMain, WorkBudget};
 use subgemini_engine::{CircuitSource, Engine, FindRequest, PatternSource, RequestOptions};
-use subgemini_netlist::Netlist;
+use subgemini_netlist::{Artifact, Netlist};
 use subgemini_workloads::{analog, cells, gen};
 
 /// The metrics counters in the `reject.*` namespace, sorted by name.
@@ -29,16 +32,20 @@ fn reject_tallies(outcome: &MatchOutcome) -> Vec<(String, u64)> {
 }
 
 /// Full-strength request options for the comparison: metrics and
-/// journal on, pruning off so the registry-warm runs exercise the very
-/// same candidate stream as the cold baseline (warm≡cold equivalence
-/// for `auto` pruning is pinned separately by the warm-start suite).
+/// journal on.
 fn comparison_options() -> RequestOptions {
     RequestOptions {
         collect_metrics: true,
         trace_events: true,
-        prune: PrunePolicy::Never,
         ..RequestOptions::default()
     }
+}
+
+/// The serial baseline: `options` lowered with a warm handle built from
+/// `main`, so it prunes exactly as a registered request does.
+fn serial(pattern: &Netlist, main: &Netlist, options: &RequestOptions) -> MatchOutcome {
+    let warm = WarmMain::from_artifact(Artifact::build(main), 0);
+    find_all(pattern, main, &options.lower(main, Some(&warm)).unwrap())
 }
 
 fn assert_outcomes_identical(concurrent: &MatchOutcome, serial: &MatchOutcome) {
@@ -58,13 +65,9 @@ fn eight_threads_match_serial_cold_runs_exactly() {
     let engine = Engine::new();
     engine.register_circuit("chip", main.clone());
 
-    // The serial baseline: a cold `find_all`, exactly what `subg find`
-    // runs for a one-shot CLI invocation with the same flags.
-    let serial = find_all(
-        &pattern,
-        &main,
-        &comparison_options().lower(&main, None).unwrap(),
-    );
+    // The serial baseline: what `subg find --artifact` runs for a
+    // one-shot CLI invocation with the same flags.
+    let serial = serial(&pattern, &main, &comparison_options());
     assert!(serial.count() > 0, "baseline must find instances");
 
     thread::scope(|scope| {
@@ -99,12 +102,11 @@ fn concurrent_budgeted_requests_truncate_identically() {
     // only accrues under a governor) so the budget bites mid-search
     // deterministically — the ledger is candidate-vector-ordered, not
     // wall-clock-ordered.
-    let probe_opts = {
-        let mut o = comparison_options();
-        o.budget = Some(WorkBudget::effort(u64::MAX));
-        o.lower(&main, None).unwrap()
+    let probe_opts = RequestOptions {
+        budget: Some(WorkBudget::effort(u64::MAX)),
+        ..comparison_options()
     };
-    let full_effort = find_all(&pattern, &main, &probe_opts)
+    let full_effort = serial(&pattern, &main, &probe_opts)
         .metrics
         .as_ref()
         .unwrap()
@@ -116,7 +118,7 @@ fn concurrent_budgeted_requests_truncate_identically() {
         budget: Some(WorkBudget::effort(cap)),
         ..comparison_options()
     };
-    let serial = find_all(&pattern, &main, &budgeted().lower(&main, None).unwrap());
+    let serial = serial(&pattern, &main, &budgeted());
     assert!(
         serial.completeness.is_truncated(),
         "cap of {cap}/{full_effort} effort units must truncate"
@@ -162,8 +164,8 @@ fn mixed_qos_requests_coexist_on_one_entry() {
         budget: Some(WorkBudget::effort(1)),
         ..comparison_options()
     };
-    let serial_heavy = find_all(&opamp, &main, &heavy().lower(&main, None).unwrap());
-    let serial_tiny = find_all(&inv, &main, &tiny().lower(&main, None).unwrap());
+    let serial_heavy = serial(&opamp, &main, &heavy());
+    let serial_tiny = serial(&inv, &main, &tiny());
     assert!(serial_tiny.completeness.is_truncated());
 
     thread::scope(|scope| {
@@ -203,26 +205,17 @@ fn mixed_qos_requests_coexist_on_one_entry() {
 }
 
 /// Runs `cells[i % cells.len()]` on 8 threads, released together,
-/// against the registered `chip` and checks every answer against a cold
-/// `Inline` run over `main`. Returns the cold outcomes, in `cells`
+/// against the registered `chip` and checks every answer against a
+/// serial run over `main`. Returns the serial outcomes, in `cells`
 /// order.
-fn race_cells_against_cold_runs(
+fn race_cells_against_serial_runs(
     engine: &Engine,
     main: &Netlist,
     cells: &[Netlist],
 ) -> Vec<MatchOutcome> {
-    let cold: Vec<MatchOutcome> = cells
+    let baseline: Vec<MatchOutcome> = cells
         .iter()
-        .map(|cell| {
-            engine
-                .find(&FindRequest {
-                    circuit: CircuitSource::Inline(main),
-                    pattern: PatternSource::Inline(cell),
-                    options: comparison_options(),
-                })
-                .unwrap()
-                .outcome
-        })
+        .map(|cell| serial(cell, main, &comparison_options()))
         .collect();
     let start = Barrier::new(8);
     thread::scope(|scope| {
@@ -244,10 +237,10 @@ fn race_cells_against_cold_runs(
             .collect();
         for handle in handles {
             let (c, outcome) = handle.join().unwrap();
-            assert_outcomes_identical(&outcome, &cold[c]);
+            assert_outcomes_identical(&outcome, &baseline[c]);
         }
     });
-    cold
+    baseline
 }
 
 #[test]
@@ -264,7 +257,7 @@ fn shared_trace_races_and_re_registration_match_cold_runs() {
     let engine = Engine::new();
     let first = gen::tiled_chip(3, 3_000).netlist;
     engine.register_circuit("chip", first.clone());
-    let before = race_cells_against_cold_runs(&engine, &first, &cells);
+    let before = race_cells_against_serial_runs(&engine, &first, &cells);
     let depths: Vec<usize> = before.iter().map(|o| o.phase1.iterations).collect();
     assert_eq!(depths, [1, 2, 3, 4], "inv .. dff stop at increasing depths");
     assert!(
@@ -276,7 +269,7 @@ fn shared_trace_races_and_re_registration_match_cold_runs() {
     // circuit's shared steps.
     let second = gen::tiled_chip(4, 2_000).netlist;
     engine.register_circuit("chip", second.clone());
-    let after = race_cells_against_cold_runs(&engine, &second, &cells);
+    let after = race_cells_against_serial_runs(&engine, &second, &cells);
     assert_ne!(
         before.iter().map(MatchOutcome::count).collect::<Vec<_>>(),
         after.iter().map(MatchOutcome::count).collect::<Vec<_>>(),

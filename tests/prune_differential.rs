@@ -1,15 +1,17 @@
 //! Fingerprint pruning must be invisible in results and visible only
-//! in the counters: on every workload, `PrunePolicy::Always` and
-//! `PrunePolicy::Never` produce identical instance sets, stats, and
-//! completeness (the prune is provably sound — it may only discard
-//! candidates Phase II would reject anyway), and on a decoy-heavy
-//! field the prune ratio is measurably nonzero. Pruned runs are also
-//! pinned byte-identical across thread counts, journal included.
+//! in the counters. A search prunes exactly when it adopts a warm
+//! handle, so the pruned arm runs warm (off an artifact built from the
+//! main circuit) and the unpruned arm cold: on every workload the two
+//! produce identical instance sets, stats, and completeness (the prune
+//! is provably sound — it may only discard candidates Phase II would
+//! reject anyway), and on a decoy-heavy field the prune ratio is
+//! measurably nonzero. Pruned runs are also pinned byte-identical
+//! across thread counts, journal included.
 
 use subgemini::events::journal_to_ndjson;
-use subgemini::{MatchOptions, MatchOutcome, Matcher, PrunePolicy};
+use subgemini::{MatchOptions, MatchOutcome, Matcher, WarmMain};
 use subgemini_netlist::rng::Rng64;
-use subgemini_netlist::{instantiate, DeviceType, NetId, Netlist};
+use subgemini_netlist::{instantiate, Artifact, DeviceType, NetId, Netlist};
 use subgemini_workloads::{cells, gen};
 
 /// Random MOS + resistor soup over `n_nets` wires with power rails,
@@ -81,11 +83,20 @@ fn run(pattern: &Netlist, main: &Netlist, opts: MatchOptions) -> MatchOutcome {
     Matcher::new(pattern, main).options(opts).find_all()
 }
 
-fn with_policy(prune: PrunePolicy) -> MatchOptions {
+/// Options for the unpruned arm: a cold search, metrics on.
+fn cold() -> MatchOptions {
     MatchOptions {
-        prune,
         collect_metrics: true,
         ..MatchOptions::default()
+    }
+}
+
+/// Options for the pruned arm: a search warm off an artifact built from
+/// `main`, metrics on.
+fn warm(main: &Netlist) -> MatchOptions {
+    MatchOptions {
+        warm_main: Some(WarmMain::from_artifact(Artifact::build(main), 0)),
+        ..cold()
     }
 }
 
@@ -99,8 +110,8 @@ fn counter(o: &MatchOutcome, name: &str) -> u64 {
 
 /// Asserts the full pruned-vs-unpruned contract on one workload.
 fn check_prune_invisible(case: u64, pattern: &Netlist, main: &Netlist) {
-    let unpruned = run(pattern, main, with_policy(PrunePolicy::Never));
-    let pruned = run(pattern, main, with_policy(PrunePolicy::Always));
+    let unpruned = run(pattern, main, cold());
+    let pruned = run(pattern, main, warm(main));
 
     assert_eq!(
         unpruned.instances, pruned.instances,
@@ -140,7 +151,7 @@ fn check_prune_invisible(case: u64, pattern: &Netlist, main: &Netlist) {
     assert_eq!(
         counter(&unpruned, "index.pruned_candidates"),
         0,
-        "case {case}: PrunePolicy::Never must not prune"
+        "case {case}: a cold search must not prune"
     );
 }
 
@@ -168,8 +179,8 @@ fn pruning_is_invisible_on_library_cells_over_an_adder() {
 #[test]
 fn prune_ratio_is_nonzero_on_the_decoy_field() {
     let (pattern, g) = decoy_workload();
-    let pruned = run(&pattern, &g.netlist, with_policy(PrunePolicy::Always));
-    let unpruned = run(&pattern, &g.netlist, with_policy(PrunePolicy::Never));
+    let pruned = run(&pattern, &g.netlist, warm(&g.netlist));
+    let unpruned = run(&pattern, &g.netlist, cold());
 
     assert_eq!(
         pruned.count(),
@@ -190,10 +201,6 @@ fn prune_ratio_is_nonzero_on_the_decoy_field() {
         "every true instance's candidate must be admitted"
     );
     assert_eq!(pruned_n + admitted_n, pruned.phase1.cv_size as u64);
-    assert!(
-        counter(&pruned, "index.build_ns") > 0,
-        "PrunePolicy::Always on a cold run must report the index build"
-    );
 }
 
 #[test]
@@ -206,7 +213,7 @@ fn pruned_runs_are_identical_across_threads_and_schedulers() {
             MatchOptions {
                 threads,
                 trace_events: true,
-                ..with_policy(PrunePolicy::Always)
+                ..warm(&g.netlist)
             },
         )
     };

@@ -10,7 +10,7 @@
 //!    journal *event bytes* stay id-free so cross-request journal
 //!    equality keeps holding.
 
-use subgemini::{MatchOutcome, PrunePolicy, WorkBudget};
+use subgemini::{MatchOutcome, WorkBudget};
 use subgemini_engine::{
     CircuitSource, Engine, ExplainRequest, FindRequest, LibrarySource, PatternSource,
     RequestOptions, SurveyRequest,
@@ -55,7 +55,6 @@ fn telemetry_on_and_off_answer_byte_identically() {
                 threads,
                 budget: budget.clone(),
                 trace_events: true,
-                prune: PrunePolicy::Never,
                 ..RequestOptions::default()
             };
             let request = |engine: &Engine| {
