@@ -419,7 +419,7 @@ pub fn check(args: &Args) -> Result<u8, String> {
 }
 
 /// `subg map`: greedy technology mapping report.
-pub fn techmap(args: &Args) -> Result<u8, String> {
+pub fn map(args: &Args) -> Result<u8, String> {
     let main_path = args.need(0, "main netlist file")?;
     let main = load_main(main_path)?;
     let cells = library_from(args)?;
@@ -673,3 +673,115 @@ pub fn stats(args: &Args) -> Result<u8, String> {
     println!("{}", NetlistStats::of(&main));
     Ok(0)
 }
+
+/// A subcommand: its name, its implementation (the function of the same
+/// name above) and every flag it reads, in groups.
+pub struct Command {
+    pub name: &'static str,
+    pub run: fn(&Args) -> Result<u8, String>,
+    pub flags: &'static [&'static [&'static str]],
+}
+
+/// What `pattern_from` reads.
+const PATTERN: &[&str] = &["--pattern", "--lib"];
+/// What `library_from` and `hierarchize_library` read.
+const LIBRARY: &[&str] = &["--builtin-lib", "--lib", "--library"];
+/// What `request_options` reads.
+const REQUEST: &[&str] = &[
+    "--ignore-globals",
+    "--first",
+    "--threads",
+    "--report",
+    "--trace-out",
+    "--events-out",
+    "--explain",
+    "--max-effort",
+    "--deadline-ms",
+    "--artifact",
+];
+
+/// Every subcommand. A flag outside its subcommand's entry is a usage
+/// error, so none is silently ignored.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "find",
+        run: find,
+        flags: &[PATTERN, REQUEST, &["--csv", "--fail-fast"]],
+    },
+    Command {
+        name: "explain",
+        run: explain,
+        flags: &[PATTERN, REQUEST, &["--json"]],
+    },
+    Command {
+        name: "candidates",
+        run: candidates,
+        flags: &[PATTERN],
+    },
+    Command {
+        name: "compile",
+        run: compile,
+        flags: &[&["--out"]],
+    },
+    Command {
+        name: "extract",
+        run: extract,
+        flags: &[LIBRARY, &["--out"]],
+    },
+    Command {
+        name: "hierarchize",
+        run: hierarchize,
+        flags: &[LIBRARY, REQUEST, &["--out"]],
+    },
+    Command {
+        name: "check",
+        run: check,
+        flags: &[&["--rules"]],
+    },
+    Command {
+        name: "map",
+        run: map,
+        flags: &[LIBRARY],
+    },
+    Command {
+        name: "survey",
+        run: survey,
+        flags: &[LIBRARY, REQUEST],
+    },
+    Command {
+        name: "trace",
+        run: trace,
+        flags: &[PATTERN, REQUEST],
+    },
+    Command {
+        name: "compare",
+        run: compare,
+        flags: &[&["--cell", "--hierarchical"]],
+    },
+    Command {
+        name: "stats",
+        run: stats,
+        flags: &[],
+    },
+    Command {
+        name: "dot",
+        run: dot,
+        flags: &[&["--out"]],
+    },
+    Command {
+        name: "fingerprint",
+        run: fingerprint,
+        flags: &[],
+    },
+    Command {
+        name: "serve",
+        run: serve,
+        flags: &[&[
+            "--addr",
+            "--workers",
+            "--access-log",
+            "--slow-ms",
+            "--slow-keep",
+        ]],
+    },
+];

@@ -64,35 +64,15 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
-    let parsed = match args::Args::parse(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = commands::COMMANDS.iter().find(|c| c.name == cmd) else {
+        eprintln!("error: unknown subcommand `{cmd}`\n{USAGE}");
+        return ExitCode::from(2);
     };
-    let result = match cmd.as_str() {
-        "find" => commands::find(&parsed),
-        "explain" => commands::explain(&parsed),
-        "candidates" => commands::candidates(&parsed),
-        "compile" => commands::compile(&parsed),
-        "extract" => commands::extract(&parsed),
-        "hierarchize" => commands::hierarchize(&parsed),
-        "check" => commands::check(&parsed),
-        "map" => commands::techmap(&parsed),
-        "survey" => commands::survey(&parsed),
-        "trace" => commands::trace(&parsed),
-        "compare" => commands::compare(&parsed),
-        "stats" => commands::stats(&parsed),
-        "dot" => commands::dot(&parsed),
-        "fingerprint" => commands::fingerprint(&parsed),
-        "serve" => commands::serve(&parsed),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(0)
-        }
-        other => Err(format!("unknown subcommand `{other}`\n{USAGE}")),
-    };
+    let result = args::Args::parse(rest, command).and_then(|parsed| (command.run)(&parsed));
     match result {
         Ok(code) => ExitCode::from(code),
         Err(e) => {

@@ -622,6 +622,71 @@ fn usage_on_no_args_and_unknown_command() {
 }
 
 #[test]
+fn every_subcommand_refuses_a_flag_it_does_not_read() {
+    let dir = scratch("unread_flags");
+    write_files(&dir);
+    // Each subcommand with a flag only other subcommands read: a usage
+    // error naming the flag, before anything runs.
+    let cases: &[(&str, &[&str])] = &[
+        ("find", &["--json"]),
+        ("explain", &["--csv"]),
+        ("candidates", &["--threads", "2"]),
+        ("compile", &["--hierarchical"]),
+        ("extract", &["--pattern", "inv"]),
+        ("hierarchize", &["--csv"]),
+        ("check", &["--lib", "cells.sp"]),
+        ("map", &["--out", "map.txt"]),
+        ("survey", &["--out", "survey.txt"]),
+        ("trace", &["--fail-fast"]),
+        ("compare", &["--threads", "2"]),
+        ("stats", &["--pattern", "inv"]),
+        ("dot", &["--lib", "cells.sp"]),
+        ("fingerprint", &["--out", "fp.txt"]),
+        ("serve", &["--threads", "2"]),
+    ];
+    for (cmd, extra) in cases {
+        let mut args = vec![*cmd, "chip.sp"];
+        args.extend(*extra);
+        let out = subg(&dir, &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("unknown option {} for `subg {cmd}`", extra[0]);
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+    }
+    // The first flag the subcommand does not read is the one named.
+    let out = subg(
+        &dir,
+        &[
+            "stats",
+            "chip.sp",
+            "--pattern",
+            "inv",
+            "--threads",
+            "8",
+            "--deadline-ms",
+            "1",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --pattern for"));
+    let out = subg(
+        &dir,
+        &[
+            "compile",
+            "chip.sp",
+            "--out",
+            "x.sgc",
+            "--hierarchical",
+            "--csv",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --hierarchical for"));
+    assert!(!dir.join("x.sgc").exists(), "compile wrote nothing");
+}
+
+#[test]
 fn fingerprint_groups_duplicate_cells() {
     let dir = scratch("fp");
     let cells =

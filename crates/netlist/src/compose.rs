@@ -234,9 +234,40 @@ impl<G: GlobalNames + ?Sized> GlobalNames for &G {
     }
 }
 
+/// A [`Builder`]'s cache of recently resolved nets has
+/// `1 << RECENT_BITS` slots.
+const RECENT_BITS: u32 = 7;
+
+/// One slot of the recent-net cache: the [`recent_key`] of a name and
+/// the net it resolved to.
+#[derive(Clone, Copy, Debug)]
+struct Recent {
+    key: u32,
+    net: NetId,
+}
+
+/// An empty slot: no netlist has its net.
+const NO_NET: Recent = Recent {
+    key: 0,
+    net: NetId::new(u32::MAX),
+};
+
+/// The recent-net cache key of `name`: its length and its last eight
+/// bytes, mixed. Its top bits pick the slot. Names of one length that
+/// share their last eight bytes share a key.
+#[inline]
+fn recent_key(name: &str) -> u32 {
+    let b = name.as_bytes();
+    let tail = match b.len().checked_sub(8) {
+        Some(at) => u64::from_le_bytes(b[at..].try_into().expect("eight bytes")),
+        None => b.iter().fold(0, |tail, &x| tail << 8 | u64::from(x)),
+    };
+    ((tail ^ b.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
+}
+
 /// A netlist a front end is elaborating, with what is already known
-/// about it: the type each key stands for, and which nets have been
-/// checked against the global names.
+/// about it: the type each key stands for, which nets have been checked
+/// against the global names, and the nets it resolved last.
 #[derive(Debug)]
 pub struct Builder<K, G> {
     nl: Netlist,
@@ -249,6 +280,9 @@ pub struct Builder<K, G> {
     globals: G,
     /// The nets of the item being added, reused from item to item.
     pins: Vec<NetId>,
+    /// Direct-mapped by [`recent_key`]: the net [`Builder::net`] last
+    /// resolved for a name of each slot.
+    recent: [Recent; 1 << RECENT_BITS],
 }
 
 // The per-card methods are `#[inline]`: a front end's flattener is
@@ -263,6 +297,7 @@ impl<K: Copy + Eq, G: GlobalNames> Builder<K, G> {
             checked: Vec::new(),
             globals,
             pins: Vec::new(),
+            recent: [NO_NET; 1 << RECENT_BITS],
         }
     }
 
@@ -299,9 +334,20 @@ impl<K: Copy + Eq, G: GlobalNames> Builder<K, G> {
 
     /// The net named `name`, created if new, marked global the first
     /// time this builder sees it if the name is global.
+    ///
+    /// A name resolved lately is found in a small cache, confirmed by
+    /// comparing it with the net's name: a builder only adds nets, so a
+    /// name keeps its id, and the net was checked when it was cached.
     #[inline]
     pub fn net(&mut self, name: &str) -> NetId {
+        let key = recent_key(name);
+        let slot = (key >> (32 - RECENT_BITS)) as usize;
+        let Recent { key: seen, net } = self.recent[slot];
+        if seen == key && net.index() < self.nl.net_count() && self.nl.net_ref(net).name() == name {
+            return net;
+        }
         let id = self.nl.net(name);
+        self.recent[slot] = Recent { key, net: id };
         let i = id.index();
         if i >= self.checked.len() {
             self.checked.resize(i + 1, false);
@@ -755,6 +801,16 @@ mod tests {
         // nothing.
         assert_eq!(minted_name_bytes(&cell, "u7"), 5 + 5 + 5 + 6);
         assert_eq!(names(&chip) - before, 21);
+    }
+
+    #[test]
+    fn names_of_one_length_and_tail_share_a_recent_key() {
+        // What `tests/net_cache_soundness.rs` relies on.
+        let key = recent_key("w000_same_tail");
+        for i in 1..48 {
+            assert_eq!(recent_key(&format!("w{i:03}_same_tail")), key);
+        }
+        assert_ne!(recent_key("vdd"), recent_key("gnd"));
     }
 
     #[test]

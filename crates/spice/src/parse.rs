@@ -1,4 +1,4 @@
-//! Line-oriented parser for the supported SPICE subset.
+//! One-pass scanner and parser for the supported SPICE subset.
 //!
 //! Supported syntax:
 //!
@@ -7,6 +7,13 @@
 //! * `.subckt NAME port…` / `.ends`, `.global net…`, `.end`,
 //! * `*` comment lines, `;`/`$` trailing comments, `+` continuations,
 //! * `k=v` parameter tokens and trailing numeric values are skipped.
+//!
+//! The deck is lowercased once, and one scan over its bytes cuts the
+//! comments, skips blank and `*` lines, joins `+` continuations and
+//! emits each token's span, noting whether it holds an `=`. Tokens are
+//! separated by whatever `char::is_whitespace` accepts: ASCII bytes are
+//! classified by a table, and a non-ASCII byte is decoded to the
+//! character it starts.
 
 use crate::card::{Card, Span, SubcktDef};
 use crate::error::SpiceError;
@@ -56,38 +63,141 @@ impl SpiceDoc {
     }
 }
 
-/// The part of a physical line that carries tokens — `;`/`$` comments
-/// cut, whitespace trimmed — or `None` for blank and `*` comment lines.
-fn content(raw: &str) -> Option<&str> {
-    let line = match raw.bytes().position(|b| b == b';' || b == b'$') {
-        Some(pos) => &raw[..pos],
-        None => raw,
-    };
-    let trimmed = line.trim();
-    (!trimmed.is_empty() && !trimmed.starts_with('*')).then_some(trimmed)
+/// A token of the logical line being collected.
+#[derive(Clone, Copy, Debug)]
+struct Token {
+    span: Span,
+    /// The token holds an `=`: a `k=v` parameter. The first one ends a
+    /// card's nets.
+    eq: bool,
 }
 
-/// The title: the deck's first logical line with its `+` continuations
-/// joined by single spaces, in the original case.
-fn title(text: &str) -> String {
-    let mut lines = text.lines().filter_map(content);
-    let mut title = lines.next().unwrap_or_default().to_string();
-    for rest in lines.map_while(|l| l.strip_prefix('+')) {
-        title.push(' ');
-        title.push_str(rest.trim());
+// How the scanner reads a byte: `CLASS[b]` is one of these.
+/// Token text.
+const TEXT: u8 = 0;
+/// ASCII whitespace other than `\n`: space, tab, VT, FF, CR.
+const SPACE: u8 = 1;
+/// `\n`, or `;`/`$`, which cuts the rest of the line: ends a token.
+const STOP: u8 = 2;
+/// `=`: token text that makes the token a parameter.
+const EQ: u8 = 3;
+/// A non-ASCII byte: the character it starts decides.
+const WIDE: u8 = 4;
+
+const CLASS: [u8; 256] = {
+    let mut class = [TEXT; 256];
+    class[b' ' as usize] = SPACE;
+    class[b'\t' as usize] = SPACE;
+    class[0x0b] = SPACE;
+    class[0x0c] = SPACE;
+    class[b'\r' as usize] = SPACE;
+    class[b'\n' as usize] = STOP;
+    class[b';' as usize] = STOP;
+    class[b'$' as usize] = STOP;
+    class[b'=' as usize] = EQ;
+    let mut b = 0x80;
+    while b < 256 {
+        class[b] = WIDE;
+        b += 1;
     }
-    title
+    class
+};
+
+/// A position in the lowercased deck, moving forward only.
+struct Scanner<'t> {
+    text: &'t str,
+    pos: usize,
 }
 
-/// True for tokens we ignore: `k=v` parameters and bare numeric values
-/// (`10k`, `2.5u`, `1e-9`).
-fn is_param_or_value(tok: &str) -> bool {
-    if tok.contains('=') {
-        return true;
+impl Scanner<'_> {
+    /// The non-ASCII character at `pos`: whether it is whitespace, and
+    /// its length.
+    fn wide(&self) -> (bool, usize) {
+        let c = self.text[self.pos..]
+            .chars()
+            .next()
+            .expect("inside the deck");
+        (c.is_whitespace(), c.len_utf8())
     }
-    tok.chars()
-        .next()
-        .is_some_and(|c| c.is_ascii_digit() || c == '.' || c == '-' || c == '+')
+
+    /// Skips whitespace within the line; returns the byte it stops at,
+    /// or `None` at the end of the deck.
+    fn skip_space(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            match CLASS[b as usize] {
+                SPACE => self.pos += 1,
+                WIDE => match self.wide() {
+                    (true, len) => self.pos += len,
+                    (false, _) => return Some(b),
+                },
+                _ => return Some(b),
+            }
+        }
+        None
+    }
+
+    /// Moves past the next `\n`, or to the end of the deck.
+    fn next_line(&mut self) {
+        self.pos = match self.text[self.pos..].find('\n') {
+            Some(at) => self.pos + at + 1,
+            None => self.text.len(),
+        };
+    }
+
+    /// The token that starts at `pos`, moving past it.
+    fn token(&mut self) -> Token {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut eq = false;
+        while let Some(&b) = bytes.get(self.pos) {
+            match CLASS[b as usize] {
+                TEXT => self.pos += 1,
+                EQ => {
+                    eq = true;
+                    self.pos += 1;
+                }
+                WIDE => match self.wide() {
+                    (false, len) => self.pos += len,
+                    (true, _) => break,
+                },
+                _ => break,
+            }
+        }
+        Token {
+            span: Span {
+                start: start as u32,
+                end: self.pos as u32,
+            },
+            eq,
+        }
+    }
+
+    /// Appends the rest of the line's tokens to `toks`, up to a `;`/`$`
+    /// comment, and moves past the line's end.
+    fn tokens(&mut self, toks: &mut Vec<Token>) {
+        loop {
+            match self.skip_space() {
+                None => return,
+                Some(b'\n') => {
+                    self.pos += 1;
+                    return;
+                }
+                Some(b';' | b'$') => {
+                    self.next_line();
+                    return;
+                }
+                Some(_) => toks.push(self.token()),
+            }
+        }
+    }
+}
+
+/// True for a bare numeric value (`10k`, `2.5u`, `1e-9`, `.5`, `-1`).
+fn is_value(tok: &str) -> bool {
+    tok.as_bytes()
+        .first()
+        .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'+'))
 }
 
 fn parse_err(line: usize, detail: impl Into<String>) -> SpiceError {
@@ -115,11 +225,13 @@ struct Parser<'t> {
     doc: SpiceDoc,
     current: Option<SubcktDef>,
     /// Tokens of the pending logical line, continuations appended.
-    toks: Vec<Span>,
+    toks: Vec<Token>,
     /// Physical line the pending logical line started on (1-based).
     line: usize,
     /// No logical line has been finished yet.
     first: bool,
+    /// While `first`: where each physical line's tokens start in `toks`.
+    title_lines: Vec<usize>,
 }
 
 impl<'t> Parser<'t> {
@@ -127,24 +239,31 @@ impl<'t> Parser<'t> {
         &self.text[span.range()]
     }
 
-    /// Appends the whitespace-separated tokens of `s` (a slice of
-    /// `self.text`) to the pending logical line.
-    fn push_tokens(&mut self, s: &str) {
-        let base = self.text.as_ptr() as usize;
-        for tok in s.split_whitespace() {
-            let start = tok.as_ptr() as usize - base;
-            self.toks.push(Span {
-                start: start as u32,
-                end: (start + tok.len()) as u32,
-            });
-        }
+    /// The title the first logical line makes: each of its physical
+    /// lines from its first token to its last, in the deck's own case,
+    /// joined by single spaces.
+    fn title(&self) -> String {
+        let starts = &self.title_lines;
+        let ends = starts[1..].iter().copied().chain([self.toks.len()]);
+        let lines: Vec<&str> = starts
+            .iter()
+            .zip(ends)
+            .map(|(&from, to)| match self.toks[from..to] {
+                [] => "",
+                [first, ..] => {
+                    let last = self.toks[to - 1];
+                    &self.original[first.span.start as usize..last.span.end as usize]
+                }
+            })
+            .collect();
+        lines.join(" ")
     }
 
     /// Interprets the pending logical line.
     fn finish(&mut self) -> Result<Flow, SpiceError> {
         let line = self.line;
         let first = std::mem::replace(&mut self.first, false);
-        let head = self.str(self.toks[0]);
+        let head = self.str(self.toks[0].span);
         if head.starts_with('.') {
             return self.dot_command(head, line);
         }
@@ -153,7 +272,7 @@ impl<'t> Parser<'t> {
         let card = match self.card(line) {
             Ok(card) => card,
             Err(_) if first && line == 1 => {
-                self.doc.title = Some(title(self.original));
+                self.doc.title = Some(self.title());
                 return Ok(Flow::Continue);
             }
             Err(e) => return Err(e),
@@ -168,7 +287,7 @@ impl<'t> Parser<'t> {
     fn dot_command(&mut self, head: &str, line: usize) -> Result<Flow, SpiceError> {
         let toks = &self.toks;
         let text = self.text;
-        let owned = |t: &Span| text[t.range()].to_string();
+        let owned = |t: &Token| text[t.span.range()].to_string();
         match head {
             ".subckt" => {
                 if self.current.is_some() {
@@ -179,11 +298,7 @@ impl<'t> Parser<'t> {
                 }
                 self.current = Some(SubcktDef {
                     name: owned(&toks[1]),
-                    ports: toks[2..]
-                        .iter()
-                        .filter(|t| !text[t.range()].contains('='))
-                        .map(owned)
-                        .collect(),
+                    ports: toks[2..].iter().filter(|t| !t.eq).map(owned).collect(),
                     cards: Vec::new(),
                 });
             }
@@ -207,14 +322,11 @@ impl<'t> Parser<'t> {
     fn card(&mut self, line: usize) -> Result<Card, SpiceError> {
         let text = self.text;
         let s = |t: Span| &text[t.range()];
-        let name = self.toks[0];
+        let name = self.toks[0].span;
         let kind = s(name).chars().next().expect("token is non-empty");
-        // Nets/model tokens: everything after the name that is not a
-        // parameter or trailing value.
-        let argc = self.toks[1..]
-            .iter()
-            .take_while(|&&t| !s(t).contains('='))
-            .count();
+        // Nets/model tokens: everything after the name up to the first
+        // parameter.
+        let argc = self.toks[1..].iter().take_while(|t| !t.eq).count();
         let args = &self.toks[1..=argc];
         let name_str = s(name);
         match kind {
@@ -233,14 +345,14 @@ impl<'t> Parser<'t> {
                             format!("MOS card `{name_str}` lacks a model"),
                         ))
                     }
-                    4 => args[3],
-                    _ => args[4], // 4-terminal form: skip the bulk node
+                    4 => args[3].span,
+                    _ => args[4].span, // 4-terminal form: skip the bulk node
                 };
                 Ok(Card::Mos {
                     name,
-                    drain: args[0],
-                    gate: args[1],
-                    source: args[2],
+                    drain: args[0].span,
+                    gate: args[1].span,
+                    source: args[2].span,
                     model,
                 })
             }
@@ -256,8 +368,8 @@ impl<'t> Parser<'t> {
                 Ok(Card::TwoTerminal {
                     name,
                     kind,
-                    a: args[0],
-                    b: args[1],
+                    a: args[0].span,
+                    b: args[1].span,
                 })
             }
             'd' => {
@@ -269,13 +381,13 @@ impl<'t> Parser<'t> {
                 }
                 let model = args
                     .get(2)
-                    .copied()
-                    .filter(|&t| !is_param_or_value(s(t)))
+                    .map(|t| t.span)
+                    .filter(|&t| !is_value(s(t)))
                     .unwrap_or_default();
                 Ok(Card::Diode {
                     name,
-                    p: args[0],
-                    n: args[1],
+                    p: args[0].span,
+                    n: args[1].span,
                     model,
                 })
             }
@@ -289,10 +401,10 @@ impl<'t> Parser<'t> {
                 // Optional substrate node: model is the last non-value token.
                 Ok(Card::Bjt {
                     name,
-                    c: args[0],
-                    b: args[1],
-                    e: args[2],
-                    model: args[args.len() - 1],
+                    c: args[0].span,
+                    b: args[1].span,
+                    e: args[2].span,
+                    model: args[args.len() - 1].span,
                 })
             }
             'x' => {
@@ -305,11 +417,11 @@ impl<'t> Parser<'t> {
                 let (nets, subckt) = args.split_at(args.len() - 1);
                 let table = &mut self.doc.nets;
                 let start = table.len() as u32;
-                table.extend_from_slice(nets);
+                table.extend(nets.iter().map(|t| t.span));
                 Ok(Card::Instance {
                     name,
                     nets: (start, table.len() as u32),
-                    subckt: subckt[0],
+                    subckt: subckt[0].span,
                 })
             }
             other => Err(parse_err(line, format!("unsupported element `{other}`"))),
@@ -352,24 +464,44 @@ pub fn parse(text: &str) -> Result<SpiceDoc, SpiceError> {
         toks: Vec::new(),
         line: 0,
         first: true,
+        title_lines: Vec::new(),
+    };
+    let mut s = Scanner {
+        text: &lower,
+        pos: 0,
     };
     let mut pending = false;
-    for (i, raw) in lower.lines().enumerate() {
-        let Some(line) = content(raw) else { continue };
-        if pending {
-            if let Some(rest) = line.strip_prefix('+') {
-                p.push_tokens(rest);
+    let mut line = 0;
+    // One physical line per turn.
+    while s.pos < lower.len() {
+        line += 1;
+        match s.skip_space() {
+            None => break,
+            Some(b'\n') => {
+                s.pos += 1;
                 continue;
             }
-            if let Flow::Stop = p.finish()? {
-                pending = false;
-                break;
+            Some(b'*' | b';' | b'$') => {
+                s.next_line();
+                continue;
+            }
+            Some(b'+') if pending => s.pos += 1,
+            Some(_) => {
+                if pending {
+                    if let Flow::Stop = p.finish()? {
+                        pending = false;
+                        break;
+                    }
+                }
+                p.toks.clear();
+                p.line = line;
+                pending = true;
             }
         }
-        p.toks.clear();
-        p.line = i + 1;
-        p.push_tokens(line);
-        pending = true;
+        if p.first {
+            p.title_lines.push(p.toks.len());
+        }
+        s.tokens(&mut p.toks);
     }
     if pending {
         p.finish()?;

@@ -4,14 +4,14 @@ use crate::ast::{Conns, Dir, Instance, Module, Source};
 use crate::error::VerilogError;
 use crate::lex::{lex, Tok, Token};
 
-struct Parser {
-    toks: Vec<Token>,
+struct Parser<'s> {
+    toks: Vec<Token<'s>>,
     pos: usize,
     anon: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Option<&Token<'s>> {
         self.toks.get(self.pos)
     }
 
@@ -28,12 +28,12 @@ impl Parser {
     }
 
     fn next_ident(&mut self, what: &str) -> Result<String, VerilogError> {
-        match self.toks.get(self.pos).cloned() {
+        match self.toks.get(self.pos) {
             Some(Token {
                 tok: Tok::Ident(s), ..
             }) => {
                 self.pos += 1;
-                Ok(s)
+                Ok(s.to_string())
             }
             _ => Err(self.err(format!("expected {what}"))),
         }
@@ -101,7 +101,7 @@ impl Parser {
                                     tok: Tok::Ident(s), ..
                                 }) = self.peek()
                                 {
-                                    if matches!(s.as_str(), "input" | "output" | "inout") {
+                                    if matches!(*s, "input" | "output" | "inout") {
                                         self.pos -= 0; // fallthrough to outer loop
                                         break;
                                     }
@@ -286,7 +286,7 @@ pub fn parse(text: &str) -> Result<Source, VerilogError> {
     let mut src = Source::default();
     while let Some(t) = p.peek() {
         match &t.tok {
-            Tok::Ident(s) if s == "module" => {
+            Tok::Ident("module") => {
                 p.pos += 1;
                 src.modules.push(p.parse_module()?);
             }
