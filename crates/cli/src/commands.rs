@@ -44,9 +44,8 @@ fn library_from(args: &Args) -> Result<Vec<Netlist>, String> {
     load_library(&load_doc(path)?, CellMode::Flat, path)
 }
 
-/// Maps command-line flags onto engine [`RequestOptions`]. The engine's
-/// `lower` step resolves the `--artifact` warm-start handle (digest
-/// check included), so the per-command copies of that wiring are gone.
+/// Maps the match and budget flags every searching subcommand reads
+/// onto engine [`RequestOptions`].
 fn request_options(args: &Args) -> Result<RequestOptions, String> {
     let mut opts = RequestOptions::default();
     if args.switch("--ignore-globals") {
@@ -59,19 +58,6 @@ fn request_options(args: &Args) -> Result<RequestOptions, String> {
         opts.threads = n
             .parse()
             .map_err(|_| format!("--threads: `{n}` is not a count"))?;
-    }
-    // A report implies metrics collection; text output stays untouched
-    // (and the match byte-identical) without one.
-    if report_mode(args)?.is_some() {
-        opts.collect_metrics = true;
-    }
-    // Any event consumer turns the journal on; without one the search
-    // carries no buffers at all.
-    if args.option("--trace-out").is_some()
-        || args.option("--events-out").is_some()
-        || args.switch("--explain")
-    {
-        opts.trace_events = true;
     }
     // Work budget: only constructed when a cap is actually given, so
     // plain runs stay governor-free (`lower` also drops unlimited
@@ -92,6 +78,13 @@ fn request_options(args: &Args) -> Result<RequestOptions, String> {
     if !budget.is_unlimited() {
         opts.budget = Some(budget);
     }
+    Ok(opts)
+}
+
+/// [`request_options`] plus the `--artifact` warm start. The engine's
+/// `lower` step resolves the handle, digest check included.
+fn warm_request_options(args: &Args) -> Result<RequestOptions, String> {
+    let mut opts = request_options(args)?;
     opts.artifact = args.option("--artifact").map(str::to_string);
     Ok(opts)
 }
@@ -145,7 +138,15 @@ pub fn find(args: &Args) -> Result<u8, String> {
     let main_path = args.need(0, "main netlist file")?;
     let main = load_main(main_path)?;
     let pattern = pattern_from(args, main_path)?;
-    let options = request_options(args)?;
+    let mut options = warm_request_options(args)?;
+    // A report implies metrics collection; text output stays untouched
+    // (and the match byte-identical) without one.
+    options.collect_metrics = report_mode(args)?.is_some();
+    // Any event consumer turns the journal on; without one the search
+    // carries no buffers at all.
+    options.trace_events = args.option("--trace-out").is_some()
+        || args.option("--events-out").is_some()
+        || args.switch("--explain");
     let resp = Engine::new()
         .find(&FindRequest {
             circuit: CircuitSource::Inline(&main),
@@ -175,7 +176,7 @@ pub fn find(args: &Args) -> Result<u8, String> {
     }
     if args.switch("--csv") {
         println!("instance,devices");
-        for (i, names) in resp.instance_devices.iter().enumerate() {
+        for (i, names) in resp.instance_devices().enumerate() {
             println!("{i},{}", names.join(";"));
         }
     } else {
@@ -185,7 +186,7 @@ pub fn find(args: &Args) -> Result<u8, String> {
             resp.pattern,
             resp.circuit
         );
-        for (i, names) in resp.instance_devices.iter().enumerate() {
+        for (i, names) in resp.instance_devices().enumerate() {
             println!("  #{i}: {}", names.join(" "));
         }
         println!(
@@ -228,7 +229,7 @@ pub fn explain(args: &Args) -> Result<u8, String> {
         .explain(&ExplainRequest {
             circuit: CircuitSource::Inline(&main),
             pattern: PatternSource::Inline(&pattern),
-            options: request_options(args)?,
+            options: warm_request_options(args)?,
         })
         .map_err(|e| e.to_string())?;
     write_event_exports(args, &resp.outcome)?;
@@ -548,7 +549,7 @@ pub fn hierarchize(args: &Args) -> Result<u8, String> {
         .hierarchize(&HierarchizeRequest {
             circuit: CircuitSource::Inline(&main),
             library: LibrarySource::Inline(&cells),
-            options: request_options(args)?,
+            options: warm_request_options(args)?,
         })
         .map_err(|e| e.to_string())?;
     match report_mode(args)? {
@@ -568,11 +569,10 @@ pub fn trace(args: &Args) -> Result<u8, String> {
     let main = load_main(main_path)?;
     let pattern = pattern_from(args, main_path)?;
     // Trace never warm-starts: the rendered pass-by-pass labeling is a
-    // teaching view of the cold algorithm, so `--artifact` is ignored
-    // here (as it always was).
-    let mut ropts = request_options(args)?;
-    ropts.artifact = None;
-    let opts = ropts.lower(&main, None).map_err(|e| e.to_string())?;
+    // teaching view of the cold algorithm, so it takes no `--artifact`.
+    let opts = request_options(args)?
+        .lower(&main, None)
+        .map_err(|e| e.to_string())?;
     let outcome = Matcher::new(&pattern, &main)
         .options(MatchOptions {
             record_trace: true,
@@ -608,7 +608,7 @@ pub fn survey(args: &Args) -> Result<u8, String> {
         .survey(&SurveyRequest {
             circuit: CircuitSource::Inline(&main),
             library: LibrarySource::Inline(&cells),
-            options: request_options(args)?,
+            options: warm_request_options(args)?,
         })
         .map_err(|e| e.to_string())?;
     println!("{:<18} {:>6} {:>6}", "cell", "|CV|", "found");
@@ -691,14 +691,11 @@ const REQUEST: &[&str] = &[
     "--ignore-globals",
     "--first",
     "--threads",
-    "--report",
-    "--trace-out",
-    "--events-out",
-    "--explain",
     "--max-effort",
     "--deadline-ms",
-    "--artifact",
 ];
+/// What `write_event_exports` reads.
+const EVENTS: &[&str] = &["--trace-out", "--events-out"];
 
 /// Every subcommand. A flag outside its subcommand's entry is a usage
 /// error, so none is silently ignored.
@@ -706,12 +703,23 @@ pub const COMMANDS: &[Command] = &[
     Command {
         name: "find",
         run: find,
-        flags: &[PATTERN, REQUEST, &["--csv", "--fail-fast"]],
+        flags: &[
+            PATTERN,
+            REQUEST,
+            EVENTS,
+            &[
+                "--artifact",
+                "--report",
+                "--explain",
+                "--csv",
+                "--fail-fast",
+            ],
+        ],
     },
     Command {
         name: "explain",
         run: explain,
-        flags: &[PATTERN, REQUEST, &["--json"]],
+        flags: &[PATTERN, REQUEST, EVENTS, &["--artifact", "--json"]],
     },
     Command {
         name: "candidates",
@@ -731,7 +739,7 @@ pub const COMMANDS: &[Command] = &[
     Command {
         name: "hierarchize",
         run: hierarchize,
-        flags: &[LIBRARY, REQUEST, &["--out"]],
+        flags: &[LIBRARY, REQUEST, &["--artifact", "--report", "--out"]],
     },
     Command {
         name: "check",
@@ -746,7 +754,7 @@ pub const COMMANDS: &[Command] = &[
     Command {
         name: "survey",
         run: survey,
-        flags: &[LIBRARY, REQUEST],
+        flags: &[LIBRARY, REQUEST, &["--artifact"]],
     },
     Command {
         name: "trace",

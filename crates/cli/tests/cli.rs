@@ -684,6 +684,55 @@ fn every_subcommand_refuses_a_flag_it_does_not_read() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --hierarchical for"));
     assert!(!dir.join("x.sgc").exists(), "compile wrote nothing");
+    // A searching subcommand refuses the flags only another one acts on:
+    // event exports outside `find` and `explain`, `--explain` outside
+    // `find`, `--report` where no report is printed, `--artifact` for
+    // `trace`. Each names its flag and writes no file.
+    let files = |dir: &std::path::Path| {
+        let mut names: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = files(&dir);
+    let pattern: &[&str] = &["--pattern", "inv", "--lib", "cells.sp"];
+    let cases: &[(&str, &[&str], &[&str])] = &[
+        ("survey", &["--builtin-lib"], &["--trace-out", "t.json"]),
+        ("survey", &["--builtin-lib"], &["--events-out", "s.ndjson"]),
+        ("survey", &["--builtin-lib"], &["--report", "json"]),
+        ("survey", &["--builtin-lib"], &["--explain"]),
+        ("trace", pattern, &["--events-out", "e.json"]),
+        ("trace", pattern, &["--trace-out", "t.json"]),
+        ("trace", pattern, &["--report", "text"]),
+        ("trace", pattern, &["--artifact", "chip.sgc"]),
+        (
+            "hierarchize",
+            &["--library", "cells.sp"],
+            &["--trace-out", "h.json"],
+        ),
+        (
+            "hierarchize",
+            &["--library", "cells.sp"],
+            &["--events-out", "h.ndjson"],
+        ),
+        ("hierarchize", &["--library", "cells.sp"], &["--explain"]),
+        ("explain", pattern, &["--report", "json"]),
+        ("explain", pattern, &["--explain"]),
+    ];
+    for (cmd, setup, extra) in cases {
+        let mut args = vec![*cmd, "chip.sp"];
+        args.extend(*setup);
+        args.extend(*extra);
+        let out = subg(&dir, &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("unknown option {} for `subg {cmd}`", extra[0]);
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        assert_eq!(files(&dir), before, "{args:?} wrote a file");
+    }
 }
 
 #[test]

@@ -13,9 +13,11 @@
 //! whose timer covers any preparation the search triggered.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, OnceLock};
 
+use subgemini_netlist::hashing::mix;
 use subgemini_netlist::{CompiledCircuit, DeviceId, FingerprintIndex, Netlist, Vertex};
 
 use crate::budget::{failpoint, Completeness, Governor, SharedGovernor, TruncationReason};
@@ -490,14 +492,14 @@ impl<'a> Search<'a> {
             .governor
             .as_ref()
             .map_or_else(SharedGovernor::unlimited, Governor::shared);
-        // Claim board: under ClaimDevices, workers skip candidates whose
-        // key image a merged instance already claimed. Claims only grow,
-        // and only the merge publishes them, so any bit a worker observes
-        // belongs to a merged prefix — the merge's own claim check skips
-        // the same candidate, never waiting on the worker's unwritten
-        // slot.
-        let board = (parallel && options.overlap == OverlapPolicy::ClaimDevices)
-            .then(|| ClaimBoard::new(main_devices));
+        // Claim board: under ClaimDevices, the merge's claims, and the
+        // workers' hint to skip candidates whose key image a merged
+        // instance already claimed. Claims only grow, and only the merge
+        // publishes them, so any bit a worker observes belongs to a
+        // merged prefix — the merge's own claim check skips the same
+        // candidate, never waiting on the worker's unwritten slot.
+        let board =
+            (options.overlap == OverlapPolicy::ClaimDevices).then(|| ClaimBoard::new(main_devices));
         let dispatch = Dispatch {
             runner,
             base,
@@ -551,6 +553,7 @@ impl<'a> Search<'a> {
         // superseded by a recompute — are dropped and counted.
         let done = slots.iter().filter(|s| s.get().is_some_and(|d| d.done));
         let unconsumed = done.count() as u64 - merge.from_slots;
+        let instances = merge.take_instances(&mut slots);
         if let Some(m) = self.metrics.as_mut() {
             if parallel {
                 m.threads_used = threads;
@@ -559,14 +562,15 @@ impl<'a> Search<'a> {
                 m.phase2_wall_ns = t.elapsed_ns();
             }
         }
-        self.report(merge, &parts, n, unconsumed)
+        self.report(merge, instances, &parts, n, unconsumed)
     }
 
     /// Phase II's report: the merge's outcome and counters, and what the
     /// workers measured.
     fn report(
         mut self,
-        mut merge: Merge,
+        merge: Merge,
+        instances: Vec<SubMatch>,
         parts: &[WorkerPart],
         n: usize,
         unconsumed: u64,
@@ -588,7 +592,7 @@ impl<'a> Search<'a> {
             let c = &mut m.counters;
             c.bump("candidates.checked", merge.checked);
             c.bump("candidates.matched", merge.matched);
-            c.bump("instances.reported", merge.instances.len() as u64);
+            c.bump("instances.reported", instances.len() as u64);
             c.bump("instances.dedup_dropped", merge.dedup_dropped);
             c.bump(
                 "instances.claim_dropped",
@@ -616,10 +620,7 @@ impl<'a> Search<'a> {
         if let Some((reason, stop)) = merge.stop {
             self.truncate(reason, merge.checked as usize, n - stop);
         }
-        // `sort_by_cached_key`: one device-set materialization per
-        // instance, not one per comparison.
-        merge.instances.sort_by_cached_key(SubMatch::device_set);
-        self.outcome.instances = merge.instances;
+        self.outcome.instances = instances;
         self.outcome.phase2 = merge.phase2;
         self.outcome.trace = merge.trace;
         self.journal = merge.journal;
@@ -692,15 +693,17 @@ struct Merge {
     /// good once its source drains, the broadcast stops it, or a
     /// failpoint kills its claiming (never its merging).
     claiming: bool,
-    instances: Vec<SubMatch>,
+    /// The reported instances in merge order, each with the index of its
+    /// device set in `sets`.
+    instances: Vec<(u32, Mapping)>,
+    /// The device set of every instance merged so far, reported or
+    /// overlap-dropped: the same instance reached through another
+    /// candidate is dropped.
+    sets: DeviceSets,
     phase2: Phase2Stats,
     trace: Option<Phase2Trace>,
     journal: EventJournal,
     tally: RejectTally,
-    claimed: HashSet<DeviceId>,
-    /// Canonical device sets of the instances merged so far: the same
-    /// instance reached through another candidate is dropped.
-    seen_sets: HashSet<Vec<DeviceId>>,
     checked: u64,
     matched: u64,
     dedup_dropped: u64,
@@ -716,11 +719,18 @@ struct Merge {
     stop: Option<(TruncationReason, usize)>,
 }
 
+/// A reported instance's mapping: verified by the merging thread, or
+/// still in candidate `i`'s slot, which cannot be moved out of while
+/// the workers share the slots.
+enum Mapping {
+    Owned(SubMatch),
+    InSlot(usize),
+}
+
 impl Merge {
     /// Consumes the candidate vector in order until it ends, a requested
     /// instance limit is reached, or the governor stops the search.
     fn run(&mut self, options: &MatchOptions, dispatch: &Dispatch<'_>, own: &mut Worker) {
-        let claim_devices = options.overlap == OverlapPolicy::ClaimDevices;
         for (i, &c) in dispatch.candidates.iter().enumerate() {
             if let Some(failpoint::Action::Panic) = failpoint::get("phase2.merge") {
                 panic!("failpoint phase2.merge: injected panic at candidate {i}");
@@ -743,19 +753,27 @@ impl Merge {
             // *before* the slot wait: a candidate a worker claim-skipped
             // never gets a slot, and this same check is what guarantees
             // the merge won't wait for one.
-            if claim_devices && c.as_device().is_some_and(|d| self.claimed.contains(&d)) {
-                continue;
+            if let (Some(b), Some(d)) = (dispatch.board, c.as_device()) {
+                if b.is_claimed(d.index()) {
+                    continue;
+                }
             }
             let slot = if self.parallel {
                 self.await_slot(dispatch, own, i)
             } else {
                 None
             };
-            let (result, trace) = match slot {
+            match slot {
                 Some(s) if s.done => {
                     self.from_slots += 1;
                     self.absorb(s);
-                    (s.result.clone(), None)
+                    let admitted = s
+                        .result
+                        .as_ref()
+                        .and_then(|m| self.admit(&m.devices, dispatch));
+                    if let Some(k) = admitted {
+                        self.instances.push((k, Mapping::InSlot(i)));
+                    }
                 }
                 _ => {
                     // Serial path — or a hole (a worker stopped on the
@@ -769,11 +787,15 @@ impl Merge {
                     let want_trace = options.record_trace && self.trace.is_none();
                     let data = dispatch.verify(own, i, want_trace);
                     self.absorb(&data);
-                    (data.result, data.trace)
+                    if let Some(m) = data.result {
+                        if let Some(k) = self.admit(&m.devices, dispatch) {
+                            if data.trace.is_some() {
+                                self.trace = data.trace;
+                            }
+                            self.instances.push((k, Mapping::Owned(m)));
+                        }
+                    }
                 }
-            };
-            if let Some(m) = result {
-                self.accept(m, trace, claim_devices, dispatch);
             }
         }
     }
@@ -838,42 +860,161 @@ impl Merge {
         self.checked += 1;
     }
 
-    /// Reports a verified instance unless the same device set was
-    /// already merged or, under `ClaimDevices`, it overlaps a claimed
-    /// one.
-    fn accept(
-        &mut self,
-        m: SubMatch,
-        trace: Option<Phase2Trace>,
-        claim_devices: bool,
-        dispatch: &Dispatch<'_>,
-    ) {
+    /// Whether a verified instance is reported: not when the same device
+    /// set was already merged or, under `ClaimDevices`, it overlaps a
+    /// claimed one. Either way its set is stored; a reported instance
+    /// gets its set's index.
+    fn admit(&mut self, devices: &[DeviceId], dispatch: &Dispatch<'_>) -> Option<u32> {
         self.matched += 1;
-        let set = m.device_set();
-        if self.seen_sets.contains(&set) {
+        let Some(k) = self.sets.insert(devices) else {
             self.dedup_dropped += 1;
-            return; // same instance reached through another candidate
-        }
-        let overlaps = claim_devices && set.iter().any(|d| self.claimed.contains(d));
-        if claim_devices && !overlaps {
-            if let Some(b) = dispatch.board {
-                for d in &set {
-                    b.publish(d.index());
-                }
-                // Epoch after bits: a worker that sees the epoch sees
-                // the bits.
-                dispatch.shared.bump_claim_epoch();
+            return None; // same instance reached through another candidate
+        };
+        if let Some(b) = dispatch.board {
+            let set = self.sets.get(k);
+            if set.iter().any(|d| b.is_claimed(d.index())) {
+                self.phase2.overlap_dropped += 1;
+                return None;
             }
-            self.claimed.extend(set.iter().copied());
+            for d in set {
+                b.publish(d.index());
+            }
+            // Epoch after bits: a worker that sees the epoch sees the
+            // bits.
+            dispatch.shared.bump_claim_epoch();
         }
-        self.seen_sets.insert(set); // move, not clone — the set is consumed here
-        if overlaps {
-            self.phase2.overlap_dropped += 1;
-            return;
+        Some(k)
+    }
+
+    /// The reported instances in report order — ascending by device
+    /// set, read from the stored sets — each mapping moved out of its
+    /// slot where a worker left it. Called once the workers are gone.
+    fn take_instances(&mut self, slots: &mut [OnceLock<SlotData>]) -> Vec<SubMatch> {
+        let sets = &self.sets;
+        self.instances
+            .sort_unstable_by(|(a, _), (b, _)| sets.get(*a).cmp(sets.get(*b)));
+        self.instances
+            .drain(..)
+            .map(|(_, mapping)| match mapping {
+                Mapping::Owned(m) => m,
+                Mapping::InSlot(i) => slots[i]
+                    .get_mut()
+                    .and_then(|s| s.result.take())
+                    .expect("a consumed slot keeps its instance"),
+            })
+            .collect()
+    }
+}
+
+/// The sorted device sets of the merged instances, stored once and back
+/// to back: every instance of a pattern has the pattern's device count,
+/// so set `k` is the `k`-th run of `width` ids. Sets are chained by
+/// their smallest device — a linearly probed table of set indices,
+/// placed by a hash of that device — so a duplicate is found by
+/// comparing slices along one chain, without hashing a whole set or
+/// allocating per instance (DESIGN.md §3e).
+#[derive(Default)]
+struct DeviceSets {
+    width: usize,
+    sets: Vec<DeviceId>,
+    /// One more than a set index per occupied slot, 0 when vacant. Its
+    /// length is a power of two, at most half full.
+    table: Vec<u32>,
+    /// Keys the placement hash, drawn at random when the table is first
+    /// built: device ids follow a deck's card order, and an unkeyed hash
+    /// would let a deck crowd every chain into one stretch of the table.
+    key: u64,
+}
+
+impl DeviceSets {
+    /// Set `k`.
+    fn get(&self, k: u32) -> &[DeviceId] {
+        let at = k as usize * self.width;
+        &self.sets[at..at + self.width]
+    }
+
+    /// The slot at which the chain of sets whose smallest device is
+    /// `first` starts.
+    fn home(&self, first: DeviceId) -> usize {
+        let bits = self.table.len().trailing_zeros();
+        (mix(first.index() as u64 ^ self.key) >> (64 - bits)) as usize
+    }
+
+    /// The first vacant slot on `first`'s chain, or the slot of a set on
+    /// it for which `is` holds, with whether one did.
+    fn probe(&self, first: DeviceId, is: impl Fn(&[DeviceId]) -> bool) -> (usize, bool) {
+        let mask = self.table.len() - 1;
+        let mut slot = self.home(first);
+        while let Some(k) = self.table[slot].checked_sub(1) {
+            if is(self.get(k)) {
+                return (slot, true);
+            }
+            slot = (slot + 1) & mask;
         }
-        if trace.is_some() {
-            self.trace = trace;
+        (slot, false)
+    }
+
+    /// Stores `devices` as a sorted set unless an equal set is stored
+    /// already: the new set's index, or `None` for a duplicate.
+    fn insert(&mut self, devices: &[DeviceId]) -> Option<u32> {
+        let k = self.sets.len() / devices.len();
+        if 2 * (k + 1) > self.table.len() {
+            self.grow(k);
         }
-        self.instances.push(m);
+        self.width = devices.len();
+        let start = self.sets.len();
+        self.sets.extend_from_slice(devices);
+        self.sets[start..].sort_unstable();
+        let new = &self.sets[start..];
+        let (slot, duplicate) = self.probe(new[0], |set| set == new);
+        if duplicate {
+            self.sets.truncate(start);
+            return None;
+        }
+        self.table[slot] = k as u32 + 1;
+        Some(k as u32)
+    }
+
+    /// Doubles the table, 64 slots at first, and re-places the `n`
+    /// stored sets.
+    fn grow(&mut self, n: usize) {
+        if self.table.is_empty() {
+            self.key = RandomState::new().build_hasher().finish();
+        }
+        self.table = vec![0; (2 * self.table.len()).max(64)];
+        for k in 0..n as u32 {
+            let (slot, _) = self.probe(self.get(k)[0], |_| false);
+            self.table[slot] = k + 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Sets sharing a smallest device share a chain; every set is found
+    /// again through any order of its devices, across table growth.
+    #[test]
+    fn device_sets_find_duplicates_along_shared_chains() {
+        let set = |k: u32| -> Vec<DeviceId> {
+            // 500 sets share each of four smallest devices.
+            let first = k % 4;
+            let rest = [4 + k, 10_000 + 3 * k];
+            [rest[1], first, rest[0]].map(DeviceId::new).to_vec()
+        };
+        let mut sets = DeviceSets::default();
+        for k in 0..2_000 {
+            assert_eq!(sets.insert(&set(k)), Some(k), "set {k} is new");
+        }
+        for k in 0..2_000 {
+            let mut again = set(k);
+            again.reverse();
+            assert_eq!(sets.insert(&again), None, "set {k} is stored");
+            let mut sorted = set(k);
+            sorted.sort_unstable();
+            assert_eq!(sets.get(k), sorted.as_slice());
+        }
+        assert_eq!(sets.insert(&set(2_000)), Some(2_000));
     }
 }

@@ -20,12 +20,13 @@
 //!   computed-but-unconsumed slots (memory) and the work wasted when
 //!   the merge truncates.
 //! * [`ClaimBoard`] — one bit per target device, set by the merge when
-//!   `OverlapPolicy::ClaimDevices` claims an instance's devices.
-//!   Workers consult it before verifying: a candidate whose key image
-//!   is already claimed will be skipped by the merge anyway, so
-//!   verifying it is pure waste. Bits only ever turn on, and only the
-//!   serial merge sets them, so a worker-side skip can never disagree
-//!   with the merge's own (authoritative) claim check.
+//!   `OverlapPolicy::ClaimDevices` claims an instance's devices: the
+//!   merge's own claim record, serial or parallel. Workers consult it
+//!   before verifying: a candidate whose key image is already claimed
+//!   will be skipped by the merge anyway, so verifying it is pure
+//!   waste. Bits only ever turn on, and only the merge sets them, so a
+//!   worker-side skip can never disagree with the merge's own
+//!   (authoritative) claim check.
 //! * [`Dispatch`] and [`Worker`] — the one worker loop. A worker
 //!   claims the next candidate from the [`StealQueue`] and verifies it
 //!   into its [`SlotData`]. Spawned threads run the loop to the end
@@ -158,11 +159,12 @@ impl StealQueue {
 }
 
 /// One atomic bit per target device: "some merged instance claimed
-/// this device". Written only by the serial merge, read by workers as
-/// a best-effort skip hint. Monotone (bits only set), so stale reads
-/// are safe: a worker that misses a bit merely does wasted work; a
-/// worker that sees a bit is observing a claim the merge has already
-/// committed at an earlier candidate-vector position.
+/// this device". Written only by the merge, which also reads it as its
+/// claim record, and read by workers as a best-effort skip hint.
+/// Monotone (bits only set), so stale reads are safe: a worker that
+/// misses a bit merely does wasted work; a worker that sees a bit is
+/// observing a claim the merge has already committed at an earlier
+/// candidate-vector position.
 #[derive(Debug)]
 pub(crate) struct ClaimBoard {
     bits: Vec<AtomicUsize>,
@@ -249,6 +251,7 @@ pub(crate) struct Dispatch<'a> {
     pub(crate) slots: &'a [OnceLock<SlotData>],
     pub(crate) queue: &'a StealQueue,
     pub(crate) shared: &'a SharedGovernor,
+    /// Present exactly under `OverlapPolicy::ClaimDevices`.
     pub(crate) board: Option<&'a ClaimBoard>,
     /// Home-chunk length: `candidates / threads`, rounded up. A claim
     /// outside a worker's home chunk counts as a steal.

@@ -241,12 +241,15 @@ pub enum LibrarySource<'a> {
 }
 
 /// A find request: locate all instances of one pattern in one circuit.
+/// The two are borrowed for lifetimes of their own, because the
+/// response keeps the circuit's borrow ([`FindResponse`]) and not the
+/// pattern's.
 #[derive(Debug)]
-pub struct FindRequest<'a> {
+pub struct FindRequest<'a, 'p> {
     /// The main circuit.
     pub circuit: CircuitSource<'a>,
     /// The pattern.
-    pub pattern: PatternSource<'a>,
+    pub pattern: PatternSource<'p>,
     /// Per-request options.
     pub options: RequestOptions,
 }
@@ -293,9 +296,13 @@ pub struct ExplainRequest<'a> {
     pub options: RequestOptions,
 }
 
-/// Response to a find request.
+/// Response to a find request. It keeps the netlist it searched — the
+/// registry entry's shared one, or the caller's own for an inline
+/// circuit — so instance device names are read from it on demand
+/// ([`FindResponse::instance_devices`]) and a caller that never prints
+/// them never builds them.
 #[derive(Clone, Debug)]
-pub struct FindResponse {
+pub struct FindResponse<'a> {
     /// Name of the main circuit searched.
     pub circuit: String,
     /// Name of the pattern searched for.
@@ -303,10 +310,8 @@ pub struct FindResponse {
     /// The full match outcome (instances, stats, completeness,
     /// optional metrics/journal).
     pub outcome: MatchOutcome,
-    /// Sorted main-circuit device names per instance, in instance
-    /// order — the rendering-ready form of
-    /// [`SubMatch::device_set`](subgemini::SubMatch::device_set).
-    pub instance_devices: Vec<Vec<String>>,
+    /// The main circuit searched.
+    main: Searched<'a>,
     /// The request id this search ran under (minted by the engine
     /// unless the caller supplied one).
     pub request_id: u64,
@@ -316,6 +321,35 @@ pub struct FindResponse {
     /// candidates/passes/guesses/backtracks) — always available, even
     /// when metrics were not requested.
     pub effort_spent: u64,
+}
+
+impl FindResponse<'_> {
+    /// The main-circuit device names of each instance, in instance
+    /// order; an instance's names in ascending device-id order, that of
+    /// [`SubMatch::device_set`](subgemini::SubMatch::device_set).
+    pub fn instance_devices(&self) -> impl ExactSizeIterator<Item = Vec<&str>> {
+        let main = self.main.netlist();
+        self.outcome.instances.iter().map(move |m| {
+            let set = m.device_set();
+            set.iter().map(|&d| main.device(d).name()).collect()
+        })
+    }
+}
+
+/// The netlist a find searched.
+#[derive(Clone, Debug)]
+enum Searched<'a> {
+    Registered(Arc<Netlist>),
+    Inline(&'a Netlist),
+}
+
+impl Searched<'_> {
+    fn netlist(&self) -> &Netlist {
+        match self {
+            Searched::Registered(n) => n,
+            Searched::Inline(n) => n,
+        }
+    }
 }
 
 /// One survey row: a cell and its outcome.
@@ -526,7 +560,7 @@ enum ResolvedCircuit<'a> {
     Inline(&'a Netlist),
 }
 
-impl ResolvedCircuit<'_> {
+impl<'a> ResolvedCircuit<'a> {
     fn netlist(&self) -> &Netlist {
         match self {
             ResolvedCircuit::Entry(e) => &e.netlist,
@@ -538,6 +572,14 @@ impl ResolvedCircuit<'_> {
         match self {
             ResolvedCircuit::Entry(e) => Some(&e.warm),
             ResolvedCircuit::Inline(_) => None,
+        }
+    }
+
+    /// The netlist alone, for a response to keep.
+    fn searched(&self) -> Searched<'a> {
+        match *self {
+            ResolvedCircuit::Entry(ref e) => Searched::Registered(Arc::clone(&e.netlist)),
+            ResolvedCircuit::Inline(n) => Searched::Inline(n),
         }
     }
 }
@@ -575,19 +617,6 @@ fn registered_name<'a>(src: &CircuitSource<'a>) -> Option<&'a str> {
         CircuitSource::Registered(name) => Some(name),
         CircuitSource::Inline(_) => None,
     }
-}
-
-fn instance_device_names(main: &Netlist, outcome: &MatchOutcome) -> Vec<Vec<String>> {
-    outcome
-        .instances
-        .iter()
-        .map(|m| {
-            m.device_set()
-                .iter()
-                .map(|&d| main.device(d).name().to_string())
-                .collect()
-        })
-        .collect()
 }
 
 impl Engine {
@@ -761,7 +790,7 @@ impl Engine {
     ///
     /// Panics if the pattern contains an isolated net (same contract as
     /// [`subgemini::Matcher::find_all`]).
-    pub fn find(&self, req: &FindRequest<'_>) -> Result<FindResponse, EngineError> {
+    pub fn find<'a>(&self, req: &FindRequest<'a, '_>) -> Result<FindResponse<'a>, EngineError> {
         self.counters.find.fetch_add(1, Ordering::Relaxed);
         let circuit = self.resolve_circuit(&req.circuit)?;
         let main = circuit.netlist();
@@ -779,12 +808,11 @@ impl Engine {
         if !metrics_requested {
             outcome.metrics = None;
         }
-        let instance_devices = instance_device_names(main, &outcome);
         Ok(FindResponse {
             circuit: main.name().to_string(),
             pattern: pattern.name().to_string(),
             outcome,
-            instance_devices,
+            main: circuit.searched(),
             request_id,
             wall_ns,
             effort_spent: sample.effort,
@@ -1026,10 +1054,93 @@ mod tests {
             .unwrap();
         assert_eq!(warm.outcome.instances, cold.outcome.instances);
         assert_eq!(warm.outcome.phase1, cold.outcome.phase1);
-        assert_eq!(warm.instance_devices, cold.instance_devices);
+        assert_eq!(
+            warm.instance_devices().collect::<Vec<_>>(),
+            cold.instance_devices().collect::<Vec<_>>()
+        );
         assert!(warm.outcome.count() > 0);
         assert_eq!(warm.circuit, main.name());
         assert_eq!(warm.pattern, "full_adder");
+    }
+
+    /// An inverter whose devices are listed p-channel first or last.
+    fn inverter(p_first: bool) -> Netlist {
+        let mut inv = Netlist::new("inv");
+        let mos = inv.add_mos_types();
+        let (a, y, vdd, gnd) = (inv.net("a"), inv.net("y"), inv.net("vdd"), inv.net("gnd"));
+        inv.mark_port(a);
+        inv.mark_port(y);
+        inv.mark_global(vdd);
+        inv.mark_global(gnd);
+        let mut devices = [("mp", mos.pmos, [a, vdd, y]), ("mn", mos.nmos, [a, gnd, y])];
+        if !p_first {
+            devices.reverse();
+        }
+        for (name, ty, pins) in devices {
+            inv.add_device(name, ty, &pins).unwrap();
+        }
+        inv
+    }
+
+    /// The names accessor reads every instance's device set through the
+    /// netlist searched, warm or cold, at every thread count. The chain's
+    /// pattern lists its devices in the opposite order to the chip's
+    /// instances, so every mapping lists its devices out of id order
+    /// and the accessor's sort is exercised.
+    #[test]
+    fn instance_devices_name_each_device_set() {
+        let mut chain = Netlist::new("chain");
+        let mut prev = chain.net("in");
+        for i in 0..40 {
+            let next = chain.net(format!("w{i}"));
+            subgemini_netlist::instantiate(
+                &mut chain,
+                &inverter(true),
+                &format!("u{i}"),
+                &[prev, next],
+            )
+            .unwrap();
+            prev = next;
+        }
+        let mut out_of_order = 0;
+        for (main, pattern) in [
+            (chain, inverter(false)),
+            (gen::sram_array(6, 6).netlist, cells::sram6t()),
+            (gen::tiled_chip(5, 3_000).netlist, cells::full_adder()),
+        ] {
+            let engine = Engine::new();
+            engine.register_circuit("chip", main.clone());
+            for threads in [1, 2, 8] {
+                for circuit in [
+                    CircuitSource::Registered("chip"),
+                    CircuitSource::Inline(&main),
+                ] {
+                    let resp = engine
+                        .find(&FindRequest {
+                            circuit,
+                            pattern: PatternSource::Inline(&pattern),
+                            options: RequestOptions {
+                                threads,
+                                ..RequestOptions::default()
+                            },
+                        })
+                        .unwrap();
+                    let instances = &resp.outcome.instances;
+                    assert!(!instances.is_empty(), "{}", pattern.name());
+                    assert_eq!(resp.instance_devices().len(), instances.len());
+                    for (names, m) in resp.instance_devices().zip(instances) {
+                        let expected: Vec<&str> = m
+                            .device_set()
+                            .iter()
+                            .map(|&d| main.device(d).name())
+                            .collect();
+                        assert_eq!(names, expected, "{} threads={threads}", pattern.name());
+                        out_of_order += usize::from(!m.devices.is_sorted());
+                    }
+                }
+            }
+        }
+        assert!(out_of_order > 0, "every mapping was already in id order");
     }
 
     #[test]

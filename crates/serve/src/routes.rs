@@ -740,9 +740,8 @@ fn find(engine: &Engine, body: &Value, lent: Lent) -> Result<Searched, Refusal> 
     // v1-additive: the base report keeps its exact field order; the
     // daemon appends its own fields after it.
     let instance_devices = resp
-        .instance_devices
-        .iter()
-        .map(|names| Value::Arr(names.iter().map(|n| Value::Str(n.clone())).collect()));
+        .instance_devices()
+        .map(|names| Value::Arr(names.into_iter().map(|n| Value::Str(n.into())).collect()));
     doc.extend([
         ("circuit".into(), Value::Str(resp.circuit.clone())),
         ("pattern".into(), Value::Str(resp.pattern.clone())),

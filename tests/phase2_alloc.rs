@@ -1,10 +1,11 @@
 //! Phase II's allocation contract: once a worker's search state is
-//! warm, a rejected candidate allocates nothing and a found instance
-//! allocates only its `SubMatch` (two `Vec`s) plus the merge's own
-//! bookkeeping. A counting global allocator measures whole `find_all`
-//! runs at two sizes of each workload; everything that does not grow
-//! with the candidate count (compilation, Phase I, warm-up) cancels in
-//! the difference.
+//! warm, a rejected candidate allocates nothing and a verified mapping
+//! allocates only its `SubMatch` (two `Vec`s); the merge stores device
+//! sets back to back and claims in one bitset, so it adds nothing per
+//! instance but amortized growth. A counting global allocator measures
+//! whole `find_all` runs at two sizes of each workload; everything that
+//! does not grow with the candidate count (compilation, Phase I,
+//! warm-up) cancels in the difference.
 //!
 //! This is its own test binary because the allocator is global; the
 //! counter is per thread, so tests running in parallel do not disturb
@@ -13,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use subgemini::{find_all, MatchOptions, MatchOutcome};
+use subgemini::{find_all, MatchOptions, MatchOutcome, OverlapPolicy};
 use subgemini_netlist::Netlist;
 use subgemini_workloads::{cells, gen};
 
@@ -65,10 +66,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// A serial search with default options, and the allocations it made.
-fn counted_find(pattern: &Netlist, main: &Netlist) -> (MatchOutcome, u64) {
+/// A serial search under `overlap`, and the allocations it made.
+fn counted_find(pattern: &Netlist, main: &Netlist, overlap: OverlapPolicy) -> (MatchOutcome, u64) {
     let opts = MatchOptions {
         threads: 1,
+        overlap,
         ..MatchOptions::default()
     };
     let before = ALLOCATIONS.with(Cell::get);
@@ -85,8 +87,8 @@ fn a_rejected_candidate_allocates_nothing() {
     ] {
         let small = gen::near_miss_field(&cell, 200, 7).netlist;
         let large = gen::near_miss_field(&cell, 400, 7).netlist;
-        let (o_small, a_small) = counted_find(&cell, &small);
-        let (o_large, a_large) = counted_find(&cell, &large);
+        let (o_small, a_small) = counted_find(&cell, &small, OverlapPolicy::AllowOverlap);
+        let (o_large, a_large) = counted_find(&cell, &large, OverlapPolicy::AllowOverlap);
         let (r_small, r_large) = (
             o_small.phase2.false_candidates,
             o_large.phase2.false_candidates,
@@ -102,34 +104,76 @@ fn a_rejected_candidate_allocates_nothing() {
     }
 }
 
+/// Candidates verified into a mapping: reported, duplicate or
+/// overlap-dropped alike, each allocated its `SubMatch`.
+fn verified(o: &MatchOutcome) -> usize {
+    o.phase2.candidates_tried - o.phase2.false_candidates
+}
+
 #[test]
 fn a_found_instance_allocates_its_mapping_and_the_merge_only() {
     let inv = cells::inv();
     let full_adder = cells::full_adder();
-    for (name, cell, small, large) in [
+    let sram6t = cells::sram6t();
+    for (name, cell, small, large, overlap) in [
         (
             "inverter_chain",
             &inv,
             gen::inverter_chain(4_000),
             gen::inverter_chain(8_000),
+            OverlapPolicy::AllowOverlap,
         ),
         (
             "ripple_adder",
             &full_adder,
             gen::ripple_adder(64),
             gen::ripple_adder(128),
+            OverlapPolicy::AllowOverlap,
+        ),
+        (
+            "ripple_adder_claimed",
+            &full_adder,
+            gen::ripple_adder(64),
+            gen::ripple_adder(128),
+            OverlapPolicy::ClaimDevices,
+        ),
+        (
+            // Every `sram6t` instance is verified twice, through both
+            // images of the key vertex; the merge drops the second.
+            "sram_array",
+            &sram6t,
+            gen::sram_array(32, 32),
+            gen::sram_array(64, 32),
+            OverlapPolicy::AllowOverlap,
         ),
     ] {
-        let (o_small, a_small) = counted_find(cell, &small.netlist);
-        let (o_large, a_large) = counted_find(cell, &large.netlist);
+        let (o_small, a_small) = counted_find(cell, &small.netlist, overlap);
+        let (o_large, a_large) = counted_find(cell, &large.netlist, overlap);
         let (f_small, f_large) = (o_small.instances.len(), o_large.instances.len());
         assert!(f_large > f_small, "{name}: found {f_small} -> {f_large}");
+        let (v_small, v_large) = (verified(&o_small), verified(&o_large));
         let extra = a_large.saturating_sub(a_small) as f64;
-        let per = extra / (f_large - f_small) as f64;
+        let per = extra / (v_large - v_small) as f64;
         assert!(
-            per <= 6.0,
-            "{name}: {per:.2} allocations per extra found instance \
-             ({a_small} -> {a_large} allocations, {f_small} -> {f_large} found)"
+            per <= 2.1,
+            "{name}: {per:.3} allocations per extra verified mapping \
+             ({a_small} -> {a_large} allocations, {v_small} -> {v_large} verified, \
+             {f_small} -> {f_large} found)"
         );
     }
+}
+
+#[test]
+fn the_duplicate_heavy_search_drops_duplicates() {
+    let sram6t = cells::sram6t();
+    let opts = MatchOptions {
+        threads: 1,
+        collect_metrics: true,
+        ..MatchOptions::default()
+    };
+    let o = find_all(&sram6t, &gen::sram_array(32, 32).netlist, &opts);
+    let counters = &o.metrics.as_ref().expect("metrics were collected").counters;
+    let dropped = counters.get("instances.dedup_dropped");
+    assert!(dropped > 0, "sram6t over sram_array dropped no duplicate");
+    assert_eq!(dropped as usize + o.count(), verified(&o));
 }

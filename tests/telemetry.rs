@@ -69,7 +69,10 @@ fn telemetry_on_and_off_answer_byte_identically() {
             let a = request(&on);
             let b = request(&off);
             assert_outcomes_identical(&a.outcome, &b.outcome);
-            assert_eq!(a.instance_devices, b.instance_devices);
+            assert_eq!(
+                a.instance_devices().collect::<Vec<_>>(),
+                b.instance_devices().collect::<Vec<_>>()
+            );
             assert_eq!(
                 a.effort_spent, b.effort_spent,
                 "threads={threads} budget={budget:?}"
