@@ -618,7 +618,7 @@ pub fn extraction_rows(scale: usize) -> Vec<ExtractRow> {
         rows.push(ExtractRow {
             circuit: circuit.to_string(),
             transistors: main.device_count(),
-            gates: report.instances.len(),
+            gates: report.instance_count(),
             unabsorbed: report.unabsorbed_devices,
             micros: start.elapsed().as_micros(),
         });

@@ -1208,3 +1208,61 @@ fn hierarchize_reconstructs_levels_end_to_end() {
     assert!(stdout.contains("\"levels\""), "{stdout}");
     assert!(stdout.contains("\"unabsorbed_devices\": 0"), "{stdout}");
 }
+
+#[test]
+fn hierarchize_keeps_a_flat_device_named_like_a_composite_a_leaf() {
+    // The level-2 composite is minted as `mbuf#2`; here the first pmos
+    // already has that name. A containment tree keyed by name recursed
+    // into it until the stack overflowed (exit 134).
+    let dir = scratch("hierz_collide");
+    let cells = ".global vdd gnd\n\
+                 .subckt inv a y\nmp y a vdd vdd pmos\nmn y a gnd gnd nmos\n.ends\n\
+                 .subckt mbuf a y\nx1 a m inv\nx2 m y inv\n.ends\n";
+    let chain = |pmos: &str| {
+        format!(
+            ".global vdd gnd\n{pmos} w0 in vdd vdd pmos\nmn1 w0 in gnd gnd nmos\n\
+             mp2 out w0 vdd vdd pmos\nmn2 out w0 gnd gnd nmos\n"
+        )
+    };
+    fs::write(dir.join("cells.sp"), cells).unwrap();
+    fs::write(dir.join("collide.sp"), chain("mbuf#2")).unwrap();
+    fs::write(dir.join("twin.sp"), chain("mp1")).unwrap();
+    let run = |deck: &str, report: &str| {
+        let out = subg(
+            &dir,
+            &[
+                "hierarchize",
+                deck,
+                "--library",
+                "cells.sp",
+                "--report",
+                report,
+            ],
+        );
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{deck} --report {report}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    assert_eq!(
+        run("collide.sp", "text"),
+        "hierarchy: 2 level(s), 2 sweep(s)\n\
+         level 1:\n\
+         \x20 inv                       2\n\
+         level 2:\n\
+         \x20 mbuf                      1\n\
+         unabsorbed devices: 0\n"
+    );
+    // The twin's tree is `mbuf#2` -> [`inv#0` -> [`mp1`, `mn1`],
+    // `inv#1` -> [`mp2`, `mn2`]]; the colliding deck's differs in that
+    // one leaf's name only.
+    let twin = run("twin.sp", "json");
+    assert_eq!(twin.matches("\"mp1\"").count(), 1, "{twin}");
+    assert_eq!(
+        run("collide.sp", "json"),
+        twin.replace("\"mp1\"", "\"mbuf#2\"")
+    );
+}

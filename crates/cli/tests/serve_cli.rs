@@ -203,3 +203,27 @@ fn serve_observability_flags_wire_up_log_and_capture() {
         "{find_line}"
     );
 }
+
+#[test]
+fn serve_hierarchizes_a_flat_device_named_like_a_composite_and_stays_up() {
+    // The flat pmos is named `mbuf#2`, the name the level-2 composite is
+    // minted under. A containment tree keyed by name recursed into it
+    // until the stack overflowed, which aborted the daemon.
+    let dir = scratch("collide");
+    let (mut child, addr) = spawn_serve(&dir, &[]);
+    let cells =
+        ".global vdd gnd\\n.subckt inv a y\\nmp y a vdd vdd pmos\\nmn y a gnd gnd nmos\\n.ends\\n\
+                 .subckt mbuf a y\\nx1 a m inv\\nx2 m y inv\\n.ends\\n";
+    let flat = ".global vdd gnd\\nmbuf#2 w0 in vdd vdd pmos\\nmn1 w0 in gnd gnd nmos\\n\
+                mp2 out w0 vdd vdd pmos\\nmn2 out w0 gnd gnd nmos\\n";
+    let req = format!(r#"{{"circuit_source": "{flat}", "library": {{"source": "{cells}"}}}}"#);
+    let (status, body) = call(&addr, "POST", "/v1/hierarchize", &req);
+    assert_eq!(status, 200, "{body}");
+    // Once as the composite's device, once as the leaf it holds.
+    assert_eq!(body.matches("\"mbuf#2\"").count(), 2, "{body}");
+    assert!(body.contains("\"unabsorbed_devices\": 0"), "{body}");
+    let (status, body) = call(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    interrupt(&child);
+    assert!(child.wait().unwrap().success());
+}

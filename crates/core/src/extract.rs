@@ -23,22 +23,207 @@ use crate::matcher::{assert_no_isolated_nets, search_stamped, PreparedMain};
 use crate::options::{MatchOptions, OverlapPolicy};
 use crate::symmetry::composite_type;
 
-/// One composite device created by extraction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExtractedInstance {
-    /// The library cell name.
-    pub cell: String,
-    /// The composite device's name in the output netlist.
-    pub device: String,
-    /// Names of the primitive devices that were collapsed.
-    pub absorbed: Vec<String>,
+/// Which devices each composite of an extraction absorbed, by id.
+///
+/// Every device the run saw has a `u32` *code*: codes below `inputs`
+/// are the devices of the netlist the run started from, by id, and code
+/// `inputs + k` is composite `k`, named `cell#{first + k}`. Composite
+/// `k`'s members are the codes of the devices it absorbed, in its
+/// cell's device order, back to back in one flat array; a composite
+/// adds only a cell index and an end offset. Names are rendered when a
+/// [`ContainmentNode`] is asked for one.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Containment {
+    /// Devices of the input netlist; codes below it are theirs.
+    inputs: u32,
+    /// The ordinal in composite 0's name.
+    first: usize,
+    /// Library cell names, each once, in first-use order.
+    cells: Vec<String>,
+    /// Per composite: its cell, an index into `cells`.
+    cell: Vec<u32>,
+    /// Per composite: the end of its members in `members`.
+    end: Vec<u32>,
+    /// Member codes, composite after composite.
+    members: Vec<u32>,
+}
+
+/// Marks an absorbed device's code until the codes are compacted.
+const ABSORBED: u32 = u32::MAX;
+
+impl Containment {
+    /// An empty record over an input of `inputs` devices whose first
+    /// composite is named with ordinal `first`.
+    pub(crate) fn new(inputs: usize, first: usize) -> Self {
+        Self {
+            inputs: u32::try_from(inputs).expect("device ids are u32"),
+            first,
+            ..Self::default()
+        }
+    }
+
+    /// The input's devices' codes, in id order.
+    pub(crate) fn input_codes(&self) -> Vec<u32> {
+        (0..self.inputs).collect()
+    }
+
+    /// Composites recorded.
+    pub(crate) fn len(&self) -> usize {
+        self.cell.len()
+    }
+
+    /// How many of `codes` are input devices.
+    pub(crate) fn inputs_among(&self, codes: &[u32]) -> usize {
+        codes.iter().filter(|&&c| c < self.inputs).count()
+    }
+
+    /// The composite `code` stands for; `None` for an input device.
+    fn composite(&self, code: u32) -> Option<usize> {
+        code.checked_sub(self.inputs).map(|k| k as usize)
+    }
+
+    fn code_of(&self, k: usize) -> u32 {
+        u32::try_from(self.inputs as usize + k)
+            .ok()
+            .filter(|&code| code != ABSORBED)
+            .expect("device codes fit below u32::MAX")
+    }
+
+    fn cell_name(&self, k: usize) -> &str {
+        &self.cells[self.cell[k] as usize]
+    }
+
+    fn members(&self, k: usize) -> &[u32] {
+        let start = k.checked_sub(1).map_or(0, |j| self.end[j] as usize);
+        &self.members[start..self.end[k] as usize]
+    }
+
+    /// Composite `k`'s device name: `cell#{first + k}`.
+    fn composite_name(&self, k: usize) -> String {
+        format!("{}#{}", self.cell_name(k), self.first + k)
+    }
+
+    /// The index of the cell named `name`, added on first use.
+    fn cell_index(&mut self, name: &str) -> u32 {
+        let index = match self.cells.iter().position(|c| c == name) {
+            Some(i) => i,
+            None => {
+                self.cells.push(name.to_string());
+                self.cells.len() - 1
+            }
+        };
+        index as u32
+    }
+
+    /// Records a composite of cell `cell` whose members are `members`.
+    fn push(&mut self, cell: u32, members: impl IntoIterator<Item = u32>) {
+        self.cell.push(cell);
+        self.members.extend(members);
+        self.end
+            .push(u32::try_from(self.members.len()).expect("member codes fit u32 offsets"));
+    }
+
+    /// One node per code of `codes`, input devices named from `names`.
+    pub(crate) fn nodes<'a>(
+        &'a self,
+        names: &'a DeviceNames,
+        codes: &'a [u32],
+    ) -> impl ExactSizeIterator<Item = ContainmentNode<'a>> + 'a {
+        codes.iter().map(move |&code| ContainmentNode {
+            record: self,
+            names: InputNames::Copied(names),
+            code,
+        })
+    }
+}
+
+/// A netlist's device names, copied in one pass into one byte buffer
+/// cut by end offsets.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct DeviceNames {
+    bytes: String,
+    end: Vec<u32>,
+}
+
+impl DeviceNames {
+    /// The device names of `netlist`, in id order.
+    pub(crate) fn of(netlist: &Netlist) -> Self {
+        let name = |d| netlist.device(d).name();
+        let mut bytes = String::with_capacity(netlist.device_ids().map(|d| name(d).len()).sum());
+        let end = netlist
+            .device_ids()
+            .map(|d| {
+                bytes.push_str(name(d));
+                u32::try_from(bytes.len()).expect("device names fit u32 offsets")
+            })
+            .collect();
+        Self { bytes, end }
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |j| self.end[j] as usize);
+        &self.bytes[start..self.end[i] as usize]
+    }
+}
+
+/// Where an input device's name is read from.
+#[derive(Clone, Copy, Debug)]
+enum InputNames<'a> {
+    /// The netlist the run started from.
+    Netlist(&'a Netlist),
+    /// A copy of its device names.
+    Copied(&'a DeviceNames),
+}
+
+/// One device of a containment record: an input device is a leaf, a
+/// composite has the devices it absorbed as children. Names are read
+/// or rendered on demand.
+#[derive(Clone, Copy, Debug)]
+pub struct ContainmentNode<'a> {
+    record: &'a Containment,
+    names: InputNames<'a>,
+    code: u32,
+}
+
+impl<'a> ContainmentNode<'a> {
+    /// The library cell of a composite; `None` for an input device.
+    pub fn cell(&self) -> Option<&'a str> {
+        let record = self.record;
+        record.composite(self.code).map(|k| record.cell_name(k))
+    }
+
+    /// The device's name: an input device's own, a composite's
+    /// `cell#k` as in the netlist the composite was collapsed into.
+    pub fn name(&self) -> Cow<'a, str> {
+        match self.record.composite(self.code) {
+            Some(k) => Cow::Owned(self.record.composite_name(k)),
+            None => Cow::Borrowed(match self.names {
+                InputNames::Netlist(n) => n.device(DeviceId::new(self.code)).name(),
+                InputNames::Copied(names) => names.get(self.code as usize),
+            }),
+        }
+    }
+
+    /// The devices a composite absorbed, in its cell's device order;
+    /// none for an input device.
+    pub fn children(&self) -> impl ExactSizeIterator<Item = ContainmentNode<'a>> + 'a {
+        let (record, names) = (self.record, self.names);
+        let members = record
+            .composite(self.code)
+            .map_or(&[][..], |k| record.members(k));
+        members.iter().map(move |&code| ContainmentNode {
+            record,
+            names,
+            code,
+        })
+    }
 }
 
 /// Summary of an extraction run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExtractReport {
-    /// All composites created, in creation order.
-    pub instances: Vec<ExtractedInstance>,
+    /// Which devices each composite absorbed, by id.
+    containment: Containment,
     /// Per-cell instance counts, in processing (largest-first) order.
     pub per_cell: Vec<(String, usize)>,
     /// Devices of the input that no cell covered.
@@ -61,6 +246,38 @@ impl ExtractReport {
             .iter()
             .find(|(c, _)| c == cell)
             .map_or(0, |&(_, n)| n)
+    }
+
+    /// Composites created.
+    pub fn instance_count(&self) -> usize {
+        self.containment.len()
+    }
+
+    /// Every composite created, in creation order: its
+    /// [`cell`](ContainmentNode::cell), its device
+    /// [`name`](ContainmentNode::name) in the output netlist, and the
+    /// devices it absorbed as its [`children`](ContainmentNode::children).
+    /// Absorbed input devices are named from `input`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is not the size of the netlist the run started
+    /// from.
+    pub fn instances<'a>(
+        &'a self,
+        input: &'a Netlist,
+    ) -> impl ExactSizeIterator<Item = ContainmentNode<'a>> + 'a {
+        let record = &self.containment;
+        assert_eq!(
+            input.device_count(),
+            record.inputs as usize,
+            "`input` must be the netlist the extraction started from"
+        );
+        (0..record.len()).map(move |k| ContainmentNode {
+            record,
+            names: InputNames::Netlist(input),
+            code: record.code_of(k),
+        })
     }
 }
 
@@ -90,6 +307,10 @@ impl ExtractReport {
 /// let (gates, report) = extractor.extract(&chip)?;
 /// assert_eq!(report.count_of("inv"), 1);
 /// assert_eq!(gates.device_count(), 1); // one composite, no transistors
+/// let inv0 = report.instances(&chip).next().unwrap();
+/// assert_eq!((inv0.cell(), inv0.name().as_ref()), (Some("inv"), "inv#0"));
+/// let absorbed: Vec<_> = inv0.children().map(|d| d.name()).collect();
+/// assert_eq!(absorbed, ["u1.mp", "u1.mn"]);
 /// # Ok(())
 /// # }
 /// ```
@@ -129,9 +350,8 @@ impl Extractor {
 
     /// Starts composite-device numbering at `offset` instead of 0, so
     /// repeated [`extract`](Extractor::extract) calls over the same
-    /// evolving netlist — the re-entrant mode the hierarchy fixpoint
-    /// driver uses — never collide with composites minted by earlier
-    /// rounds. Composites from a prior round are legal main devices:
+    /// evolving netlist never collide with composites minted by earlier
+    /// calls. Composites from a prior call are legal main devices:
     /// they survive matching untouched unless a library cell's
     /// composite type claims them.
     pub fn set_composite_offset(&mut self, offset: usize) -> &mut Self {
@@ -155,21 +375,37 @@ impl Extractor {
     /// Propagates netlist errors from the collapse (only possible if
     /// input names collide with generated composite names).
     pub fn extract(&self, main: &Netlist) -> Result<(Netlist, ExtractReport), NetlistError> {
-        self.run(Cow::Borrowed(main))
+        let mut record = Containment::new(main.device_count(), self.composite_offset);
+        let mut codes = record.input_codes();
+        let (gates, mut report) = self.run(Cow::Borrowed(main), &mut codes, &mut record)?;
+        report.containment = record;
+        Ok((gates, report))
     }
 
     /// [`Extractor::extract`] over a netlist the caller gives up, so
-    /// even the first replacing round collapses it without a copy: the
-    /// hierarchizer threads its one working netlist through every round
-    /// this way.
+    /// even the first replacing round collapses it without a copy, and
+    /// into a record the caller keeps, so its composites are numbered
+    /// on from the record's: the hierarchizer threads its one working
+    /// netlist, its devices' `codes` and one record through every round
+    /// this way. The returned report's own record stays empty.
     pub(crate) fn extract_owned(
         &self,
         main: Netlist,
+        codes: &mut Vec<u32>,
+        record: &mut Containment,
     ) -> Result<(Netlist, ExtractReport), NetlistError> {
-        self.run(Cow::Owned(main))
+        self.run(Cow::Owned(main), codes, record)
     }
 
-    fn run(&self, mut current: Cow<'_, Netlist>) -> Result<(Netlist, ExtractReport), NetlistError> {
+    /// Extracts `current`, whose device `d` has code `codes[d]` in
+    /// `record`, recording every composite there and keeping `codes` in
+    /// step with the netlist.
+    fn run(
+        &self,
+        mut current: Cow<'_, Netlist>,
+        codes: &mut Vec<u32>,
+        record: &mut Containment,
+    ) -> Result<(Netlist, ExtractReport), NetlistError> {
         use crate::metrics::{ExtractCellMetrics, ExtractMetrics, PhaseTimer};
         let collect = self.options.collect_metrics;
         let total_timer = collect.then(PhaseTimer::start);
@@ -185,11 +421,6 @@ impl Extractor {
         let mut prepared: Option<PreparedMain> = None;
         let mut report = ExtractReport::default();
         let mut metrics = collect.then(ExtractMetrics::default);
-        // A collapse keeps survivors in order and appends composites, so
-        // the input devices still alive are always the prefix
-        // `0..inputs_alive` of the device list and this run's composites
-        // its tail.
-        let mut inputs_alive = current.device_count();
         for cell in cells {
             // Cooperative cancellation between cell rounds: already
             // extracted cells keep their composites, unstarted cells
@@ -214,19 +445,7 @@ impl Extractor {
             report.per_cell.push((cell.name().to_string(), found));
             let replace_timer = collect.then(PhaseTimer::start);
             if found > 0 {
-                inputs_alive -= outcome
-                    .instances
-                    .iter()
-                    .flat_map(|m| &m.devices)
-                    .filter(|d| d.index() < inputs_alive)
-                    .count();
-                replace_instances(
-                    current.to_mut(),
-                    cell,
-                    &outcome.instances,
-                    &mut report,
-                    self.composite_offset,
-                )?;
+                replace_instances(current.to_mut(), cell, &outcome.instances, codes, record)?;
                 // The netlist changed; the next round must recompile.
                 prepared = None;
             }
@@ -244,44 +463,46 @@ impl Extractor {
             m.total_ns = t.elapsed_ns();
         }
         report.metrics = metrics;
-        // A device is absorbed exactly when it *is* one of this run's
-        // composites, so the residue is the surviving input devices.
+        // A device is absorbed exactly when its code is no longer an
+        // input's, so the residue is the surviving input devices.
         // Comparing type names against cell names would misclassify input
         // devices whose type happens to share a library cell's name — the
         // normal state of a partially extracted netlist fed back in.
-        report.unabsorbed_devices = inputs_alive;
+        report.unabsorbed_devices = record.inputs_among(codes);
         Ok((current.into_owned(), report))
     }
 }
 
 /// Collapses each instance of `cell` in `main` into a composite device
-/// named `cell#k`, numbering on from the composites already reported.
+/// named `cell#k`, numbering on from the composites already recorded.
+/// Each composite's members are recorded by code, and `codes` follows
+/// the collapse: survivors keep their order, composites are appended.
 fn replace_instances(
     main: &mut Netlist,
     cell: &Netlist,
     instances: &[SubMatch],
-    report: &mut ExtractReport,
-    composite_offset: usize,
+    codes: &mut Vec<u32>,
+    record: &mut Containment,
 ) -> Result<(), NetlistError> {
     let absorbed: Vec<DeviceId> = instances
         .iter()
         .flat_map(|m| m.devices.iter().copied())
         .collect();
-    let start = composite_offset + report.instances.len();
-    let mut composites = Vec::with_capacity(instances.len());
-    for (i, m) in instances.iter().enumerate() {
-        let name = format!("{}#{}", cell.name(), start + i);
-        // Absorbed names are read before the collapse frees them.
-        report.instances.push(ExtractedInstance {
-            cell: cell.name().to_string(),
-            device: name.clone(),
-            absorbed: m
-                .devices
-                .iter()
-                .map(|&d| main.device(d).name().to_string())
-                .collect(),
-        });
-        composites.push((name, m.port_images(cell)));
+    let start = record.len();
+    let cell_index = record.cell_index(cell.name());
+    for m in instances {
+        record.push(cell_index, m.devices.iter().map(|d| codes[d.index()]));
     }
-    main.collapse(&absorbed, composite_type(cell), composites)
+    let composites = instances
+        .iter()
+        .zip(start..)
+        .map(|(m, k)| (record.composite_name(k), m.port_images(cell)))
+        .collect();
+    main.collapse(&absorbed, composite_type(cell), composites)?;
+    for d in &absorbed {
+        codes[d.index()] = ABSORBED;
+    }
+    codes.retain(|&c| c != ABSORBED);
+    codes.extend((start..record.len()).map(|k| record.code_of(k)));
+    Ok(())
 }

@@ -14,6 +14,18 @@
 //! normalized library cells, and a [`HierarchyReport`] with per-level
 //! per-cell counts, the containment tree, and the unabsorbed residue.
 //!
+//! ## Containment by id
+//!
+//! Every round records which devices each composite absorbed in one
+//! record, by `u32` code: a code is either a device of the flat input,
+//! by id, or a composite, by its ordinal over the whole run. The report
+//! keeps that record, the codes of the final netlist's devices as the
+//! tree's roots, and one copy of the flat device names; a tree node's
+//! name is read or rendered only when the tree is walked
+//! ([`HierarchyReport::roots`]). Because a member is an id, a flat
+//! device that happens to be named like a composite (`mbuf#2`) is
+//! still a leaf.
+//!
 //! ## Library normalization
 //!
 //! A level-2 cell as parsed from a SPICE deck references lower cells
@@ -48,7 +60,7 @@ use std::fmt;
 
 use subgemini_netlist::{DeviceType, NetId, Netlist, NetlistError};
 
-use crate::extract::{ExtractedInstance, Extractor};
+use crate::extract::{Containment, ContainmentNode, DeviceNames, Extractor};
 use crate::metrics::json::Value;
 use crate::metrics::REPORT_SCHEMA_VERSION;
 use crate::options::MatchOptions;
@@ -130,31 +142,19 @@ pub struct LevelReport {
     pub truncated_cells: usize,
 }
 
-/// One node of the recovered containment tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum HierNode {
-    /// A primitive device no cell absorbed (name in the final netlist).
-    Leaf(String),
-    /// A recovered cell instance.
-    Cell {
-        /// The library cell name.
-        cell: String,
-        /// The composite device's name.
-        device: String,
-        /// The devices this instance absorbed, recursively resolved.
-        children: Vec<HierNode>,
-    },
-}
-
 /// Summary of a hierarchy reconstruction run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HierarchyReport {
     /// Per-level tallies, ascending level.
     pub levels: Vec<LevelReport>,
-    /// Containment forest over the final netlist's devices: composites
-    /// become [`HierNode::Cell`] with their absorbed devices as
-    /// children, untouched primitives become [`HierNode::Leaf`].
-    pub tree: Vec<HierNode>,
+    /// Which devices each composite absorbed, by code: flat-device ids
+    /// and composite ordinals over the whole run.
+    containment: Containment,
+    /// The codes of the final netlist's devices, in its device order:
+    /// the containment forest's roots.
+    roots: Vec<u32>,
+    /// The flat input's device names, read by the forest's leaves.
+    names: DeviceNames,
     /// Final-netlist devices that are not composites minted by this run
     /// (the residue no cell covered).
     pub unabsorbed_devices: usize,
@@ -174,21 +174,25 @@ impl HierarchyReport {
             .sum()
     }
 
+    /// The containment forest, one root per final-netlist device in its
+    /// order: a composite has the devices it absorbed as children,
+    /// recursively down to flat devices; a flat device no cell absorbed
+    /// is a leaf.
+    pub fn roots(&self) -> impl ExactSizeIterator<Item = ContainmentNode<'_>> {
+        self.containment.nodes(&self.names, &self.roots)
+    }
+
     /// The stable machine-readable report document.
     pub fn to_json(&self) -> Value {
-        fn node(n: &HierNode) -> Value {
-            match n {
-                HierNode::Leaf(name) => Value::Str(name.clone()),
-                HierNode::Cell {
-                    cell,
-                    device,
-                    children,
-                } => Value::Obj(vec![
-                    ("cell".into(), Value::Str(cell.clone())),
-                    ("device".into(), Value::Str(device.clone())),
+        fn node(n: ContainmentNode<'_>) -> Value {
+            match n.cell() {
+                None => Value::Str(n.name().into_owned()),
+                Some(cell) => Value::Obj(vec![
+                    ("cell".into(), Value::Str(cell.to_string())),
+                    ("device".into(), Value::Str(n.name().into_owned())),
                     (
                         "children".into(),
-                        Value::Arr(children.iter().map(node).collect()),
+                        Value::Arr(n.children().map(node).collect()),
                     ),
                 ]),
             }
@@ -231,10 +235,7 @@ impl HierarchyReport {
                 "unabsorbed_devices".into(),
                 Value::int(self.unabsorbed_devices as u64),
             ),
-            (
-                "tree".into(),
-                Value::Arr(self.tree.iter().map(node).collect()),
-            ),
+            ("tree".into(), Value::Arr(self.roots().map(node).collect())),
         ])
     }
 
@@ -461,7 +462,7 @@ impl Hierarchizer {
         flat: &Netlist,
         mut on_round: impl FnMut(&RoundReport),
     ) -> Result<HierarchyOutcome, HierError> {
-        let mut extractors: Vec<Extractor> = self
+        let extractors: Vec<Extractor> = self
             .levels
             .iter()
             .map(|cells| {
@@ -475,9 +476,11 @@ impl Hierarchizer {
             .collect();
         let mut per_level: Vec<BTreeMap<String, usize>> = vec![BTreeMap::new(); self.levels.len()];
         let mut truncated: Vec<usize> = vec![0; self.levels.len()];
-        let mut all_instances: Vec<ExtractedInstance> = Vec::new();
-        // The one copy of the design: every round collapses it in place.
+        // The one copy of the design: every round collapses it in place,
+        // keeps its devices' codes in step and records its composites.
         let mut current = flat.clone();
+        let mut record = Containment::new(flat.device_count(), 0);
+        let mut codes = record.input_codes();
         let mut sweeps = 0usize;
         loop {
             if sweeps == MAX_SWEEPS {
@@ -485,21 +488,20 @@ impl Hierarchizer {
             }
             sweeps += 1;
             let mut replaced_this_sweep = 0usize;
-            for (li, ex) in extractors.iter_mut().enumerate() {
-                ex.set_composite_offset(all_instances.len());
-                let (next, rep) = ex.extract_owned(current)?;
+            for (li, ex) in extractors.iter().enumerate() {
+                let before = record.len();
+                let (next, rep) = ex.extract_owned(current, &mut codes, &mut record)?;
                 for (cell, n) in &rep.per_cell {
                     *per_level[li].entry(cell.clone()).or_insert(0) += n;
                 }
                 truncated[li] += rep.truncated_cells;
-                let replaced = rep.instances.len();
+                let replaced = record.len() - before;
                 on_round(&RoundReport {
                     sweep: sweeps,
                     level: li + 1,
                     replaced,
                     truncated_cells: rep.truncated_cells,
                 });
-                all_instances.extend(rep.instances);
                 current = next;
                 replaced_this_sweep += replaced;
             }
@@ -535,25 +537,15 @@ impl Hierarchizer {
                 }
             })
             .collect();
-        let minted: HashMap<&str, &ExtractedInstance> = all_instances
-            .iter()
-            .map(|i| (i.device.as_str(), i))
-            .collect();
-        let tree: Vec<HierNode> = current
-            .device_ids()
-            .map(|d| containment_node(current.device(d).name(), &minted))
-            .collect();
-        let unabsorbed_devices = current
-            .device_ids()
-            .filter(|&d| !minted.contains_key(current.device(d).name()))
-            .count();
         Ok(HierarchyOutcome {
             top: current,
             cells: self.levels.iter().flatten().cloned().collect(),
             report: HierarchyReport {
                 levels,
-                tree,
-                unabsorbed_devices,
+                unabsorbed_devices: record.inputs_among(&codes),
+                containment: record,
+                roots: codes,
+                names: DeviceNames::of(flat),
                 sweeps,
             },
         })
@@ -648,22 +640,6 @@ fn normalize_cell(
     Ok(out)
 }
 
-/// Resolves a final-netlist device name into its containment node.
-fn containment_node(name: &str, minted: &HashMap<&str, &ExtractedInstance>) -> HierNode {
-    match minted.get(name) {
-        Some(inst) => HierNode::Cell {
-            cell: inst.cell.clone(),
-            device: name.to_string(),
-            children: inst
-                .absorbed
-                .iter()
-                .map(|c| containment_node(c, minted))
-                .collect(),
-        },
-        None => HierNode::Leaf(name.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,10 +658,10 @@ mod tests {
         inv
     }
 
-    /// A buffer referencing `inv` through a naive composite type, as a
-    /// hierarchical SPICE parse would produce it.
-    fn buf2() -> Netlist {
-        let mut b = Netlist::new("buf2");
+    /// A buffer `name` referencing `inv` through a naive composite type,
+    /// as a hierarchical SPICE parse would produce it.
+    fn buffer(name: &str) -> Netlist {
+        let mut b = Netlist::new(name);
         let ity = b
             .add_type(DeviceType::new(
                 "inv",
@@ -711,7 +687,7 @@ mod tests {
 
     #[test]
     fn levels_group_by_reference_depth() {
-        let h = Hierarchizer::new(&[buf2(), inv()]).unwrap();
+        let h = Hierarchizer::new(&[buffer("buf2"), inv()]).unwrap();
         assert_eq!(h.levels().len(), 2);
         assert_eq!(h.levels()[0][0].name(), "inv");
         assert_eq!(h.levels()[1][0].name(), "buf2");
@@ -719,7 +695,7 @@ mod tests {
 
     #[test]
     fn normalization_retypes_references_to_canonical_composites() {
-        let h = Hierarchizer::new(&[inv(), buf2()]).unwrap();
+        let h = Hierarchizer::new(&[inv(), buffer("buf2")]).unwrap();
         let norm = &h.levels()[1][0];
         let canonical = composite_type(&inv());
         let d = norm.device_ids().next().unwrap();
@@ -730,7 +706,7 @@ mod tests {
     fn two_level_fixpoint_recovers_the_buffer() {
         let outcome = hierarchize(
             &two_inverter_chip(),
-            &[inv(), buf2()],
+            &[inv(), buffer("buf2")],
             &MatchOptions::extraction(),
         )
         .unwrap();
@@ -741,30 +717,73 @@ mod tests {
         // One productive sweep plus the all-quiet confirmation.
         assert_eq!(outcome.report.sweeps, 2);
         // Containment: buf2#…, two inv children, four transistor leaves.
-        assert_eq!(outcome.report.tree.len(), 1);
-        match &outcome.report.tree[0] {
-            HierNode::Cell { cell, children, .. } => {
-                assert_eq!(cell, "buf2");
-                assert_eq!(children.len(), 2);
-                for child in children {
-                    match child {
-                        HierNode::Cell { cell, children, .. } => {
-                            assert_eq!(cell, "inv");
-                            assert_eq!(children.len(), 2);
-                            assert!(children.iter().all(|c| matches!(c, HierNode::Leaf(_))));
-                        }
-                        HierNode::Leaf(name) => panic!("unexpected leaf {name}"),
-                    }
-                }
-            }
-            HierNode::Leaf(name) => panic!("unexpected leaf {name}"),
+        assert_eq!(outcome.report.roots().len(), 1);
+        let root = outcome.report.roots().next().unwrap();
+        assert_eq!(root.cell(), Some("buf2"));
+        assert_eq!(root.children().len(), 2);
+        for child in root.children() {
+            assert_eq!(
+                child.cell(),
+                Some("inv"),
+                "unexpected leaf {}",
+                child.name()
+            );
+            assert_eq!(child.children().len(), 2);
+            assert!(child.children().all(|c| c.cell().is_none()));
         }
         assert_eq!(outcome.used_cells().len(), 2);
     }
 
+    /// A node and its subtree as `name[child child …]`, leaves bare.
+    fn render(n: ContainmentNode<'_>) -> String {
+        match n.cell() {
+            None => n.name().into_owned(),
+            Some(_) => {
+                let children: Vec<String> = n.children().map(render).collect();
+                format!("{}[{}]", n.name(), children.join(" "))
+            }
+        }
+    }
+
+    /// Two chained inverters, transistor by transistor, the first pmos
+    /// named `first_pmos`.
+    fn named_chain(first_pmos: &str) -> Netlist {
+        let mut chip = Netlist::new("chain");
+        let mos = chip.add_mos_types();
+        let [i, w, o, vdd, gnd] = ["in", "w0", "out", "vdd", "gnd"].map(|n| chip.net(n));
+        chip.mark_global(vdd);
+        chip.mark_global(gnd);
+        chip.add_device(first_pmos, mos.pmos, &[i, vdd, w]).unwrap();
+        chip.add_device("mn1", mos.nmos, &[i, gnd, w]).unwrap();
+        chip.add_device("mp2", mos.pmos, &[w, vdd, o]).unwrap();
+        chip.add_device("mn2", mos.nmos, &[w, gnd, o]).unwrap();
+        chip
+    }
+
+    #[test]
+    fn a_flat_device_named_like_a_composite_stays_a_leaf() {
+        // `mbuf#2` is the name the level-2 composite is minted under;
+        // a tree keyed by name recursed into it forever.
+        let library = [inv(), buffer("mbuf")];
+        let options = MatchOptions::extraction();
+        let twin = hierarchize(&named_chain("mp1"), &library, &options).unwrap();
+        let collide = hierarchize(&named_chain("mbuf#2"), &library, &options).unwrap();
+        let trees = [&twin, &collide].map(|o| {
+            assert_eq!(o.report.count_of("inv"), 2);
+            assert_eq!(o.report.count_of("mbuf"), 1);
+            assert_eq!(o.report.unabsorbed_devices, 0);
+            o.report.roots().map(render).collect::<Vec<_>>()
+        });
+        assert_eq!(trees[0], ["mbuf#2[inv#0[mp1 mn1] inv#1[mp2 mn2]]"]);
+        assert_eq!(trees[1], ["mbuf#2[inv#0[mbuf#2 mn1] inv#1[mp2 mn2]]"]);
+        let root = collide.report.roots().next().unwrap();
+        let leaf = root.children().next().unwrap().children().next().unwrap();
+        assert_eq!((leaf.cell(), leaf.name().as_ref()), (None, "mbuf#2"));
+    }
+
     #[test]
     fn round_observer_sees_every_level_pass() {
-        let mut h = Hierarchizer::new(&[inv(), buf2()]).unwrap();
+        let mut h = Hierarchizer::new(&[inv(), buffer("buf2")]).unwrap();
         h.set_options(MatchOptions::extraction());
         let mut rounds = Vec::new();
         h.run_observed(&two_inverter_chip(), |r| rounds.push(r.clone()))
@@ -818,7 +837,7 @@ mod tests {
     fn report_json_and_text_cover_the_schema() {
         let outcome = hierarchize(
             &two_inverter_chip(),
-            &[inv(), buf2()],
+            &[inv(), buffer("buf2")],
             &MatchOptions::extraction(),
         )
         .unwrap();

@@ -76,7 +76,7 @@ mod verify;
 
 pub use budget::{CancelToken, Completeness, TruncationReason, WorkBudget};
 pub use events::{Event, EventJournal, EventKind, EventScope, ExplainReport, RejectReason};
-pub use extract::{ExtractReport, ExtractedInstance, Extractor};
+pub use extract::{ContainmentNode, ExtractReport, Extractor};
 pub use instance::{MatchOutcome, Phase1Stats, Phase2Stats, SubMatch};
 pub use matcher::{find_all, find_all_many, Matcher};
 pub use metrics::{Counters, Histogram, MetricsReport};

@@ -62,12 +62,11 @@ fn soup_extraction_covers_every_planted_gate() {
     // but every primitive transistor must be absorbed into some gate.
     assert_eq!(report.unabsorbed_devices, 0, "all transistors absorbed");
     let absorbed: usize = report
-        .instances
-        .iter()
-        .map(|inst| inst.absorbed.len())
+        .instances(&soup.netlist)
+        .map(|inst| inst.children().len())
         .sum();
     assert_eq!(absorbed, soup.netlist.device_count());
-    assert_eq!(gates.device_count(), report.instances.len());
+    assert_eq!(gates.device_count(), report.instance_count());
     gates.validate().unwrap();
 }
 
@@ -75,15 +74,12 @@ fn soup_extraction_covers_every_planted_gate() {
 fn extracted_instance_absorbs_correct_transistors() {
     let adder = gen::ripple_adder(2);
     let (_gates, report) = full_library_extractor().extract(&adder.netlist).unwrap();
-    for inst in &report.instances {
-        assert_eq!(inst.cell, "full_adder");
-        assert_eq!(inst.absorbed.len(), 28);
+    for inst in report.instances(&adder.netlist) {
+        assert_eq!(inst.cell(), Some("full_adder"));
+        assert_eq!(inst.children().len(), 28);
         // All absorbed transistors share the instance prefix.
-        let prefix: Vec<&str> = inst
-            .absorbed
-            .iter()
-            .map(|n| n.split('.').next().unwrap())
-            .collect();
+        let names: Vec<_> = inst.children().map(|d| d.name()).collect();
+        let prefix: Vec<&str> = names.iter().map(|n| n.split('.').next().unwrap()).collect();
         assert!(prefix.windows(2).all(|w| w[0] == w[1]), "{prefix:?}");
     }
 }
@@ -105,7 +101,7 @@ fn extraction_is_idempotent_on_gate_netlists() {
     let extractor = full_library_extractor();
     let (gates, _) = extractor.extract(&adder.netlist).unwrap();
     let (gates2, report2) = extractor.extract(&gates).unwrap();
-    assert_eq!(report2.instances.len(), 0);
+    assert_eq!(report2.instance_count(), 0);
     assert_eq!(gates2.device_count(), gates.device_count());
 }
 
@@ -165,7 +161,7 @@ fn unabsorbed_count_ignores_colliding_type_names() {
         subgemini_netlist::instantiate(&mut evolved, &cells::inv(), &format!("v{i}"), &[a, y])
             .unwrap();
     }
-    extractor.set_composite_offset(report.instances.len());
+    extractor.set_composite_offset(report.instance_count());
     let (gates2, report2) = extractor.extract(&evolved).unwrap();
     assert_eq!(report2.count_of("inv"), 2, "only the raw pair matches");
     // The two round-1 composites survive and are residue of *this*

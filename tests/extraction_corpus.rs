@@ -46,15 +46,17 @@ fn render_netlist(nl: &Netlist, out: &mut String) {
     out.push_str(&format!("ports {}\n", ports.join(" ")));
 }
 
-/// Every instance's cell, composite and absorbed names, then the
+/// Every instance's cell, composite and absorbed names (absorbed input
+/// devices named from `main`, the extraction's input), then the
 /// per-cell counts, the residue and the truncation count.
-fn render_report(report: &ExtractReport, out: &mut String) {
-    for inst in &report.instances {
+fn render_report(report: &ExtractReport, main: &Netlist, out: &mut String) {
+    for inst in report.instances(main) {
+        let absorbed: Vec<String> = inst.children().map(|d| d.name().into_owned()).collect();
         out.push_str(&format!(
             "inst {} {} {}\n",
-            inst.cell,
-            inst.device,
-            inst.absorbed.join(" ")
+            inst.cell().expect("an instance is a composite"),
+            inst.name(),
+            absorbed.join(" ")
         ));
     }
     for (cell, n) in &report.per_cell {
@@ -76,7 +78,7 @@ fn extraction_digest(extractor: &Extractor, library: &[Netlist], main: &Netlist)
         .cloned()
         .collect();
     let mut out = write_hierarchical(&gates, &used);
-    render_report(&report, &mut out);
+    render_report(&report, main, &mut out);
     render_netlist(&gates, &mut out);
     fnv1a(&out)
 }
@@ -187,7 +189,7 @@ fn reentrant_extraction_outputs_match_the_pinned_digests() {
             let y = evolved.net(format!("z{k}"));
             instantiate(&mut evolved, &cells::inv(), &format!("v{k}"), &[a, y]).unwrap();
         }
-        extractor.set_composite_offset(first.instances.len());
+        extractor.set_composite_offset(first.instance_count());
         let got = extraction_digest(&extractor, &library, &evolved);
         if got != want {
             mismatches.push(format!("case {i}: got {got:#018x}, pinned {want:#018x}"));
