@@ -1266,3 +1266,60 @@ fn hierarchize_keeps_a_flat_device_named_like_a_composite_a_leaf() {
         twin.replace("\"mp1\"", "\"mbuf#2\"")
     );
 }
+
+#[test]
+fn extraction_mints_a_composite_name_no_surviving_device_holds() {
+    // The lone pmos already holds `minv#0`, the name the one `minv`
+    // composite is minted under: collapsing refused it as a duplicate
+    // device name (exit 2). The composite takes `minv#0_1` instead, in
+    // the deck and in both reports.
+    let dir = scratch("mint_collide");
+    let lib = ".global vdd gnd\n\
+               .subckt minv a y\nmp y a vdd vdd pmos\nmn y a gnd gnd nmos\n.ends\n";
+    let deck = ".global vdd gnd\n\
+                mp1 y a vdd vdd pmos\nmn1 y a gnd gnd nmos\nminv#0 z y vdd vdd pmos\n";
+    fs::write(dir.join("lib.sp"), lib).unwrap();
+    fs::write(dir.join("deck.sp"), deck).unwrap();
+    let run = |args: &[&str]| {
+        let out = subg(&dir, args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let lines = ["minv#0 z y vdd pmos", "xminv#0_1 a y minv"];
+    assert_eq!(
+        run(&["extract", "deck.sp", "--lib", "lib.sp", "--out", "gates.sp"]),
+        "minv             1\nunabsorbed devices: 1\n"
+    );
+    let gates = fs::read_to_string(dir.join("gates.sp")).unwrap();
+    assert!(
+        lines.iter().all(|l| gates.lines().any(|g| g == *l)),
+        "{gates}"
+    );
+    assert_eq!(
+        run(&["compare", "deck.sp", "gates.sp"]).trim(),
+        "isomorphic"
+    );
+    let hierarchize = ["hierarchize", "deck.sp", "--library", "lib.sp"];
+    assert_eq!(
+        run(&[&hierarchize[..], &["--out", "h.sp"]].concat()),
+        "hierarchy: 1 level(s), 2 sweep(s)\n\
+         level 1:\n\
+         \x20 minv                      1\n\
+         unabsorbed devices: 1\n"
+    );
+    let h = fs::read_to_string(dir.join("h.sp")).unwrap();
+    assert!(lines.iter().all(|l| h.lines().any(|g| g == *l)), "{h}");
+    let json = run(&[&hierarchize[..], &["--report", "json"]].concat());
+    let tree = &json[json.find("\"tree\"").expect("a tree")..];
+    let tree: String = tree.split_whitespace().collect();
+    assert_eq!(
+        tree,
+        "\"tree\":[\"minv#0\",{\"cell\":\"minv\",\"device\":\"minv#0_1\",\
+         \"children\":[\"mp1\",\"mn1\"]}]}"
+    );
+}

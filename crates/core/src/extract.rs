@@ -27,7 +27,8 @@ use crate::symmetry::composite_type;
 ///
 /// Every device the run saw has a `u32` *code*: codes below `inputs`
 /// are the devices of the netlist the run started from, by id, and code
-/// `inputs + k` is composite `k`, named `cell#{first + k}`. Composite
+/// `inputs + k` is composite `k`, named `cell#{first + k}` unless a
+/// surviving device already held that name when it was minted. Composite
 /// `k`'s members are the codes of the devices it absorbed, in its
 /// cell's device order, back to back in one flat array; a composite
 /// adds only a cell index and an end offset. Names are rendered when a
@@ -46,6 +47,9 @@ pub(crate) struct Containment {
     end: Vec<u32>,
     /// Member codes, composite after composite.
     members: Vec<u32>,
+    /// The composites minted under another name, as `(k, name)` in
+    /// composite order.
+    renamed: Vec<(u32, String)>,
 }
 
 /// Marks an absorbed device's code until the codes are compacted.
@@ -98,9 +102,29 @@ impl Containment {
         &self.members[start..self.end[k] as usize]
     }
 
-    /// Composite `k`'s device name: `cell#{first + k}`.
+    /// Composite `k`'s device name: `cell#{first + k}`, or the name
+    /// [`mint_name`](Self::mint_name) kept for it.
     fn composite_name(&self, k: usize) -> String {
-        format!("{}#{}", self.cell_name(k), self.first + k)
+        match self.renamed.binary_search_by_key(&(k as u32), |(j, _)| *j) {
+            Ok(i) => self.renamed[i].1.clone(),
+            Err(_) => format!("{}#{}", self.cell_name(k), self.first + k),
+        }
+    }
+
+    /// Names composite `k`: `cell#{first + k}`, or, when `taken` says a
+    /// device already holds that, the first of `cell#{first + k}_1`,
+    /// `_2`, … that none holds, kept in the record.
+    fn mint_name(&mut self, k: usize, taken: impl Fn(&str) -> bool) -> String {
+        let name = self.composite_name(k);
+        if !taken(&name) {
+            return name;
+        }
+        let minted = (1..)
+            .map(|j| format!("{name}_{j}"))
+            .find(|n| !taken(n))
+            .expect("a netlist holds finitely many names");
+        self.renamed.push((k as u32, minted.clone()));
+        minted
     }
 
     /// The index of the cell named `name`, added on first use.
@@ -493,16 +517,73 @@ fn replace_instances(
     for m in instances {
         record.push(cell_index, m.devices.iter().map(|d| codes[d.index()]));
     }
-    let composites = instances
-        .iter()
-        .zip(start..)
-        .map(|(m, k)| (record.composite_name(k), m.port_images(cell)))
-        .collect();
-    main.collapse(&absorbed, composite_type(cell), composites)?;
     for d in &absorbed {
         codes[d.index()] = ABSORBED;
     }
+    // A composite must not take the name of a device that survives the
+    // round (§3m).
+    let survivor = |name: &str| {
+        main.find_device(name)
+            .is_some_and(|d| codes[d.index()] != ABSORBED)
+    };
+    let composites = instances
+        .iter()
+        .zip(start..)
+        .map(|(m, k)| (record.mint_name(k, survivor), m.port_images(cell)))
+        .collect();
+    main.collapse(&absorbed, composite_type(cell), composites)?;
     codes.retain(|&c| c != ABSORBED);
     codes.extend((start..record.len()).map(|k| record.code_of(k)));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use subgemini_netlist::Netlist;
+
+    use super::*;
+
+    /// An inverter with rails `vdd` and `gnd`.
+    fn minv() -> Netlist {
+        let mut c = Netlist::new("minv");
+        let mos = c.add_mos_types();
+        let [a, y, vdd, gnd] = ["a", "y", "vdd", "gnd"].map(|n| c.net(n));
+        c.mark_port(a);
+        c.mark_port(y);
+        c.mark_global(vdd);
+        c.mark_global(gnd);
+        c.add_device("mp", mos.pmos, &[a, vdd, y]).unwrap();
+        c.add_device("mn", mos.nmos, &[a, gnd, y]).unwrap();
+        c
+    }
+
+    #[test]
+    fn a_composite_never_takes_a_surviving_device_name() {
+        // The lone pmos holds `minv#0`, the name the one composite is
+        // usually minted under.
+        let mut deck = Netlist::new("deck");
+        let mos = deck.add_mos_types();
+        let [a, y, z, vdd, gnd] = ["a", "y", "z", "vdd", "gnd"].map(|n| deck.net(n));
+        deck.mark_global(vdd);
+        deck.mark_global(gnd);
+        deck.add_device("mp1", mos.pmos, &[a, vdd, y]).unwrap();
+        deck.add_device("mn1", mos.nmos, &[a, gnd, y]).unwrap();
+        deck.add_device("minv#0", mos.pmos, &[y, vdd, z]).unwrap();
+        let mut extractor = Extractor::new();
+        extractor.add_cell(minv());
+        extractor.set_options(MatchOptions::extraction());
+        let (gates, report) = extractor.extract(&deck).expect("the deck extracts");
+        assert_eq!((report.count_of("minv"), report.unabsorbed_devices), (1, 1));
+        let names: Vec<&str> = gates.device_ids().map(|d| gates.device(d).name()).collect();
+        assert_eq!(names, ["minv#0", "minv#0_1"]);
+        let inst = report.instances(&deck).next().expect("one instance");
+        let children: Vec<String> = inst.children().map(|c| c.name().into_owned()).collect();
+        assert_eq!(
+            (inst.name().as_ref(), &children[..]),
+            ("minv#0_1", &["mp1", "mn1"].map(String::from)[..])
+        );
+        let leaf = gates.find_device("minv#0").expect("the pmos survives");
+        let ty = gates.device_type(gates.device(leaf).type_id());
+        assert_eq!(ty.name(), "pmos");
+    }
 }

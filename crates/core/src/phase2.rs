@@ -22,11 +22,13 @@
 //!   performance point) — though its fixed label still contributes when
 //!   a vertex is relabeled for other reasons.
 //!
-//! State is dense `Vec`-indexed over the [`CompiledCircuit`]s, with an
-//! **undo log** instead of per-branch cloning: every mutation during
-//! search records its inverse, a [`Mark`] captures the log position
-//! before a guess, and backtracking truncates the log — `O(touched)`
-//! per branch.
+//! State is one plane of dense `Vec`s per vertex kind on each side,
+//! indexed by kind ([`DEVICE`], [`NET`]) and then by vertex over the
+//! [`CompiledCircuit`]s, with an **undo log** instead of per-branch
+//! cloning: every mutation during search goes through the field's one
+//! logged setter, which records its inverse, a [`Mark`] captures the
+//! log position before a guess, and backtracking truncates the log —
+//! `O(touched)` per branch.
 //!
 //! Label partitions are one flat table of [`Row`]s — `(kind, label,
 //! side, index)` for every unmatched touched vertex — sorted and scanned
@@ -53,30 +55,28 @@ use crate::options::MatchOptions;
 use crate::trace::{Phase2Trace, TraceCell, TraceSnapshot};
 use crate::verify::{verify_with, VerifyScratch};
 
-/// One inverse operation on the search state. Rolling the log back in
-/// LIFO order restores the exact prior state (list pushes pair with
-/// their flag sets, so pops stay aligned).
+/// Vertex kinds, the index of every kind-indexed array: devices sort
+/// before nets.
+const DEVICE: usize = 0;
+const NET: usize = 1;
+
+/// One inverse operation on the search state: one variant per field,
+/// each naming the vertex's kind. Rolling the log back in LIFO order
+/// restores the exact prior state (list pushes pair with their flag
+/// sets, so pops stay aligned).
 enum UndoOp {
-    SDevLabel(u32, u64),
-    SNetLabel(u32, u64),
-    SDevTouched(u32),
-    SNetTouched(u32),
-    SDevSafe(u32),
-    SNetSafe(u32),
-    SDevMatch(u32),
-    SNetMatch(u32),
-    /// Restore a previously *touched* G device's label.
-    GDevLabel(u32, u64),
-    GNetLabel(u32, u64),
-    /// First touch of a G vertex: clears the flag and pops the touched
-    /// list (the stale label slot is unreachable once untouched).
-    GDevTouched(u32),
-    GNetTouched(u32),
-    GDevSafe(u32),
-    GNetSafe(u32),
-    GDevMatched(u32),
-    GNetMatched(u32),
-    GNetPortImage(u32),
+    SLabel(u8, u32, u64),
+    STouched(u8, u32),
+    SSafe(u8, u32),
+    SImage(u8, u32),
+    /// Restore a previously *touched* main vertex's label.
+    GLabel(u8, u32, u64),
+    /// First touch of a main vertex: clears the flag, pops the touched
+    /// list and restores the label slot it overwrote.
+    GTouched(u8, u32, u64),
+    GSafe(u8, u32),
+    GMatched(u8, u32),
+    PortImage(u32),
 }
 
 /// A rollback point: undo-log length plus the scalars the log does not
@@ -89,37 +89,67 @@ struct Mark {
     trace_len: usize,
 }
 
-/// Mutable search state for one candidate. Dense arrays both sides;
-/// G-side sparsity is recovered through the touched/safe index lists.
+/// One kind's pattern-side state, dense over the pattern's vertices of
+/// that kind.
+#[derive(Clone, Debug, PartialEq)]
+struct PatternPlane {
+    label: Vec<u64>,
+    touched: Vec<bool>,
+    safe: Vec<bool>,
+    /// The matched main vertex.
+    image: Vec<Option<u32>>,
+}
+
+impl PatternPlane {
+    fn new(label: Vec<u64>) -> Self {
+        let n = label.len();
+        Self {
+            label,
+            touched: vec![false; n],
+            safe: vec![false; n],
+            image: vec![None; n],
+        }
+    }
+}
+
+/// One kind's main-side state: dense flags over the main graph's
+/// vertices of that kind, with sparsity recovered through the touched
+/// and safe index lists.
+#[derive(Clone, Debug, PartialEq)]
+struct MainPlane {
+    /// A slot is meaningful only while the touched flag is set.
+    label: Vec<u64>,
+    touched: Vec<bool>,
+    safe: Vec<bool>,
+    matched: Vec<bool>,
+    /// Sparse iteration orders for the dense flags above.
+    touched_list: Vec<u32>,
+    safe_list: Vec<u32>,
+}
+
+impl MainPlane {
+    fn new(n: usize) -> Self {
+        Self {
+            label: vec![0; n],
+            touched: vec![false; n],
+            safe: vec![false; n],
+            matched: vec![false; n],
+            touched_list: Vec::new(),
+            safe_list: Vec::new(),
+        }
+    }
+}
+
+/// Mutable search state for one candidate: one plane per kind on each
+/// side, indexed by [`DEVICE`] and [`NET`].
 struct State {
-    s_dev: Vec<u64>,
-    s_net: Vec<u64>,
-    s_dev_touched: Vec<bool>,
-    s_net_touched: Vec<bool>,
-    s_dev_safe: Vec<bool>,
-    s_net_safe: Vec<bool>,
-    s_dev_match: Vec<Option<u32>>,
-    s_net_match: Vec<Option<u32>>,
-    /// Labels of G vertices; a slot is meaningful only while the
-    /// corresponding touched flag is set.
-    g_dev_label: Vec<u64>,
-    g_net_label: Vec<u64>,
-    g_dev_touched: Vec<bool>,
-    g_net_touched: Vec<bool>,
-    g_dev_safe: Vec<bool>,
-    g_net_safe: Vec<bool>,
-    g_dev_matched: Vec<bool>,
-    g_net_matched: Vec<bool>,
+    s: [PatternPlane; 2],
+    g: [MainPlane; 2],
     /// Main-graph nets matched to *port* (external) pattern nets. Such
     /// images may have arbitrary main-circuit fanout (think a shared
     /// clock), so — like global rails — they never trigger spreading
     /// unless the option re-enables it.
-    g_net_port_image: Vec<bool>,
-    /// Sparse iteration orders for the dense flags above.
-    g_dev_touched_list: Vec<u32>,
-    g_net_touched_list: Vec<u32>,
-    g_dev_safe_list: Vec<u32>,
-    g_net_safe_list: Vec<u32>,
+    port_image: Vec<bool>,
     matched: usize,
     label_counter: u64,
     undo: Vec<UndoOp>,
@@ -151,39 +181,26 @@ impl State {
     fn rollback(&mut self, m: &Mark) {
         while self.undo.len() > m.undo_len {
             match self.undo.pop().expect("len checked") {
-                UndoOp::SDevLabel(i, l) => self.s_dev[i as usize] = l,
-                UndoOp::SNetLabel(i, l) => self.s_net[i as usize] = l,
-                UndoOp::SDevTouched(i) => self.s_dev_touched[i as usize] = false,
-                UndoOp::SNetTouched(i) => self.s_net_touched[i as usize] = false,
-                UndoOp::SDevSafe(i) => self.s_dev_safe[i as usize] = false,
-                UndoOp::SNetSafe(i) => self.s_net_safe[i as usize] = false,
-                UndoOp::SDevMatch(i) => self.s_dev_match[i as usize] = None,
-                UndoOp::SNetMatch(i) => self.s_net_match[i as usize] = None,
-                UndoOp::GDevLabel(i, l) => self.g_dev_label[i as usize] = l,
-                UndoOp::GNetLabel(i, l) => self.g_net_label[i as usize] = l,
-                UndoOp::GDevTouched(i) => {
-                    self.g_dev_touched[i as usize] = false;
-                    let popped = self.g_dev_touched_list.pop();
+                UndoOp::SLabel(k, i, l) => self.s[k as usize].label[i as usize] = l,
+                UndoOp::STouched(k, i) => self.s[k as usize].touched[i as usize] = false,
+                UndoOp::SSafe(k, i) => self.s[k as usize].safe[i as usize] = false,
+                UndoOp::SImage(k, i) => self.s[k as usize].image[i as usize] = None,
+                UndoOp::GLabel(k, i, l) => self.g[k as usize].label[i as usize] = l,
+                UndoOp::GTouched(k, i, l) => {
+                    let g = &mut self.g[k as usize];
+                    g.touched[i as usize] = false;
+                    g.label[i as usize] = l;
+                    let popped = g.touched_list.pop();
                     debug_assert_eq!(popped, Some(i));
                 }
-                UndoOp::GNetTouched(i) => {
-                    self.g_net_touched[i as usize] = false;
-                    let popped = self.g_net_touched_list.pop();
+                UndoOp::GSafe(k, i) => {
+                    let g = &mut self.g[k as usize];
+                    g.safe[i as usize] = false;
+                    let popped = g.safe_list.pop();
                     debug_assert_eq!(popped, Some(i));
                 }
-                UndoOp::GDevSafe(i) => {
-                    self.g_dev_safe[i as usize] = false;
-                    let popped = self.g_dev_safe_list.pop();
-                    debug_assert_eq!(popped, Some(i));
-                }
-                UndoOp::GNetSafe(i) => {
-                    self.g_net_safe[i as usize] = false;
-                    let popped = self.g_net_safe_list.pop();
-                    debug_assert_eq!(popped, Some(i));
-                }
-                UndoOp::GDevMatched(i) => self.g_dev_matched[i as usize] = false,
-                UndoOp::GNetMatched(i) => self.g_net_matched[i as usize] = false,
-                UndoOp::GNetPortImage(i) => self.g_net_port_image[i as usize] = false,
+                UndoOp::GMatched(k, i) => self.g[k as usize].matched[i as usize] = false,
+                UndoOp::PortImage(i) => self.port_image[i as usize] = false,
             }
         }
         self.matched = m.matched;
@@ -195,131 +212,86 @@ impl State {
 
     // --- logged setters (every hot-path mutation goes through these) ---
 
-    fn set_s_dev_label(&mut self, i: usize, l: u64) {
-        if self.s_dev[i] != l {
-            self.undo.push(UndoOp::SDevLabel(i as u32, self.s_dev[i]));
-            self.s_dev[i] = l;
+    fn set_s_label(&mut self, kind: usize, i: u32, l: u64) {
+        let old = self.s[kind].label[i as usize];
+        if old != l {
+            self.undo.push(UndoOp::SLabel(kind as u8, i, old));
+            self.s[kind].label[i as usize] = l;
         }
     }
 
-    fn set_s_net_label(&mut self, i: usize, l: u64) {
-        if self.s_net[i] != l {
-            self.undo.push(UndoOp::SNetLabel(i as u32, self.s_net[i]));
-            self.s_net[i] = l;
+    fn touch_s(&mut self, kind: usize, i: u32) {
+        if !self.s[kind].touched[i as usize] {
+            self.s[kind].touched[i as usize] = true;
+            self.undo.push(UndoOp::STouched(kind as u8, i));
         }
     }
 
-    fn touch_s_dev(&mut self, i: usize) {
-        if !self.s_dev_touched[i] {
-            self.s_dev_touched[i] = true;
-            self.undo.push(UndoOp::SDevTouched(i as u32));
-        }
-    }
-
-    fn touch_s_net(&mut self, i: usize) {
-        if !self.s_net_touched[i] {
-            self.s_net_touched[i] = true;
-            self.undo.push(UndoOp::SNetTouched(i as u32));
-        }
-    }
-
-    fn set_s_dev_safe(&mut self, i: usize) -> bool {
-        if self.s_dev_safe[i] {
+    fn set_s_safe(&mut self, kind: usize, i: u32) -> bool {
+        if self.s[kind].safe[i as usize] {
             return false;
         }
-        self.s_dev_safe[i] = true;
-        self.undo.push(UndoOp::SDevSafe(i as u32));
+        self.s[kind].safe[i as usize] = true;
+        self.undo.push(UndoOp::SSafe(kind as u8, i));
         true
     }
 
-    fn set_s_net_safe(&mut self, i: usize) -> bool {
-        if self.s_net_safe[i] {
-            return false;
-        }
-        self.s_net_safe[i] = true;
-        self.undo.push(UndoOp::SNetSafe(i as u32));
-        true
+    fn set_s_image(&mut self, kind: usize, i: u32, g: u32) {
+        debug_assert!(self.s[kind].image[i as usize].is_none());
+        self.s[kind].image[i as usize] = Some(g);
+        self.undo.push(UndoOp::SImage(kind as u8, i));
     }
 
-    fn set_s_dev_match(&mut self, i: usize, g: u32) {
-        debug_assert!(self.s_dev_match[i].is_none());
-        self.s_dev_match[i] = Some(g);
-        self.undo.push(UndoOp::SDevMatch(i as u32));
-    }
-
-    fn set_s_net_match(&mut self, i: usize, g: u32) {
-        debug_assert!(self.s_net_match[i].is_none());
-        self.s_net_match[i] = Some(g);
-        self.undo.push(UndoOp::SNetMatch(i as u32));
-    }
-
-    fn set_g_dev_label(&mut self, i: u32, l: u64) {
-        if self.g_dev_touched[i as usize] {
-            self.undo
-                .push(UndoOp::GDevLabel(i, self.g_dev_label[i as usize]));
+    fn set_g_label(&mut self, kind: usize, i: u32, l: u64) {
+        let g = &mut self.g[kind];
+        let old = g.label[i as usize];
+        if g.touched[i as usize] {
+            self.undo.push(UndoOp::GLabel(kind as u8, i, old));
         } else {
-            self.g_dev_touched[i as usize] = true;
-            self.g_dev_touched_list.push(i);
-            self.undo.push(UndoOp::GDevTouched(i));
+            g.touched[i as usize] = true;
+            g.touched_list.push(i);
+            self.undo.push(UndoOp::GTouched(kind as u8, i, old));
         }
-        self.g_dev_label[i as usize] = l;
+        g.label[i as usize] = l;
     }
 
-    fn set_g_net_label(&mut self, i: u32, l: u64) {
-        if self.g_net_touched[i as usize] {
-            self.undo
-                .push(UndoOp::GNetLabel(i, self.g_net_label[i as usize]));
-        } else {
-            self.g_net_touched[i as usize] = true;
-            self.g_net_touched_list.push(i);
-            self.undo.push(UndoOp::GNetTouched(i));
-        }
-        self.g_net_label[i as usize] = l;
-    }
-
-    fn set_g_dev_safe(&mut self, i: u32) -> bool {
-        if self.g_dev_safe[i as usize] {
+    fn set_g_safe(&mut self, kind: usize, i: u32) -> bool {
+        let g = &mut self.g[kind];
+        if g.safe[i as usize] {
             return false;
         }
-        self.g_dev_safe[i as usize] = true;
-        self.g_dev_safe_list.push(i);
-        self.undo.push(UndoOp::GDevSafe(i));
+        g.safe[i as usize] = true;
+        g.safe_list.push(i);
+        self.undo.push(UndoOp::GSafe(kind as u8, i));
         true
     }
 
-    fn set_g_net_safe(&mut self, i: u32) -> bool {
-        if self.g_net_safe[i as usize] {
-            return false;
+    fn set_g_matched(&mut self, kind: usize, i: u32) {
+        debug_assert!(!self.g[kind].matched[i as usize]);
+        self.g[kind].matched[i as usize] = true;
+        self.undo.push(UndoOp::GMatched(kind as u8, i));
+    }
+
+    fn set_port_image(&mut self, i: u32) {
+        if !self.port_image[i as usize] {
+            self.port_image[i as usize] = true;
+            self.undo.push(UndoOp::PortImage(i));
         }
-        self.g_net_safe[i as usize] = true;
-        self.g_net_safe_list.push(i);
-        self.undo.push(UndoOp::GNetSafe(i));
-        true
     }
 
-    fn set_g_dev_matched(&mut self, i: u32) {
-        debug_assert!(!self.g_dev_matched[i as usize]);
-        self.g_dev_matched[i as usize] = true;
-        self.undo.push(UndoOp::GDevMatched(i));
-    }
-
-    fn set_g_net_matched(&mut self, i: u32) {
-        debug_assert!(!self.g_net_matched[i as usize]);
-        self.g_net_matched[i as usize] = true;
-        self.undo.push(UndoOp::GNetMatched(i));
-    }
-
-    fn set_g_net_port_image(&mut self, i: u32) {
-        if !self.g_net_port_image[i as usize] {
-            self.g_net_port_image[i as usize] = true;
-            self.undo.push(UndoOp::GNetPortImage(i));
-        }
+    /// Matches pattern vertex `si` to main vertex `gi` of `kind` under
+    /// `label`: both become touched, safe and matched.
+    fn match_pair(&mut self, kind: usize, si: u32, gi: u32, label: u64) {
+        self.set_s_label(kind, si, label);
+        self.touch_s(kind, si);
+        self.set_s_safe(kind, si);
+        self.set_s_image(kind, si, gi);
+        self.set_g_label(kind, gi, label);
+        self.set_g_safe(kind, gi);
+        self.set_g_matched(kind, gi);
+        self.matched += 1;
     }
 }
-
-/// Vertex kinds in a [`Row`]: devices sort before nets.
-const DEVICE: u8 = 0;
-const NET: u8 = 1;
 
 /// One row of the partition table: an unmatched, touched vertex. Field
 /// order is sort order, so the sorted table is a sequence of runs of
@@ -336,20 +308,20 @@ struct Row {
 
 /// Splits a sorted partition table into its runs: one `(kind, label,
 /// pattern rows, main rows)` per label.
-fn runs(table: &[Row]) -> impl Iterator<Item = (u8, u64, &[Row], &[Row])> {
+fn runs(table: &[Row]) -> impl Iterator<Item = (usize, u64, &[Row], &[Row])> {
     table
         .chunk_by(|a, b| (a.kind, a.label) == (b.kind, b.label))
         .map(|run| {
             let (sv, gv) = run.split_at(run.partition_point(|r| !r.main));
-            (run[0].kind, run[0].label, sv, gv)
+            (run[0].kind as usize, run[0].label, sv, gv)
         })
 }
 
-fn vertex(kind: u8, index: u32) -> Vertex {
-    if kind == DEVICE {
-        Vertex::Device(DeviceId::new(index))
-    } else {
-        Vertex::Net(NetId::new(index))
+/// A vertex as its kind and index.
+fn kind_index(v: Vertex) -> (usize, u32) {
+    match v {
+        Vertex::Device(d) => (DEVICE, d.raw()),
+        Vertex::Net(n) => (NET, n.raw()),
     }
 }
 
@@ -360,22 +332,19 @@ struct Scratch {
     /// The partition table (see [`Row`]).
     table: Vec<Row>,
     /// Singleton partitions `analyze` matches after its scan.
-    to_match: Vec<(u8, u32, u32)>,
-    /// A pass's main-side frontiers and new labels per side and kind.
-    g_dev_frontier: Vec<u32>,
-    g_net_frontier: Vec<u32>,
-    s_dev_new: Vec<(u32, u64)>,
-    s_net_new: Vec<(u32, u64)>,
-    g_dev_new: Vec<(u32, u64)>,
-    g_net_new: Vec<(u32, u64)>,
+    to_match: Vec<(usize, u32, u32)>,
+    /// A pass's main-side frontiers and new labels per side, by kind.
+    frontier: [Vec<u32>; 2],
+    s_new: [Vec<(u32, u64)>; 2],
+    g_new: [Vec<(u32, u64)>; 2],
     /// Candidate images of every open guess, innermost on top: each
     /// `verify_image` call owns a range and truncates back to its start.
-    guesses: Vec<Vertex>,
+    guesses: Vec<u32>,
     /// The anchored fallback's matched-pin requirements, one main
     /// device's pins, and one pattern device's candidates.
     required: Vec<(u64, u32)>,
     have: Vec<(u64, u32)>,
-    cands: Vec<Vertex>,
+    cands: Vec<u32>,
     verify: VerifyScratch,
 }
 
@@ -443,34 +412,19 @@ impl<'a> Phase2Runner<'a> {
     /// so build it once per worker and reuse it: `run_candidate`
     /// restores it to the base configuration before returning.
     pub fn make_state(&self, base: &BaseState) -> SearchState {
-        let nd = self.s.device_count();
-        let nn = self.s.net_count();
-        let gd = self.g.device_count();
-        let gn = self.g.net_count();
+        let device_labels = (0..self.s.device_count())
+            .map(|i| self.s.initial_device_label(DeviceId::new(i as u32)))
+            .collect();
         let mut st = State {
-            s_dev: (0..nd)
-                .map(|i| self.s.initial_device_label(DeviceId::new(i as u32)))
-                .collect(),
-            s_net: vec![0; nn],
-            s_dev_touched: vec![false; nd],
-            s_net_touched: vec![false; nn],
-            s_dev_safe: vec![false; nd],
-            s_net_safe: vec![false; nn],
-            s_dev_match: vec![None; nd],
-            s_net_match: vec![None; nn],
-            g_dev_label: vec![0; gd],
-            g_net_label: vec![0; gn],
-            g_dev_touched: vec![false; gd],
-            g_net_touched: vec![false; gn],
-            g_dev_safe: vec![false; gd],
-            g_net_safe: vec![false; gn],
-            g_dev_matched: vec![false; gd],
-            g_net_matched: vec![false; gn],
-            g_net_port_image: vec![false; gn],
-            g_dev_touched_list: Vec::new(),
-            g_net_touched_list: Vec::new(),
-            g_dev_safe_list: Vec::new(),
-            g_net_safe_list: Vec::new(),
+            s: [
+                PatternPlane::new(device_labels),
+                PatternPlane::new(vec![0; self.s.net_count()]),
+            ],
+            g: [
+                MainPlane::new(self.g.device_count()),
+                MainPlane::new(self.g.net_count()),
+            ],
+            port_image: vec![false; self.g.net_count()],
             matched: 0,
             label_counter: 0,
             undo: Vec::new(),
@@ -484,22 +438,13 @@ impl<'a> Phase2Runner<'a> {
                 .then(RejectTally::default),
             last_reject: None,
         };
-        // The pre-matches form the permanent floor of the state: applied
-        // without undo logging, they survive every rollback.
+        // The pre-matches form the permanent floor of the state: with
+        // their log entries dropped, they survive every rollback.
         for &(si, gi, label) in &base.prematch {
-            let si = si as usize;
-            st.s_net[si] = label;
-            st.s_net_touched[si] = true;
-            st.s_net_safe[si] = true;
-            st.s_net_match[si] = Some(gi);
-            st.g_net_label[gi as usize] = label;
-            st.g_net_touched[gi as usize] = true;
-            st.g_net_touched_list.push(gi);
-            st.g_net_safe[gi as usize] = true;
-            st.g_net_safe_list.push(gi);
-            st.g_net_matched[gi as usize] = true;
-            st.matched += 1;
+            debug_assert_eq!(label, self.g.initial_net_label(NetId::new(gi)));
+            st.match_pair(NET, si, gi, label);
         }
+        st.undo.clear();
         SearchState {
             state: st,
             scratch: Scratch::default(),
@@ -516,53 +461,29 @@ impl<'a> Phase2Runner<'a> {
         hashing::mix(self.opts.seed ^ st.label_counter.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
-    fn g_dev_label(&self, st: &State, i: u32) -> u64 {
-        if st.g_dev_touched[i as usize] {
-            st.g_dev_label[i as usize]
-        } else {
+    /// The current label of main vertex `i` of `kind`: its logged label
+    /// once touched, else its starting label — a device's type label, a
+    /// global net's fixed label, 0 for any other net. (A global is
+    /// touched only by its pre-match, under that same fixed label.)
+    fn g_label(&self, st: &State, kind: usize, i: u32) -> u64 {
+        let g = &st.g[kind];
+        if g.touched[i as usize] {
+            g.label[i as usize]
+        } else if kind == DEVICE {
             self.g.initial_device_label(DeviceId::new(i))
-        }
-    }
-
-    fn g_net_label(&self, st: &State, i: u32) -> u64 {
-        let n = NetId::new(i);
-        if self.g.is_global(n) {
-            return self.g.initial_net_label(n);
-        }
-        if st.g_net_touched[i as usize] {
-            st.g_net_label[i as usize]
+        } else if self.g.is_global(NetId::new(i)) {
+            self.g.initial_net_label(NetId::new(i))
         } else {
             0
         }
     }
 
-    fn do_match(&self, st: &mut State, s_v: Vertex, g_v: Vertex) {
+    fn do_match(&self, st: &mut State, kind: usize, si: u32, gi: u32) {
         let label = self.fresh_label(st);
-        match (s_v, g_v) {
-            (Vertex::Device(sd), Vertex::Device(gd)) => {
-                st.set_s_dev_label(sd.index(), label);
-                st.touch_s_dev(sd.index());
-                st.set_s_dev_safe(sd.index());
-                st.set_s_dev_match(sd.index(), gd.raw());
-                st.set_g_dev_label(gd.raw(), label);
-                st.set_g_dev_safe(gd.raw());
-                st.set_g_dev_matched(gd.raw());
-            }
-            (Vertex::Net(sn), Vertex::Net(gn)) => {
-                st.set_s_net_label(sn.index(), label);
-                st.touch_s_net(sn.index());
-                st.set_s_net_safe(sn.index());
-                st.set_s_net_match(sn.index(), gn.raw());
-                st.set_g_net_label(gn.raw(), label);
-                st.set_g_net_safe(gn.raw());
-                st.set_g_net_matched(gn.raw());
-                if !self.opts.spread_from_port_images && self.s.is_port(sn) {
-                    st.set_g_net_port_image(gn.raw());
-                }
-            }
-            _ => unreachable!("guesses always pair same-kind vertices"),
+        st.match_pair(kind, si, gi, label);
+        if kind == NET && !self.opts.spread_from_port_images && self.s.is_port(NetId::new(si)) {
+            st.set_port_image(gi);
         }
-        st.matched += 1;
     }
 
     /// One Jacobi relabeling pass over both graphs: every unmatched
@@ -570,18 +491,19 @@ impl<'a> Phase2Runner<'a> {
     /// relabeled from the labels of its safe neighbors.
     fn pass(&self, st: &mut State, sc: &mut Scratch) {
         // --- pattern side ---
-        let s_dev_new = &mut sc.s_dev_new;
-        s_dev_new.clear();
-        for i in 0..st.s_dev.len() {
-            if st.s_dev_match[i].is_some() {
+        let (sd, sn) = (&st.s[DEVICE], &st.s[NET]);
+        let new = &mut sc.s_new[DEVICE];
+        new.clear();
+        for i in 0..sd.label.len() {
+            if sd.image[i].is_some() {
                 continue;
             }
             let d = DeviceId::new(i as u32);
             let triggered = self.s.device_neighbors(d).any(|(n, _)| {
-                st.s_net_safe[n.index()]
+                sn.safe[n.index()]
                     && !self.s.is_global(n)
                     && !(!self.opts.spread_from_port_images
-                        && st.s_net_match[n.index()].is_some()
+                        && sn.image[n.index()].is_some()
                         && self.s.is_port(n))
             });
             if !triggered {
@@ -589,88 +511,80 @@ impl<'a> Phase2Runner<'a> {
             }
             let c = self
                 .s
-                .device_contribs(d, |n| st.s_net_safe[n.index()].then(|| st.s_net[n.index()]));
-            s_dev_new.push((i as u32, hashing::relabel(st.s_dev[i], c.sum)));
+                .device_contribs(d, |n| sn.safe[n.index()].then(|| sn.label[n.index()]));
+            new.push((i as u32, hashing::relabel(sd.label[i], c.sum)));
         }
-        let s_net_new = &mut sc.s_net_new;
-        s_net_new.clear();
-        for i in 0..st.s_net.len() {
-            if st.s_net_match[i].is_some() || self.s.is_global(NetId::new(i as u32)) {
+        let new = &mut sc.s_new[NET];
+        new.clear();
+        for i in 0..sn.label.len() {
+            let n = NetId::new(i as u32);
+            if sn.image[i].is_some() || self.s.is_global(n) {
                 continue;
             }
-            let n = NetId::new(i as u32);
-            let triggered = self
-                .s
-                .net_neighbors(n)
-                .any(|(d, _)| st.s_dev_safe[d.index()]);
+            let triggered = self.s.net_neighbors(n).any(|(d, _)| sd.safe[d.index()]);
             if !triggered {
                 continue;
             }
             let c = self
                 .s
-                .net_contribs(n, |d| st.s_dev_safe[d.index()].then(|| st.s_dev[d.index()]));
-            s_net_new.push((i as u32, hashing::relabel(st.s_net[i], c.sum)));
+                .net_contribs(n, |d| sd.safe[d.index()].then(|| sd.label[d.index()]));
+            new.push((i as u32, hashing::relabel(sn.label[i], c.sum)));
         }
         // --- main side: collect frontier from the safe lists ---
-        let g_dev_frontier = &mut sc.g_dev_frontier;
-        g_dev_frontier.clear();
-        for &ni in &st.g_net_safe_list {
+        let (gd, gn) = (&st.g[DEVICE], &st.g[NET]);
+        let frontier = &mut sc.frontier[DEVICE];
+        frontier.clear();
+        for &ni in &gn.safe_list {
             let n = NetId::new(ni);
-            if self.g.is_global(n) || st.g_net_port_image[ni as usize] {
+            if self.g.is_global(n) || st.port_image[ni as usize] {
                 continue; // rails and port images never trigger spreading
             }
             for (d, _) in self.g.net_neighbors(n) {
-                if !st.g_dev_matched[d.index()] {
-                    g_dev_frontier.push(d.raw());
+                if !gd.matched[d.index()] {
+                    frontier.push(d.raw());
                 }
             }
         }
-        g_dev_frontier.sort_unstable();
-        g_dev_frontier.dedup();
-        let g_net_frontier = &mut sc.g_net_frontier;
-        g_net_frontier.clear();
-        for &di in &st.g_dev_safe_list {
-            let d = DeviceId::new(di);
-            for (n, _) in self.g.device_neighbors(d) {
-                if !self.g.is_global(n) && !st.g_net_matched[n.index()] {
-                    g_net_frontier.push(n.raw());
+        frontier.sort_unstable();
+        frontier.dedup();
+        let frontier = &mut sc.frontier[NET];
+        frontier.clear();
+        for &di in &gd.safe_list {
+            for (n, _) in self.g.device_neighbors(DeviceId::new(di)) {
+                if !self.g.is_global(n) && !gn.matched[n.index()] {
+                    frontier.push(n.raw());
                 }
             }
         }
-        g_net_frontier.sort_unstable();
-        g_net_frontier.dedup();
-        sc.g_dev_new.clear();
-        for &i in &sc.g_dev_frontier {
-            let d = DeviceId::new(i);
-            let c = self.g.device_contribs(d, |n| {
-                st.g_net_safe[n.index()].then(|| self.g_net_label(st, n.raw()))
+        frontier.sort_unstable();
+        frontier.dedup();
+        let new = &mut sc.g_new[DEVICE];
+        new.clear();
+        for &i in &sc.frontier[DEVICE] {
+            let c = self.g.device_contribs(DeviceId::new(i), |n| {
+                gn.safe[n.index()].then(|| self.g_label(st, NET, n.raw()))
             });
-            sc.g_dev_new
-                .push((i, hashing::relabel(self.g_dev_label(st, i), c.sum)));
+            new.push((i, hashing::relabel(self.g_label(st, DEVICE, i), c.sum)));
         }
-        sc.g_net_new.clear();
-        for &i in &sc.g_net_frontier {
-            let n = NetId::new(i);
-            let c = self.g.net_contribs(n, |d| {
-                st.g_dev_safe[d.index()].then(|| self.g_dev_label(st, d.raw()))
+        let new = &mut sc.g_new[NET];
+        new.clear();
+        for &i in &sc.frontier[NET] {
+            let c = self.g.net_contribs(NetId::new(i), |d| {
+                gd.safe[d.index()].then(|| self.g_label(st, DEVICE, d.raw()))
             });
-            sc.g_net_new
-                .push((i, hashing::relabel(self.g_net_label(st, i), c.sum)));
+            new.push((i, hashing::relabel(self.g_label(st, NET, i), c.sum)));
         }
         // --- commit (Jacobi) ---
-        for &(i, l) in &sc.s_dev_new {
-            st.set_s_dev_label(i as usize, l);
-            st.touch_s_dev(i as usize);
+        for kind in [DEVICE, NET] {
+            for &(i, l) in &sc.s_new[kind] {
+                st.set_s_label(kind, i, l);
+                st.touch_s(kind, i);
+            }
         }
-        for &(i, l) in &sc.s_net_new {
-            st.set_s_net_label(i as usize, l);
-            st.touch_s_net(i as usize);
-        }
-        for &(i, l) in &sc.g_dev_new {
-            st.set_g_dev_label(i, l);
-        }
-        for &(i, l) in &sc.g_net_new {
-            st.set_g_net_label(i, l);
+        for kind in [DEVICE, NET] {
+            for &(i, l) in &sc.g_new[kind] {
+                st.set_g_label(kind, i, l);
+            }
         }
     }
 
@@ -678,30 +592,24 @@ impl<'a> Phase2Runner<'a> {
     /// and sorts it into label runs (see [`Row`]).
     fn partitions(&self, st: &State, table: &mut Vec<Row>) {
         table.clear();
-        let row = |kind, label, main, index| Row {
-            kind,
-            label,
-            main,
-            index,
-        };
-        for i in 0..st.s_dev.len() {
-            if st.s_dev_match[i].is_none() && st.s_dev_touched[i] {
-                table.push(row(DEVICE, st.s_dev[i], false, i as u32));
+        for kind in [DEVICE, NET] {
+            let row = |label, main, index| Row {
+                kind: kind as u8,
+                label,
+                main,
+                index,
+            };
+            let s = &st.s[kind];
+            for i in 0..s.label.len() {
+                if s.image[i].is_none() && s.touched[i] {
+                    table.push(row(s.label[i], false, i as u32));
+                }
             }
-        }
-        for i in 0..st.s_net.len() {
-            if st.s_net_match[i].is_none() && st.s_net_touched[i] {
-                table.push(row(NET, st.s_net[i], false, i as u32));
-            }
-        }
-        for &i in &st.g_dev_touched_list {
-            if !st.g_dev_matched[i as usize] {
-                table.push(row(DEVICE, st.g_dev_label[i as usize], true, i));
-            }
-        }
-        for &i in &st.g_net_touched_list {
-            if !st.g_net_matched[i as usize] {
-                table.push(row(NET, st.g_net_label[i as usize], true, i));
+            let g = &st.g[kind];
+            for &i in &g.touched_list {
+                if !g.matched[i as usize] {
+                    table.push(row(g.label[i as usize], true, i));
+                }
             }
         }
         table.sort_unstable();
@@ -739,18 +647,10 @@ impl<'a> Phase2Runner<'a> {
             if sv.len() == gv.len() {
                 // Equal sizes: the G partition holds only images — safe.
                 for r in sv {
-                    progress |= if kind == DEVICE {
-                        st.set_s_dev_safe(r.index as usize)
-                    } else {
-                        st.set_s_net_safe(r.index as usize)
-                    };
+                    progress |= st.set_s_safe(kind, r.index);
                 }
                 for r in gv {
-                    progress |= if kind == DEVICE {
-                        st.set_g_dev_safe(r.index)
-                    } else {
-                        st.set_g_net_safe(r.index)
-                    };
+                    progress |= st.set_g_safe(kind, r.index);
                 }
                 if sv.len() == 1 {
                     sc.to_match.push((kind, sv[0].index, gv[0].index));
@@ -758,62 +658,47 @@ impl<'a> Phase2Runner<'a> {
             }
         }
         for &(kind, si, gi) in &sc.to_match {
-            self.do_match(st, vertex(kind, si), vertex(kind, gi));
+            self.do_match(st, kind, si, gi);
             progress = true;
         }
         Ok((progress, st.matched == self.total_s()))
     }
 
     fn snapshot(&self, st: &State) -> TraceSnapshot {
-        let cell_s_dev = |i: usize| TraceCell {
-            label: st.s_dev[i],
-            touched: st.s_dev_touched[i],
-            safe: st.s_dev_safe[i],
-            matched: st.s_dev_match[i].is_some(),
+        let s_cells = |kind: usize| {
+            let s = &st.s[kind];
+            (0..s.label.len())
+                .map(|i| TraceCell {
+                    label: s.label[i],
+                    touched: s.touched[i],
+                    safe: s.safe[i],
+                    matched: s.image[i].is_some(),
+                })
+                .collect()
         };
-        let cell_s_net = |i: usize| TraceCell {
-            label: st.s_net[i],
-            touched: st.s_net_touched[i],
-            safe: st.s_net_safe[i],
-            matched: st.s_net_match[i].is_some(),
+        let g_cells = |kind: usize| {
+            let g = &st.g[kind];
+            let mut cells: Vec<(u32, TraceCell)> = g
+                .touched_list
+                .iter()
+                .map(|&i| {
+                    let cell = TraceCell {
+                        label: g.label[i as usize],
+                        touched: true,
+                        safe: g.safe[i as usize],
+                        matched: g.matched[i as usize],
+                    };
+                    (i, cell)
+                })
+                .collect();
+            cells.sort_unstable_by_key(|&(i, _)| i);
+            cells
         };
-        let mut g_devices: Vec<(u32, TraceCell)> = st
-            .g_dev_touched_list
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    TraceCell {
-                        label: st.g_dev_label[i as usize],
-                        touched: true,
-                        safe: st.g_dev_safe[i as usize],
-                        matched: st.g_dev_matched[i as usize],
-                    },
-                )
-            })
-            .collect();
-        g_devices.sort_unstable_by_key(|&(i, _)| i);
-        let mut g_nets: Vec<(u32, TraceCell)> = st
-            .g_net_touched_list
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    TraceCell {
-                        label: st.g_net_label[i as usize],
-                        touched: true,
-                        safe: st.g_net_safe[i as usize],
-                        matched: st.g_net_matched[i as usize],
-                    },
-                )
-            })
-            .collect();
-        g_nets.sort_unstable_by_key(|&(i, _)| i);
         TraceSnapshot {
-            s_devices: (0..st.s_dev.len()).map(cell_s_dev).collect(),
-            s_nets: (0..st.s_net.len()).map(cell_s_net).collect(),
-            g_devices,
-            g_nets,
+            s_devices: s_cells(DEVICE),
+            s_nets: s_cells(NET),
+            g_devices: g_cells(DEVICE),
+            g_nets: g_cells(NET),
         }
     }
 
@@ -845,9 +730,10 @@ impl<'a> Phase2Runner<'a> {
 
     /// Chooses the next ambiguity to guess on: the unmatched pattern
     /// vertex whose label has the smallest main-graph partition. Its
-    /// candidate images go on top of `sc.guesses`; returns the vertex
-    /// and their range there.
-    fn choose_guess(&self, st: &State, sc: &mut Scratch) -> Option<(Vertex, Range<usize>)> {
+    /// candidate images (main indices of the same kind) go on top of
+    /// `sc.guesses`; returns the vertex's kind and index and their
+    /// range there.
+    fn choose_guess(&self, st: &State, sc: &mut Scratch) -> Option<(usize, u32, Range<usize>)> {
         let start = sc.guesses.len();
         self.partitions(st, &mut sc.table);
         // Runs come in ascending `(kind, label)` order and `min_by_key`
@@ -856,8 +742,8 @@ impl<'a> Phase2Runner<'a> {
             .filter(|(_, _, sv, gv)| !sv.is_empty() && gv.len() >= sv.len())
             .min_by_key(|(_, _, _, gv)| gv.len());
         if let Some((kind, _, sv, gv)) = best {
-            sc.guesses.extend(gv.iter().map(|r| vertex(kind, r.index)));
-            return Some((vertex(kind, sv[0].index), start..sc.guesses.len()));
+            sc.guesses.extend(gv.iter().map(|r| r.index));
+            return Some((kind, sv[0].index, start..sc.guesses.len()));
         }
         // Anchored fallback: a pattern device that was never reached by
         // spreading (all its nets are rails or suppressed port images)
@@ -866,17 +752,18 @@ impl<'a> Phase2Runner<'a> {
         // instead of relabeling it wholesale — this keeps port-image
         // suppression linear without losing completeness. The best
         // device's candidates so far sit on the guess stack.
+        let (sd, sn, gd) = (&st.s[DEVICE], &st.s[NET], &st.g[DEVICE]);
         let mut anchored: Option<u32> = None;
-        for i in 0..st.s_dev.len() {
-            if st.s_dev_match[i].is_some() || st.s_dev_touched[i] {
+        for i in 0..sd.label.len() {
+            if sd.image[i].is_some() || sd.touched[i] {
                 continue;
             }
-            let sd = DeviceId::new(i as u32);
+            let d = DeviceId::new(i as u32);
             // Matched pins as (class multiplier, image net) requirements.
             let required = &mut sc.required;
             required.clear();
-            for (n, mult) in self.s.device_neighbors(sd) {
-                if let Some(g) = st.s_net_match[n.index()] {
+            for (n, mult) in self.s.device_neighbors(d) {
+                if let Some(g) = sn.image[n.index()] {
                     required.push((mult, g));
                 }
             }
@@ -889,17 +776,21 @@ impl<'a> Phase2Runner<'a> {
                 .min_by_key(|&&(_, g)| self.g.net_degree(NetId::new(g)))
                 .expect("required is non-empty");
             required.sort_unstable();
-            let want = self.s.initial_device_label(sd);
+            let want = self.s.initial_device_label(d);
             sc.cands.clear();
-            for (gd, _) in self.g.net_neighbors(NetId::new(anchor)) {
-                if st.g_dev_matched[gd.index()] || self.g.initial_device_label(gd) != want {
+            for (cand, _) in self.g.net_neighbors(NetId::new(anchor)) {
+                if gd.matched[cand.index()] || self.g.initial_device_label(cand) != want {
                     continue;
                 }
                 // The candidate's pins must cover every matched-pin
                 // requirement (sub-multiset check).
                 let have = &mut sc.have;
                 have.clear();
-                have.extend(self.g.device_neighbors(gd).map(|(n, mult)| (mult, n.raw())));
+                have.extend(
+                    self.g
+                        .device_neighbors(cand)
+                        .map(|(n, mult)| (mult, n.raw())),
+                );
                 have.sort_unstable();
                 let mut hi = 0;
                 let covered = required.iter().all(|req| {
@@ -913,8 +804,8 @@ impl<'a> Phase2Runner<'a> {
                         false
                     }
                 });
-                if covered && !sc.cands.contains(&Vertex::Device(gd)) {
-                    sc.cands.push(Vertex::Device(gd));
+                if covered && !sc.cands.contains(&cand.raw()) {
+                    sc.cands.push(cand.raw());
                 }
             }
             if sc.cands.is_empty() {
@@ -930,50 +821,48 @@ impl<'a> Phase2Runner<'a> {
             }
         }
         if let Some(i) = anchored {
-            return Some((Vertex::Device(DeviceId::new(i)), start..sc.guesses.len()));
+            return Some((DEVICE, i, start..sc.guesses.len()));
         }
         // Last resort for disconnected patterns: anchor the first
         // untouched pattern device on any unmatched main device still
         // carrying the same initial label.
-        let i =
-            (0..st.s_dev.len()).find(|&i| st.s_dev_match[i].is_none() && !st.s_dev_touched[i])?;
-        let want = st.s_dev[i]; // untouched: still the initial label
+        let i = (0..sd.label.len()).find(|&i| sd.image[i].is_none() && !sd.touched[i])?;
+        let want = sd.label[i]; // untouched: still the initial label
         sc.guesses.extend(
             (0..self.g.device_count() as u32)
-                .filter(|&gi| !st.g_dev_matched[gi as usize] && self.g_dev_label(st, gi) == want)
-                .map(|gi| Vertex::Device(DeviceId::new(gi))),
+                .filter(|&gi| !gd.matched[gi as usize] && self.g_label(st, DEVICE, gi) == want),
         );
         let cands = start..sc.guesses.len();
-        (!cands.is_empty()).then(|| (Vertex::Device(DeviceId::new(i as u32)), cands))
+        (!cands.is_empty()).then_some((DEVICE, i as u32, cands))
     }
 
     fn build_submatch(&self, st: &State) -> SubMatch {
+        let images = |kind: usize| {
+            st.s[kind]
+                .image
+                .iter()
+                .map(|m| m.expect("complete mapping"))
+        };
         SubMatch {
-            devices: st
-                .s_dev_match
-                .iter()
-                .map(|m| DeviceId::new(m.expect("complete mapping")))
-                .collect(),
-            nets: st
-                .s_net_match
-                .iter()
-                .map(|m| NetId::new(m.expect("complete mapping")))
-                .collect(),
+            devices: images(DEVICE).map(DeviceId::new).collect(),
+            nets: images(NET).map(NetId::new).collect(),
         }
     }
 
-    /// The recursive `VerifyImage(K, CV)` of §IV, for one key and the
-    /// candidates `sc.guesses[cands]`. `depth > 0` calls are ambiguity
-    /// guesses and consume the guess budget. Returns the verified
-    /// mapping with the state left in the completed configuration, or
-    /// `None` with the state rolled back to where the caller left it.
-    /// Either way the guess stack is truncated back to `cands.start`.
+    /// The recursive `VerifyImage(K, CV)` of §IV, for the pattern
+    /// vertex `si` of `kind` and the candidates `sc.guesses[cands]`.
+    /// `depth > 0` calls are ambiguity guesses and consume the guess
+    /// budget. Returns the verified mapping with the state left in the
+    /// completed configuration, or `None` with the state rolled back to
+    /// where the caller left it. Either way the guess stack is truncated
+    /// back to `cands.start`.
     #[allow(clippy::too_many_arguments)]
     fn verify_image(
         &self,
         st: &mut State,
         sc: &mut Scratch,
-        s_v: Vertex,
+        kind: usize,
+        si: u32,
         cands: Range<usize>,
         stats: &mut Phase2Stats,
         guesses_left: &mut usize,
@@ -989,7 +878,7 @@ impl<'a> Phase2Runner<'a> {
                 stats.guesses += 1;
             }
             let mark = st.mark();
-            self.do_match(st, s_v, sc.guesses[k]);
+            self.do_match(st, kind, si, sc.guesses[k]);
             if st.trace.is_some() {
                 let snap = self.snapshot(st);
                 if let Some(trace) = st.trace.as_mut() {
@@ -1015,12 +904,13 @@ impl<'a> Phase2Runner<'a> {
                 refined @ (Refined::Stuck | Refined::PassBudget) => {
                     let passes_out = matches!(refined, Refined::PassBudget);
                     match self.choose_guess(st, sc) {
-                        Some((s_next, next)) => {
+                        Some((next_kind, next, next_cands)) => {
                             found = self.verify_image(
                                 st,
                                 sc,
-                                s_next,
+                                next_kind,
                                 next,
+                                next_cands,
                                 stats,
                                 guesses_left,
                                 depth + 1,
@@ -1141,9 +1031,11 @@ impl<'a> Phase2Runner<'a> {
             }
             _ => {}
         }
+        let (kind, si) = kind_index(key);
         let start = sc.guesses.len();
-        sc.guesses.push(candidate);
-        let found = self.verify_image(st, sc, key, start..start + 1, stats, &mut guesses_left, 0);
+        sc.guesses.push(kind_index(candidate).1);
+        let cands = start..start + 1;
+        let found = self.verify_image(st, sc, kind, si, cands, stats, &mut guesses_left, 0);
         let out = if let Some(m) = found {
             Some((m, st.trace.take()))
         } else {
@@ -1214,5 +1106,177 @@ impl SearchState {
     /// leaving a zeroed tally in place for the next candidate.
     pub fn drain_reject_tally(&mut self) -> Option<RejectTally> {
         self.state.reject_tally.as_mut().map(std::mem::take)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use subgemini_netlist::rng::Rng64;
+    use subgemini_workloads::{cells, gen};
+
+    use super::*;
+
+    /// Everything of a [`State`] that a rollback restores.
+    #[derive(Debug, PartialEq)]
+    struct Frozen {
+        s: [PatternPlane; 2],
+        g: [MainPlane; 2],
+        port_image: Vec<bool>,
+        matched: usize,
+        label_counter: u64,
+    }
+
+    fn freeze(st: &State) -> Frozen {
+        Frozen {
+            s: st.s.clone(),
+            g: st.g.clone(),
+            port_image: st.port_image.clone(),
+            matched: st.matched,
+            label_counter: st.label_counter,
+        }
+    }
+
+    /// Asserts that every pre-matched global of `base` is matched, safe
+    /// and carries its fixed label on both sides.
+    fn assert_prematched(st: &State, base: &BaseState) {
+        let (s, g) = (&st.s[NET], &st.g[NET]);
+        for &(si, gi, label) in &base.prematch {
+            let (s_at, g_at) = (si as usize, gi as usize);
+            assert_eq!(
+                (s.label[s_at], s.touched[s_at], s.safe[s_at], s.image[s_at]),
+                (label, true, true, Some(gi))
+            );
+            assert_eq!(
+                (
+                    g.label[g_at],
+                    g.touched[g_at],
+                    g.safe[g_at],
+                    g.matched[g_at]
+                ),
+                (label, true, true, true)
+            );
+            assert!(g.touched_list.contains(&gi) && g.safe_list.contains(&gi));
+        }
+    }
+
+    /// One random logged mutation, on either side and either kind. Like
+    /// the search, it never relabels or rematches a matched vertex.
+    fn mutate(runner: &Phase2Runner, st: &mut State, rng: &mut Rng64) {
+        let kind = rng.index(2);
+        let si = rng.index(st.s[kind].label.len()) as u32;
+        let gi = rng.index(st.g[kind].label.len()) as u32;
+        let s_free = st.s[kind].image[si as usize].is_none();
+        let g_free = !st.g[kind].matched[gi as usize];
+        let label = rng.next_u64();
+        match rng.index(9) {
+            0 if s_free => st.set_s_label(kind, si, label),
+            1 => st.touch_s(kind, si),
+            2 => {
+                st.set_s_safe(kind, si);
+            }
+            3 if s_free => st.set_s_image(kind, si, gi),
+            4 if g_free => st.set_g_label(kind, gi, label),
+            5 => {
+                st.set_g_safe(kind, gi);
+            }
+            6 if g_free => st.set_g_matched(kind, gi),
+            7 => st.set_port_image(rng.index(st.port_image.len()) as u32),
+            8 if s_free && g_free => runner.do_match(st, kind, si, gi),
+            _ => {}
+        }
+    }
+
+    /// The mark [`Phase2Runner::run_candidate`] rolls back to.
+    fn base_mark(search: &SearchState) -> Mark {
+        Mark {
+            undo_len: 0,
+            matched: search.base_matched,
+            label_counter: 0,
+            trace_len: 0,
+        }
+    }
+
+    #[test]
+    fn rollback_restores_every_array_and_list_exactly() {
+        let (pattern, main) = (cells::nand2(), gen::decoder(2).netlist);
+        let (s, g) = (
+            CompiledCircuit::compile(&pattern),
+            CompiledCircuit::compile(&main),
+        );
+        let opts = MatchOptions::default();
+        let runner = Phase2Runner::new(&s, &g, &pattern, &main, &opts);
+        let base = runner
+            .base_state()
+            .expect("the decoder has the cell's rails");
+        assert!(!base.prematch.is_empty(), "the rails are pre-matched");
+        for seed in 0..64 {
+            let mut search = runner.make_state(&base);
+            let floor = freeze(&search.state);
+            assert_prematched(&search.state, &base);
+            let to_floor = base_mark(&search);
+            let st = &mut search.state;
+            let mut rng = Rng64::new(seed);
+            let mut marks: Vec<(Mark, Frozen)> = Vec::new();
+            for step in 0..400 {
+                match rng.index(8) {
+                    0 => marks.push((st.mark(), freeze(st))),
+                    1 => {
+                        if let Some((mark, at_mark)) = marks.pop() {
+                            st.rollback(&mark);
+                            assert!(freeze(st) == at_mark, "seed {seed}, step {step}");
+                            assert_prematched(st, &base);
+                        }
+                    }
+                    _ => mutate(&runner, st, &mut rng),
+                }
+            }
+            while let Some((mark, at_mark)) = marks.pop() {
+                st.rollback(&mark);
+                assert!(freeze(st) == at_mark, "seed {seed}, unwinding");
+            }
+            st.rollback(&to_floor);
+            assert!(freeze(st) == floor, "seed {seed}, back to the floor");
+            assert!(st.undo.is_empty());
+            assert_prematched(st, &base);
+        }
+    }
+
+    #[test]
+    fn every_candidate_leaves_the_base_state_behind() {
+        // nand3 into a decoder: input symmetry forces guesses, so
+        // branches are rolled back inside candidates as well as after.
+        let (pattern, main) = (cells::nand3(), gen::decoder(3).netlist);
+        let (s, g) = (
+            CompiledCircuit::compile(&pattern),
+            CompiledCircuit::compile(&main),
+        );
+        let opts = MatchOptions::default();
+        let runner = Phase2Runner::new(&s, &g, &pattern, &main, &opts);
+        let base = runner
+            .base_state()
+            .expect("the decoder has the cell's rails");
+        let mut search = runner.make_state(&base);
+        let floor = freeze(&search.state);
+        let key = Vertex::Device(DeviceId::new(0));
+        let mut stats = Phase2Stats::default();
+        let mut found = 0;
+        for (rank, d) in main.device_ids().enumerate() {
+            let hit = runner.run_candidate(
+                &mut search,
+                key,
+                Vertex::Device(d),
+                rank as u32,
+                &mut stats,
+                false,
+            );
+            found += usize::from(hit.is_some());
+            assert!(freeze(&search.state) == floor, "candidate {rank}");
+        }
+        assert!(found > 0 && stats.guesses > 0, "{found} found, {stats:?}");
+    }
+
+    #[test]
+    fn an_undo_op_stays_two_words() {
+        assert_eq!(std::mem::size_of::<UndoOp>(), 16);
     }
 }
