@@ -202,61 +202,54 @@ fn budget_curve(scale: usize, threads: usize) -> Value {
 }
 
 /// Telemetry economics (EXPERIMENTS.md E16): what observability costs.
-/// Three numbers matter — the per-request fold overhead (telemetry on
-/// vs off over the same registered circuit; must be noise), the time to
-/// render a populated Prometheus exposition, and the cost of
+/// Three numbers matter — the per-request fold (`Telemetry::fold`,
+/// timed directly on samples distilled from real find outcomes), the
+/// time to render a populated Prometheus exposition, and the cost of
 /// serializing one request's event journal for the capture ring.
 fn observability(scale: usize, threads: usize) -> Value {
     use subgemini::telemetry::prometheus::TextWriter;
+    use subgemini::{RequestSample, Telemetry};
     use subgemini_engine::{CircuitSource, Engine, FindRequest, PatternSource, RequestOptions};
     const REQUESTS: usize = 16;
+    // Folds per timing, so the clock's own cost is amortized.
+    const FOLDS: u64 = 256;
     let pattern = cells::full_adder();
     let g = gen::ripple_adder(16 * scale.max(1));
-    let timed = |telemetry_on: bool| -> (u64, Vec<u64>) {
-        let engine = Engine::new();
-        engine.telemetry().set_enabled(telemetry_on);
-        engine.register_circuit("bench", g.netlist.clone());
-        let mut found = 0u64;
-        let mut wall = Vec::with_capacity(REQUESTS);
-        for _ in 0..REQUESTS {
-            let t0 = std::time::Instant::now();
-            let resp = engine
-                .find(&FindRequest {
-                    circuit: CircuitSource::Registered("bench"),
-                    pattern: PatternSource::Inline(&pattern),
-                    options: RequestOptions {
-                        threads,
-                        ..RequestOptions::default()
-                    },
-                })
-                .expect("bench circuit resolves");
-            wall.push(t0.elapsed().as_nanos() as u64);
-            found = resp.outcome.count() as u64;
-        }
-        wall.sort_unstable();
-        (found, wall)
-    };
-    let (on_found, on_wall) = timed(true);
-    let (off_found, off_wall) = timed(false);
-    assert_eq!(on_found, off_found, "telemetry must not change results");
-
-    // Exposition render over a populated engine: REQUESTS folds worth
-    // of rollups, rendered the way `GET /metrics?format=prometheus`
-    // does (snapshot + text walk), isolated from socket noise.
     let engine = Engine::new();
     engine.register_circuit("bench", g.netlist.clone());
-    for _ in 0..REQUESTS {
+    let find = |trace_events| {
         engine
             .find(&FindRequest {
                 circuit: CircuitSource::Registered("bench"),
                 pattern: PatternSource::Inline(&pattern),
                 options: RequestOptions {
                     threads,
+                    trace_events,
                     ..RequestOptions::default()
                 },
             })
-            .expect("bench circuit resolves");
+            .expect("bench circuit resolves")
+    };
+    // REQUESTS finds populate the engine's rollups; each one's sample is
+    // folded FOLDS more times into a registry of its own.
+    let telemetry = Telemetry::default();
+    let mut found = 0u64;
+    let mut fold_ns = Vec::with_capacity(REQUESTS);
+    for _ in 0..REQUESTS {
+        let resp = find(false);
+        found = resp.outcome.count() as u64;
+        let sample = RequestSample::from_outcome(&resp.outcome, resp.wall_ns);
+        let t0 = std::time::Instant::now();
+        for _ in 0..FOLDS {
+            telemetry.fold("find", Some("bench"), std::hint::black_box(&sample));
+        }
+        fold_ns.push(t0.elapsed().as_nanos() as u64 / FOLDS);
     }
+    fold_ns.sort_unstable();
+
+    // Exposition render over the populated engine, the way
+    // `GET /metrics?format=prometheus` does (snapshot + text walk),
+    // isolated from socket noise.
     let t0 = std::time::Instant::now();
     let snap = engine.telemetry().snapshot();
     let snapshot_ns = t0.elapsed().as_nanos() as u64;
@@ -272,17 +265,7 @@ fn observability(scale: usize, threads: usize) -> Value {
     let exposition_ns = t0.elapsed().as_nanos() as u64;
 
     // Capture-ring journal serialization for one traced request.
-    let resp = engine
-        .find(&FindRequest {
-            circuit: CircuitSource::Registered("bench"),
-            pattern: PatternSource::Inline(&pattern),
-            options: RequestOptions {
-                threads,
-                trace_events: true,
-                ..RequestOptions::default()
-            },
-        })
-        .expect("bench circuit resolves");
+    let resp = find(true);
     let journal = resp.outcome.events.as_ref().expect("trace_events was set");
     let t0 = std::time::Instant::now();
     let ndjson = subgemini::events::journal_to_ndjson(journal);
@@ -294,11 +277,9 @@ fn observability(scale: usize, threads: usize) -> Value {
             Value::int(g.netlist.device_count() as u64),
         ),
         ("requests".into(), Value::int(REQUESTS as u64)),
-        ("found".into(), Value::int(on_found)),
-        ("on_min_ns".into(), Value::int(on_wall[0])),
-        ("on_p50_ns".into(), Value::int(on_wall[REQUESTS / 2])),
-        ("off_min_ns".into(), Value::int(off_wall[0])),
-        ("off_p50_ns".into(), Value::int(off_wall[REQUESTS / 2])),
+        ("found".into(), Value::int(found)),
+        ("fold_min_ns".into(), Value::int(fold_ns[0])),
+        ("fold_p50_ns".into(), Value::int(fold_ns[REQUESTS / 2])),
         ("snapshot_ns".into(), Value::int(snapshot_ns)),
         ("exposition_ns".into(), Value::int(exposition_ns)),
         (

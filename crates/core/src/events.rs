@@ -377,11 +377,6 @@ impl EventBuffer {
         self.events.is_empty()
     }
 
-    /// Consumes the buffer into its raw parts for merging.
-    pub fn into_parts(self) -> (Vec<Event>, u64) {
-        (self.events, self.dropped)
-    }
-
     /// Takes everything recorded so far, leaving this buffer empty and
     /// back in the Phase I scope with the same cap. Used by the
     /// scheduler to harvest one candidate's events into its slot while
@@ -405,16 +400,6 @@ pub struct EventJournal {
 }
 
 impl EventJournal {
-    /// Merges per-worker buffers into one deterministic stream.
-    pub fn merge(buffers: Vec<EventBuffer>) -> Self {
-        let mut journal = Self::default();
-        for buf in &buffers {
-            journal.append(buf);
-        }
-        journal.sort();
-        journal
-    }
-
     /// Appends a buffer's events and drop count. The order is restored
     /// by [`sort`](Self::sort) once every buffer is in.
     pub(crate) fn append(&mut self, buf: &EventBuffer) {
@@ -545,7 +530,7 @@ fn kind_args(kind: &EventKind) -> Vec<(String, Value)> {
 
 /// One event as a JSON object: `rank` (`null` for Phase I), `seq`,
 /// `event`, then the payload fields.
-pub fn event_to_json(e: &Event) -> Value {
+fn event_to_json(e: &Event) -> Value {
     let rank = match e.scope {
         EventScope::Phase1 => Value::Null,
         EventScope::Candidate(r) => Value::int(r as u64),
@@ -972,10 +957,9 @@ mod tests {
         b.begin_candidate(3);
         b.push(EventKind::CandidateBegin { c: dev(1) });
         let taken = b.drain();
-        let (events, dropped) = taken.into_parts();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].scope, EventScope::Candidate(3));
-        assert_eq!(dropped, 0);
+        assert_eq!(taken.events.len(), 1);
+        assert_eq!(taken.events[0].scope, EventScope::Candidate(3));
+        assert_eq!(taken.dropped, 0);
         // The original buffer is empty, back in Phase1, same cap.
         assert!(b.is_empty());
         b.begin_candidate(4);
@@ -985,9 +969,8 @@ mod tests {
                 undo_ops: 1,
             });
         }
-        let (events, dropped) = b.into_parts();
-        assert_eq!(events.len(), 2, "cap of 2 must survive drain");
-        assert_eq!(dropped, 3);
+        assert_eq!(b.events.len(), 2, "cap of 2 must survive drain");
+        assert_eq!(b.dropped, 3);
     }
 
     #[test]
@@ -1002,12 +985,11 @@ mod tests {
         }
         b.begin_candidate(1);
         b.push(EventKind::CandidateBegin { c: dev(7) });
-        let (events, dropped) = b.into_parts();
-        assert_eq!(events.len(), 3);
-        assert_eq!(dropped, 3);
+        assert_eq!(b.events.len(), 3);
+        assert_eq!(b.dropped, 3);
         // Fresh scope resets the budget.
-        assert_eq!(events[2].scope, EventScope::Candidate(1));
-        assert_eq!(events[2].seq, 0);
+        assert_eq!(b.events[2].scope, EventScope::Candidate(1));
+        assert_eq!(b.events[2].seq, 0);
     }
 
     #[test]
@@ -1028,7 +1010,11 @@ mod tests {
         let mut c = EventBuffer::new(100);
         c.begin_candidate(0);
         c.push(EventKind::CandidateBegin { c: dev(1) });
-        let j = EventJournal::merge(vec![a, b, c]);
+        let mut j = EventJournal::default();
+        for buf in [&a, &b, &c] {
+            j.append(buf);
+        }
+        j.sort();
         let scopes: Vec<EventScope> = j.events.iter().map(|e| e.scope).collect();
         assert_eq!(
             scopes,
@@ -1053,7 +1039,8 @@ mod tests {
         b.push(EventKind::Reject {
             reason: RejectReason::UnsafePartition,
         });
-        let j = EventJournal::merge(vec![b]);
+        let mut j = EventJournal::default();
+        j.append(&b);
         let text = journal_to_ndjson(&j);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3); // 2 events + journal_end
@@ -1089,7 +1076,8 @@ mod tests {
             c: dev(0),
             matched: true,
         });
-        let j = EventJournal::merge(vec![b]);
+        let mut j = EventJournal::default();
+        j.append(&b);
         let doc = journal_to_chrome_trace(&j);
         let n = validate_chrome_trace(&doc).expect("valid trace");
         assert!(n >= 6, "spans + events, got {n}");
@@ -1146,7 +1134,9 @@ mod tests {
         });
         let mut outcome = MatchOutcome::default();
         outcome.phase1.cv_size = 1;
-        outcome.events = Some(EventJournal::merge(vec![b]));
+        let mut j = EventJournal::default();
+        j.append(&b);
+        outcome.events = Some(j);
         let r = ExplainReport::from_outcome(&outcome);
         assert_eq!(r.instances, 0);
         assert_eq!(r.candidates_seen, 1);

@@ -99,6 +99,15 @@ pub struct MatchOutcome {
     pub phase1: Phase1Stats,
     /// Phase II statistics.
     pub phase2: Phase2Stats,
+    /// Candidates the fingerprint index pruned from the candidate
+    /// vector (0 when the search held no index).
+    pub pruned_candidates: u64,
+    /// Candidates the fingerprint index admitted to Phase II (0 when
+    /// the search held no index).
+    pub admitted_candidates: u64,
+    /// Why Phase II rejected candidates, tallied over the candidates the
+    /// merge consumed, so identical for every thread count.
+    pub rejects: crate::events::RejectTally,
     /// Pass-by-pass trace of the first successful candidate, when
     /// [`MatchOptions::record_trace`](crate::MatchOptions) was set.
     pub trace: Option<crate::trace::Phase2Trace>,

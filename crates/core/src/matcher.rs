@@ -439,6 +439,8 @@ impl<'a> Search<'a> {
             .collect();
         let pruned_count = pruned.iter().filter(|&&p| p).count() as u64;
         let admitted = candidates.len() as u64 - pruned_count;
+        self.outcome.pruned_candidates = pruned_count;
+        self.outcome.admitted_candidates = admitted;
         if let Some(m) = self.metrics.as_mut() {
             m.counters.bump("index.pruned_candidates", pruned_count);
             m.counters.bump("index.admitted_candidates", admitted);
@@ -622,6 +624,7 @@ impl<'a> Search<'a> {
         }
         self.outcome.instances = instances;
         self.outcome.phase2 = merge.phase2;
+        self.outcome.rejects = merge.tally;
         self.outcome.trace = merge.trace;
         self.journal = merge.journal;
         self.finish()
@@ -851,9 +854,7 @@ impl Merge {
             g.charge(data.effort);
         }
         self.phase2.absorb(&data.stats);
-        if let Some(t) = &data.tally {
-            self.tally.merge(t);
-        }
+        self.tally.merge(&data.tally);
         if let Some(b) = &data.events {
             self.journal.append(b);
         }

@@ -39,9 +39,8 @@ impl PhaseTimer {
 
 /// An ordered registry of named counters. Names are registered on first
 /// bump; iteration order is first-bump order, so reports are stable for
-/// a fixed code path. Lookups go through an index map, so per-candidate
-/// counter traffic (e.g. one bump per Phase II reject) stays O(1)
-/// instead of scanning the registry.
+/// a fixed code path. Lookups go through an index map, so a bump stays
+/// O(1) however many counters a report holds.
 #[derive(Clone, Debug, Default)]
 pub struct Counters {
     entries: Vec<(String, u64)>,
@@ -863,17 +862,12 @@ pub fn outcome_to_text(outcome: &MatchOutcome) -> String {
         if outcome.count() == 0 {
             // A no-match run should say *why*, not just "0 instances":
             // surface the top reject reasons tallied during Phase II.
-            let mut rejects: Vec<(&str, u64)> = m
-                .counters
-                .iter()
-                .filter_map(|(n, v)| n.strip_prefix("reject.").map(|r| (r, v)))
-                .filter(|&(_, v)| v > 0)
-                .collect();
-            rejects.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+            let mut rejects = outcome.rejects.nonzero();
+            rejects.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.as_str().cmp(b.0.as_str())));
             if !rejects.is_empty() {
                 let _ = writeln!(out, "top reject reasons:");
-                for (name, v) in rejects.iter().take(3) {
-                    let _ = writeln!(out, "  {name} x{v}");
+                for (reason, v) in rejects.iter().take(3) {
+                    let _ = writeln!(out, "  {} x{v}", reason.as_str());
                 }
             }
         }

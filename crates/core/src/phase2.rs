@@ -160,8 +160,8 @@ struct State {
     events: Option<EventBuffer>,
     /// Backtrack-depth histogram ([`MatchOptions::collect_metrics`]).
     backtrack_hist: Option<Histogram>,
-    /// Reject-reason tallies (metrics or events on).
-    reject_tally: Option<RejectTally>,
+    /// Reject-reason tallies of the candidates since the last drain.
+    reject_tally: RejectTally,
     /// Why the most recent candidate's top-level branch failed.
     last_reject: Option<RejectReason>,
 }
@@ -434,8 +434,7 @@ impl<'a> Phase2Runner<'a> {
                 .trace_events
                 .then(|| EventBuffer::new(self.opts.trace_events_cap)),
             backtrack_hist: self.opts.collect_metrics.then(Histogram::default),
-            reject_tally: (self.opts.collect_metrics || self.opts.trace_events)
-                .then(RejectTally::default),
+            reject_tally: RejectTally::default(),
             last_reject: None,
         };
         // The pre-matches form the permanent floor of the state: with
@@ -981,9 +980,7 @@ impl<'a> Phase2Runner<'a> {
         }
         let reject = |search: &mut SearchState, stats: &mut Phase2Stats, reason: RejectReason| {
             stats.false_candidates += 1;
-            if let Some(t) = search.state.reject_tally.as_mut() {
-                t.bump(reason);
-            }
+            search.state.reject_tally.bump(reason);
             if let Some(ev) = search.state.events.as_mut() {
                 ev.push(EventKind::Reject { reason });
                 ev.push(EventKind::CandidateEnd {
@@ -1041,9 +1038,7 @@ impl<'a> Phase2Runner<'a> {
         } else {
             stats.false_candidates += 1;
             let reason = st.last_reject.unwrap_or(RejectReason::NoViableGuess);
-            if let Some(t) = st.reject_tally.as_mut() {
-                t.bump(reason);
-            }
+            st.reject_tally.bump(reason);
             if let Some(ev) = st.events.as_mut() {
                 ev.push(EventKind::Reject { reason });
             }
@@ -1104,8 +1099,8 @@ impl SearchState {
 
     /// Drains the reject tallies accumulated since the last drain,
     /// leaving a zeroed tally in place for the next candidate.
-    pub fn drain_reject_tally(&mut self) -> Option<RejectTally> {
-        self.state.reject_tally.as_mut().map(std::mem::take)
+    pub fn drain_reject_tally(&mut self) -> RejectTally {
+        std::mem::take(&mut self.state.reject_tally)
     }
 }
 

@@ -233,7 +233,7 @@ pub(crate) struct SlotData {
     pub(crate) stats: Phase2Stats,
     pub(crate) effort: u64,
     pub(crate) events: Option<EventBuffer>,
-    pub(crate) tally: Option<RejectTally>,
+    pub(crate) tally: RejectTally,
     pub(crate) done: bool,
 }
 

@@ -1,8 +1,10 @@
 //! Cross-request telemetry: durable, mergeable rollups of per-search
 //! statistics.
 //!
-//! Every search produces a rich [`MetricsReport`](crate::MetricsReport)
-//! and event journal — but both die with the response. This module is
+//! Every search produces a [`MatchOutcome`] — stats, prune counts, a
+//! reject tally and, when asked for, a
+//! [`MetricsReport`](crate::MetricsReport) and an event journal — but
+//! it dies with the response. This module is
 //! the aggregation layer the session engine folds each *completed*
 //! request into, so a long-lived daemon can answer "what are p99 find
 //! latencies on circuit X?" without re-running anything:
@@ -22,14 +24,15 @@
 //!
 //! The sharing contract (DESIGN.md §3h): folding happens exactly once
 //! per request, *after* the deterministic serial merge has finished the
-//! outcome, on the request's own thread. Aggregation therefore never
-//! races the search and can never perturb it — telemetry on/off leaves
-//! instances, journals, and truncation points byte-identical. Rollup
-//! maps use `BTreeMap`, so snapshots are ordered by key and equal
-//! regardless of the order concurrent requests completed in.
+//! outcome, on the request's own thread, and reads only counts every
+//! search keeps (the outcome's stats, prune counts and reject tally).
+//! Aggregation therefore never races the search and never changes the
+//! options it runs with, so it cannot perturb instances, journals or
+//! truncation points. Rollup maps use `BTreeMap`, so snapshots are
+//! ordered by key and equal regardless of the order concurrent requests
+//! completed in.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::budget::Completeness;
@@ -56,8 +59,9 @@ pub struct RequestSample {
     pub pruned_candidates: u64,
     /// Candidates admitted past the fingerprint index.
     pub admitted_candidates: u64,
-    /// Per-reason Phase II reject tallies (`reject.*` counter names
-    /// with the prefix stripped), sorted by reason.
+    /// Per-reason Phase II reject tallies, by
+    /// [`RejectReason::as_str`](crate::RejectReason::as_str) name,
+    /// sorted by reason.
     pub rejects: Vec<(String, u64)>,
 }
 
@@ -95,16 +99,12 @@ impl RequestSample {
                 self.truncation = Some(reason.as_str().to_string());
             }
         }
-        if let Some(m) = &outcome.metrics {
-            self.pruned_candidates += m.counters.get("index.pruned_candidates");
-            self.admitted_candidates += m.counters.get("index.admitted_candidates");
-            for (name, v) in m.counters.iter() {
-                if let Some(reason) = name.strip_prefix("reject.") {
-                    match self.rejects.iter_mut().find(|(n, _)| n == reason) {
-                        Some(slot) => slot.1 += v,
-                        None => self.rejects.push((reason.to_string(), v)),
-                    }
-                }
+        self.pruned_candidates += outcome.pruned_candidates;
+        self.admitted_candidates += outcome.admitted_candidates;
+        for (reason, v) in outcome.rejects.nonzero() {
+            match self.rejects.iter_mut().find(|(n, _)| n == reason.as_str()) {
+                Some(slot) => slot.1 += v,
+                None => self.rejects.push((reason.as_str().to_string(), v)),
             }
         }
     }
@@ -173,7 +173,7 @@ impl Rollup {
 
     /// Fraction of index-checked candidates that were pruned (0 when
     /// the index never ran).
-    pub fn prune_ratio(&self) -> f64 {
+    fn prune_ratio(&self) -> f64 {
         let total = self.pruned_candidates + self.admitted_candidates;
         if total == 0 {
             0.0
@@ -218,40 +218,18 @@ struct Rollups {
     circuits: BTreeMap<String, Rollup>,
 }
 
-/// The shared cross-request aggregation registry. Cheap when disabled
-/// (one atomic load per request); when enabled, each completed request
-/// costs one short mutex-guarded fold.
+/// The shared cross-request aggregation registry: each completed
+/// request costs one short mutex-guarded fold.
+#[derive(Default)]
 pub struct Telemetry {
-    enabled: AtomicBool,
     rollups: Mutex<Rollups>,
 }
 
 impl Telemetry {
-    /// A fresh registry.
-    pub fn new(enabled: bool) -> Self {
-        Self {
-            enabled: AtomicBool::new(enabled),
-            rollups: Mutex::new(Rollups::default()),
-        }
-    }
-
-    /// Whether folds are currently recorded.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off (existing rollups are kept).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Folds one completed request into the `endpoint` rollup and, when
     /// the request ran against a registered circuit, that circuit's
-    /// rollup. No-op while disabled.
+    /// rollup.
     pub fn fold(&self, endpoint: &str, circuit: Option<&str>, sample: &RequestSample) {
-        if !self.enabled() {
-            return;
-        }
         let mut rollups = self.rollups.lock().expect("telemetry rollups poisoned");
         rollups
             .endpoints
@@ -283,12 +261,6 @@ impl Telemetry {
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
         }
-    }
-}
-
-impl Default for Telemetry {
-    fn default() -> Self {
-        Self::new(true)
     }
 }
 
@@ -356,7 +328,7 @@ pub mod prometheus {
 
     /// Escapes a label value per the exposition format: backslash,
     /// double quote, and newline.
-    pub fn escape_label_value(v: &str) -> String {
+    pub(crate) fn escape_label_value(v: &str) -> String {
         let mut out = String::with_capacity(v.len());
         for c in v.chars() {
             match c {
@@ -529,7 +501,7 @@ mod tests {
         let samples: Vec<RequestSample> = (0..64).map(|_| random_sample(&mut rng)).collect();
         let mut snapshots = Vec::new();
         for threads in [1usize, 2, 8] {
-            let telemetry = std::sync::Arc::new(Telemetry::new(true));
+            let telemetry = std::sync::Arc::new(Telemetry::default());
             let chunk = samples.len().div_ceil(threads);
             std::thread::scope(|scope| {
                 for part in samples.chunks(chunk) {
@@ -559,41 +531,40 @@ mod tests {
     }
 
     #[test]
-    fn disabled_telemetry_records_nothing() {
-        let telemetry = Telemetry::new(false);
-        telemetry.fold("find", Some("chip"), &RequestSample::default());
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.requests, 0);
-        assert!(snap.endpoints.is_empty());
-        telemetry.set_enabled(true);
-        telemetry.fold("find", Some("chip"), &RequestSample::default());
-        assert_eq!(telemetry.snapshot().requests, 1);
-    }
-
-    #[test]
     fn sample_distills_truncation_and_rejects() {
         use crate::budget::TruncationReason;
-        use crate::metrics::MetricsReport;
-        let mut metrics = MetricsReport::default();
-        metrics.counters.bump("index.pruned_candidates", 7);
-        metrics.counters.bump("index.admitted_candidates", 3);
-        metrics.counters.bump("reject.degree", 5);
-        metrics.counters.bump("unrelated.counter", 9);
+        use crate::events::{RejectReason, RejectTally};
+        let mut rejects = RejectTally::default();
+        for reason in [
+            RejectReason::UnsafePartition,
+            RejectReason::DegreeMismatch,
+            RejectReason::UnsafePartition,
+        ] {
+            rejects.bump(reason);
+        }
         let outcome = MatchOutcome {
             completeness: Completeness::Truncated {
                 reason: TruncationReason::EffortExhausted,
                 candidates_tried: 1,
                 candidates_skipped: 2,
             },
-            metrics: Some(metrics),
+            pruned_candidates: 7,
+            admitted_candidates: 3,
+            rejects,
             ..MatchOutcome::default()
         };
-        let sample = RequestSample::from_outcome(&outcome, 1234);
+        let sample = RequestSample::from_outcomes([&outcome, &outcome], 1234);
         assert_eq!(sample.wall_ns, 1234);
         assert_eq!(sample.truncation.as_deref(), Some("effort_exhausted"));
-        assert_eq!(sample.pruned_candidates, 7);
-        assert_eq!(sample.admitted_candidates, 3);
-        assert_eq!(sample.rejects, vec![("degree".to_string(), 5)]);
+        assert_eq!(sample.pruned_candidates, 14);
+        assert_eq!(sample.admitted_candidates, 6);
+        assert_eq!(
+            sample.rejects,
+            vec![
+                ("degree_mismatch".to_string(), 2),
+                ("unsafe_partition".to_string(), 4)
+            ]
+        );
         let mut rollup = Rollup::default();
         rollup.fold(&sample);
         assert_eq!(rollup.prune_ratio(), 0.7);

@@ -505,7 +505,7 @@ pub struct EngineStatus {
     pub requests: Vec<(&'static str, u64)>,
     /// Cross-request telemetry rollups (per-endpoint and per-circuit
     /// latency/effort/backtrack histograms, truncation and reject
-    /// tallies). Empty while telemetry is disabled.
+    /// tallies).
     pub telemetry: TelemetrySnapshot,
 }
 
@@ -529,12 +529,11 @@ struct EngineCounters {
 /// see the module docs for the sharing contract.
 ///
 /// Every search request gets a request id (engine-minted, starting at
-/// 1, unless the caller set [`RequestOptions::request_id`]) and — while
-/// [`Engine::telemetry`] is enabled (the default) — is folded into the
-/// cross-request rollups once its outcome is complete. The fold is
-/// zero-perturbation: it reads the finished outcome only, after the
-/// deterministic serial merge, and metrics the caller did not request
-/// are stripped again before the response (DESIGN.md §3h).
+/// 1, unless the caller set [`RequestOptions::request_id`]), runs with
+/// exactly the options it carries, and is folded into the cross-request
+/// rollups of [`Engine::telemetry`] once its outcome is complete. The
+/// fold is zero-perturbation: it reads only counts every outcome keeps,
+/// after the deterministic serial merge (DESIGN.md §3h).
 pub struct Engine {
     circuits: RwLock<HashMap<String, Arc<CircuitEntry>>>,
     libraries: RwLock<HashMap<String, Arc<Vec<Netlist>>>>,
@@ -549,7 +548,7 @@ impl Default for Engine {
             circuits: RwLock::new(HashMap::new()),
             libraries: RwLock::new(HashMap::new()),
             counters: EngineCounters::default(),
-            telemetry: Telemetry::new(true),
+            telemetry: Telemetry::default(),
             next_request_id: AtomicU64::new(1),
         }
     }
@@ -739,14 +738,15 @@ impl Engine {
         }
     }
 
-    fn note_completeness(&self, outcome: &MatchOutcome) {
-        if outcome.completeness.is_truncated() {
+    /// Counts a request that stopped early, once however many of its
+    /// searches did.
+    fn note_truncated(&self, truncated: bool) {
+        if truncated {
             self.counters.truncated.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// The cross-request telemetry registry: toggle it with
-    /// [`Telemetry::set_enabled`], read it with
+    /// The cross-request telemetry registry: read it with
     /// [`Telemetry::snapshot`] (also included in [`Engine::status`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -757,27 +757,19 @@ impl Engine {
         self.next_request_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Lowers request options for one search: assigns the request id,
-    /// and — when telemetry is enabled — forces metrics collection so
-    /// the fold sees prune/reject counters. Returns the lowered
-    /// options, the id, and whether the caller itself asked for
-    /// metrics (if not, the response strips them again, so the visible
-    /// outcome is identical either way).
+    /// Lowers request options for one search under its request id,
+    /// minting one unless the caller supplied it. Returns the lowered
+    /// options and the id.
     fn lowered(
         &self,
         options: &RequestOptions,
         main: &Netlist,
         warm: Option<&WarmMain>,
-    ) -> Result<(MatchOptions, u64, bool), EngineError> {
+    ) -> Result<(MatchOptions, u64), EngineError> {
         let request_id = options.request_id.unwrap_or_else(|| self.mint_request_id());
         let mut request_opts = options.clone();
         request_opts.request_id = Some(request_id);
-        let mut opts = request_opts.lower(main, warm)?;
-        let metrics_requested = opts.collect_metrics;
-        if self.telemetry.enabled() {
-            opts.collect_metrics = true;
-        }
-        Ok((opts, request_id, metrics_requested))
+        Ok((request_opts.lower(main, warm)?, request_id))
     }
 
     /// Runs a find request.
@@ -796,18 +788,14 @@ impl Engine {
         let main = circuit.netlist();
         let pattern = self.resolve_pattern(&req.pattern)?;
         let pattern = pattern.get();
-        let (opts, request_id, metrics_requested) =
-            self.lowered(&req.options, main, circuit.warm())?;
+        let (opts, request_id) = self.lowered(&req.options, main, circuit.warm())?;
         let t0 = Instant::now();
-        let mut outcome = find_all(pattern, main, &opts);
+        let outcome = find_all(pattern, main, &opts);
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        self.note_completeness(&outcome);
+        self.note_truncated(outcome.completeness.is_truncated());
         let sample = RequestSample::from_outcome(&outcome, wall_ns);
         self.telemetry
             .fold("find", registered_name(&req.circuit), &sample);
-        if !metrics_requested {
-            outcome.metrics = None;
-        }
         Ok(FindResponse {
             circuit: main.name().to_string(),
             pattern: pattern.name().to_string(),
@@ -837,22 +825,14 @@ impl Engine {
         let library = self.resolve_library(&req.library)?;
         let cells = library.cells();
         let refs: Vec<&Netlist> = cells.iter().collect();
-        let (opts, request_id, metrics_requested) =
-            self.lowered(&req.options, main, circuit.warm())?;
+        let (opts, request_id) = self.lowered(&req.options, main, circuit.warm())?;
         let t0 = Instant::now();
-        let mut outcomes = find_all_many(&refs, main, &opts);
+        let outcomes = find_all_many(&refs, main, &opts);
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        for outcome in &outcomes {
-            self.note_completeness(outcome);
-        }
         let sample = RequestSample::from_outcomes(outcomes.iter(), wall_ns);
+        self.note_truncated(sample.truncation.is_some());
         self.telemetry
             .fold("survey", registered_name(&req.circuit), &sample);
-        if !metrics_requested {
-            for outcome in &mut outcomes {
-                outcome.metrics = None;
-            }
-        }
         let rows = cells
             .iter()
             .zip(outcomes)
@@ -889,18 +869,14 @@ impl Engine {
         let pattern = pattern.get();
         let mut request_opts = req.options.clone();
         request_opts.trace_events = true;
-        let (opts, request_id, metrics_requested) =
-            self.lowered(&request_opts, main, circuit.warm())?;
+        let (opts, request_id) = self.lowered(&request_opts, main, circuit.warm())?;
         let t0 = Instant::now();
-        let mut outcome = find_all(pattern, main, &opts);
+        let outcome = find_all(pattern, main, &opts);
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        self.note_completeness(&outcome);
+        self.note_truncated(outcome.completeness.is_truncated());
         let sample = RequestSample::from_outcome(&outcome, wall_ns);
         self.telemetry
             .fold("explain", registered_name(&req.circuit), &sample);
-        if !metrics_requested {
-            outcome.metrics = None;
-        }
         let report = ExplainReport::from_outcome(&outcome);
         Ok(ExplainResponse {
             circuit: main.name().to_string(),
@@ -923,8 +899,9 @@ impl Engine {
     /// rollups expose the per-round latency distribution of the
     /// fixpoint loop rather than one opaque total; a round whose
     /// searches stopped early under the budget/deadline/cancel
-    /// settings folds with truncation reason `round_truncated` and
-    /// bumps the `truncated` counter. The lowered budget is
+    /// settings folds with truncation reason `round_truncated`, and a
+    /// request with any such round bumps the `truncated` request
+    /// counter once. The lowered budget is
     /// declarative (effort cap / relative deadline), so every round —
     /// and every cell search within it — starts it afresh.
     ///
@@ -941,14 +918,14 @@ impl Engine {
         let circuit = self.resolve_circuit(&req.circuit)?;
         let main = circuit.netlist();
         let library = self.resolve_library(&req.library)?;
-        let (opts, request_id, _metrics_requested) =
-            self.lowered(&req.options, main, circuit.warm())?;
+        let (opts, request_id) = self.lowered(&req.options, main, circuit.warm())?;
         let mut hierarchizer =
             Hierarchizer::new(library.cells()).map_err(|e| EngineError::Invalid(e.to_string()))?;
         hierarchizer.set_options(opts);
         let circuit_name = registered_name(&req.circuit);
         let t0 = Instant::now();
         let mut rounds = 0usize;
+        let mut truncated = false;
         let mut round_start = t0;
         let outcome = hierarchizer
             .run_observed(main, |round| {
@@ -956,9 +933,7 @@ impl Engine {
                 let now = Instant::now();
                 let round_wall = now.duration_since(round_start).as_nanos() as u64;
                 round_start = now;
-                if round.truncated_cells > 0 {
-                    self.counters.truncated.fetch_add(1, Ordering::Relaxed);
-                }
+                truncated |= round.truncated_cells > 0;
                 let sample = RequestSample {
                     wall_ns: round_wall,
                     truncation: (round.truncated_cells > 0).then(|| "round_truncated".to_string()),
@@ -967,6 +942,7 @@ impl Engine {
                 self.telemetry.fold("hierarchize", circuit_name, &sample);
             })
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
+        self.note_truncated(truncated);
         let wall_ns = t0.elapsed().as_nanos() as u64;
         let deck = subgemini_spice::write_hierarchical(&outcome.top, &outcome.used_cells());
         Ok(HierarchizeResponse {
@@ -1294,6 +1270,35 @@ mod tests {
         assert_eq!(get("compile"), 1);
         assert_eq!(get("find"), 1);
         assert_eq!(get("truncated"), 1, "1-effort find must truncate");
+    }
+
+    /// `truncated` counts requests: a survey whose every row stops
+    /// early counts once, like the telemetry rollup.
+    #[test]
+    fn truncated_survey_counts_once() {
+        let engine = Engine::new();
+        engine.register_circuit("chip", gen::tiled_chip(5, 5_000).netlist);
+        engine.register_library("lib", cells::library());
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let resp = engine
+            .survey(&SurveyRequest {
+                circuit: CircuitSource::Registered("chip"),
+                library: LibrarySource::Registered("lib"),
+                options: RequestOptions {
+                    cancel: Some(cancel),
+                    ..RequestOptions::default()
+                },
+            })
+            .unwrap();
+        assert_eq!(resp.rows.len(), 14);
+        assert!(resp
+            .rows
+            .iter()
+            .all(|r| r.outcome.completeness.is_truncated()));
+        let status = engine.status();
+        assert!(status.requests.contains(&("truncated", 1)), "{status:?}");
+        assert_eq!(status.telemetry.endpoint("survey").unwrap().truncated, 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub enum SourceKind {
 impl SourceKind {
     /// Dispatch on file extension: `.v`/`.sv` is Verilog, everything
     /// else SPICE.
-    pub fn from_path(path: &str) -> SourceKind {
+    fn from_path(path: &str) -> SourceKind {
         if path.ends_with(".v") || path.ends_with(".sv") {
             SourceKind::Verilog
         } else {
@@ -249,7 +249,7 @@ pub fn check_patterns(cells: &[Netlist], label: &str) -> Result<(), String> {
 
 /// The default circuit name for a path: the file stem, without SPICE
 /// extensions.
-pub fn main_name(path: &str) -> &str {
+fn main_name(path: &str) -> &str {
     path.rsplit('/')
         .next()
         .unwrap_or(path)

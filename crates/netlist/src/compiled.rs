@@ -448,25 +448,6 @@ impl CompiledCircuit {
             .map(|i| self.globals[i].1)
     }
 
-    /// The interned device-type names, indexed by
-    /// [`device_type_index`](Self::device_type_index).
-    #[inline]
-    pub fn type_names(&self) -> &[String] {
-        &self.type_names
-    }
-
-    /// Index of device `d`'s type into [`type_names`](Self::type_names).
-    #[inline]
-    pub fn device_type_index(&self, d: DeviceId) -> u32 {
-        self.dev_type[d.index()]
-    }
-
-    /// Name of device `d`'s type.
-    #[inline]
-    pub fn device_type_name(&self, d: DeviceId) -> &str {
-        &self.type_names[self.dev_type[d.index()] as usize]
-    }
-
     /// Degree of device `d` (number of terminals).
     #[inline]
     pub fn device_degree(&self, d: DeviceId) -> usize {
@@ -623,9 +604,10 @@ mod tests {
         let g = CompiledCircuit::compile(&nl);
         let mp = nl.find_device("mp").unwrap();
         let mn = nl.find_device("mn").unwrap();
-        assert_eq!(g.device_type_name(mp), "pmos");
-        assert_eq!(g.device_type_name(mn), "nmos");
-        assert_ne!(g.device_type_index(mp), g.device_type_index(mn));
+        let type_name = |d: DeviceId| g.type_names[g.dev_type[d.index()] as usize].as_str();
+        assert_eq!(type_name(mp), "pmos");
+        assert_eq!(type_name(mn), "nmos");
+        assert_ne!(g.dev_type[mp.index()], g.dev_type[mn.index()]);
         assert_eq!(g.device_degree(mp), 3);
         assert_eq!(g.net_degree(nl.find_net("a").unwrap()), 2);
         assert_eq!(g.pin_count(), 6);

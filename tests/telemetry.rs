@@ -2,45 +2,40 @@
 //!
 //! 1. **Zero perturbation** — folding request samples into the
 //!    engine's cumulative rollups may never change what a search
-//!    answers. Instances, journals, and truncation points must be
-//!    byte-identical with telemetry on and off, across thread counts,
-//!    including under budgets.
+//!    answers. A registered request runs with exactly the options it
+//!    carries, so its instances, journal, truncation point and counts
+//!    equal a direct core search's, across thread counts, including
+//!    under budgets; and the rollups read the counts every search keeps.
 //! 2. **Correlation without contamination** — every request gets an
 //!    engine-minted id, stamped on the outcome and the response, but
 //!    journal *event bytes* stay id-free so cross-request journal
 //!    equality keeps holding.
 
-use subgemini::{MatchOutcome, WorkBudget};
+use std::collections::BTreeMap;
+
+use subgemini::{find_all, MetricsReport, Rollup, WarmMain, WorkBudget};
 use subgemini_engine::{
     CircuitSource, Engine, ExplainRequest, FindRequest, LibrarySource, PatternSource,
     RequestOptions, SurveyRequest,
 };
+use subgemini_netlist::{Artifact, NetId, Netlist};
 use subgemini_workloads::{cells, gen};
 
-fn assert_outcomes_identical(a: &MatchOutcome, b: &MatchOutcome) {
-    assert_eq!(a.instances, b.instances);
-    assert_eq!(a.key, b.key);
-    assert_eq!(a.phase1, b.phase1);
-    assert_eq!(a.phase2, b.phase2);
-    assert_eq!(a.completeness, b.completeness);
-    assert_eq!(a.events, b.events);
-}
-
-/// One engine with telemetry folding, one with it switched off, same
-/// registered circuit: every (threads, budget) cell must answer
-/// identically. The budgeted cells matter most — a perturbed
-/// truncation point is exactly the bug this test exists to catch.
+/// Every registered find of a (threads, budget) matrix answers exactly
+/// as `find_all` does with the request's options lowered the same way,
+/// under the same request id and a warm handle built from the same
+/// netlist: instances, key, stats, completeness, journal and prune and
+/// reject counts. The engine hands the search the caller's options and
+/// folds telemetry without touching them. The budgeted cells matter
+/// most — a perturbed truncation point is exactly the bug this test
+/// exists to catch.
 #[test]
-fn telemetry_on_and_off_answer_byte_identically() {
+fn registered_finds_equal_direct_searches_with_their_options() {
     let main = gen::ripple_adder(24).netlist;
     let pattern = cells::full_adder();
-    let on = Engine::new();
-    let off = Engine::new();
-    off.telemetry().set_enabled(false);
-    assert!(on.telemetry().enabled());
-    assert!(!off.telemetry().enabled());
-    on.register_circuit("chip", main.clone());
-    off.register_circuit("chip", main);
+    let engine = Engine::new();
+    engine.register_circuit("chip", main.clone());
+    let warm = WarmMain::from_artifact(Artifact::build(&main), 0);
 
     let budgets: [Option<WorkBudget>; 2] = [
         None,
@@ -57,33 +52,26 @@ fn telemetry_on_and_off_answer_byte_identically() {
                 trace_events: true,
                 ..RequestOptions::default()
             };
-            let request = |engine: &Engine| {
-                engine
-                    .find(&FindRequest {
-                        circuit: CircuitSource::Registered("chip"),
-                        pattern: PatternSource::Inline(&pattern),
-                        options: options.clone(),
-                    })
-                    .unwrap()
-            };
-            let a = request(&on);
-            let b = request(&off);
-            assert_outcomes_identical(&a.outcome, &b.outcome);
-            assert_eq!(
-                a.instance_devices().collect::<Vec<_>>(),
-                b.instance_devices().collect::<Vec<_>>()
-            );
-            assert_eq!(
-                a.effort_spent, b.effort_spent,
-                "threads={threads} budget={budget:?}"
-            );
+            let resp = engine
+                .find(&FindRequest {
+                    circuit: CircuitSource::Registered("chip"),
+                    pattern: PatternSource::Inline(&pattern),
+                    options: options.clone(),
+                })
+                .unwrap();
+            let lowered = RequestOptions {
+                request_id: Some(resp.request_id),
+                ..options
+            }
+            .lower(&main, Some(&warm))
+            .unwrap();
+            let direct = find_all(&pattern, &main, &lowered);
+            assert!(direct.admitted_candidates > 0, "the warm handle prunes");
+            assert_eq!(resp.outcome, direct, "threads={threads} budget={budget:?}");
         }
     }
-    // The disabled engine accumulated nothing.
-    assert_eq!(off.telemetry().snapshot().requests, 0);
-    assert!(off.telemetry().snapshot().endpoints.is_empty());
-    // The enabled one folded every cell of the matrix.
-    let snap = on.telemetry().snapshot();
+    // The engine folded every cell of the matrix.
+    let snap = engine.telemetry().snapshot();
     assert_eq!(snap.requests, 6);
     assert_eq!(snap.endpoint("find").unwrap().requests, 6);
     assert_eq!(snap.circuit("chip").unwrap().requests, 6);
@@ -162,11 +150,11 @@ fn journals_stay_id_free() {
     );
 }
 
-/// Telemetry forces metric collection internally but must strip it
-/// back out when the caller didn't ask — the visible response is the
-/// same either way, and effort is still reported.
+/// A request that does not ask for metrics gets none, yet its effort
+/// is still reported, equal to that of the same request with metrics,
+/// and both fold into the rollup.
 #[test]
-fn unrequested_metrics_are_stripped_but_effort_still_reported() {
+fn unrequested_metrics_stay_absent_but_effort_is_still_reported() {
     let main = gen::ripple_adder(4).netlist;
     let pattern = cells::full_adder();
     let engine = Engine::new();
@@ -192,12 +180,114 @@ fn unrequested_metrics_are_stripped_but_effort_still_reported() {
         .unwrap();
     assert!(loud.outcome.metrics.is_some());
     assert_eq!(quiet.effort_spent, loud.effort_spent);
-    // Both requests still folded prune counters into the rollup.
+    // Both requests folded into the rollup.
     let snap = engine.telemetry().snapshot();
     let find = snap.endpoint("find").unwrap();
     assert_eq!(find.requests, 2);
     assert_eq!(find.effort.count(), 2);
     assert_eq!(find.wall_ns.count(), 2);
+}
+
+/// The `inv` decoy field of `prune_differential.rs`: near-miss mutants
+/// the fingerprint index prunes or Phase II rejects, and eight true
+/// inverters.
+fn decoy_field() -> Netlist {
+    let pattern = cells::inv();
+    let mut g = gen::near_miss_field(&pattern, 24, 0x5347_e140);
+    for i in 0..8 {
+        let bindings: Vec<NetId> = (0..pattern.ports().len())
+            .map(|p| g.netlist.net(format!("t{i}p{p}")))
+            .collect();
+        g.plant(&pattern, &format!("pl{i}"), &bindings);
+    }
+    g.netlist
+}
+
+/// Asserts that `rollup`, folded from two runs of one request, holds
+/// twice the `index.*` and `reject.*` counters of `reports`, one run's
+/// metrics.
+fn assert_rollup_doubles(rollup: &Rollup, reports: &[&MetricsReport], what: &str) {
+    let sum = |name: &str| reports.iter().map(|m| m.counters.get(name)).sum::<u64>();
+    let mut rejects = BTreeMap::new();
+    for (name, v) in reports.iter().flat_map(|m| m.counters.iter()) {
+        if let Some(reason) = name.strip_prefix("reject.") {
+            *rejects.entry(reason.to_string()).or_insert(0) += 2 * v;
+        }
+    }
+    assert!(
+        sum("index.pruned_candidates") > 0 && !rejects.is_empty(),
+        "{what}: the field must prune and reject"
+    );
+    assert_eq!(
+        rollup.pruned_candidates,
+        2 * sum("index.pruned_candidates"),
+        "{what}"
+    );
+    assert_eq!(
+        rollup.admitted_candidates,
+        2 * sum("index.admitted_candidates"),
+        "{what}"
+    );
+    assert_eq!(rollup.reject_reasons, rejects, "{what}");
+}
+
+/// The rollups' prune and reject counts are the searches' own: a
+/// request without metrics folds exactly what the same request with
+/// metrics reports as `index.*` and `reject.*` counters, for a find
+/// and for a survey, serial and parallel.
+#[test]
+fn rollup_prune_and_reject_counts_equal_the_report_counters() {
+    let field = decoy_field();
+    let pattern = cells::inv();
+    let library = vec![cells::inv(), cells::nand2()];
+    for threads in [1usize, 2] {
+        let engine = Engine::new();
+        engine.register_circuit("field", field.clone());
+        let options = |collect_metrics| RequestOptions {
+            threads,
+            collect_metrics,
+            ..RequestOptions::default()
+        };
+        let find = |collect_metrics| {
+            engine
+                .find(&FindRequest {
+                    circuit: CircuitSource::Registered("field"),
+                    pattern: PatternSource::Inline(&pattern),
+                    options: options(collect_metrics),
+                })
+                .unwrap()
+        };
+        let survey = |collect_metrics| {
+            engine
+                .survey(&SurveyRequest {
+                    circuit: CircuitSource::Registered("field"),
+                    library: LibrarySource::Inline(&library),
+                    options: options(collect_metrics),
+                })
+                .unwrap()
+        };
+        find(false);
+        let loud = find(true);
+        survey(false);
+        let loud_survey = survey(true);
+        let snap = engine.telemetry().snapshot();
+        let metrics = loud.outcome.metrics.as_ref().expect("metrics requested");
+        assert_rollup_doubles(
+            snap.endpoint("find").unwrap(),
+            &[metrics],
+            &format!("find threads={threads}"),
+        );
+        let rows: Vec<&MetricsReport> = loud_survey
+            .rows
+            .iter()
+            .map(|r| r.outcome.metrics.as_ref().expect("metrics requested"))
+            .collect();
+        assert_rollup_doubles(
+            snap.endpoint("survey").unwrap(),
+            &rows,
+            &format!("survey threads={threads}"),
+        );
+    }
 }
 
 #[test]
