@@ -16,8 +16,8 @@ use subgemini_engine::source::{
     check_patterns, load_cell, load_cells, load_doc, load_library, load_main, CellMode,
 };
 use subgemini_engine::{
-    CircuitSource, Engine, ExplainRequest, FindRequest, HierarchizeRequest, LibrarySource,
-    PatternSource, RequestOptions, SurveyRequest,
+    CircuitSource, Engine, FindRequest, HierarchizeRequest, LibrarySource, PatternSource,
+    RequestOptions, SurveyRequest,
 };
 use subgemini_gemini::compare as gemini_compare;
 use subgemini_netlist::{Netlist, NetlistStats};
@@ -226,19 +226,20 @@ pub fn explain(args: &Args) -> Result<u8, String> {
     let main = load_main(main_path)?;
     let pattern = pattern_from(args, main_path)?;
     let resp = Engine::new()
-        .explain(&ExplainRequest {
+        .explain(&FindRequest {
             circuit: CircuitSource::Inline(&main),
             pattern: PatternSource::Inline(&pattern),
             options: warm_request_options(args)?,
         })
         .map_err(|e| e.to_string())?;
-    write_event_exports(args, &resp.outcome)?;
+    let outcome = &resp.find.outcome;
+    write_event_exports(args, outcome)?;
     if args.switch("--json") {
         print!("{}", resp.report.to_json().pretty());
     } else {
         print!("{}", resp.report.render());
     }
-    Ok(if resp.outcome.count() > 0 { 0 } else { 1 })
+    Ok(if outcome.count() > 0 { 0 } else { 1 })
 }
 
 /// `subg candidates`: Phase I only.

@@ -1,27 +1,5 @@
 //! `subg` — command-line front end for the SubGemini reproduction.
-//!
-//! ```text
-//! subg find <main.sp> --pattern <cell> [--lib <cells.sp>] [--ignore-globals] [--first] [--csv]
-//!           [--report json|text] [--threads <n>] [--trace-out <trace.json>]
-//!           [--events-out <events.ndjson>] [--explain]
-//!           [--max-effort <n>] [--deadline-ms <ms>] [--fail-fast]
-//!           [--artifact <main.sgc>]
-//! subg explain <main.sp> --pattern <cell> [--lib <cells.sp>] [--json]
-//! subg candidates <main.sp> --pattern <cell> [--lib <cells.sp>]
-//! subg compile <main.sp> [--out <main.sgc>]
-//! subg extract <main.sp> [--lib <cells.sp> | --builtin-lib] [--out <deck.sp>]
-//! subg hierarchize <flat.sp> --library <cells.sp> [--out <deck.sp>] [--report json|text]
-//! subg check <main.sp> --rules <rules.sp>
-//! subg map <main.sp> [--lib <cells.sp> | --builtin-lib]
-//! subg survey <main.sp> [--lib <cells.sp> | --builtin-lib] [--artifact <main.sgc>]
-//! subg trace <main.sp> --pattern <cell> [--lib <cells.sp>]
-//! subg compare <a.sp> <b.sp> [--cell <name>] [--hierarchical]
-//! subg stats <file.sp>
-//! subg dot <file.sp> [--out <file.dot>]
-//! subg fingerprint <cells.sp|cells.v>
-//! subg serve [<main.sp>...] [--addr <host:port>] [--workers <n>] [--access-log <path|->]
-//!           [--slow-ms <ms>] [--slow-keep <n>]
-//! ```
+//! `subg help` prints every subcommand with every flag it accepts.
 //!
 //! Patterns, rules and library cells are `.subckt` definitions; their
 //! ports are the external nets, and `.global` (plus the conventional
@@ -41,15 +19,22 @@ USAGE:
             [--events-out <events.ndjson>] [--explain]
             [--max-effort <n>] [--deadline-ms <ms>] [--fail-fast]
             [--artifact <main.sgc>]
-  subg explain <main.sp> --pattern <cell> [--lib <cells.sp>] [--json]
+  subg explain <main.sp> --pattern <cell> [--lib <cells.sp>] [--ignore-globals] [--first] [--json]
+            [--threads <n>] [--trace-out <trace.json>] [--events-out <events.ndjson>]
+            [--max-effort <n>] [--deadline-ms <ms>] [--artifact <main.sgc>]
   subg candidates <main.sp> --pattern <cell> [--lib <cells.sp>]
   subg compile <main.sp> [--out <main.sgc>]
-  subg extract <main.sp> [--lib <cells.sp> | --builtin-lib] [--out <deck.sp>]
-  subg hierarchize <flat.sp> --library <cells.sp> [--out <deck.sp>] [--report json|text]
+  subg extract <main.sp> [--lib <cells.sp> | --library <cells.sp> | --builtin-lib] [--out <deck.sp>]
+  subg hierarchize <flat.sp> [--library <cells.sp> | --lib <cells.sp> | --builtin-lib]
+            [--out <deck.sp>] [--report json|text] [--ignore-globals] [--first] [--threads <n>]
+            [--max-effort <n>] [--deadline-ms <ms>] [--artifact <main.sgc>]
   subg check <main.sp> --rules <rules.sp>
-  subg map <main.sp> [--lib <cells.sp> | --builtin-lib]
-  subg survey <main.sp> [--lib <cells.sp> | --builtin-lib] [--artifact <main.sgc>]
-  subg trace <main.sp> --pattern <cell> [--lib <cells.sp>]
+  subg map <main.sp> [--lib <cells.sp> | --library <cells.sp> | --builtin-lib]
+  subg survey <main.sp> [--lib <cells.sp> | --library <cells.sp> | --builtin-lib]
+            [--ignore-globals] [--first] [--threads <n>] [--max-effort <n>] [--deadline-ms <ms>]
+            [--artifact <main.sgc>]
+  subg trace <main.sp> --pattern <cell> [--lib <cells.sp>] [--ignore-globals] [--first]
+            [--threads <n>] [--max-effort <n>] [--deadline-ms <ms>]
   subg compare <a.sp> <b.sp> [--cell <name>] [--hierarchical]
   subg stats <file.sp>
   subg dot <file.sp> [--out <file.dot>]
@@ -78,6 +63,37 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::USAGE;
+    use crate::commands::COMMANDS;
+
+    /// The `--flags` `subg <name>`'s usage entry names: its `subg <name>`
+    /// line and the indented lines under it.
+    fn usage_flags(name: &str) -> BTreeSet<&'static str> {
+        let head = format!("  subg {name} ");
+        let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+        let first = lines
+            .next()
+            .unwrap_or_else(|| panic!("no usage for `{name}`"));
+        let rest = lines.take_while(|l| l.starts_with("   "));
+        let words = std::iter::once(first)
+            .chain(rest)
+            .flat_map(|l| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')));
+        words.filter(|w| w.starts_with("--")).collect()
+    }
+
+    #[test]
+    fn usage_names_every_flag_a_subcommand_accepts() {
+        for c in COMMANDS {
+            let accepted: BTreeSet<&str> = c.flags.iter().flat_map(|g| g.iter().copied()).collect();
+            assert_eq!(usage_flags(c.name), accepted, "`subg {}` usage", c.name);
         }
     }
 }

@@ -896,6 +896,32 @@ fn find_rejects_malformed_budget_values() {
     assert!(stderr.contains("--max-effort"), "{stderr}");
 }
 
+/// A thread count past the ceiling exits 2 from every searching
+/// subcommand, naming the ceiling, before any search prints.
+#[test]
+fn searching_commands_refuse_a_thread_count_past_the_ceiling() {
+    let dir = scratch("threads_ceiling");
+    write_files(&dir);
+    let pattern: &[&str] = &["--pattern", "inv", "--lib", "cells.sp"];
+    let searches: [(&str, &[&str]); 5] = [
+        ("find", pattern),
+        ("explain", pattern),
+        ("trace", pattern),
+        ("survey", &["--lib", "cells.sp"]),
+        ("hierarchize", &["--library", "cells.sp"]),
+    ];
+    for (cmd, setup) in searches {
+        let mut args = vec![cmd, "chip.sp", "--threads", "100000"];
+        args.extend(setup);
+        let out = subg(&dir, &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = "error: threads: 100000 is past the ceiling of 64\n";
+        assert_eq!(stderr, want, "{args:?}");
+    }
+}
+
 #[test]
 fn compile_writes_an_artifact_and_warm_find_matches_cold() {
     let dir = scratch("compile");

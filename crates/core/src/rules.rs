@@ -8,7 +8,7 @@
 
 use subgemini_netlist::Netlist;
 
-use crate::matcher::find_all;
+use crate::matcher::find_all_many;
 use crate::options::MatchOptions;
 
 /// A reported rule violation: one instance of a rule's pattern.
@@ -93,12 +93,13 @@ impl RuleChecker {
     }
 
     /// Checks `main` against every rule, returning all violations in
-    /// rule order.
+    /// rule order. One sweep compiles and relabels `main` once for the
+    /// whole library ([`find_all_many`](crate::find_all_many)).
     pub fn check(&self, main: &Netlist) -> Vec<RuleViolation> {
         let mut out = Vec::new();
-        let options = MatchOptions::default();
-        for rule in &self.rules {
-            let found = find_all(&rule.pattern, main, &options);
+        let patterns: Vec<&Netlist> = self.rules.iter().map(|r| &r.pattern).collect();
+        let outcomes = find_all_many(&patterns, main, &MatchOptions::default());
+        for (rule, found) in self.rules.iter().zip(outcomes) {
             for m in &found.instances {
                 out.push(RuleViolation {
                     rule: rule.name.clone(),
@@ -171,5 +172,37 @@ mod tests {
         assert_eq!(v[0].devices, vec!["m1"]);
         assert_eq!(v[1].rule, "pmos-pulldown");
         assert_eq!(v[1].devices, vec!["m2"]);
+    }
+
+    /// Checking a many-rule library reports, rule by rule in rule order,
+    /// the instances a search per rule finds.
+    #[test]
+    fn check_reports_what_a_search_per_rule_finds() {
+        use subgemini_workloads::{cells, gen};
+        let main = gen::tiled_chip(3, 3_000).netlist;
+        let mut checker = RuleChecker::new();
+        for cell in cells::library() {
+            let name = cell.name().to_string();
+            checker.add_rule(name.clone(), format!("pattern `{name}`"), cell);
+        }
+        let mut expected = Vec::new();
+        for rule in &checker.rules {
+            let found = crate::find_all(&rule.pattern, &main, &MatchOptions::default());
+            for m in &found.instances {
+                let devices = m.device_set();
+                expected.push(RuleViolation {
+                    rule: rule.name.clone(),
+                    description: rule.description.clone(),
+                    devices: devices
+                        .iter()
+                        .map(|&d| main.device(d).name().into())
+                        .collect(),
+                });
+            }
+        }
+        let mut rules: Vec<&str> = expected.iter().map(|v| v.rule.as_str()).collect();
+        rules.dedup();
+        assert!(rules.len() > 3, "{rules:?}");
+        assert_eq!(checker.check(&main), expected);
     }
 }

@@ -13,9 +13,9 @@
 //!   subsequent request against that name shares the allocation, so a
 //!   daemon amortizes compilation across heavy traffic exactly like
 //!   [`subgemini::find_all_many`] amortizes it across a library sweep.
-//! * Typed requests ([`FindRequest`], [`SurveyRequest`],
-//!   [`ExplainRequest`]) — every request carries its *own*
-//!   [`RequestOptions`]: work budget/deadline, thread count,
+//! * Typed requests ([`FindRequest`] for a find or an explain,
+//!   [`SurveyRequest`], [`HierarchizeRequest`]) — every request carries
+//!   its *own* [`RequestOptions`]: work budget/deadline, thread count,
 //!   cancellation token, and event-journal capture. Nothing is
 //!   process-global; two concurrent requests with different QoS coexist
 //!   on one registry entry.
@@ -104,7 +104,8 @@ pub struct RequestOptions {
     pub respect_globals: bool,
     /// Stop after this many verified instances (0 = unlimited).
     pub max_instances: usize,
-    /// Phase II worker threads (`1` serial, `0` = machine auto).
+    /// Phase II worker threads (`1` serial, `0` = machine auto); more
+    /// than 64 is refused by [`RequestOptions::lower`].
     pub threads: usize,
     /// Collect phase timers and effort counters on the outcome.
     pub collect_metrics: bool,
@@ -146,6 +147,10 @@ impl Default for RequestOptions {
     }
 }
 
+/// The most Phase II threads one request may ask for: each builds a
+/// search state the size of the main circuit.
+const MAX_THREADS: usize = 64;
+
 impl RequestOptions {
     /// Lowers request options onto core [`MatchOptions`], resolving the
     /// warm-start source. This is the single copy of the
@@ -163,13 +168,20 @@ impl RequestOptions {
     ///
     /// # Errors
     ///
-    /// Artifact problems (unreadable, digest mismatch, combined with
-    /// `respect_globals = false`) as [`EngineError::Invalid`].
+    /// A thread count past the ceiling of 64, and artifact problems
+    /// (unreadable, digest mismatch, combined with `respect_globals =
+    /// false`), as [`EngineError::Invalid`].
     pub fn lower(
         &self,
         main: &Netlist,
         registry_warm: Option<&WarmMain>,
     ) -> Result<MatchOptions, EngineError> {
+        if self.threads > MAX_THREADS {
+            return Err(EngineError::Invalid(format!(
+                "threads: {} is past the ceiling of {MAX_THREADS}",
+                self.threads
+            )));
+        }
         let mut opts = MatchOptions {
             respect_globals: self.respect_globals,
             max_instances: self.max_instances,
@@ -217,7 +229,7 @@ pub enum CircuitSource<'a> {
     Inline(&'a Netlist),
 }
 
-/// The pattern a find/explain request searches for.
+/// The pattern a find request searches for.
 #[derive(Clone, Copy, Debug)]
 pub enum PatternSource<'a> {
     /// A caller-provided pattern netlist.
@@ -240,10 +252,11 @@ pub enum LibrarySource<'a> {
     Inline(&'a [Netlist]),
 }
 
-/// A find request: locate all instances of one pattern in one circuit.
-/// The two are borrowed for lifetimes of their own, because the
-/// response keeps the circuit's borrow ([`FindResponse`]) and not the
-/// pattern's.
+/// A find request: locate all instances of one pattern in one circuit
+/// ([`Engine::find`]), or do that and explain the outcome
+/// ([`Engine::explain`]). The two are borrowed for lifetimes of their
+/// own, because the response keeps the circuit's borrow
+/// ([`FindResponse`]) and not the pattern's.
 #[derive(Debug)]
 pub struct FindRequest<'a, 'p> {
     /// The main circuit.
@@ -284,21 +297,9 @@ pub struct HierarchizeRequest<'a> {
     pub options: RequestOptions,
 }
 
-/// An explain request: a find with the event journal forced on, plus a
-/// rendered [`ExplainReport`].
-#[derive(Debug)]
-pub struct ExplainRequest<'a> {
-    /// The main circuit.
-    pub circuit: CircuitSource<'a>,
-    /// The pattern.
-    pub pattern: PatternSource<'a>,
-    /// Per-request options (`trace_events` is forced on).
-    pub options: RequestOptions,
-}
-
-/// Response to a find request. It keeps the netlist it searched — the
-/// registry entry's shared one, or the caller's own for an inline
-/// circuit — so instance device names are read from it on demand
+/// Response to a find request. It keeps the circuit it searched — the
+/// registry entry, or the caller's own netlist for an inline circuit —
+/// so instance device names are read from that netlist on demand
 /// ([`FindResponse::instance_devices`]) and a caller that never prints
 /// them never builds them.
 #[derive(Clone, Debug)]
@@ -336,18 +337,26 @@ impl FindResponse<'_> {
     }
 }
 
-/// The netlist a find searched.
+/// The circuit a request runs on: a registry entry, kept for the whole
+/// request, or the caller's own netlist.
 #[derive(Clone, Debug)]
 enum Searched<'a> {
-    Registered(Arc<Netlist>),
+    Registered(Arc<CircuitEntry>),
     Inline(&'a Netlist),
 }
 
 impl Searched<'_> {
     fn netlist(&self) -> &Netlist {
         match self {
-            Searched::Registered(n) => n,
+            Searched::Registered(e) => &e.netlist,
             Searched::Inline(n) => n,
+        }
+    }
+
+    fn warm(&self) -> Option<&WarmMain> {
+        match self {
+            Searched::Registered(e) => Some(&e.warm),
+            Searched::Inline(_) => None,
         }
     }
 }
@@ -395,26 +404,17 @@ pub struct HierarchizeResponse {
     pub wall_ns: u64,
 }
 
-/// Response to an explain request.
+/// Response to an explain request: the find, its journal kept.
 #[derive(Clone, Debug)]
-pub struct ExplainResponse {
-    /// Name of the main circuit searched.
-    pub circuit: String,
-    /// Name of the pattern searched for.
-    pub pattern: String,
-    /// The full match outcome (journal included).
-    pub outcome: MatchOutcome,
+pub struct ExplainResponse<'a> {
+    /// The find, whose outcome carries the event journal.
+    pub find: FindResponse<'a>,
     /// The report distilled from the journal.
     pub report: ExplainReport,
-    /// The request id this search ran under.
-    pub request_id: u64,
-    /// End-to-end wall time of the search call, in nanoseconds.
-    pub wall_ns: u64,
-    /// Deterministic effort spent.
-    pub effort_spent: u64,
 }
 
-/// Result of compiling/registering a circuit.
+/// A registered circuit, as [`Engine::register_circuit`] returns it and
+/// [`Engine::status`] lists it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompileInfo {
     /// The registered name.
@@ -468,29 +468,11 @@ pub fn compile_netlist(main: &Netlist) -> EncodedArtifact {
 /// A registered circuit: the source netlist plus its shared compiled
 /// snapshot and fingerprint index, all immutable behind `Arc`, and the
 /// write-once shared trace steps inside `warm`.
+#[derive(Debug)]
 struct CircuitEntry {
     netlist: Arc<Netlist>,
     warm: WarmMain,
-    devices: usize,
-    nets: usize,
-    digest: u64,
-    artifact_bytes: usize,
-}
-
-/// Registry description of one circuit, as reported by
-/// [`Engine::status`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CircuitInfo {
-    /// The registered name.
-    pub name: String,
-    /// Device count.
-    pub devices: usize,
-    /// Net count.
-    pub nets: usize,
-    /// Structural digest.
-    pub digest: u64,
-    /// Encoded artifact size in bytes.
-    pub artifact_bytes: usize,
+    info: CompileInfo,
 }
 
 /// A point-in-time snapshot of the engine: registry contents and
@@ -498,7 +480,7 @@ pub struct CircuitInfo {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineStatus {
     /// Registered circuits, sorted by name.
-    pub circuits: Vec<CircuitInfo>,
+    pub circuits: Vec<CompileInfo>,
     /// Registered libraries as `(name, cell count)`, sorted by name.
     pub libraries: Vec<(String, usize)>,
     /// Cumulative request counters, in a fixed order.
@@ -554,49 +536,8 @@ impl Default for Engine {
     }
 }
 
-enum ResolvedCircuit<'a> {
-    Entry(Arc<CircuitEntry>),
-    Inline(&'a Netlist),
-}
-
-impl<'a> ResolvedCircuit<'a> {
-    fn netlist(&self) -> &Netlist {
-        match self {
-            ResolvedCircuit::Entry(e) => &e.netlist,
-            ResolvedCircuit::Inline(n) => n,
-        }
-    }
-
-    fn warm(&self) -> Option<&WarmMain> {
-        match self {
-            ResolvedCircuit::Entry(e) => Some(&e.warm),
-            ResolvedCircuit::Inline(_) => None,
-        }
-    }
-
-    /// The netlist alone, for a response to keep.
-    fn searched(&self) -> Searched<'a> {
-        match *self {
-            ResolvedCircuit::Entry(ref e) => Searched::Registered(Arc::clone(&e.netlist)),
-            ResolvedCircuit::Inline(n) => Searched::Inline(n),
-        }
-    }
-}
-
-enum ResolvedPattern<'a> {
-    Borrowed(&'a Netlist),
-    Owned(Box<Netlist>),
-}
-
-impl ResolvedPattern<'_> {
-    fn get(&self) -> &Netlist {
-        match self {
-            ResolvedPattern::Borrowed(n) => n,
-            ResolvedPattern::Owned(n) => n,
-        }
-    }
-}
-
+/// The cells a request searches for: a registered library, read in
+/// place, or the caller's own.
 enum ResolvedLibrary<'a> {
     Shared(Arc<Vec<Netlist>>),
     Inline(&'a [Netlist]),
@@ -632,34 +573,28 @@ impl Engine {
         self.counters.compile.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let artifact = Artifact::build(&netlist);
-        let artifact_bytes = artifact.encoded_len();
-        let devices = artifact.circuit.device_count();
-        let nets = artifact.circuit.net_count();
-        let digest = artifact.source_digest;
+        let info = CompileInfo {
+            name: name.to_string(),
+            devices: artifact.circuit.device_count(),
+            nets: artifact.circuit.net_count(),
+            digest: artifact.source_digest,
+            artifact_bytes: artifact.encoded_len(),
+        };
         let build_ns = t0.elapsed().as_nanos() as u64;
         // The handle keeps the entry's netlist: requests on this entry
         // adopt it by identity, without an O(pins) digest.
         let netlist = Arc::new(netlist);
         let warm = WarmMain::bound(Arc::clone(&netlist), artifact, build_ns);
-        let entry = Arc::new(CircuitEntry {
+        let entry = CircuitEntry {
             netlist,
             warm,
-            devices,
-            nets,
-            digest,
-            artifact_bytes,
-        });
+            info: info.clone(),
+        };
         self.circuits
             .write()
             .expect("circuit registry poisoned")
-            .insert(name.to_string(), entry);
-        CompileInfo {
-            name: name.to_string(),
-            devices,
-            nets,
-            digest,
-            artifact_bytes,
-        }
+            .insert(name.to_string(), Arc::new(entry));
+        info
     }
 
     /// Registers a pattern library under `name`, replacing any
@@ -677,10 +612,7 @@ impl Engine {
         info
     }
 
-    fn resolve_circuit<'a>(
-        &self,
-        src: &CircuitSource<'a>,
-    ) -> Result<ResolvedCircuit<'a>, EngineError> {
+    fn resolve_circuit<'a>(&self, src: &CircuitSource<'a>) -> Result<Searched<'a>, EngineError> {
         match *src {
             CircuitSource::Registered(name) => self
                 .circuits
@@ -688,35 +620,28 @@ impl Engine {
                 .expect("circuit registry poisoned")
                 .get(name)
                 .cloned()
-                .map(ResolvedCircuit::Entry)
+                .map(Searched::Registered)
                 .ok_or_else(|| EngineError::UnknownCircuit(name.to_string())),
-            CircuitSource::Inline(n) => Ok(ResolvedCircuit::Inline(n)),
+            CircuitSource::Inline(n) => Ok(Searched::Inline(n)),
         }
     }
 
-    fn resolve_pattern<'a>(
+    /// The cells a pattern is one of, and its index among them: an
+    /// inline pattern alone, or a library cell read in place.
+    fn resolve_pattern<'p>(
         &self,
-        src: &PatternSource<'a>,
-    ) -> Result<ResolvedPattern<'a>, EngineError> {
+        src: &PatternSource<'p>,
+    ) -> Result<(ResolvedLibrary<'p>, usize), EngineError> {
         match *src {
-            PatternSource::Inline(n) => Ok(ResolvedPattern::Borrowed(n)),
+            PatternSource::Inline(n) => Ok((ResolvedLibrary::Inline(std::slice::from_ref(n)), 0)),
             PatternSource::Library { library, cell } => {
-                let cells = self
-                    .libraries
-                    .read()
-                    .expect("library registry poisoned")
-                    .get(library)
-                    .cloned()
-                    .ok_or_else(|| EngineError::UnknownLibrary(library.to_string()))?;
-                cells
-                    .iter()
-                    .find(|c| c.name() == cell)
-                    .cloned()
-                    .map(|c| ResolvedPattern::Owned(Box::new(c)))
-                    .ok_or_else(|| EngineError::UnknownCell {
-                        library: library.to_string(),
-                        cell: cell.to_string(),
-                    })
+                let cells = self.resolve_library(&LibrarySource::Registered(library))?;
+                let at = cells.cells().iter().position(|c| c.name() == cell);
+                let at = at.ok_or_else(|| EngineError::UnknownCell {
+                    library: library.to_string(),
+                    cell: cell.to_string(),
+                })?;
+                Ok((cells, at))
             }
         }
     }
@@ -784,26 +709,60 @@ impl Engine {
     /// [`subgemini::Matcher::find_all`]).
     pub fn find<'a>(&self, req: &FindRequest<'a, '_>) -> Result<FindResponse<'a>, EngineError> {
         self.counters.find.fetch_add(1, Ordering::Relaxed);
+        self.run_find(req, "find", false)
+    }
+
+    /// Runs a find request as an explain: the find with `trace_events`
+    /// forced on, plus the [`ExplainReport`] distilled from its journal.
+    /// It is counted and folded under `explain`, not `find`.
+    ///
+    /// # Errors
+    ///
+    /// Unknown registry names and option/artifact problems.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern contains an isolated net (same contract as
+    /// [`subgemini::Matcher::find_all`]).
+    pub fn explain<'a>(
+        &self,
+        req: &FindRequest<'a, '_>,
+    ) -> Result<ExplainResponse<'a>, EngineError> {
+        self.counters.explain.fetch_add(1, Ordering::Relaxed);
+        let find = self.run_find(req, "explain", true)?;
+        let report = ExplainReport::from_outcome(&find.outcome);
+        Ok(ExplainResponse { find, report })
+    }
+
+    /// The one find body: searches under `endpoint`'s telemetry, with
+    /// the journal forced on when `journal` is set.
+    fn run_find<'a>(
+        &self,
+        req: &FindRequest<'a, '_>,
+        endpoint: &str,
+        journal: bool,
+    ) -> Result<FindResponse<'a>, EngineError> {
         let circuit = self.resolve_circuit(&req.circuit)?;
         let main = circuit.netlist();
-        let pattern = self.resolve_pattern(&req.pattern)?;
-        let pattern = pattern.get();
-        let (opts, request_id) = self.lowered(&req.options, main, circuit.warm())?;
+        let (cells, at) = self.resolve_pattern(&req.pattern)?;
+        let pattern = &cells.cells()[at];
+        let (mut opts, request_id) = self.lowered(&req.options, main, circuit.warm())?;
+        opts.trace_events |= journal;
         let t0 = Instant::now();
         let outcome = find_all(pattern, main, &opts);
         let wall_ns = t0.elapsed().as_nanos() as u64;
         self.note_truncated(outcome.completeness.is_truncated());
         let sample = RequestSample::from_outcome(&outcome, wall_ns);
         self.telemetry
-            .fold("find", registered_name(&req.circuit), &sample);
+            .fold(endpoint, registered_name(&req.circuit), &sample);
         Ok(FindResponse {
             circuit: main.name().to_string(),
             pattern: pattern.name().to_string(),
             outcome,
-            main: circuit.searched(),
             request_id,
             wall_ns,
             effort_spent: sample.effort,
+            main: circuit,
         })
     }
 
@@ -844,45 +803,6 @@ impl Engine {
         Ok(SurveyResponse {
             circuit: main.name().to_string(),
             rows,
-            request_id,
-            wall_ns,
-            effort_spent: sample.effort,
-        })
-    }
-
-    /// Runs an explain request: a find with `trace_events` forced on,
-    /// plus the [`ExplainReport`] distilled from the merged journal.
-    ///
-    /// # Errors
-    ///
-    /// Unknown registry names and option/artifact problems.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern contains an isolated net (same contract as
-    /// [`subgemini::Matcher::find_all`]).
-    pub fn explain(&self, req: &ExplainRequest<'_>) -> Result<ExplainResponse, EngineError> {
-        self.counters.explain.fetch_add(1, Ordering::Relaxed);
-        let circuit = self.resolve_circuit(&req.circuit)?;
-        let main = circuit.netlist();
-        let pattern = self.resolve_pattern(&req.pattern)?;
-        let pattern = pattern.get();
-        let mut request_opts = req.options.clone();
-        request_opts.trace_events = true;
-        let (opts, request_id) = self.lowered(&request_opts, main, circuit.warm())?;
-        let t0 = Instant::now();
-        let outcome = find_all(pattern, main, &opts);
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        self.note_truncated(outcome.completeness.is_truncated());
-        let sample = RequestSample::from_outcome(&outcome, wall_ns);
-        self.telemetry
-            .fold("explain", registered_name(&req.circuit), &sample);
-        let report = ExplainReport::from_outcome(&outcome);
-        Ok(ExplainResponse {
-            circuit: main.name().to_string(),
-            pattern: pattern.name().to_string(),
-            outcome,
-            report,
             request_id,
             wall_ns,
             effort_spent: sample.effort,
@@ -957,18 +877,12 @@ impl Engine {
 
     /// Registry contents and request counters.
     pub fn status(&self) -> EngineStatus {
-        let mut circuits: Vec<CircuitInfo> = self
+        let mut circuits: Vec<CompileInfo> = self
             .circuits
             .read()
             .expect("circuit registry poisoned")
-            .iter()
-            .map(|(name, e)| CircuitInfo {
-                name: name.clone(),
-                devices: e.devices,
-                nets: e.nets,
-                digest: e.digest,
-                artifact_bytes: e.artifact_bytes,
-            })
+            .values()
+            .map(|e| e.info.clone())
             .collect();
         circuits.sort_by(|a, b| a.name.cmp(&b.name));
         let mut libraries: Vec<(String, usize)> = self
@@ -1180,14 +1094,102 @@ mod tests {
     fn explain_forces_journal_and_reports() {
         let (engine, _main, pattern) = engine_with_chip();
         let resp = engine
-            .explain(&ExplainRequest {
+            .explain(&FindRequest {
                 circuit: CircuitSource::Registered("chip"),
                 pattern: PatternSource::Inline(&pattern),
                 options: RequestOptions::default(),
             })
             .unwrap();
-        assert!(resp.outcome.events.is_some(), "explain implies a journal");
+        assert!(
+            resp.find.outcome.events.is_some(),
+            "explain implies a journal"
+        );
         assert!(!resp.report.render().is_empty());
+    }
+
+    /// The request counters and endpoint rollups of `status`, by name.
+    fn counts(status: &EngineStatus) -> std::collections::BTreeMap<String, u64> {
+        let requests = status.requests.iter().map(|(k, v)| (k.to_string(), *v));
+        let endpoints = status.telemetry.endpoints.iter();
+        let endpoints = endpoints.map(|(k, r)| (format!("endpoint.{k}"), r.requests));
+        requests.chain(endpoints).collect()
+    }
+
+    /// The names whose count changed from `before` to `after`.
+    fn bumped(before: &EngineStatus, after: &EngineStatus) -> Vec<String> {
+        let (before, after) = (counts(before), counts(after));
+        let changed = after.iter().filter(|(k, v)| before.get(*k) != Some(v));
+        changed.map(|(k, _)| k.clone()).collect()
+    }
+
+    /// An explain is a find that keeps its journal: over registered and
+    /// inline circuits, inline and library-cell patterns and threads 1
+    /// and 2, its outcome is a journaled find's, its report is distilled
+    /// from that outcome, and each request counts under its own name
+    /// only. The status lists what each registration returned.
+    #[test]
+    fn explain_is_a_find_that_keeps_its_journal() {
+        let engine = Engine::new();
+        let main = gen::ripple_adder(4).netlist;
+        let infos = [
+            engine.register_circuit("chip", main.clone()),
+            engine.register_circuit("sram", gen::sram_array(2, 2).netlist),
+        ];
+        engine.register_library("lib", cells::library());
+        let pattern = cells::full_adder();
+        let patterns = [
+            PatternSource::Inline(&pattern),
+            PatternSource::Library {
+                library: "lib",
+                cell: "full_adder",
+            },
+        ];
+        let circuits = [
+            CircuitSource::Registered("chip"),
+            CircuitSource::Inline(&main),
+        ];
+        for threads in [1, 2] {
+            for (circuit, pattern) in circuits.iter().flat_map(|c| patterns.map(|p| (*c, p))) {
+                let options = |trace_events| RequestOptions {
+                    threads,
+                    trace_events,
+                    ..RequestOptions::default()
+                };
+                let before = engine.status();
+                let explained = engine
+                    .explain(&FindRequest {
+                        circuit,
+                        pattern,
+                        options: options(false),
+                    })
+                    .unwrap();
+                let between = engine.status();
+                let found = engine
+                    .find(&FindRequest {
+                        circuit,
+                        pattern,
+                        options: options(true),
+                    })
+                    .unwrap();
+                let after = engine.status();
+                assert_eq!(bumped(&before, &between), ["endpoint.explain", "explain"]);
+                assert_eq!(bumped(&between, &after), ["endpoint.find", "find"]);
+                let label = format!("{circuit:?} {pattern:?} threads={threads}");
+                assert_eq!(found.outcome.count(), 4, "{label}");
+                assert!(explained.find.outcome.events.is_some(), "{label}");
+                let (mut explained_outcome, mut found_outcome) =
+                    (explained.find.outcome.clone(), found.outcome.clone());
+                explained_outcome.request_id = None;
+                found_outcome.request_id = None;
+                assert_eq!(explained_outcome, found_outcome, "{label}");
+                assert_eq!(
+                    explained.report,
+                    ExplainReport::from_outcome(&found.outcome),
+                    "{label}"
+                );
+            }
+        }
+        assert_eq!(engine.status().circuits, infos);
     }
 
     #[test]
@@ -1227,6 +1229,27 @@ mod tests {
             .unwrap();
         assert_eq!(resp.outcome.instances, cold.outcome.instances);
         assert_eq!(resp.outcome.phase2, cold.outcome.phase2);
+    }
+
+    /// A thread count past the ceiling is refused before any search
+    /// starts; the ceiling itself and `0` (auto) lower as given.
+    #[test]
+    fn lower_refuses_a_thread_count_past_the_ceiling() {
+        let main = gen::ripple_adder(2).netlist;
+        let lower = |threads| {
+            let opts = RequestOptions {
+                threads,
+                ..RequestOptions::default()
+            };
+            opts.lower(&main, None)
+        };
+        assert_eq!(lower(MAX_THREADS).unwrap().threads, MAX_THREADS);
+        assert_eq!(lower(0).unwrap().threads, 0);
+        for threads in [MAX_THREADS + 1, 100_000] {
+            let err = lower(threads).unwrap_err();
+            let want = format!("threads: {threads} is past the ceiling of 64");
+            assert_eq!(err, EngineError::Invalid(want));
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ use subgemini_engine::source::{
     check_patterns, load_cell, load_library, main_from_doc, parse_text, CellMode, SourceKind,
 };
 use subgemini_engine::{
-    CircuitSource, Engine, EngineError, ExplainRequest, FindRequest, HierarchizeRequest,
+    CircuitSource, Engine, EngineError, FindRequest, FindResponse, HierarchizeRequest,
     LibrarySource, PatternSource, RequestOptions, SurveyRequest,
 };
 use subgemini_netlist::Netlist;
@@ -726,6 +726,24 @@ fn search(
     }
 }
 
+/// What a find or an explain hands back: `doc`, and the record and
+/// journal of the find it ran.
+fn found(kind: &'static str, resp: FindResponse, doc: Value) -> Searched {
+    Searched {
+        record: SearchRecord {
+            request_id: resp.request_id,
+            kind,
+            circuit: resp.circuit,
+            pattern: resp.pattern,
+            wall_ns: resp.wall_ns,
+            effort_spent: Some(resp.effort_spent),
+            truncated: resp.outcome.completeness.is_truncated(),
+        },
+        doc,
+        journals: resp.outcome.events.into_iter().collect(),
+    }
+}
+
 fn find(engine: &Engine, body: &Value, lent: Lent) -> Result<Searched, Refusal> {
     let circuit = circuit_from(body)?;
     let pattern = pattern_from(body)?;
@@ -753,53 +771,30 @@ fn find(engine: &Engine, body: &Value, lent: Lent) -> Result<Searched, Refusal> 
         ("wall_ns".into(), Value::int(resp.wall_ns)),
         ("effort_spent".into(), Value::int(resp.effort_spent)),
     ]);
-    Ok(Searched {
-        record: SearchRecord {
-            request_id: resp.request_id,
-            kind: "find",
-            circuit: resp.circuit,
-            pattern: resp.pattern,
-            wall_ns: resp.wall_ns,
-            effort_spent: Some(resp.effort_spent),
-            truncated: resp.outcome.completeness.is_truncated(),
-        },
-        doc: Value::Obj(doc),
-        journals: resp.outcome.events.into_iter().collect(),
-    })
+    Ok(found("find", resp, Value::Obj(doc)))
 }
 
 fn explain(engine: &Engine, body: &Value, lent: Lent) -> Result<Searched, Refusal> {
     let circuit = circuit_from(body)?;
     let pattern = pattern_from(body)?;
     // The engine records the journal of every explain itself.
-    let resp = engine.explain(&ExplainRequest {
+    let resp = engine.explain(&FindRequest {
         circuit: circuit.as_source(),
         pattern: pattern.as_source(),
         options: lent.options(body, false)?,
     })?;
+    let find = resp.find;
     let doc = Value::Obj(vec![
-        ("circuit".into(), Value::Str(resp.circuit.clone())),
-        ("pattern".into(), Value::Str(resp.pattern.clone())),
-        ("found".into(), Value::int(resp.outcome.count() as u64)),
+        ("circuit".into(), Value::Str(find.circuit.clone())),
+        ("pattern".into(), Value::Str(find.pattern.clone())),
+        ("found".into(), Value::int(find.outcome.count() as u64)),
         ("explain".into(), resp.report.to_json()),
-        ("report".into(), outcome_to_json(&resp.outcome)),
-        ("request_id".into(), Value::int(resp.request_id)),
-        ("wall_ns".into(), Value::int(resp.wall_ns)),
-        ("effort_spent".into(), Value::int(resp.effort_spent)),
+        ("report".into(), outcome_to_json(&find.outcome)),
+        ("request_id".into(), Value::int(find.request_id)),
+        ("wall_ns".into(), Value::int(find.wall_ns)),
+        ("effort_spent".into(), Value::int(find.effort_spent)),
     ]);
-    Ok(Searched {
-        record: SearchRecord {
-            request_id: resp.request_id,
-            kind: "explain",
-            circuit: resp.circuit,
-            pattern: resp.pattern,
-            wall_ns: resp.wall_ns,
-            effort_spent: Some(resp.effort_spent),
-            truncated: resp.outcome.completeness.is_truncated(),
-        },
-        doc,
-        journals: resp.outcome.events.into_iter().collect(),
-    })
+    Ok(found("explain", find, doc))
 }
 
 fn survey(engine: &Engine, body: &Value, lent: Lent) -> Result<Searched, Refusal> {

@@ -373,6 +373,44 @@ fn unknown_names_and_bad_bodies_map_to_http_errors() {
     join.join().unwrap();
 }
 
+/// A thread count past the ceiling answers 400 on every search route,
+/// naming the ceiling, before any search starts.
+#[test]
+fn a_thread_count_past_the_ceiling_answers_400() {
+    let engine = Arc::new(Engine::new());
+    let (addr, join, shutdown) = start_server(Arc::clone(&engine), 2);
+    assert_eq!(call(addr, "POST", "/v1/circuits/chip", CHIP).0, 200);
+    assert_eq!(call(addr, "POST", "/v1/libraries/cells", CELLS).0, 200);
+    let options = r#""options": {"threads": 100000}"#;
+    let find = format!(
+        r#"{{"circuit": "chip", "pattern": {{"library": "cells", "cell": "inv"}}, {options}}}"#
+    );
+    let sweep = format!(r#"{{"circuit": "chip", "library": "cells", {options}}}"#);
+    for (route, body) in [
+        ("/v1/find", &find),
+        ("/v1/explain", &find),
+        ("/v1/survey", &sweep),
+        ("/v1/hierarchize", &sweep),
+    ] {
+        let (status, resp) = call(addr, "POST", route, body);
+        assert_eq!(status, 400, "{route}: {resp}");
+        let error = parse_json(&resp)
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string();
+        assert_eq!(
+            error, "threads: 100000 is past the ceiling of 64",
+            "{route}"
+        );
+    }
+    let telemetry = engine.status().telemetry;
+    assert_eq!(telemetry.requests, 0, "no search ran");
+    shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn a_pattern_with_an_isolated_net_answers_400() {
     let (addr, join, shutdown) = start_server(Arc::new(Engine::new()), 2);

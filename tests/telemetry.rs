@@ -15,8 +15,7 @@ use std::collections::BTreeMap;
 
 use subgemini::{find_all, MetricsReport, Rollup, WarmMain, WorkBudget};
 use subgemini_engine::{
-    CircuitSource, Engine, ExplainRequest, FindRequest, LibrarySource, PatternSource,
-    RequestOptions, SurveyRequest,
+    CircuitSource, Engine, FindRequest, LibrarySource, PatternSource, RequestOptions, SurveyRequest,
 };
 use subgemini_netlist::{Artifact, NetId, Netlist};
 use subgemini_workloads::{cells, gen};
@@ -312,7 +311,7 @@ fn rollups_accumulate_per_endpoint_and_per_circuit() {
         })
         .unwrap();
     engine
-        .explain(&ExplainRequest {
+        .explain(&FindRequest {
             circuit: CircuitSource::Registered("chip"),
             pattern: PatternSource::Inline(&pattern),
             options: RequestOptions::default(),
